@@ -7,6 +7,7 @@ stderr, and communicates its verdict through the exit code:
 * 1: verdict fails (a witness is embedded in the report)
 * 2: usage or precondition error
 * 3: enumeration cap exceeded, or an inconclusive complex-field verdict
+* 4: internal construction error (a self-check of the library failed)
 
 Reports are deterministic for fixed inputs and seeds; stage timings are the
 one nondeterministic field and only appear with ``--timings``.
@@ -15,25 +16,24 @@ one nondeterministic field and only appear with ``--timings``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from ._linalg import DEFAULT_ENUM_CAP, DEFAULT_ORTHO_TOL, DEFAULT_RANK_TOL
-from .errors import EnumerationCapExceeded
+from .errors import EnumerationCapExceeded, FramelabError
 from .fileio import (
+    _read_json,
     build_report,
     certificate_to_dict,
+    doc_to_frame,
     dumps_canonical,
-    file_digest,
-    load_frame,
     save_frame,
     vector_to_json,
 )
 from .frames import (
+    Frame,
     bessel_norm_bound_check,
     frame_bounds,
     gen_deficient_plus_tail,
@@ -50,7 +50,6 @@ from .retrieval import (
     INCONCLUSIVE,
     alpha_certify,
     norm_retrieval_certify,
-    norm_retrieval_oracle,
     phase_retrieval_certify,
 )
 from .tensor import tensor_nr_check, tensor_pr_check, tensor_product
@@ -59,8 +58,15 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_CAP_OR_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {HOLDS: EXIT_OK, FAILS: EXIT_FAILS, INCONCLUSIVE: EXIT_CAP_OR_INCONCLUSIVE}
+# First match wins: the cap refusal is itself a FramelabError.
+_ERROR_EXIT = (
+    (EnumerationCapExceeded, EXIT_CAP_OR_INCONCLUSIVE),
+    (FramelabError, EXIT_INTERNAL),
+    ((ValueError, OSError), EXIT_USAGE),
+)
 
 
 def _env_rank_tol() -> float:
@@ -98,13 +104,18 @@ class _Stopwatch:
         return self.times if self.enabled else None
 
 
-def _summary(*lines: str) -> None:
-    for line in lines:
-        print(line, file=sys.stderr)
+@dataclass
+class _Outcome:
+    """What one command computed: everything its report holds beyond the inputs."""
+
+    data: dict
+    summary: list[str]
+    tolerances: dict[str, float] = field(default_factory=dict)
+    certificates: list[dict] = field(default_factory=list)
+    code: int = EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
+def _gen(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
     kind = args.kind
     provenance: dict = {"generator": kind}
     if kind == "onb":
@@ -124,25 +135,24 @@ def cmd_gen(args: argparse.Namespace, command: str) -> tuple[int, dict]:
             dim=args.dim, head_dim=args.head_dim, tail_len=args.tail_len, seed=args.seed
         )
     watch.lap("generate")
-    save_frame(args.output, frame, provenance)
+    digest = save_frame(args.output, frame, provenance)
     watch.lap("write")
     data = {
         "output": args.output,
-        "output_digest": file_digest(args.output),
+        "output_digest": digest,
         "atoms": frame.n_atoms,
         "dim": frame.dim,
         "field": frame.field,
     }
-    _summary(f"wrote {kind} frame: {frame.n_atoms} atoms in dimension {frame.dim} -> {args.output}")
-    report = build_report(command, {}, {}, data, [], watch.result())
-    return EXIT_OK, report
+    return _Outcome(
+        data,
+        [f"wrote {kind} frame: {frame.n_atoms} atoms in dimension {frame.dim} -> {args.output}"],
+    )
 
 
-def cmd_bounds(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
+def _bounds(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    (frame,) = frames
     rank_tol = _env_rank_tol()
-    frame = load_frame(args.file)
-    watch.lap("load")
     bounds = frame_bounds(frame)
     bessel = bessel_norm_bound_check(frame)
     data = {
@@ -157,58 +167,40 @@ def cmd_bounds(args: argparse.Namespace, command: str) -> tuple[int, dict]:
         "bessel_holds": bessel.holds,
     }
     watch.lap("compute")
-    _summary(
+    summary = (
         f"bounds: A={bounds.lower:.6g} B={bounds.upper:.6g} eta={frame.space.eta:.6g} "
         f"frame={bounds.is_frame}"
     )
-    report = build_report(
-        command, {args.file: file_digest(args.file)}, {"rank_tol": rank_tol}, data, [], watch.result()
-    )
-    return EXIT_OK, report
+    return _Outcome(data, [summary], {"rank_tol": rank_tol})
 
 
-def cmd_certify(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
-    frame = load_frame(args.file)
-    watch.lap("load")
+def _certify(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    (frame,) = frames
     if args.property == "pr":
-        rank_tol = float(args.tol) if args.tol is not None else _env_rank_tol()
+        name = "phase retrieval"
+        rank_tol = args.tol if args.tol is not None else _env_rank_tol()
         cert = phase_retrieval_certify(
             frame, rank_tol, args.cap, alpha_restarts=args.alpha_restarts, seed=args.seed
         )
-        watch.lap("certify")
         tolerances = {"rank_tol": rank_tol}
-        data = {"property": "phase retrieval", "verdict": cert.verdict}
-        certs = [certificate_to_dict(cert)]
-        _summary(f"phase retrieval: {cert.verdict}")
-        code = _VERDICT_EXIT[cert.verdict]
     else:
+        name = "norm retrieval"
         rank_tol = _env_rank_tol()
-        ortho_tol = float(args.tol) if args.tol is not None else DEFAULT_ORTHO_TOL
+        ortho_tol = args.tol if args.tol is not None else DEFAULT_ORTHO_TOL
         cert = norm_retrieval_certify(frame, ortho_tol, rank_tol, args.cap)
-        oracle = norm_retrieval_oracle(frame, ortho_tol, rank_tol, args.cap)
-        watch.lap("certify")
-        agree = cert.verdict == oracle.verdict
         tolerances = {"rank_tol": rank_tol, "ortho_tol": ortho_tol}
-        data = {"property": "norm retrieval", "verdict": cert.verdict, "oracle_agrees": agree}
-        certs = [certificate_to_dict(cert), certificate_to_dict(oracle)]
-        _summary(f"norm retrieval: {cert.verdict} (oracle agrees: {agree})")
-        if not agree:
-            report = build_report(
-                command, {args.file: file_digest(args.file)}, tolerances, data, certs, watch.result()
-            )
-            return EXIT_USAGE, report
-        code = _VERDICT_EXIT[cert.verdict]
-    report = build_report(
-        command, {args.file: file_digest(args.file)}, tolerances, data, certs, watch.result()
+    watch.lap("certify")
+    return _Outcome(
+        {"property": name, "verdict": cert.verdict},
+        [f"{name}: {cert.verdict}"],
+        tolerances,
+        [certificate_to_dict(cert)],
+        _VERDICT_EXIT[cert.verdict],
     )
-    return code, report
 
 
-def cmd_alpha(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
-    frame = load_frame(args.file)
-    watch.lap("load")
+def _alpha(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    (frame,) = frames
     result = alpha_certify(frame, restarts=args.restarts, iters=args.iters, seed=args.seed)
     watch.lap("minimize")
     data = {
@@ -218,74 +210,53 @@ def cmd_alpha(args: argparse.Namespace, command: str) -> tuple[int, dict]:
         "restarts": args.restarts,
         "trace_lengths": [len(t) for t in result.traces],
     }
-    _summary(f"alpha = {result.alpha:.9g} over {args.restarts} restarts")
-    report = build_report(
-        command, {args.file: file_digest(args.file)}, {}, data, [], watch.result()
-    )
-    return EXIT_OK, report
+    return _Outcome(data, [f"alpha = {result.alpha:.9g} over {args.restarts} restarts"])
 
 
-def cmd_perturb(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
+def _perturb(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    (frame,) = frames
     rank_tol = _env_rank_tol()
-    frame = load_frame(args.file)
-    watch.lap("load")
-    if args.construction == "break-pr":
-        if args.head is None:
-            raise ValueError("perturb break-pr requires --head with comma-separated atom ids")
-        ids = _parse_ids(args.head, "--head")
+    breaks_pr = args.construction == "break-pr"
+    key, text = ("head", args.head) if breaks_pr else ("subset", args.subset)
+    if text is None:
+        raise ValueError(
+            f"perturb {args.construction} requires --{key} with comma-separated atom ids"
+        )
+    ids = _parse_ids(text, f"--{key}")
+    if breaks_pr:
         result = break_phase_retrieval(frame, ids, args.eps, rank_tol)
         cert = phase_retrieval_certify(result.perturbed, rank_tol, args.cap)
-        provenance = {
-            "perturbation": "break-pr",
-            "source": args.file,
-            "head": ids,
-            "epsilon": args.eps,
-        }
     else:
-        if args.subset is None:
-            raise ValueError("perturb break-nr requires --subset with comma-separated atom ids")
-        ids = _parse_ids(args.subset, "--subset")
         result = break_norm_retrieval(frame, ids, args.eps, rank_tol=rank_tol, cap=args.cap)
         cert = norm_retrieval_certify(result.perturbed, rank_tol=rank_tol, cap=args.cap)
-        provenance = {
-            "perturbation": "break-nr",
-            "source": args.file,
-            "subset": ids,
-            "epsilon": args.eps,
-        }
+    provenance = {
+        "perturbation": args.construction,
+        "source": args.file,
+        key: ids,
+        "epsilon": args.eps,
+    }
     watch.lap("construct")
-    save_frame(args.output, result.perturbed, provenance)
+    digest = save_frame(args.output, result.perturbed, provenance)
     watch.lap("write")
     data = {
         "output": args.output,
-        "output_digest": file_digest(args.output),
+        "output_digest": digest,
         "l2_distance": result.l2_distance,
         "new_lower": result.new_bounds.lower,
         "new_upper": result.new_bounds.upper,
         "witness_f": vector_to_json(result.witness_f),
         "witness_g": vector_to_json(result.witness_g),
     }
-    _summary(
+    summary = (
         f"{args.construction}: moved frame by {result.l2_distance:.3e} (L2 squared), "
         f"perturbed verdict: {cert.verdict}"
     )
-    report = build_report(
-        command,
-        {args.file: file_digest(args.file)},
-        {"rank_tol": rank_tol},
-        data,
-        [certificate_to_dict(cert)],
-        watch.result(),
-    )
-    return EXIT_OK, report
+    return _Outcome(data, [summary], {"rank_tol": rank_tol}, [certificate_to_dict(cert)])
 
 
-def cmd_sweep(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
+def _sweep(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    (frame,) = frames
     rank_tol = _env_rank_tol()
-    frame = load_frame(args.file)
-    watch.lap("load")
     lambdas = [float(part) for part in args.lambdas.split(",") if part.strip() != ""]
     points = stability_sweep(frame, lambdas, args.trials, args.seed, rank_tol, args.cap)
     watch.lap("sweep")
@@ -297,71 +268,45 @@ def cmd_sweep(args: argparse.Namespace, command: str) -> tuple[int, dict]:
             for p in points
         ],
     }
-    for p in points:
-        _summary(f"lambda={p.lam:g}: failures={p.failures}/{args.trials}")
-    report = build_report(
-        command, {args.file: file_digest(args.file)}, {"rank_tol": rank_tol}, data, [], watch.result()
-    )
-    return EXIT_OK, report
+    summary = [f"lambda={p.lam:g}: failures={p.failures}/{args.trials}" for p in points]
+    return _Outcome(data, summary, {"rank_tol": rank_tol})
 
 
-def cmd_tensor(args: argparse.Namespace, command: str) -> tuple[int, dict]:
-    watch = _Stopwatch(args.timings)
+def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
+    left, right = frames
     rank_tol = _env_rank_tol()
-    left = load_frame(args.left)
-    right = load_frame(args.right)
-    watch.lap("load")
-    tensored = tensor_product(left, right)
+    product = tensor_product(left, right).product
     provenance = {"generator": "tensor", "factors": [args.left, args.right]}
-    save_frame(args.output, tensored.product, provenance)
+    digest = save_frame(args.output, product, provenance)
     watch.lap("write")
-    bounds = frame_bounds(tensored.product)
+    bounds = frame_bounds(product)
     data = {
         "output": args.output,
-        "output_digest": file_digest(args.output),
-        "atoms": tensored.product.n_atoms,
-        "dim": tensored.product.dim,
+        "output_digest": digest,
+        "atoms": product.n_atoms,
+        "dim": product.dim,
         "lower": bounds.lower,
         "upper": bounds.upper,
     }
-    certs: list[dict] = []
-    code = EXIT_OK
-    if args.check == "pr":
-        report_pr = tensor_pr_check(left, right, rank_tol, args.cap)
-        certs = [
-            certificate_to_dict(report_pr.left_pr),
-            certificate_to_dict(report_pr.right_pr),
-            certificate_to_dict(report_pr.product_pr),
-        ]
-        data["check"] = "pr"
-        data["theorem_consistent"] = report_pr.theorem_consistent
-        code = _VERDICT_EXIT[report_pr.product_pr.verdict]
-        _summary(
-            f"tensor pr check: product {report_pr.product_pr.verdict}, "
-            f"consistent={report_pr.theorem_consistent}"
-        )
-    elif args.check == "nr":
-        report_nr = tensor_nr_check(left, right, rank_tol=rank_tol, cap=args.cap)
-        certs = [
-            certificate_to_dict(report_nr.left_nr),
-            certificate_to_dict(report_nr.right_nr),
-            certificate_to_dict(report_nr.product_nr),
-        ]
-        data["check"] = "nr"
-        data["consistent"] = report_nr.consistent
-        code = _VERDICT_EXIT[report_nr.product_nr.verdict]
-        _summary(
-            f"tensor nr check: product {report_nr.product_nr.verdict}, "
-            f"consistent={report_nr.consistent}"
-        )
+    certs: tuple = ()
+    if args.check is None:
+        summary = f"tensor product: {product.n_atoms} atoms in dimension {product.dim}"
     else:
-        _summary(
-            f"tensor product: {tensored.product.n_atoms} atoms in dimension {tensored.product.dim}"
-        )
+        if args.check == "pr":
+            report = tensor_pr_check(left, right, rank_tol, args.cap)
+            certs = (report.left_pr, report.right_pr, report.product_pr)
+            key, consistent = "theorem_consistent", report.theorem_consistent
+        else:
+            report = tensor_nr_check(left, right, rank_tol=rank_tol, cap=args.cap)
+            certs = (report.left_nr, report.right_nr, report.product_nr)
+            key, consistent = "consistent", report.consistent
+        data["check"] = args.check
+        data[key] = consistent
+        summary = f"tensor {args.check} check: product {certs[-1].verdict}, consistent={consistent}"
+    code = _VERDICT_EXIT[certs[-1].verdict] if certs else EXIT_OK
+    cert_dicts = [certificate_to_dict(c) for c in certs]
     watch.lap("check")
-    inputs = {args.left: file_digest(args.left), args.right: file_digest(args.right)}
-    report = build_report(command, inputs, {"rank_tol": rank_tol}, data, certs, watch.result())
-    return code, report
+    return _Outcome(data, [summary], {"rank_tol": rank_tol}, cert_dicts, code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -381,11 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--head-dim", type=int, default=2)
     p_gen.add_argument("--tail-len", type=int, default=3)
     p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(handler=cmd_gen)
+    p_gen.set_defaults(compute=_gen, inputs=())
 
     p_bounds = sub.add_parser("bounds", parents=[common], help="frame bounds, eta, Bessel check")
     p_bounds.add_argument("file")
-    p_bounds.set_defaults(handler=cmd_bounds)
+    p_bounds.set_defaults(compute=_bounds, inputs=("file",))
 
     p_cert = sub.add_parser("certify", parents=[common], help="certify phase or norm retrieval")
     p_cert.add_argument("property", choices=["pr", "nr"])
@@ -393,14 +338,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--tol", type=float, default=None, help="rank tolerance for pr, orthogonality tolerance for nr")
     p_cert.add_argument("--alpha-restarts", type=int, default=4)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.set_defaults(handler=cmd_certify)
+    p_cert.set_defaults(compute=_certify, inputs=("file",))
 
     p_alpha = sub.add_parser("alpha", parents=[common], help="alternating minimization lower-bound functional")
     p_alpha.add_argument("file")
     p_alpha.add_argument("--restarts", type=int, default=8)
     p_alpha.add_argument("--iters", type=int, default=100)
     p_alpha.add_argument("--seed", type=int, default=0)
-    p_alpha.set_defaults(handler=cmd_alpha)
+    p_alpha.set_defaults(compute=_alpha, inputs=("file",))
 
     p_pert = sub.add_parser("perturb", parents=[common], help="retrieval-breaking perturbations")
     p_pert.add_argument("construction", choices=["break-pr", "break-nr"])
@@ -409,42 +354,52 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("--subset", default=None, help="comma-separated subset atom ids (break-nr)")
     p_pert.add_argument("--eps", type=float, required=True)
     p_pert.add_argument("-o", "--output", required=True)
-    p_pert.set_defaults(handler=cmd_perturb)
+    p_pert.set_defaults(compute=_perturb, inputs=("file",))
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="phase retrieval stability sweep")
     p_sweep.add_argument("file")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated ascending radii")
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.set_defaults(handler=cmd_sweep)
+    p_sweep.set_defaults(compute=_sweep, inputs=("file",))
 
     p_tensor = sub.add_parser("tensor", parents=[common], help="tensor product of two frame files")
     p_tensor.add_argument("left")
     p_tensor.add_argument("right")
     p_tensor.add_argument("-o", "--output", required=True)
     p_tensor.add_argument("--check", choices=["pr", "nr"], default=None)
-    p_tensor.set_defaults(handler=cmd_tensor)
+    p_tensor.set_defaults(compute=_tensor, inputs=("left", "right"))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = " ".join(["framelab"] + argv)
+    watch = _Stopwatch(args.timings)
     try:
-        code, report = args.handler(args, command)
-    except EnumerationCapExceeded as exc:
-        _summary(f"error: {exc}")
+        paths = [getattr(args, name) for name in args.inputs]
+        loaded: dict[str, tuple[Frame, str]] = {}
+        for path in paths:
+            if path not in loaded:
+                doc, digest = _read_json(path)
+                loaded[path] = (doc_to_frame(doc), digest)
+        if paths:
+            watch.lap("load")
+        outcome = args.compute(args, [loaded[path][0] for path in paths], watch)
+    except (FramelabError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         sys.stdout.write(dumps_canonical({"command": command, "error": str(exc)}))
-        return EXIT_CAP_OR_INCONCLUSIVE
-    except (ValueError, OSError) as exc:
-        _summary(f"error: {exc}")
-        sys.stdout.write(dumps_canonical({"command": command, "error": str(exc)}))
-        return EXIT_USAGE
+        return next(code for kind, code in _ERROR_EXIT if isinstance(exc, kind))
+    for line in outcome.summary:
+        print(line, file=sys.stderr)
+    digests = {path: digest for path, (_, digest) in loaded.items()}
+    report = build_report(
+        command, digests, outcome.tolerances, outcome.data, outcome.certificates, watch.result()
+    )
     sys.stdout.write(dumps_canonical(report))
-    return code
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -101,27 +101,44 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def save_frame(path: str | Path, frame: Frame, provenance: dict | None = None) -> None:
-    Path(path).write_text(dumps_canonical(frame_to_doc(frame, provenance)), encoding="utf-8")
+def _digest(raw: bytes) -> str:
+    return "sha256:" + hashlib.sha256(raw).hexdigest()
+
+
+def _read_json(path: str | Path) -> tuple[Any, str]:
+    """Parse one JSON file; return the document and the digest of the bytes parsed.
+
+    Hashing the bytes that were parsed, rather than reading the file again,
+    keeps a report's digest tied to the content it was computed from.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    return doc, _digest(raw)
+
+
+def save_frame(path: str | Path, frame: Frame, provenance: dict | None = None) -> str:
+    """Write a frame file and return the digest of the bytes written."""
+    raw = dumps_canonical(frame_to_doc(frame, provenance)).encode("utf-8")
+    Path(path).write_bytes(raw)
+    return _digest(raw)
 
 
 def load_frame(path: str | Path) -> Frame:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    return doc_to_frame(doc)
+    return doc_to_frame(_read_json(path)[0])
 
 
 def load_provenance(path: str | Path) -> dict | None:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = _read_json(path)[0]
     if isinstance(doc, dict):
         return doc.get("provenance")
     return None
 
 
 def file_digest(path: str | Path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _digest(Path(path).read_bytes())
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

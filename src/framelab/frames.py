@@ -98,9 +98,6 @@ class Frame:
     def weights(self) -> np.ndarray:
         return self.space.weights
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.vectors[i]
-
     def with_vectors(self, vectors: np.ndarray) -> "Frame":
         """A frame over the same measure space with replaced rows."""
         return Frame(self.space, vectors)

@@ -1,17 +1,19 @@
 """Exact certificates for phase retrieval and norm retrieval of finite frames.
 
 Over the real field, phase retrieval is equivalent to the complement
-property: every index subset or its complement must span the space.  Both
-that property and the null-space orthogonality criterion for norm retrieval
-are decided here by exhaustive subset enumeration (one representative per
-complementary pair), which is exact but exponential, hence the hard cap on
-the atom count.
+property: every index subset or its complement must span the space.  Norm
+retrieval holds exactly when, for every index subset, the null space of its
+rows is orthogonal to the null space of the complement's rows.  Each
+property is decided by one exhaustive scan over subsets (one representative
+per complementary pair), which is exact but exponential, hence the hard cap
+on the atom count.  Independent brute-force references that cross-check
+these scans live with the tests, not here.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
-is ``inconclusive`` and the numerical lower-bound functional ``alpha`` is
-attached as evidence.  Norm retrieval certification is rejected outright for
-complex frames; the subspace criterion it relies on is a real-field result.
+is ``inconclusive`` and an estimate of the lower-bound functional ``alpha``
+is attached.  Norm retrieval certification is rejected outright for complex
+frames; the subspace criterion it relies on is a real-field result.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "r_operator",
     "alpha_certify",
     "norm_retrieval_certify",
-    "norm_retrieval_oracle",
     "near_riesz_detect",
 ]
 
@@ -318,48 +319,6 @@ def norm_retrieval_certify(
                 witness_vectors=(left[:, i], right[:, j]),
             )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
-
-
-def norm_retrieval_oracle(
-    frame: Frame,
-    tol: float = DEFAULT_ORTHO_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Certificate:
-    """Independent norm retrieval check through explicit equal-magnitude pairs.
-
-    For null directions ``u`` (of a subset) and ``w`` (of its complement),
-    the vectors ``(w + u) / 2`` and ``(w - u) / 2`` have identical
-    coefficient magnitudes on every atom; their norms differ exactly when
-    ``<u, w> != 0``.  The verdict fails when some such pair has a norm gap
-    above tolerance, and the pair itself is the witness.
-    """
-    _require_real(frame, "norm retrieval oracle")
-    n, d = frame.n_atoms, frame.dim
-    _require_cap(n, cap, "norm retrieval oracle")
-    v = frame.vectors
-    for s, c in _complement_pairs(n):
-        left = annihilator(v[list(s)], d, rank_tol)
-        if left.shape[1] == 0:
-            continue
-        right = annihilator(v[list(c)], d, rank_tol)
-        if right.shape[1] == 0:
-            continue
-        for i in range(left.shape[1]):
-            for j in range(right.shape[1]):
-                u = left[:, i]
-                w = right[:, j]
-                fvec = (w + u) / 2.0
-                gvec = (w - u) / 2.0
-                if abs(np.linalg.norm(fvec) - np.linalg.norm(gvec)) > tol:
-                    return Certificate(
-                        verdict=FAILS,
-                        method="nr-bruteforce-pairs",
-                        field=frame.field,
-                        witness_subset=s,
-                        witness_vectors=(fvec, gvec),
-                    )
-    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field=frame.field)
 
 
 def near_riesz_detect(

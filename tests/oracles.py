@@ -10,13 +10,16 @@ algorithm, so agreement between the two is meaningful evidence:
   angle grid with a closed-form smallest eigenvalue, never iterating.
 * ``brute_force_complement_property`` walks all 2^n subsets with no pairing
   or pruning shortcuts.
+* ``norm_retrieval_oracle`` decides real norm retrieval by building explicit
+  equal-magnitude vector pairs and comparing their norms, over its own
+  bitmask walk and its own null-space computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from framelab import Frame
+from framelab import FAILS, HOLDS, Certificate, Frame
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -97,6 +100,44 @@ def brute_force_complement_property(frame: Frame, rank_tol: float = 1e-10) -> bo
     return True
 
 
+def norm_retrieval_oracle(
+    frame: Frame, tol: float = 1e-8, rank_tol: float = 1e-10
+) -> Certificate:
+    """Decide real norm retrieval through explicit equal-magnitude pairs.
+
+    For null directions ``u`` (of a subset's rows) and ``w`` (of its
+    complement's rows), the vectors ``(w + u) / 2`` and ``(w - u) / 2`` have
+    identical coefficient magnitudes on every atom; their norms differ
+    exactly when ``<u, w> != 0``.  The verdict fails when some pair of basis
+    directions has a norm gap above tolerance, and that pair is the witness.
+    Masks run over subsets of the first n - 1 atoms, so the last atom always
+    sits in the complement and each unordered split is visited once.
+    """
+    if frame.field != "real":
+        raise ValueError("the norm retrieval oracle only applies to real frames")
+    v = np.asarray(frame.vectors, dtype=float)
+    n, d = v.shape
+    for mask in range(2 ** (n - 1)):
+        idx = [i for i in range(n) if (mask >> i) & 1]
+        co = [i for i in range(n) if not (mask >> i) & 1]
+        left = _null_space(v[idx], d, rank_tol)
+        if left.shape[1] == 0:
+            continue
+        right = _null_space(v[co], d, rank_tol)
+        for u in left.T:
+            for w in right.T:
+                f, g = (w + u) / 2.0, (w - u) / 2.0
+                if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
+                    return Certificate(
+                        verdict=FAILS,
+                        method="nr-bruteforce-pairs",
+                        field="real",
+                        witness_subset=tuple(idx),
+                        witness_vectors=(f, g),
+                    )
+    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field="real")
+
+
 def _rank(rows: np.ndarray, tol: float) -> int:
     if rows.size == 0:
         return 0
@@ -104,3 +145,12 @@ def _rank(rows: np.ndarray, tol: float) -> int:
     if s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def _null_space(rows: np.ndarray, d: int, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning the vectors orthogonal to every row."""
+    if rows.shape[0] == 0:
+        return np.eye(d)
+    _, s, vh = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
+    return vh[rank:].T

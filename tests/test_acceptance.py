@@ -13,7 +13,7 @@ import numpy as np
 
 import framelab as fl
 from framelab.cli import main as cli_main
-from oracles import alpha_grid_oracle_2d, sign_pattern_pr_oracle
+from oracles import alpha_grid_oracle_2d, norm_retrieval_oracle, sign_pattern_pr_oracle
 
 
 def _passed(name: str) -> None:
@@ -114,7 +114,7 @@ def test_criterion_05_nr_certifier_vs_oracle(real_corpus):
     failures_checked = 0
     for frame in eligible:
         cert = fl.norm_retrieval_certify(frame)
-        oracle = fl.norm_retrieval_oracle(frame)
+        oracle = norm_retrieval_oracle(frame)
         if cert.verdict != oracle.verdict:
             disagreements += 1
             continue

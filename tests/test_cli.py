@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import framelab as fl
 from framelab.cli import main
+from oracles import norm_retrieval_oracle
 
 
 def _run(capsys, *argv):
@@ -71,14 +73,63 @@ def test_certify_pr_complex_inconclusive(tmp_path, capsys):
     assert report["certificates"][0]["alpha_estimate"] is not None
 
 
-def test_certify_nr_cross_checks_oracle(tmp_path, capsys):
+def test_certify_nr_emits_one_certificate_matching_the_oracle(tmp_path, capsys):
     onb = tmp_path / "o.json"
     _run(capsys, "gen", "onb", "--dim", "3", "-o", str(onb))
     code, stdout, _ = _run(capsys, "certify", "nr", str(onb))
     assert code == 0
     report = json.loads(stdout)
-    assert report["data"]["oracle_agrees"] is True
-    assert len(report["certificates"]) == 2
+    assert set(report["data"]) == {"property", "verdict"}
+    assert [c["verdict"] for c in report["certificates"]] == ["holds"]
+    assert norm_retrieval_oracle(fl.gen_onb(3)).verdict == "holds"
+
+    rows = np.array([[1.0, 0.0], [1.0, 1.0]])
+    frame = fl.Frame(fl.make_atomic(np.ones(2)), rows)
+    skew = tmp_path / "s.json"
+    fl.save_frame(skew, frame)
+    code, stdout, _ = _run(capsys, "certify", "nr", str(skew))
+    assert code == 1
+    (cert,) = json.loads(stdout)["certificates"]
+    oracle = norm_retrieval_oracle(frame)
+    assert cert["verdict"] == oracle.verdict == "fails"
+    assert tuple(cert["witness_subset"]) == oracle.witness_subset == (0,)
+    u, w = (np.array(x) for x in cert["witness_vectors"])
+    assert abs(rows[0] @ u) < 1e-12 and abs(rows[1] @ w) < 1e-12
+    assert abs(u @ w) > 1e-8
+    f, g = oracle.witness_vectors
+    assert np.allclose(np.abs(rows @ f), np.abs(rows @ g))
+    assert abs(np.linalg.norm(f) - np.linalg.norm(g)) > 1e-8
+
+
+def test_internal_construction_error_exit_code(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "d.json"
+    _run(capsys, "gen", "deficient-tail", "--dim", "3", "-o", str(src))
+
+    def broken(*args, **kwargs):
+        raise fl.FramelabError("construction error: injected")
+
+    monkeypatch.setattr("framelab.cli.break_phase_retrieval", broken)
+    argv = ["perturb", "break-pr", str(src), "--head", "0,1,2", "--eps", "0.4", "-o", str(tmp_path / "p.json")]
+    code, stdout, stderr = _run(capsys, *argv)
+    assert code == 4
+    assert json.loads(stdout) == {
+        "command": " ".join(["framelab", *argv]),
+        "error": "construction error: injected",
+    }
+    assert "error: construction error: injected" in stderr
+
+
+def test_input_digest_describes_the_bytes_read(tmp_path, capsys):
+    onb = tmp_path / "o.json"
+    _run(capsys, "gen", "onb", "--dim", "2", "-o", str(onb))
+    before = fl.file_digest(onb)
+    code, stdout, _ = _run(
+        capsys, "perturb", "break-nr", str(onb), "--subset", "0", "--eps", "0.5", "-o", str(onb)
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["input_digests"] == {str(onb): before}
+    assert report["data"]["output_digest"] == fl.file_digest(onb) != before
 
 
 def test_alpha_command(tmp_path, capsys):

@@ -69,9 +69,10 @@ def test_saved_file_is_stable_bytes(tmp_path):
     frame = fl.gen_random(2, 4, seed=5)
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    fl.save_frame(a, frame)
+    digest = fl.save_frame(a, frame)
     fl.save_frame(b, frame)
     assert a.read_bytes() == b.read_bytes()
+    assert digest == fl.file_digest(a)
     assert fl.file_digest(a) == fl.file_digest(b)
     assert fl.file_digest(a).startswith("sha256:")
 
@@ -114,3 +115,10 @@ def test_load_frame_rejects_garbage(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ValueError):
         fl.load_frame(path)
+
+
+def test_load_provenance_rejects_invalid_json_naming_the_file(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"field": "real",\n')
+    with pytest.raises(ValueError, match="broken.json: not valid JSON"):
+        fl.load_provenance(path)

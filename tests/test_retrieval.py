@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import framelab as fl
-from oracles import alpha_grid_oracle_2d, brute_force_complement_property, sign_pattern_pr_oracle
+from oracles import (
+    alpha_grid_oracle_2d,
+    brute_force_complement_property,
+    norm_retrieval_oracle,
+    sign_pattern_pr_oracle,
+)
 
 
 def _unit_frame(vectors, weights=None):
@@ -198,7 +203,7 @@ def test_nr_fails_with_witness():
 def test_nr_failure_pair_has_equal_magnitudes_different_norms():
     vectors = np.array([[1.0, 0.0], [1.0, 1.0]])
     frame = _unit_frame(vectors)
-    oracle = fl.norm_retrieval_oracle(frame)
+    oracle = norm_retrieval_oracle(frame)
     assert oracle.verdict == fl.FAILS
     f, g = oracle.witness_vectors
     mf = fl.magnitudes(frame, f).values
@@ -218,7 +223,7 @@ def test_nr_certify_agrees_with_oracle_spot():
     ]
     for frame in cases:
         cert = fl.norm_retrieval_certify(frame)
-        oracle = fl.norm_retrieval_oracle(frame)
+        oracle = norm_retrieval_oracle(frame)
         assert cert.verdict == oracle.verdict
 
 
