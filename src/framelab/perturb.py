@@ -26,7 +26,6 @@ from ._linalg import (
     DEFAULT_RANK_TOL,
     annihilator,
     inner,
-    numerical_rank,
 )
 from .errors import FramelabError
 from .frames import Frame, FrameBounds, frame_bounds, magnitudes

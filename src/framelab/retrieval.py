@@ -7,7 +7,7 @@ rows is orthogonal to the null space of the complement's rows.  Each
 property is decided by one exhaustive scan over subsets (one representative
 per complementary pair), which is exact but exponential, hence the hard cap
 on the atom count.  Independent brute-force references that cross-check
-these scans live with the tests, not here.
+these scans live with the tests.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
@@ -37,7 +37,6 @@ from ._linalg import (
 )
 from .errors import EnumerationCapExceeded
 from .frames import Frame
-from .measure import MeasureSpace
 
 __all__ = [
     "HOLDS",
@@ -319,6 +318,34 @@ def norm_retrieval_certify(
                 witness_vectors=(left[:, i], right[:, j]),
             )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
+
+
+def norm_retrieval_oracle(
+    frame: Frame,
+    tol: float = DEFAULT_ORTHO_TOL,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> Certificate:
+    """Brute-force norm retrieval check through explicit equal-magnitude pairs.
+
+    Not exported and not run by the CLI: it stays under this name only
+    because the benchmark harness (``perfbench/tracer.py``) traces it, and
+    goes when the harness stops naming it.  The tests' independent reference
+    is ``tests/oracles.py::norm_retrieval_oracle``.
+    """
+    _require_real(frame, "norm retrieval oracle")
+    _require_cap(frame.n_atoms, cap, "norm retrieval oracle")
+    v, d = frame.vectors, frame.dim
+    for s, c in _complement_pairs(frame.n_atoms):
+        left = annihilator(v[list(s)], d, rank_tol)
+        right = annihilator(v[list(c)], d, rank_tol) if left.shape[1] else left
+        for u in left.T:
+            for w in right.T:
+                f, g = (w + u) / 2.0, (w - u) / 2.0
+                if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
+                    return Certificate(verdict=FAILS, method="nr-bruteforce-pairs", field=frame.field,
+                                       witness_subset=s, witness_vectors=(f, g))
+    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field=frame.field)
 
 
 def near_riesz_detect(

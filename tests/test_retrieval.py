@@ -225,6 +225,9 @@ def test_nr_certify_agrees_with_oracle_spot():
         cert = fl.norm_retrieval_certify(frame)
         oracle = norm_retrieval_oracle(frame)
         assert cert.verdict == oracle.verdict
+        # The library keeps its brute-force scan only as a benchmark trace target.
+        assert fl.retrieval.norm_retrieval_oracle(frame).verdict == oracle.verdict
+    assert "norm_retrieval_oracle" not in fl.__all__
 
 
 def test_nr_rejects_complex():
