@@ -223,12 +223,9 @@ def _perturb(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -
             f"perturb {args.construction} requires --{key} with comma-separated atom ids"
         )
     ids = _parse_ids(text, f"--{key}")
-    if breaks_pr:
-        result = break_phase_retrieval(frame, ids, args.eps, rank_tol)
-        cert = phase_retrieval_certify(result.perturbed, rank_tol, args.cap)
-    else:
-        result = break_norm_retrieval(frame, ids, args.eps, rank_tol=rank_tol, cap=args.cap)
-        cert = norm_retrieval_certify(result.perturbed, rank_tol=rank_tol, cap=args.cap)
+    construct = break_phase_retrieval if breaks_pr else break_norm_retrieval
+    result = construct(frame, ids, args.eps, rank_tol=rank_tol, cap=args.cap)
+    cert = result.certificate
     provenance = {
         "perturbation": args.construction,
         "source": args.file,
@@ -312,7 +309,8 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
-    common.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="subset enumeration cap (default %(default)s)")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="subset enumeration cap (default %(default)s)")
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -332,10 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("file")
     p_bounds.set_defaults(compute=_bounds, inputs=("file",))
 
-    p_cert = sub.add_parser("certify", parents=[common], help="certify phase or norm retrieval")
+    p_cert = sub.add_parser("certify", parents=[capped], help="certify phase or norm retrieval")
     p_cert.add_argument("property", choices=["pr", "nr"])
     p_cert.add_argument("file")
-    p_cert.add_argument("--tol", type=float, default=None, help="rank tolerance for pr, orthogonality tolerance for nr")
+    p_cert.add_argument("--tol", type=float, default=None, help="pr: rank tolerance, overriding FRAMELAB_TOL; nr: orthogonality tolerance (default 1e-8), while FRAMELAB_TOL still sets the rank tolerance")
     p_cert.add_argument("--alpha-restarts", type=int, default=4)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.set_defaults(compute=_certify, inputs=("file",))
@@ -347,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_alpha.add_argument("--seed", type=int, default=0)
     p_alpha.set_defaults(compute=_alpha, inputs=("file",))
 
-    p_pert = sub.add_parser("perturb", parents=[common], help="retrieval-breaking perturbations")
+    p_pert = sub.add_parser("perturb", parents=[capped], help="retrieval-breaking perturbations")
     p_pert.add_argument("construction", choices=["break-pr", "break-nr"])
     p_pert.add_argument("file")
     p_pert.add_argument("--head", default=None, help="comma-separated head atom ids (break-pr)")
@@ -356,14 +354,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("-o", "--output", required=True)
     p_pert.set_defaults(compute=_perturb, inputs=("file",))
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="phase retrieval stability sweep")
+    p_sweep = sub.add_parser("sweep", parents=[capped], help="phase retrieval stability sweep")
     p_sweep.add_argument("file")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated ascending radii")
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.set_defaults(compute=_sweep, inputs=("file",))
 
-    p_tensor = sub.add_parser("tensor", parents=[common], help="tensor product of two frame files")
+    p_tensor = sub.add_parser("tensor", parents=[capped], help="tensor product of two frame files")
     p_tensor.add_argument("left")
     p_tensor.add_argument("right")
     p_tensor.add_argument("-o", "--output", required=True)

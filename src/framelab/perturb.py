@@ -32,6 +32,7 @@ from .frames import Frame, FrameBounds, frame_bounds, magnitudes
 from .retrieval import (
     FAILS,
     HOLDS,
+    Certificate,
     norm_retrieval_certify,
     phase_retrieval_certify,
 )
@@ -47,13 +48,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PerturbationResult:
-    """A perturbed frame plus the witness vectors and bookkeeping that certify it."""
+    """A perturbed frame, its witness vectors and bookkeeping, and its certificate."""
 
     perturbed: Frame
     witness_f: np.ndarray
     witness_g: np.ndarray
     l2_distance: float
     new_bounds: FrameBounds
+    certificate: Certificate
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,7 @@ def break_phase_retrieval(
     epsilon: float,
     rank_tol: float = DEFAULT_RANK_TOL,
     match_tol: float = DEFAULT_MATCH_TOL,
+    cap: int = DEFAULT_ENUM_CAP,
 ) -> PerturbationResult:
     """Destroy phase retrieval while moving the frame by less than ``epsilon``.
 
@@ -87,7 +90,8 @@ def break_phase_retrieval(
     pair ``e1 +- 2 e2`` has equal coefficient magnitudes on the perturbed
     frame without being collinear.  The squared L2(mu) distance equals the
     tail energy ``sum_tail w_i |<e1, F(x_i)>|^2``, which must be below
-    ``epsilon`` for the construction to apply.
+    ``epsilon`` for the construction to apply; the perturbed frame's
+    certificate must fail.
     """
     n, d = frame.n_atoms, frame.dim
     head_ids = _validate_subset(head, n, "head")
@@ -129,6 +133,9 @@ def break_phase_retrieval(
     new_bounds = frame_bounds(perturbed)
     if epsilon < frame_bounds(frame).lower and not new_bounds.is_frame:
         raise FramelabError("construction error: perturbed family lost the frame property")
+    certificate = phase_retrieval_certify(perturbed, rank_tol, cap)
+    if certificate.verdict != FAILS:
+        raise FramelabError("construction error: perturbed frame still does phase retrieval")
 
     return PerturbationResult(
         perturbed=perturbed,
@@ -136,6 +143,7 @@ def break_phase_retrieval(
         witness_g=wg,
         l2_distance=tail_energy,
         new_bounds=new_bounds,
+        certificate=certificate,
     )
 
 
@@ -157,7 +165,7 @@ def break_norm_retrieval(
     subset rows, ``w2 = g`` annihilates the untouched complement rows, and
     ``<w1, w2> = epsilon > 0`` breaks the null-space orthogonality that norm
     retrieval demands.  Requires ``0 <= epsilon < 2 sqrt(A)`` so the result
-    is still a frame.
+    is still a frame; for ``epsilon > 0`` its certificate must fail.
     """
     if frame.field != "real":
         raise ValueError("the norm retrieval perturbation is only defined over the real field")
@@ -224,7 +232,8 @@ def break_norm_retrieval(
     new_bounds = frame_bounds(perturbed)
     if not new_bounds.is_frame:
         raise FramelabError("construction error: perturbed family lost the frame property")
-    if epsilon > 0.0 and norm_retrieval_certify(perturbed, ortho_tol, rank_tol, cap).verdict != FAILS:
+    certificate = norm_retrieval_certify(perturbed, ortho_tol, rank_tol, cap)
+    if epsilon > 0.0 and certificate.verdict != FAILS:
         raise FramelabError("construction error: perturbed frame still does norm retrieval")
 
     l2_distance = float(epsilon**2 * np.sum(frame.weights[sub] * norms**2))
@@ -234,6 +243,7 @@ def break_norm_retrieval(
         witness_g=w2,
         l2_distance=l2_distance,
         new_bounds=new_bounds,
+        certificate=certificate,
     )
 
 
@@ -254,8 +264,7 @@ def stability_sweep(
     ``(seed, t)`` across radii, so the sweep scales one fixed direction
     field per trial.
     """
-    _requires = phase_retrieval_certify(frame, tol, cap)
-    if _requires.verdict != HOLDS:
+    if phase_retrieval_certify(frame, tol, cap).verdict != HOLDS:
         raise ValueError("stability sweep needs a phase retrieval frame to start from")
     lams = [float(l) for l in lambdas]
     if any(l < 0 for l in lams) or any(b < a for a, b in zip(lams, lams[1:])):

@@ -3,11 +3,12 @@
 Over the real field, phase retrieval is equivalent to the complement
 property: every index subset or its complement must span the space.  Norm
 retrieval holds exactly when, for every index subset, the null space of its
-rows is orthogonal to the null space of the complement's rows.  Each
-property is decided by one exhaustive scan over subsets (one representative
-per complementary pair), which is exact but exponential, hence the hard cap
-on the atom count.  Independent brute-force references that cross-check
-these scans live with the tests.
+rows is orthogonal to the null space of the complement's rows; a split with
+a spanning side satisfies both conditions.  So both are decided by one
+exhaustive scan that yields only the splits where neither side spans (one
+representative per complementary pair); it is exact but exponential, hence
+the hard cap on the atom count.  Independent brute-force references that
+cross-check it live with the tests.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
@@ -19,7 +20,6 @@ frames; the subspace criterion it relies on is a real-field result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -100,13 +100,6 @@ class AlphaResult:
     traces: tuple[tuple[float, ...], ...]
 
 
-def _require_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise EnumerationCapExceeded(
-            f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
-        )
-
-
 def _require_real(frame: Frame, what: str) -> None:
     if frame.field != "real":
         raise ValueError(f"{what} is only defined over the real field")
@@ -119,18 +112,37 @@ def _complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     subsets containing index 0, in lexicographic order, so the first failure
     reported by a scan is the lexicographically smallest witness.
     """
-    everything = tuple(range(n))
-    yield (), everything
-    if n == 1:
-        return
+    yield (), tuple(range(n))
     stack: list[tuple[int, ...]] = [(0,)]
     while stack:
         s = stack.pop()
         if len(s) < n:
             in_s = set(s)
             yield s, tuple(i for i in range(n) if i not in in_s)
-        for j in range(n - 1, s[-1], -1):
-            stack.append(s + (j,))
+        stack.extend(s + (j,) for j in range(n - 1, s[-1], -1))
+
+
+def _deficient_splits(
+    frame: Frame, tol: float, cap: int, what: str
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield, in scan order, every split {S, complement} where neither side spans.
+
+    The smaller side of each pair is checked first (a full-rank side settles
+    the pair), and sides too small to span skip the rank computation.
+    """
+    n, d = frame.n_atoms, frame.dim
+    if n > cap:
+        raise EnumerationCapExceeded(
+            f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
+        )
+    v = frame.vectors
+    for s, c in _complement_pairs(n):
+        small, big = (s, c) if len(s) <= len(c) else (c, s)
+        if len(small) >= d and numerical_rank(v[list(small)], tol) >= d:
+            continue
+        if len(big) >= d and numerical_rank(v[list(big)], tol) >= d:
+            continue
+        yield s, c
 
 
 def complement_property(
@@ -140,27 +152,16 @@ def complement_property(
 ) -> Certificate:
     """Decide whether every index subset or its complement spans the space.
 
-    The scan checks the smaller side of each pair first (a full-rank side
-    settles the pair) and skips rank computations for sides too small to
-    span.  A failing verdict reports the lexicographically smallest
-    violating subset.
+    A failing verdict reports the lexicographically smallest violating
+    subset: the first split the shared scan yields.
     """
-    n, d = frame.n_atoms, frame.dim
-    _require_cap(n, cap, "complement property certification")
-    v = frame.vectors
-    for s, c in _complement_pairs(n):
-        small, big = (s, c) if len(s) <= len(c) else (c, s)
-        if len(small) >= d and numerical_rank(v[list(small)], tol) >= d:
-            continue
-        if len(big) >= d and numerical_rank(v[list(big)], tol) >= d:
-            continue
-        return Certificate(
-            verdict=FAILS,
-            method="complement-subset-enumeration",
-            field=frame.field,
-            witness_subset=s,
-        )
-    return Certificate(verdict=HOLDS, method="complement-subset-enumeration", field=frame.field)
+    split = next(_deficient_splits(frame, tol, cap, "complement property certification"), None)
+    return Certificate(
+        verdict=HOLDS if split is None else FAILS,
+        method="complement-subset-enumeration",
+        field=frame.field,
+        witness_subset=None if split is None else split[0],
+    )
 
 
 def _equal_magnitude_pair(
@@ -292,20 +293,18 @@ def norm_retrieval_certify(
     """Certify norm retrieval over R via orthogonality of complementary null spaces.
 
     For every index subset, the annihilator of its rows must be orthogonal
-    to the annihilator of the complement's rows.  Pairs where either null
-    space is trivial hold vacuously.  A failure reports the subset plus the
-    offending unit null directions.
+    to the annihilator of the complement's rows.  A split where either side
+    spans holds vacuously, so only the splits the complement-property scan
+    yields are examined.  A failure reports the subset plus the offending
+    unit null directions.
     """
     _require_real(frame, "norm retrieval certification")
-    n, d = frame.n_atoms, frame.dim
-    _require_cap(n, cap, "norm retrieval certification")
-    v = frame.vectors
-    for s, c in _complement_pairs(n):
+    v, d = frame.vectors, frame.dim
+    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval certification"):
         left = annihilator(v[list(s)], d, rank_tol)
-        if left.shape[1] == 0:
-            continue
         right = annihilator(v[list(c)], d, rank_tol)
-        if right.shape[1] == 0:
+        # Rank check and annihilator can split an exact tie differently.
+        if left.shape[1] == 0 or right.shape[1] == 0:
             continue
         overlap = np.abs(left.T @ right)
         if overlap.max() > tol:
@@ -320,25 +319,14 @@ def norm_retrieval_certify(
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
 
 
-def norm_retrieval_oracle(
-    frame: Frame,
-    tol: float = DEFAULT_ORTHO_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Certificate:
-    """Brute-force norm retrieval check through explicit equal-magnitude pairs.
-
-    Not exported and not run by the CLI: it stays under this name only
-    because the benchmark harness (``perfbench/tracer.py``) traces it, and
-    goes when the harness stops naming it.  The tests' independent reference
-    is ``tests/oracles.py::norm_retrieval_oracle``.
-    """
+def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,
+                          cap: int = DEFAULT_ENUM_CAP) -> Certificate:
+    """Uncalled brute-force pair check, kept only because ``perfbench/tracer.py`` traces it."""
     _require_real(frame, "norm retrieval oracle")
-    _require_cap(frame.n_atoms, cap, "norm retrieval oracle")
     v, d = frame.vectors, frame.dim
-    for s, c in _complement_pairs(frame.n_atoms):
+    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval oracle"):
         left = annihilator(v[list(s)], d, rank_tol)
-        right = annihilator(v[list(c)], d, rank_tol) if left.shape[1] else left
+        right = annihilator(v[list(c)], d, rank_tol)
         for u in left.T:
             for w in right.T:
                 f, g = (w + u) / 2.0, (w - u) / 2.0
@@ -353,16 +341,18 @@ def near_riesz_detect(
 ) -> tuple[int, ...] | None:
     """Find a smallest removable atom set leaving an exact basis, if one exists.
 
-    Scans the candidate removal sets of size ``n - d`` in lexicographic
-    order and returns the first one whose remaining rows have full rank;
-    returns None when no removal leaves a basis (or when n < d).
+    One greedy pass over the atoms from last to first keeps each atom that
+    raises the rank of those already kept.  On the frame's matroid this
+    keeps the basis whose removal set of size ``n - d`` comes first in
+    lexicographic order.  Returns None when the pass keeps fewer than d
+    atoms, as it must when n < d.
     """
     n, d = frame.n_atoms, frame.dim
-    if n < d:
-        return None
     v = frame.vectors
-    for removed in combinations(range(n), n - d):
-        keep = [i for i in range(n) if i not in set(removed)]
-        if numerical_rank(v[keep], tol) == d:
-            return removed
+    kept: list[int] = []
+    for i in reversed(range(n)):
+        if numerical_rank(v[kept + [i]], tol) > len(kept):
+            kept.append(i)
+            if len(kept) == d:
+                return tuple(sorted(set(range(n)) - set(kept)))
     return None

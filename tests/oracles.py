@@ -13,9 +13,13 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``norm_retrieval_oracle`` decides real norm retrieval by building explicit
   equal-magnitude vector pairs and comparing their norms, over its own
   bitmask walk and its own null-space computation.
+* ``near_riesz_oracle`` scans every removal set of size n - d in
+  lexicographic order, where the library makes one greedy matroid pass.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -136,6 +140,19 @@ def norm_retrieval_oracle(
                         witness_vectors=(f, g),
                     )
     return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field="real")
+
+
+def near_riesz_oracle(frame: Frame, rank_tol: float = 1e-10) -> tuple[int, ...] | None:
+    """The lexicographically first removal set whose remaining rows form a basis."""
+    v = frame.vectors
+    n, d = v.shape
+    if n < d:
+        return None
+    for removed in combinations(range(n), n - d):
+        keep = [i for i in range(n) if i not in removed]
+        if _rank(v[keep], rank_tol) == d:
+            return removed
+    return None
 
 
 def _rank(rows: np.ndarray, tol: float) -> int:

@@ -118,6 +118,9 @@ def test_criterion_05_nr_certifier_vs_oracle(real_corpus):
         if cert.verdict != oracle.verdict:
             disagreements += 1
             continue
+        # Norm retrieval can only fail on a split where neither side spans.
+        if cert.verdict == fl.FAILS:
+            assert fl.complement_property(frame).verdict == fl.FAILS, "NR fails but CP holds"
         if oracle.verdict == fl.FAILS:
             f, g = oracle.witness_vectors
             mf = fl.magnitudes(frame, f).values

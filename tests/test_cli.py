@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import pytest
 import framelab as fl
 from framelab.cli import main
 from oracles import norm_retrieval_oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, *argv):
@@ -261,3 +265,61 @@ def test_bounds_reports_bessel_bound_value(tmp_path, capsys):
     assert data["bessel_bound"] == pytest.approx(1.5**0.5)
     assert data["max_vector_norm"] == pytest.approx(1.0)
     assert data["eta"] == pytest.approx(1.0)
+
+
+def _readme_commands() -> list[list[str]]:
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_commands_run_in_order(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        assert argv[0] == "framelab"
+        code, stdout, _ = _run(capsys, *argv[1:])
+        assert code in (0, 1), f"{shlex.join(argv)} exited {code}: {stdout}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "mercedes", "-o", "m.json"],
+    ["bounds", "m.json"],
+    ["alpha", "m.json"],
+])
+def test_cap_is_refused_where_nothing_is_enumerated(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "gen", "mercedes", "-o", "m.json")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap", "3"])
+    assert exc.value.code == 2
+
+
+def _certified_frames(monkeypatch, name: str) -> list[np.ndarray]:
+    """Record the vectors of every frame that ``name`` certifies in perturb or the CLI."""
+    original, seen = getattr(fl, name), []
+
+    def recording(frame, *args, **kwargs):
+        seen.append(frame.vectors)
+        return original(frame, *args, **kwargs)
+
+    for module in ("framelab.perturb", "framelab.cli"):
+        monkeypatch.setattr(f"{module}.{name}", recording)
+    return seen
+
+
+@pytest.mark.parametrize("construction, gen_argv, ids, certifier", [
+    ("break-nr", ["onb", "--dim", "2"], ["--subset", "0"], "norm_retrieval_certify"),
+    ("break-pr", ["deficient-tail", "--dim", "3", "--seed", "1"], ["--head", "0,1,2"], "phase_retrieval_certify"),
+])
+def test_perturb_certifies_its_output_once(construction, gen_argv, ids, certifier, tmp_path, capsys, monkeypatch):
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    _run(capsys, "gen", *gen_argv, "-o", str(src))
+    seen = _certified_frames(monkeypatch, certifier)
+    code, stdout, _ = _run(capsys, "perturb", construction, str(src), *ids, "--eps", "0.4", "-o", str(out))
+    assert code == 0
+    perturbed = fl.load_frame(out).vectors
+    assert sum(np.allclose(v, perturbed, rtol=0.0, atol=1e-15) for v in seen) == 1
+    (cert,) = json.loads(stdout)["certificates"]
+    assert cert["verdict"] == "fails"

@@ -47,6 +47,25 @@ def test_break_pr_l2_distance_is_tail_energy():
     assert result.l2_distance == pytest.approx(energy, rel=1e-9)
 
 
+def test_break_pr_carries_the_perturbed_certificate():
+    frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=1)
+    result = fl.break_phase_retrieval(frame, [0, 1, 2], 0.4)
+    cert = fl.phase_retrieval_certify(result.perturbed)
+    assert result.certificate.verdict == cert.verdict == fl.FAILS
+    assert result.certificate.witness_subset == cert.witness_subset
+    assert all(np.array_equal(a, b) for a, b in zip(result.certificate.witness_vectors, cert.witness_vectors))
+    with pytest.raises(fl.EnumerationCapExceeded):
+        fl.break_phase_retrieval(frame, [0, 1, 2], 0.4, cap=5)
+
+
+def test_break_pr_self_check_rejects_a_perturbed_frame_that_still_retrieves(monkeypatch):
+    frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=1)
+    holds = fl.Certificate(verdict=fl.HOLDS, method="stub", field="real")
+    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", lambda *a, **k: holds)
+    with pytest.raises(fl.FramelabError, match="still does phase retrieval"):
+        fl.break_phase_retrieval(frame, [0, 1, 2], 0.4)
+
+
 def test_break_pr_epsilon_too_small():
     frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=0)
     with pytest.raises(ValueError):
@@ -197,3 +216,14 @@ def test_stability_sweep_zero_trials_is_vacuously_preserved():
     assert len(points) == 1
     assert points[0].all_preserved
     assert points[0].failures == 0
+
+
+def test_break_nr_carries_the_perturbed_certificate():
+    frame = fl.gen_onb(2)
+    broken = fl.break_norm_retrieval(frame, [0], 0.5)
+    cert = fl.norm_retrieval_certify(broken.perturbed)
+    assert broken.certificate.verdict == cert.verdict == fl.FAILS
+    assert broken.certificate.witness_subset == cert.witness_subset == (0,)
+    assert all(np.array_equal(a, b) for a, b in zip(broken.certificate.witness_vectors, cert.witness_vectors))
+    # At epsilon 0 the frame is unchanged, and so is its verdict.
+    assert fl.break_norm_retrieval(frame, [0], 0.0).certificate.verdict == fl.HOLDS

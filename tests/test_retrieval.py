@@ -7,6 +7,7 @@ import framelab as fl
 from oracles import (
     alpha_grid_oracle_2d,
     brute_force_complement_property,
+    near_riesz_oracle,
     norm_retrieval_oracle,
     sign_pattern_pr_oracle,
 )
@@ -230,6 +231,22 @@ def test_nr_certify_agrees_with_oracle_spot():
     assert "norm_retrieval_oracle" not in fl.__all__
 
 
+def test_nr_checks_null_spaces_only_on_splits_where_neither_side_spans(monkeypatch):
+    original, calls = fl.retrieval.annihilator, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("framelab.retrieval.annihilator", counting)
+    assert fl.norm_retrieval_certify(fl.gen_random(4, 10, seed=0)).verdict == fl.HOLDS
+    assert calls == []
+    # The repeated ONB has deficient splits; each costs two annihilators.
+    onb = _unit_frame(np.vstack([np.eye(2), np.eye(2)]))
+    assert fl.norm_retrieval_certify(onb).verdict == fl.HOLDS
+    assert len(calls) > 0 and len(calls) % 2 == 0
+
+
 def test_nr_rejects_complex():
     frame = fl.gen_random(2, 4, seed=0, field="complex")
     with pytest.raises(ValueError):
@@ -327,3 +344,11 @@ def test_pr_complex_alpha_estimate_is_positive():
     cert = fl.phase_retrieval_certify(frame, alpha_restarts=4, alpha_iters=60)
     assert cert.verdict == fl.INCONCLUSIVE
     assert cert.alpha_estimate > 0.01
+
+
+def test_near_riesz_matches_oracle_on_corpus(real_corpus):
+    rng = np.random.default_rng(17)
+    for frame in real_corpus:
+        images = [frame, fl.apply_operator(frame, rng.standard_normal((frame.dim, frame.dim)))]
+        for image in images:
+            assert fl.near_riesz_detect(image) == near_riesz_oracle(image)
