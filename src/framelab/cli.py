@@ -270,9 +270,9 @@ def _sweep(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> 
 
 
 def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
-    left, right = frames
     rank_tol = _env_rank_tol()
-    product = tensor_product(left, right).product
+    tensor = tensor_product(*frames)
+    product = tensor.product
     provenance = {"generator": "tensor", "factors": [args.left, args.right]}
     digest = save_frame(args.output, product, provenance)
     watch.lap("write")
@@ -290,11 +290,11 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
         summary = f"tensor product: {product.n_atoms} atoms in dimension {product.dim}"
     else:
         if args.check == "pr":
-            report = tensor_pr_check(left, right, rank_tol, args.cap)
+            report = tensor_pr_check(tensor, rank_tol, args.cap)
             certs = (report.left_pr, report.right_pr, report.product_pr)
             key, consistent = "theorem_consistent", report.theorem_consistent
         else:
-            report = tensor_nr_check(left, right, rank_tol=rank_tol, cap=args.cap)
+            report = tensor_nr_check(tensor, rank_tol=rank_tol, cap=args.cap)
             certs = (report.left_nr, report.right_nr, report.product_nr)
             key, consistent = "consistent", report.consistent
         data["check"] = args.check
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="subset enumeration cap (default %(default)s)")
+    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s); certification enumerates up to C(n, d-1) hyperplanes")
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -6,8 +6,10 @@ class FramelabError(Exception):
 
 
 class EnumerationCapExceeded(FramelabError):
-    """Raised when an exhaustive subset certification would exceed the cap.
+    """Raised when a retrieval certification is asked about more atoms than the cap.
 
-    The retrieval certificates are exact only because they visit every index
-    subset; past the cap we refuse outright instead of silently sampling.
+    The certificates enumerate the frame's hyperplanes, up to C(n, d - 1)
+    candidates, and walk the deficient subset splits only to locate a
+    witness.  The cap bounds the atom count n: past it we refuse
+    outright instead of silently sampling.
     """

@@ -4,11 +4,19 @@ Over the real field, phase retrieval is equivalent to the complement
 property: every index subset or its complement must span the space.  Norm
 retrieval holds exactly when, for every index subset, the null space of its
 rows is orthogonal to the null space of the complement's rows; a split with
-a spanning side satisfies both conditions.  So both are decided by one
-exhaustive scan that yields only the splits where neither side spans (one
-representative per complementary pair); it is exact but exponential, hence
-the hard cap on the atom count.  Independent brute-force references that
-cross-check it live with the tests.
+a spanning side satisfies both conditions.
+
+Both are decided from the frame's hyperplanes, the closures of its d - 1
+independent atoms: at most C(n, d - 1) candidates, found in one batched
+pass that also marks each hyperplane whose complement does not span.  A
+split has neither side spanning exactly when each side lies in a hyperplane,
+so when no complement is deficient the complement property holds and so
+does norm retrieval, with no subset visited.  Otherwise norm retrieval tests
+the flats of rank below d, and a failure is located by walking the deficient
+splits in scan order (empty set first, then the subsets holding atom 0 in
+lexicographic order) without a rank call, so each witness is the
+lexicographically smallest one.  The atom count is capped.  The exhaustive
+split scan, and independent brute-force references, live with the tests.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
@@ -20,6 +28,7 @@ frames; the subspace criterion it relies on is a real-field result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Iterator
 
 import numpy as np
@@ -105,44 +114,135 @@ def _require_real(frame: Frame, what: str) -> None:
         raise ValueError(f"{what} is only defined over the real field")
 
 
-def _complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield each unordered pair {S, complement} exactly once.
+# Float entries per batched step: stacks of small matrices are cut to this size.
+_BATCH_ENTRIES = 1 << 12
 
-    The empty/full pair comes first; after that the representatives are the
-    subsets containing index 0, in lexicographic order, so the first failure
-    reported by a scan is the lexicographically smallest witness.
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct boolean rows, in sorted order."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)
+    return rows[first]
+
+
+def _flats(v: np.ndarray, r: int, tol: float) -> Iterator[np.ndarray]:
+    """Yield, batch by batch, the closures of the independent r-subsets of rows as boolean rows.
+
+    A subset is independent when its smallest singular value clears
+    ``tol * sigma_max``.  An atom lies in its closure when the atom's
+    distance to their span is at most ``tol`` times the larger of
+    ``sigma_max`` and the atom's norm: the relative cutoff of
+    ``numerical_rank``, so exact zero atoms lie in every flat.  Rows repeat
+    only across batches.
     """
-    yield (), tuple(range(n))
-    stack: list[tuple[int, ...]] = [(0,)]
-    while stack:
-        s = stack.pop()
-        if len(s) < n:
-            in_s = set(s)
-            yield s, tuple(i for i in range(n) if i not in in_s)
-        stack.extend(s + (j,) for j in range(n - 1, s[-1], -1))
+    n, d = v.shape
+    norms = np.linalg.norm(v, axis=1)
+    subsets = combinations(range(n), r)
+    while batch := list(islice(subsets, max(1, _BATCH_ENTRIES // (n * d)))):
+        _, s, vh = np.linalg.svd(v[np.array(batch, dtype=np.intp).reshape(len(batch), r)])
+        if r:
+            independent = s[:, -1] > tol * s[:, 0]
+            s, vh = s[independent], vh[independent]
+        top = s[:, :1] if r else np.zeros((len(vh), 1))
+        distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
+        yield _distinct(distance <= tol * np.maximum(top, norms))
+
+
+def _spans(v: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
+    """For each boolean row of ``sides``, whether its atoms span (``numerical_rank`` >= d).
+
+    Sides with fewer than d atoms cannot span.  For the others, masked-out
+    atoms become zero rows, which leave the singular values unchanged.
+    """
+    d = v.shape[1]
+    spans = np.zeros(len(sides), dtype=bool)
+    big = sides.sum(axis=1) >= d
+    s = np.linalg.svd(sides[big, :, None] * v, compute_uv=False)
+    spans[big] = s[:, d - 1] > tol * s[:, 0]
+    return spans
+
+
+def _deficient_hyperplanes(frame: Frame, tol: float, cap: int, what: str) -> np.ndarray | None:
+    """The hyperplanes of the frame whose complement does not span, as boolean rows.
+
+    A hyperplane is the closure of d - 1 independent atoms, so there are at
+    most C(n, d - 1) of them.  Returns None when the frame itself does not
+    span, in which case every split is deficient.
+    """
+    n, d = frame.n_atoms, frame.dim
+    if n > cap:
+        raise EnumerationCapExceeded(f"{what} refuses n = {n} atoms above cap = {cap}")
+    v = frame.vectors
+    if numerical_rank(v, tol) < d:
+        return None
+    deficient = np.concatenate([h[~_spans(v, ~h, tol)] for h in _flats(v, d - 1, tol)])
+    return _distinct(deficient) if len(deficient) else deficient
+
+
+def _covering(rows: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
+    """Index pairs (i, j), in row-major order, where rows[i] | hyperplanes[j] holds every atom."""
+    outside = (~hyperplanes).astype(float)
+    step = max(1, _BATCH_ENTRIES // len(hyperplanes))
+    blocks = [
+        np.argwhere((~rows[i : i + step]).astype(float) @ outside.T == 0) + (i, 0)
+        for i in range(0, len(rows), step)
+    ]
+    return np.concatenate(blocks) if blocks else np.zeros((0, 2), dtype=np.intp)
+
+
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each boolean row as an integer whose bit i is entry i."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _splits(n: int, deficient: np.ndarray | None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Walk the deficient splits in scan order: () first, then subsets holding atom 0 in lex order.
+
+    A subset S holding atom 0 is deficient exactly when S lies in a
+    hyperplane H1 and its complement in a hyperplane H2, that is, when S is
+    in the interval [atoms minus H2, H1] for a pair with H1 | H2 = atoms.
+    The walk visits only nodes inside some interval, so it makes no rank
+    call.  A frame that does not span has every split deficient.
+    """
+    full = (1 << n) - 1
+    if deficient is None:
+        yield (), tuple(range(n))
+        intervals = [(1, full)]
+    elif not len(deficient):
+        return
+    else:
+        holders = deficient[deficient[:, 0]]
+        first, second = _covering(holders, deficient).T
+        intervals = list(zip(_bitmasks(~deficient[second]), _bitmasks(holders[first])))
+
+    def members(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (
+            tuple(i for i in range(n) if mask >> i & 1),
+            tuple(i for i in range(n) if not mask >> i & 1),
+        )
+
+    def visit(mask: int, last: int, alive: list[tuple[int, int]]):
+        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``.
+        if mask != full and any(not low & ~mask for low, _ in alive):
+            yield members(mask)
+        for j in range(last + 1, n):
+            bit = 1 << j
+            inside = [iv for iv in alive if iv[1] & bit]
+            if inside:
+                yield from visit(mask | bit, j, inside)
+            alive = [iv for iv in alive if not iv[0] & bit]
+            if not alive:
+                return
+
+    yield from visit(1, 0, intervals)
 
 
 def _deficient_splits(
     frame: Frame, tol: float, cap: int, what: str
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield, in scan order, every split {S, complement} where neither side spans.
-
-    The smaller side of each pair is checked first (a full-rank side settles
-    the pair), and sides too small to span skip the rank computation.
-    """
-    n, d = frame.n_atoms, frame.dim
-    if n > cap:
-        raise EnumerationCapExceeded(
-            f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
-        )
-    v = frame.vectors
-    for s, c in _complement_pairs(n):
-        small, big = (s, c) if len(s) <= len(c) else (c, s)
-        if len(small) >= d and numerical_rank(v[list(small)], tol) >= d:
-            continue
-        if len(big) >= d and numerical_rank(v[list(big)], tol) >= d:
-            continue
-        yield s, c
+    """Yield, in scan order, every split {S, complement} where neither side spans."""
+    yield from _splits(frame.n_atoms, _deficient_hyperplanes(frame, tol, cap, what))
 
 
 def complement_property(
@@ -284,6 +384,44 @@ def alpha_certify(
     )
 
 
+def _null_overlap(
+    v: np.ndarray, s: tuple[int, ...], c: tuple[int, ...], tol: float, rank_tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Unit null directions of the two sides whose overlap exceeds ``tol``, if any."""
+    d = v.shape[1]
+    left = annihilator(v[list(s)], d, rank_tol)
+    right = annihilator(v[list(c)], d, rank_tol)
+    # Rank check and annihilator can split an exact tie differently.
+    if left.shape[1] == 0 or right.shape[1] == 0:
+        return None
+    overlap = np.abs(left.T @ right)
+    if overlap.max() <= tol:
+        return None
+    i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+    return left[:, i], right[:, j]
+
+
+def _some_flat_fails(v: np.ndarray, deficient: np.ndarray, tol: float, rank_tol: float) -> bool:
+    """Whether a deficient split closed on the side holding atom 0 breaks orthogonality.
+
+    The candidates are the flats F of rank below d that hold atom 0 and
+    whose complement lies in a deficient hyperplane.  Replacing a side S by
+    its closure leaves ann(S) unchanged and only enlarges the complement's
+    annihilator, so a failing split exists exactly when a failing flat does.
+    """
+    if not len(deficient):
+        return False
+    for r in range(1, v.shape[1]):
+        for flats in _flats(v, r, rank_tol):
+            holders = flats[flats[:, 0]]
+            for flat in holders[np.unique(_covering(holders, deficient)[:, 0])]:
+                s = tuple(int(i) for i in np.flatnonzero(flat))
+                c = tuple(int(i) for i in np.flatnonzero(~flat))
+                if _null_overlap(v, s, c, tol, rank_tol) is not None:
+                    return True
+    return False
+
+
 def norm_retrieval_certify(
     frame: Frame,
     tol: float = DEFAULT_ORTHO_TOL,
@@ -294,28 +432,26 @@ def norm_retrieval_certify(
 
     For every index subset, the annihilator of its rows must be orthogonal
     to the annihilator of the complement's rows.  A split where either side
-    spans holds vacuously, so only the splits the complement-property scan
-    yields are examined.  A failure reports the subset plus the offending
-    unit null directions.
+    spans holds vacuously, so a frame with no deficient hyperplane (one that
+    does phase retrieval) holds at once, and otherwise only the flats of
+    rank below d are tested.  When one fails, the deficient splits are
+    walked in scan order to report the first failing subset plus the
+    offending unit null directions.
     """
     _require_real(frame, "norm retrieval certification")
-    v, d = frame.vectors, frame.dim
-    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval certification"):
-        left = annihilator(v[list(s)], d, rank_tol)
-        right = annihilator(v[list(c)], d, rank_tol)
-        # Rank check and annihilator can split an exact tie differently.
-        if left.shape[1] == 0 or right.shape[1] == 0:
-            continue
-        overlap = np.abs(left.T @ right)
-        if overlap.max() > tol:
-            i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-            return Certificate(
-                verdict=FAILS,
-                method="nr-nullspace-orthogonality",
-                field=frame.field,
-                witness_subset=s,
-                witness_vectors=(left[:, i], right[:, j]),
-            )
+    v = frame.vectors
+    deficient = _deficient_hyperplanes(frame, rank_tol, cap, "norm retrieval certification")
+    if deficient is None or _some_flat_fails(v, deficient, tol, rank_tol):
+        for s, c in _splits(frame.n_atoms, deficient):
+            pair = _null_overlap(v, s, c, tol, rank_tol)
+            if pair is not None:
+                return Certificate(
+                    verdict=FAILS,
+                    method="nr-nullspace-orthogonality",
+                    field=frame.field,
+                    witness_subset=s,
+                    witness_vectors=pair,
+                )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
 
 

@@ -82,21 +82,21 @@ def tensor_product(left: Frame, right: Frame) -> TensorFrame:
 
 
 def tensor_pr_check(
-    left: Frame,
-    right: Frame,
+    tensor: TensorFrame,
     tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> TensorPRReport:
-    """Certify both factors and the product, and check the transfer law.
+    """Certify both factors and the already-built product, and check the transfer law.
 
     The expected law over the real field: the product does phase retrieval
     exactly when both factors do.
     """
+    left, right = tensor.left, tensor.right
     if left.field != "real" or right.field != "real":
         raise ValueError("the phase retrieval transfer check is only defined over the real field")
     left_pr = phase_retrieval_certify(left, tol, cap)
     right_pr = phase_retrieval_certify(right, tol, cap)
-    product_pr = phase_retrieval_certify(tensor_product(left, right).product, tol, cap)
+    product_pr = phase_retrieval_certify(tensor.product, tol, cap)
     expected = left_pr.verdict == HOLDS and right_pr.verdict == HOLDS
     return TensorPRReport(
         left_pr=left_pr,
@@ -107,14 +107,13 @@ def tensor_pr_check(
 
 
 def tensor_nr_check(
-    left: Frame,
-    right: Frame,
+    tensor: TensorFrame,
     tol: float = DEFAULT_ORTHO_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
     parseval_tol: float = 1e-8,
 ) -> TensorNRReport:
-    """Check the norm retrieval transfer for a Parseval left factor.
+    """Check the norm retrieval transfer for a Parseval left factor of an already-built product.
 
     Preconditions: real field, the left factor Parseval within tolerance
     and the right factor norm retrieval.  The product must then be norm
@@ -122,6 +121,7 @@ def tensor_nr_check(
     to be norm retrieval, so ``consistent`` demands all three certificates
     hold.
     """
+    left, right = tensor.left, tensor.right
     if left.field != "real" or right.field != "real":
         raise ValueError("the norm retrieval transfer check is only defined over the real field")
     lb = frame_bounds(left)
@@ -132,7 +132,7 @@ def tensor_nr_check(
     right_nr = norm_retrieval_certify(right, tol, rank_tol, cap)
     if right_nr.verdict != HOLDS:
         raise ValueError("right factor must do norm retrieval")
-    product_nr = norm_retrieval_certify(tensor_product(left, right).product, tol, rank_tol, cap)
+    product_nr = norm_retrieval_certify(tensor.product, tol, rank_tol, cap)
     # Converse direction: a norm retrieval product needs norm retrieval factors.
     left_nr = norm_retrieval_certify(left, tol, rank_tol, cap)
     consistent = product_nr.verdict == HOLDS and left_nr.verdict == HOLDS and right_nr.verdict == HOLDS

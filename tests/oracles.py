@@ -15,15 +15,21 @@ algorithm, so agreement between the two is meaningful evidence:
   bitmask walk and its own null-space computation.
 * ``near_riesz_oracle`` scans every removal set of size n - d in
   lexicographic order, where the library makes one greedy matroid pass.
+* ``deficient_splits_reference`` walks all 2^(n-1) splits with one rank
+  check per side, where the library reads the frame's hyperplanes; with
+  ``complement_property_reference`` and ``norm_retrieval_reference`` on top
+  of it, it pins the exact split order, witnesses and witness vectors.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
 from framelab import FAILS, HOLDS, Certificate, Frame
+from framelab._linalg import annihilator
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -153,6 +159,65 @@ def near_riesz_oracle(frame: Frame, rank_tol: float = 1e-10) -> tuple[int, ...] 
         if _rank(v[keep], rank_tol) == d:
             return removed
     return None
+
+
+def complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield each unordered pair {S, complement} exactly once.
+
+    The empty/full pair comes first; after that the representatives are the
+    subsets containing index 0, in lexicographic order.
+    """
+    yield (), tuple(range(n))
+    stack: list[tuple[int, ...]] = [(0,)]
+    while stack:
+        s = stack.pop()
+        if len(s) < n:
+            in_s = set(s)
+            yield s, tuple(i for i in range(n) if i not in in_s)
+        stack.extend(s + (j,) for j in range(n - 1, s[-1], -1))
+
+
+def deficient_splits_reference(
+    frame: Frame, rank_tol: float = 1e-10
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every split where neither side spans, in scan order, one rank check per side."""
+    v, d = frame.vectors, frame.dim
+    for s, c in complement_pairs(frame.n_atoms):
+        small, big = (s, c) if len(s) <= len(c) else (c, s)
+        if len(small) >= d and _rank(v[list(small)], rank_tol) >= d:
+            continue
+        if len(big) >= d and _rank(v[list(big)], rank_tol) >= d:
+            continue
+        yield s, c
+
+
+def complement_property_reference(frame: Frame, rank_tol: float = 1e-10) -> tuple[int, ...] | None:
+    """The first split of the scan (the lexicographically smallest witness), or None."""
+    split = next(deficient_splits_reference(frame, rank_tol), None)
+    return None if split is None else split[0]
+
+
+def norm_retrieval_reference(
+    frame: Frame, tol: float = 1e-8, rank_tol: float = 1e-10
+) -> Certificate:
+    """Null-space orthogonality on every split of the scan; the first failure is the witness."""
+    v, d = frame.vectors, frame.dim
+    for s, c in deficient_splits_reference(frame, rank_tol):
+        left = annihilator(v[list(s)], d, rank_tol)
+        right = annihilator(v[list(c)], d, rank_tol)
+        if left.shape[1] == 0 or right.shape[1] == 0:
+            continue
+        overlap = np.abs(left.T @ right)
+        if overlap.max() > tol:
+            i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+            return Certificate(
+                verdict=FAILS,
+                method="nr-nullspace-orthogonality",
+                field=frame.field,
+                witness_subset=s,
+                witness_vectors=(left[:, i], right[:, j]),
+            )
+    return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
 
 
 def _rank(rows: np.ndarray, tol: float) -> int:

@@ -193,10 +193,11 @@ def test_criterion_08_tensor_theorems(small_factor_pool):
     assert len(pairs) >= 50, f"only {len(pairs)} pairs"
     nr_checked = 0
     for left, right in pairs:
-        report = fl.tensor_pr_check(left, right)
+        tensor = fl.tensor_product(left, right)
+        report = fl.tensor_pr_check(tensor)
         assert report.theorem_consistent, "tensor PR inconsistency"
         try:
-            nr_report = fl.tensor_nr_check(left, right)
+            nr_report = fl.tensor_nr_check(tensor)
         except ValueError:
             continue
         assert nr_report.consistent, "tensor NR inconsistency"

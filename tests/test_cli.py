@@ -202,6 +202,22 @@ def test_tensor_command_with_pr_check(tmp_path, capsys):
     assert product.n_atoms == 9
 
 
+def test_tensor_check_builds_the_product_once(tmp_path, capsys, monkeypatch):
+    merc, out = tmp_path / "m.json", tmp_path / "p.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    original, calls = fl.tensor.tensor_product, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("framelab.cli.tensor_product", counting)
+    monkeypatch.setattr("framelab.tensor.tensor_product", counting)
+    code, _, _ = _run(capsys, "tensor", str(merc), str(merc), "-o", str(out), "--check", "pr")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_missing_file_is_usage_error(capsys):
     code, stdout, stderr = _run(capsys, "bounds", "/nonexistent/frame.json")
     assert code == 2

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import framelab as fl
+from framelab.retrieval import _deficient_splits
 from oracles import (
     alpha_grid_oracle_2d,
     brute_force_complement_property,
+    complement_property_reference,
+    deficient_splits_reference,
     near_riesz_oracle,
     norm_retrieval_oracle,
+    norm_retrieval_reference,
     sign_pattern_pr_oracle,
 )
 
@@ -241,10 +249,23 @@ def test_nr_checks_null_spaces_only_on_splits_where_neither_side_spans(monkeypat
     monkeypatch.setattr("framelab.retrieval.annihilator", counting)
     assert fl.norm_retrieval_certify(fl.gen_random(4, 10, seed=0)).verdict == fl.HOLDS
     assert calls == []
-    # The repeated ONB has deficient splits; each costs two annihilators.
+    # The repeated ONB has deficient hyperplanes; each flat tested costs two annihilators.
     onb = _unit_frame(np.vstack([np.eye(2), np.eye(2)]))
     assert fl.norm_retrieval_certify(onb).verdict == fl.HOLDS
     assert len(calls) > 0 and len(calls) % 2 == 0
+
+
+def test_nr_tests_flats_below_the_hyperplanes():
+    # e1 plus three atoms spanning a plane B that misses e1: the split {e1}
+    # breaks orthogonality by about 0.05, while each hyperplane through e1
+    # and one atom of B breaks it by at most ~5e-9, below the 1e-8 tolerance.
+    theta, delta = np.arctan(0.05), 1e-7
+    p = np.array([np.sin(theta), -np.cos(theta), 0.0])
+    frame = _unit_frame([[1.0, 0.0, 0.0], p, p + [0, 0, delta], p - [0, 0, delta]])
+    cert = fl.norm_retrieval_certify(frame)
+    assert cert.verdict == fl.FAILS
+    assert cert.witness_subset == (0,)
+    assert cert.witness_subset == norm_retrieval_reference(frame).witness_subset
 
 
 def test_nr_rejects_complex():
@@ -352,3 +373,103 @@ def test_near_riesz_matches_oracle_on_corpus(real_corpus):
         images = [frame, fl.apply_operator(frame, rng.standard_normal((frame.dim, frame.dim)))]
         for image in images:
             assert fl.near_riesz_detect(image) == near_riesz_oracle(image)
+
+
+def _repeated_onb(d, k, seed=0):
+    """Atom j is e_(j mod d), with random weights."""
+    weights = np.random.default_rng(seed).uniform(0.5, 1.5, size=d * k)
+    return fl.Frame(fl.make_atomic(weights), np.tile(np.eye(d), (k, 1)))
+
+
+def _two_plane(n, seed):
+    """Even atoms in the x-y plane, odd atoms in the y-z plane."""
+    vectors = np.random.default_rng(seed).standard_normal((n, 3))
+    vectors[0::2, 2] = 0.0
+    vectors[1::2, 0] = 0.0
+    return _unit_frame(vectors)
+
+
+def _assert_matches_the_scan(frame):
+    splits = list(_deficient_splits(frame, 1e-10, 24, "test"))
+    assert splits == list(deficient_splits_reference(frame))
+    assert fl.complement_property(frame).witness_subset == complement_property_reference(frame)
+    if frame.field != "real":
+        return
+    cert, ref = fl.norm_retrieval_certify(frame), norm_retrieval_reference(frame)
+    assert (cert.verdict, cert.witness_subset) == (ref.verdict, ref.witness_subset)
+    if ref.witness_vectors is not None:
+        assert [u.tobytes() for u in cert.witness_vectors] == [u.tobytes() for u in ref.witness_vectors]
+
+
+def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
+    frames = list(real_corpus)
+    for d, k in [(2, 2), (3, 5), (4, 3), (4, 4)]:
+        onb = _repeated_onb(d, k)
+        frames.append(onb)
+        frames.extend(
+            fl.break_norm_retrieval(onb, range(0, d * k, d), eps).perturbed for eps in (0.25, 0.5)
+        )
+    frames.extend(_two_plane(n, seed=n) for n in (5, 8, 11))
+    for frame in frames:
+        _assert_matches_the_scan(frame)
+
+
+def _coincident_frame(kind, d, n, rng):
+    """A frame with exact rank coincidences: repeated atoms, coordinate-plane atoms or two planes."""
+    if kind == "two-plane":
+        return _two_plane(n, int(rng.integers(2**31))).vectors
+    vectors = rng.standard_normal((n, d))
+    if kind == "repeated":
+        for i in range(1, n, 2):
+            vectors[i] = vectors[int(rng.integers(i))]
+    else:  # coordinate planes
+        vectors[np.arange(n), rng.integers(d, size=n)] = 0.0
+    return vectors
+
+
+def _clear_of_the_cutoff(vectors, tol=1e-10, margin=30.0):
+    """Whether every d-subset's smallest singular value ratio lies beyond ``margin`` of ``tol``.
+
+    A random perturbation direction can cut the part that breaks a coincidence
+    far below the perturbation's size; within a small factor of the cutoff the
+    scan's per-subset cutoff and the table's membership cutoff may differ.
+    """
+    n, d = vectors.shape
+    subsets = np.array(list(combinations(range(n), d)), dtype=int).reshape(-1, d)
+    s = np.linalg.svd(vectors[subsets], compute_uv=False)
+    ratio = s[:, -1] / s[:, 0]
+    return not np.any((ratio > tol / margin) & (ratio < tol * margin))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["repeated", "coordinate", "two-plane"]),
+    d=st.integers(2, 4),
+    n=st.integers(3, 9),
+    factor=st.sampled_from([1e-3, 1e3]),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_ties_near_the_rank_tolerance_decide_as_the_scan_does(kind, d, n, factor, field, seed):
+    rng = np.random.default_rng(seed)
+    vectors = _coincident_frame(kind, d, n, rng)
+    noise = rng.standard_normal(vectors.shape)
+    if field == "complex":
+        # A complex multiple of each atom keeps every coincidence.
+        vectors = vectors * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
+        noise = noise + 1j * rng.standard_normal(vectors.shape)
+    scale = np.linalg.norm(vectors, axis=1, keepdims=True)
+    noise *= factor * 1e-10 * scale / np.linalg.norm(noise, axis=1, keepdims=True)
+    vectors = vectors + noise
+    assume(_clear_of_the_cutoff(vectors))
+    _assert_matches_the_scan(fl.Frame(fl.make_atomic(rng.uniform(0.5, 2.0, size=len(vectors))), vectors))
+
+
+def test_certifiers_decide_at_the_cap_without_the_scan():
+    assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
+    onb = _repeated_onb(4, 6)
+    assert fl.norm_retrieval_certify(onb).holds
+    cert = fl.complement_property(onb)
+    assert cert.verdict == fl.FAILS
+    # The lex-min witness: every index up to 20 that is not a copy of e_3.
+    assert cert.witness_subset == tuple(i for i in range(21) if i % 4 != 3)

@@ -75,7 +75,7 @@ def test_tensor_labels_combine_when_present():
 def test_tensor_pr_product_fails_when_either_factor_fails():
     m = fl.gen_mercedes()
     onb = fl.gen_onb(2)
-    report = fl.tensor_pr_check(m, onb)
+    report = fl.tensor_pr_check(fl.tensor_product(m, onb))
     assert report.left_pr.holds
     assert report.right_pr.verdict == fl.FAILS
     assert report.product_pr.verdict == fl.FAILS
@@ -84,7 +84,7 @@ def test_tensor_pr_product_fails_when_either_factor_fails():
 
 def test_tensor_pr_mercedes_pair_consistent():
     m = fl.gen_mercedes()
-    report = fl.tensor_pr_check(m, m)
+    report = fl.tensor_pr_check(fl.tensor_product(m, m))
     assert report.product_pr.holds
     assert report.theorem_consistent
 
@@ -92,13 +92,13 @@ def test_tensor_pr_mercedes_pair_consistent():
 def test_tensor_pr_rejects_complex():
     c = fl.gen_random(2, 3, seed=0, field="complex")
     with pytest.raises(ValueError):
-        fl.tensor_pr_check(c, c)
+        fl.tensor_pr_check(fl.tensor_product(c, c))
 
 
 def test_tensor_nr_parseval_left_onb_right():
     left = fl.parsevalize(fl.gen_mercedes())
     right = fl.gen_onb(2)
-    report = fl.tensor_nr_check(left, right)
+    report = fl.tensor_nr_check(fl.tensor_product(left, right))
     assert report.left_nr.holds
     assert report.right_nr.holds
     assert report.product_nr.holds
@@ -108,7 +108,7 @@ def test_tensor_nr_parseval_left_onb_right():
 def test_tensor_nr_requires_parseval_left():
     left = fl.gen_mercedes()
     with pytest.raises(ValueError):
-        fl.tensor_nr_check(left, fl.gen_onb(2))
+        fl.tensor_nr_check(fl.tensor_product(left, fl.gen_onb(2)))
 
 
 def test_tensor_nr_requires_nr_right():
@@ -116,7 +116,7 @@ def test_tensor_nr_requires_nr_right():
     right = fl.Frame(fl.make_atomic(np.ones(2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
     assert fl.norm_retrieval_certify(right).verdict == fl.FAILS
     with pytest.raises(ValueError):
-        fl.tensor_nr_check(left, right)
+        fl.tensor_nr_check(fl.tensor_product(left, right))
 
 
 def test_tensor_product_of_parsevals_is_parseval():
