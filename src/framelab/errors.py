@@ -8,8 +8,9 @@ class FramelabError(Exception):
 class EnumerationCapExceeded(FramelabError):
     """Raised when a retrieval certification is asked about more atoms than the cap.
 
-    The certificates enumerate the frame's hyperplanes, up to C(n, d - 1)
-    candidates, and walk the deficient subset splits only to locate a
-    witness.  The cap bounds the atom count n: past it we refuse
+    The certificates are exact because they decide every subset split, up
+    to 2^(n-1) of them: the first ones one by one, the rest through the
+    frame's C(n, d - 1) hyperplanes, or one by one again when that table
+    would be too large.  The cap bounds the atom count n: past it we refuse
     outright instead of silently sampling.
     """

@@ -6,17 +6,23 @@ retrieval holds exactly when, for every index subset, the null space of its
 rows is orthogonal to the null space of the complement's rows; a split with
 a spanning side satisfies both conditions.
 
-Both are decided from the frame's hyperplanes, the closures of its d - 1
-independent atoms: at most C(n, d - 1) candidates, found in one batched
-pass that also marks each hyperplane whose complement does not span.  A
-split has neither side spanning exactly when each side lies in a hyperplane,
-so when no complement is deficient the complement property holds and so
-does norm retrieval, with no subset visited.  Otherwise norm retrieval tests
-the flats of rank below d, and a failure is located by walking the deficient
-splits in scan order (empty set first, then the subsets holding atom 0 in
-lexicographic order) without a rank call, so each witness is the
-lexicographically smallest one.  The atom count is capped.  The exhaustive
-split scan, and independent brute-force references, live with the tests.
+Both are decided on the splits where neither side spans, visited in scan
+order (the empty set first, then the subsets holding atom 0 in
+lexicographic order), so each witness is the lexicographically smallest
+one.  Every visited split is decided by ``numerical_rank`` on its sides.
+The first splits are visited one by one, costing about half as much as the
+hyperplane table, so a frame that fails early never builds it.  After that
+only candidate splits are visited.  The table holds the frame's
+hyperplanes, the closures of its d - 1 independent atoms: at most
+C(n, d - 1) of them, found in one batched pass that also marks each
+hyperplane whose complement does not span.  A split has neither side
+spanning exactly when each side lies in a hyperplane, so when no
+complement is deficient there is no candidate and both properties hold.
+The table decides rank with a margin above the tolerance: near the cutoff
+it lists extra candidates, which the rank check drops.  A table past its
+size limit is not built and every split is visited.  The atom count is
+capped.  The reference scan that checks every split, and independent
+brute-force references, live with the tests.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -116,6 +123,12 @@ def _require_real(frame: Frame, what: str) -> None:
 
 # Float entries per batched step: stacks of small matrices are cut to this size.
 _BATCH_ENTRIES = 1 << 12
+# The table's rank decisions are this many times looser than the scan's, so
+# near the cutoff it lists more candidate splits, never fewer; every candidate
+# is then decided by ``numerical_rank`` as the scan decides it.
+_TABLE_MARGIN = 1e3
+# Most atom subsets, or hyperplane pairs, a table may hold; past it the scan goes on.
+_TABLE_LIMIT = 1 << 16
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
@@ -125,17 +138,17 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _flats(v: np.ndarray, r: int, tol: float) -> Iterator[np.ndarray]:
-    """Yield, batch by batch, the closures of the independent r-subsets of rows as boolean rows.
+def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[np.ndarray]:
+    """Yield, batch by batch, the closures of the independent (d - 1)-subsets of rows as boolean rows.
 
     A subset is independent when its smallest singular value clears
     ``tol * sigma_max``.  An atom lies in its closure when the atom's
-    distance to their span is at most ``tol`` times the larger of
-    ``sigma_max`` and the atom's norm: the relative cutoff of
-    ``numerical_rank``, so exact zero atoms lie in every flat.  Rows repeat
-    only across batches.
+    distance to their span is at most ``_TABLE_MARGIN * tol`` times the
+    larger of ``sigma_max`` and the atom's norm, so exact zero atoms lie in
+    every hyperplane.  Rows repeat only across batches.
     """
     n, d = v.shape
+    r = d - 1
     norms = np.linalg.norm(v, axis=1)
     subsets = combinations(range(n), r)
     while batch := list(islice(subsets, max(1, _BATCH_ENTRIES // (n * d)))):
@@ -145,7 +158,7 @@ def _flats(v: np.ndarray, r: int, tol: float) -> Iterator[np.ndarray]:
             s, vh = s[independent], vh[independent]
         top = s[:, :1] if r else np.zeros((len(vh), 1))
         distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
-        yield _distinct(distance <= tol * np.maximum(top, norms))
+        yield _distinct(distance <= _TABLE_MARGIN * tol * np.maximum(top, norms))
 
 
 def _spans(v: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
@@ -162,20 +175,18 @@ def _spans(v: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
     return spans
 
 
-def _deficient_hyperplanes(frame: Frame, tol: float, cap: int, what: str) -> np.ndarray | None:
-    """The hyperplanes of the frame whose complement does not span, as boolean rows.
+def _deficient_hyperplanes(v: np.ndarray, tol: float) -> np.ndarray | None:
+    """The hyperplanes whose complement does not span, as boolean rows, with the table's margin.
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
-    most C(n, d - 1) of them.  Returns None when the frame itself does not
-    span, in which case every split is deficient.
+    most C(n, d - 1) of them.  Returns None when that count passes the
+    table's limit or the frame does not span with the margin.
     """
-    n, d = frame.n_atoms, frame.dim
-    if n > cap:
-        raise EnumerationCapExceeded(f"{what} refuses n = {n} atoms above cap = {cap}")
-    v = frame.vectors
-    if numerical_rank(v, tol) < d:
+    n, d = v.shape
+    loose = _TABLE_MARGIN * tol
+    if comb(n, d - 1) > _TABLE_LIMIT or numerical_rank(v, loose) < d:
         return None
-    deficient = np.concatenate([h[~_spans(v, ~h, tol)] for h in _flats(v, d - 1, tol)])
+    deficient = np.concatenate([h[~_spans(v, ~h, loose)] for h in _hyperplanes(v, tol)])
     return _distinct(deficient) if len(deficient) else deficient
 
 
@@ -196,25 +207,32 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _splits(n: int, deficient: np.ndarray | None) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Walk the deficient splits in scan order: () first, then subsets holding atom 0 in lex order.
+def _intervals(deficient: np.ndarray) -> list[tuple[int, int]] | None:
+    """The intervals [atoms minus H2, H1] over pairs of deficient hyperplanes with H1 | H2 = atoms.
 
-    A subset S holding atom 0 is deficient exactly when S lies in a
-    hyperplane H1 and its complement in a hyperplane H2, that is, when S is
-    in the interval [atoms minus H2, H1] for a pair with H1 | H2 = atoms.
-    The walk visits only nodes inside some interval, so it makes no rank
-    call.  A frame that does not span has every split deficient.
+    A subset S holding atom 0 has neither side spanning exactly when it
+    lies in such an interval with atom 0 in H1.  Returns None when the pairs
+    to test pass the table's limit.
+    """
+    holders = deficient[deficient[:, 0]]
+    if len(holders) * len(deficient) > _TABLE_LIMIT:
+        return None
+    if not len(holders):
+        return []
+    first, second = _covering(holders, deficient).T
+    return list(zip(_bitmasks(~deficient[second]), _bitmasks(holders[first])))
+
+
+def _walk(
+    n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield the splits {S, complement} in scan order from S = ``start`` on, S in the union of the intervals.
+
+    Each interval [low, high] is a pair of bitmasks holding atom 0; S never
+    holds every atom.  The walk enters only subtrees that hold some S, so it
+    makes no rank call.
     """
     full = (1 << n) - 1
-    if deficient is None:
-        yield (), tuple(range(n))
-        intervals = [(1, full)]
-    elif not len(deficient):
-        return
-    else:
-        holders = deficient[deficient[:, 0]]
-        first, second = _covering(holders, deficient).T
-        intervals = list(zip(_bitmasks(~deficient[second]), _bitmasks(holders[first])))
 
     def members(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (
@@ -222,27 +240,95 @@ def _splits(n: int, deficient: np.ndarray | None) -> Iterator[tuple[tuple[int, .
             tuple(i for i in range(n) if not mask >> i & 1),
         )
 
-    def visit(mask: int, last: int, alive: list[tuple[int, int]]):
-        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``.
-        if mask != full and any(not low & ~mask for low, _ in alive):
+    def visit(mask: int, last: int, alive: list[tuple[int, int]], rest: tuple[int, ...] | None):
+        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``;
+        # ``rest`` is what ``start`` adds to ``mask``, or None once the walk is past it.
+        if not rest and mask != full and any(not low & ~mask for low, _ in alive):
             yield members(mask)
         for j in range(last + 1, n):
             bit = 1 << j
             inside = [iv for iv in alive if iv[1] & bit]
-            if inside:
-                yield from visit(mask | bit, j, inside)
+            if inside and not (rest and j < rest[0]):
+                yield from visit(mask | bit, j, inside, rest[1:] if rest and j == rest[0] else None)
             alive = [iv for iv in alive if not iv[0] & bit]
             if not alive:
                 return
 
-    yield from visit(1, 0, intervals)
+    yield from visit(1, 0, intervals, start[1:])
+
+
+def _complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield each unordered pair {S, complement} exactly once, in scan order.
+
+    The empty/full pair comes first; after that the representatives are the
+    subsets containing index 0, in lexicographic order, so the first failure
+    reported by a scan is the lexicographically smallest witness.
+    """
+    yield (), tuple(range(n))
+    stack: list[tuple[int, ...]] = [(0,)]
+    while stack:
+        s = stack.pop()
+        if len(s) < n:
+            in_s = set(s)
+            yield s, tuple(i for i in range(n) if i not in in_s)
+        stack.extend(s + (j,) for j in range(n - 1, s[-1], -1))
+
+
+def _scan_budget(n: int, d: int) -> int:
+    """Splits checked one by one before the table is built: about half the table's cost.
+
+    A split costs one or two ``numerical_rank`` calls, about as much as two
+    of the table's C(n, d - 1) atom subsets.  A frame that fails within the
+    budget pays what the scan pays; one that fails later pays at most about
+    three times that, and one that holds about 1.5 times the table.
+    """
+    return comb(n, d - 1) // 4 + 8
+
+
+def _candidates(v: np.ndarray, tol: float) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield, in scan order, a superset of the splits where neither side spans.
+
+    The first ``_scan_budget`` splits come one by one, so a frame that fails
+    early never builds the table.  The walk then goes on through the
+    table's intervals, or through every split when no table is built.
+    """
+    n, d = v.shape
+    scan = _complement_pairs(n)
+    yield from islice(scan, _scan_budget(n, d))
+    start = next(scan, None)
+    if start is None:
+        return
+    deficient = _deficient_hyperplanes(v, tol)
+    intervals = None if deficient is None else _intervals(deficient)
+    if intervals is None:
+        yield start
+        yield from scan
+    else:
+        yield from _walk(n, intervals, start[0])
 
 
 def _deficient_splits(
     frame: Frame, tol: float, cap: int, what: str
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield, in scan order, every split {S, complement} where neither side spans."""
-    yield from _splits(frame.n_atoms, _deficient_hyperplanes(frame, tol, cap, what))
+    """Yield, in scan order, every split {S, complement} where neither side spans.
+
+    Each candidate is decided as the scan decides it: the smaller side of
+    each pair is checked first (a full-rank side settles the pair), and
+    sides too small to span skip the rank computation.
+    """
+    n, d = frame.n_atoms, frame.dim
+    if n > cap:
+        raise EnumerationCapExceeded(
+            f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
+        )
+    v = frame.vectors
+    for s, c in _candidates(v, tol):
+        small, big = (s, c) if len(s) <= len(c) else (c, s)
+        if len(small) >= d and numerical_rank(v[list(small)], tol) >= d:
+            continue
+        if len(big) >= d and numerical_rank(v[list(big)], tol) >= d:
+            continue
+        yield s, c
 
 
 def complement_property(
@@ -401,27 +487,6 @@ def _null_overlap(
     return left[:, i], right[:, j]
 
 
-def _some_flat_fails(v: np.ndarray, deficient: np.ndarray, tol: float, rank_tol: float) -> bool:
-    """Whether a deficient split closed on the side holding atom 0 breaks orthogonality.
-
-    The candidates are the flats F of rank below d that hold atom 0 and
-    whose complement lies in a deficient hyperplane.  Replacing a side S by
-    its closure leaves ann(S) unchanged and only enlarges the complement's
-    annihilator, so a failing split exists exactly when a failing flat does.
-    """
-    if not len(deficient):
-        return False
-    for r in range(1, v.shape[1]):
-        for flats in _flats(v, r, rank_tol):
-            holders = flats[flats[:, 0]]
-            for flat in holders[np.unique(_covering(holders, deficient)[:, 0])]:
-                s = tuple(int(i) for i in np.flatnonzero(flat))
-                c = tuple(int(i) for i in np.flatnonzero(~flat))
-                if _null_overlap(v, s, c, tol, rank_tol) is not None:
-                    return True
-    return False
-
-
 def norm_retrieval_certify(
     frame: Frame,
     tol: float = DEFAULT_ORTHO_TOL,
@@ -432,26 +497,23 @@ def norm_retrieval_certify(
 
     For every index subset, the annihilator of its rows must be orthogonal
     to the annihilator of the complement's rows.  A split where either side
-    spans holds vacuously, so a frame with no deficient hyperplane (one that
-    does phase retrieval) holds at once, and otherwise only the flats of
-    rank below d are tested.  When one fails, the deficient splits are
-    walked in scan order to report the first failing subset plus the
+    spans holds vacuously, so only the splits where neither side spans are
+    tested, in scan order, and a frame that does phase retrieval holds with
+    none tested.  The first failure is reported as the subset plus the
     offending unit null directions.
     """
     _require_real(frame, "norm retrieval certification")
     v = frame.vectors
-    deficient = _deficient_hyperplanes(frame, rank_tol, cap, "norm retrieval certification")
-    if deficient is None or _some_flat_fails(v, deficient, tol, rank_tol):
-        for s, c in _splits(frame.n_atoms, deficient):
-            pair = _null_overlap(v, s, c, tol, rank_tol)
-            if pair is not None:
-                return Certificate(
-                    verdict=FAILS,
-                    method="nr-nullspace-orthogonality",
-                    field=frame.field,
-                    witness_subset=s,
-                    witness_vectors=pair,
-                )
+    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval certification"):
+        pair = _null_overlap(v, s, c, tol, rank_tol)
+        if pair is not None:
+            return Certificate(
+                verdict=FAILS,
+                method="nr-nullspace-orthogonality",
+                field=frame.field,
+                witness_subset=s,
+                witness_vectors=pair,
+            )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
 
 

@@ -16,9 +16,10 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``near_riesz_oracle`` scans every removal set of size n - d in
   lexicographic order, where the library makes one greedy matroid pass.
 * ``deficient_splits_reference`` walks all 2^(n-1) splits with one rank
-  check per side, where the library reads the frame's hyperplanes; with
-  ``complement_property_reference`` and ``norm_retrieval_reference`` on top
-  of it, it pins the exact split order, witnesses and witness vectors.
+  check per side, where the library checks only the first ones and then
+  those its hyperplane table proposes; with ``complement_property_reference``
+  and ``norm_retrieval_reference`` on top of it, it pins the exact split
+  order, witnesses and witness vectors.
 """
 
 from __future__ import annotations
