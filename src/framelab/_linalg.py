@@ -25,14 +25,34 @@ def inner(u: np.ndarray, v: np.ndarray):
     return np.vdot(v, u)
 
 
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Rank from descending singular values: those above ``tol * sigma_max`` count; a zero matrix has rank 0."""
+    if s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
 def numerical_rank(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``rows`` with singular values below ``tol * sigma_max`` treated as zero."""
     if rows.size == 0:
         return 0
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+    return _rank(np.linalg.svd(rows, compute_uv=False), tol)
+
+
+def full_column_rank(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """For each matrix of a (k, m, d) stack, whether ``numerical_rank`` of it is d.
+
+    With singular values in descending order the rank reaches d exactly when
+    ``sigma_d > tol * sigma_max`` and ``sigma_max > 0``; the first test fails
+    whenever ``sigma_max`` is 0, for every ``tol``.  One stacked SVD runs the
+    same LAPACK routine on each matrix as a call per matrix does, so each
+    decision equals ``numerical_rank(matrix) >= d``.
+    """
+    k, m, d = stack.shape
+    if m < d or k == 0:
+        return np.zeros(k, dtype=bool)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s[:, d - 1] > tol * s[:, 0]
 
 
 def canonical_phase(v: np.ndarray) -> np.ndarray:
@@ -46,25 +66,33 @@ def canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / abs(pivot)) + 0.0
 
 
+def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+    """For each matrix of a (k, m, d) stack, the ``annihilator`` of its rows.
+
+    One stacked SVD runs the same LAPACK routine on each matrix as a call per
+    matrix does, so each basis equals the one-matrix result bit for bit.
+    """
+    k, m, d = stack.shape
+    if stack.size == 0:
+        return [np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float) for _ in range(k)]
+    # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
+    _, s, vh = np.linalg.svd(np.conj(stack))
+    bases = []
+    for sk, h in zip(s, vh):
+        basis = h[_rank(sk, tol):].conj().T
+        for j in range(basis.shape[1]):
+            basis[:, j] = canonical_phase(basis[:, j])
+        bases.append(basis)
+    return bases
+
+
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis, as columns, of ``{u : <u, r> = 0 for every row r}``.
 
     An empty row set annihilates nothing, so the result is the identity basis.
     The basis columns carry the canonical phase.
     """
-    if rows.size == 0:
-        return np.eye(dim, dtype=rows.dtype if rows.dtype.kind == "c" else float)
-    # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
-    m = np.conj(rows)
-    _, s, vh = np.linalg.svd(m)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    else:
-        rank = 0
-    basis = vh[rank:].conj().T
-    for j in range(basis.shape[1]):
-        basis[:, j] = canonical_phase(basis[:, j])
-    return basis
+    return null_spaces(rows.reshape(1, len(rows), dim), tol)[0]
 
 
 def eigmin_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:

@@ -16,6 +16,7 @@ one nondeterministic field and only appear with ``--timings``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -306,6 +307,9 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
     return _Outcome(data, [summary], {"rank_tol": rank_tol}, cert_dicts, code)
 
 
+# Built once per process: ``main`` runs many times in one process, and parsing
+# reads the parser without changing it.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")

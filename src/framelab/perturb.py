@@ -260,9 +260,8 @@ def stability_sweep(
     For each radius ``lam``, draws ``trials`` perturbations uniform on the
     per-atom Euclidean ball of radius ``lam`` (so the sup over atoms of the
     perturbation norm stays below ``lam``) and counts how many perturbed
-    frames lose phase retrieval.  Trial ``t`` reuses the seed pair
-    ``(seed, t)`` across radii, so the sweep scales one fixed direction
-    field per trial.
+    frames lose phase retrieval.  Trial ``t`` draws its direction field once,
+    from the seed pair ``(seed, t)``, and every radius scales that field.
     """
     if phase_retrieval_certify(frame, tol, cap).verdict != HOLDS:
         raise ValueError("stability sweep needs a phase retrieval frame to start from")
@@ -273,14 +272,16 @@ def stability_sweep(
         raise ValueError("trials must be nonnegative")
 
     n, d = frame.n_atoms, frame.dim
+    fields = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        directions = rng.standard_normal((n, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        fields.append((directions, rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)))
     points: list[SweepPoint] = []
     for lam in lams:
         failures = 0
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            directions = rng.standard_normal((n, d))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
+        for directions, radii in fields:
             bump = lam * directions * radii[:, None]
             cert = phase_retrieval_certify(frame.with_vectors(frame.vectors + bump), tol, cap)
             if cert.verdict != HOLDS:

@@ -9,9 +9,12 @@ a spanning side satisfies both conditions.
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
 lexicographic order), so each witness is the lexicographically smallest
-one.  Every visited split is decided by ``numerical_rank`` on its sides.
-The first splits are visited one by one, costing about half as much as the
-hyperplane table, so a frame that fails early never builds it.  After that
+one.  Visited splits are decided in chunks of 8, 16, 32, ... splits: the
+smaller sides of a chunk, then the larger sides of the splits still open,
+each group of equal-sized sides by one stacked SVD with the per-side cutoff
+of ``numerical_rank``, so every decision is the scan's.  The scan's first
+splits, costing about half as much as the hyperplane table, are visited
+before it is built, so a frame that fails early never builds it.  After that
 only candidate splits are visited.  The table holds the frame's
 hyperplanes, the closures of its d - 1 independent atoms: at most
 C(n, d - 1) of them, found in one batched pass that also marks each
@@ -34,7 +37,7 @@ frames; the subspace criterion it relies on is a real-field result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, filterfalse, islice
 from math import comb
 from typing import Iterator
 
@@ -46,8 +49,10 @@ from ._linalg import (
     DEFAULT_RANK_TOL,
     annihilator,
     eigmin_vector,
+    full_column_rank,
     hermitize,
     inner,
+    null_spaces,
     numerical_rank,
     random_unit,
 )
@@ -123,9 +128,11 @@ def _require_real(frame: Frame, what: str) -> None:
 
 # Float entries per batched step: stacks of small matrices are cut to this size.
 _BATCH_ENTRIES = 1 << 12
+# Splits decided together at first; later chunks double, up to the batch size.
+_FIRST_CHUNK = 8
 # The table's rank decisions are this many times looser than the scan's, so
 # near the cutoff it lists more candidate splits, never fewer; every candidate
-# is then decided by ``numerical_rank`` as the scan decides it.
+# is then decided with ``numerical_rank``'s cutoff, as the scan decides it.
 _TABLE_MARGIN = 1e3
 # Most atom subsets, or hyperplane pairs, a table may hold; past it the scan goes on.
 _TABLE_LIMIT = 1 << 16
@@ -167,11 +174,9 @@ def _spans(v: np.ndarray, sides: np.ndarray, tol: float) -> np.ndarray:
     Sides with fewer than d atoms cannot span.  For the others, masked-out
     atoms become zero rows, which leave the singular values unchanged.
     """
-    d = v.shape[1]
     spans = np.zeros(len(sides), dtype=bool)
-    big = sides.sum(axis=1) >= d
-    s = np.linalg.svd(sides[big, :, None] * v, compute_uv=False)
-    spans[big] = s[:, d - 1] > tol * s[:, 0]
+    big = sides.sum(axis=1) >= v.shape[1]
+    spans[big] = full_column_rank(sides[big, :, None] * v, tol)
     return spans
 
 
@@ -264,71 +269,112 @@ def _complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
     subsets containing index 0, in lexicographic order, so the first failure
     reported by a scan is the lexicographically smallest witness.
     """
-    yield (), tuple(range(n))
+    atoms = range(n)
+    yield (), tuple(atoms)
     stack: list[tuple[int, ...]] = [(0,)]
     while stack:
         s = stack.pop()
         if len(s) < n:
-            in_s = set(s)
-            yield s, tuple(i for i in range(n) if i not in in_s)
-        stack.extend(s + (j,) for j in range(n - 1, s[-1], -1))
+            yield s, tuple(filterfalse(set(s).__contains__, atoms))
+        stack.extend([s + (j,) for j in range(n - 1, s[-1], -1)])
 
 
 def _scan_budget(n: int, d: int) -> int:
-    """Splits checked one by one before the table is built: about half the table's cost.
+    """Splits of the scan checked before the table is built: about half the table's cost.
 
-    A split costs one or two ``numerical_rank`` calls, about as much as two
-    of the table's C(n, d - 1) atom subsets.  A frame that fails within the
+    A split costs one or two side rank decisions, about as much as two of
+    the table's C(n, d - 1) atom subsets.  A frame that fails within the
     budget pays what the scan pays; one that fails later pays at most about
     three times that, and one that holds about 1.5 times the table.
     """
     return comb(n, d - 1) // 4 + 8
 
 
-def _candidates(v: np.ndarray, tol: float) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield, in scan order, a superset of the splits where neither side spans.
+def _chunks(
+    splits: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], n: int, d: int
+) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Cut splits into lists of ``_FIRST_CHUNK``, then twice as many each time, up to the batch size."""
+    limit = max(1, _BATCH_ENTRIES // (n * d))
+    size = min(_FIRST_CHUNK, limit)
+    while chunk := list(islice(splits, size)):
+        yield chunk
+        size = min(2 * size, limit)
 
-    The first ``_scan_budget`` splits come one by one, so a frame that fails
-    early never builds the table.  The walk then goes on through the
-    table's intervals, or through every split when no table is built.
+
+def _candidates(v: np.ndarray, tol: float) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Yield, in scan order and chunk by chunk, a superset of the splits where neither side spans.
+
+    The first ``_scan_budget`` splits come from the scan, and the table is
+    built only when a chunk past them is asked for, so a frame that fails
+    early never builds it.  The walk then goes on through the table's
+    intervals, or through every split when no table is built.
     """
     n, d = v.shape
     scan = _complement_pairs(n)
-    yield from islice(scan, _scan_budget(n, d))
+    yield from _chunks(islice(scan, _scan_budget(n, d)), n, d)
     start = next(scan, None)
     if start is None:
         return
     deficient = _deficient_hyperplanes(v, tol)
     intervals = None if deficient is None else _intervals(deficient)
-    if intervals is None:
-        yield start
-        yield from scan
-    else:
-        yield from _walk(n, intervals, start[0])
+    rest = chain([start], scan) if intervals is None else _walk(n, intervals, start[0])
+    yield from _chunks(rest, n, d)
 
 
-def _deficient_splits(
+def _stacks(
+    v: np.ndarray, sides: list[tuple[int, ...]], least: int = 0
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Group the sides of at least ``least`` atoms by size.
+
+    Yields each group's positions in ``sides`` and its (k, size, d) stack of rows.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, side in enumerate(sides):
+        if len(side) >= least:
+            groups.setdefault(len(side), []).append(i)
+    for members in groups.values():
+        yield members, v[np.array([sides[i] for i in members], dtype=np.intp)]
+
+
+def _spanning(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[bool]:
+    """For each side, whether its atoms span: ``numerical_rank`` of its rows is d.
+
+    Sides too small to span skip the rank computation.
+    """
+    spans = [False] * len(sides)
+    for members, stack in _stacks(v, sides, v.shape[1]):
+        for i, spanning in zip(members, full_column_rank(stack, tol).tolist()):
+            spans[i] = spanning
+    return spans
+
+
+def _deficient_chunks(
     frame: Frame, tol: float, cap: int, what: str
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield, in scan order, every split {S, complement} where neither side spans.
+) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Yield, chunk by chunk in scan order, the splits {S, complement} where neither side spans.
 
     Each candidate is decided as the scan decides it: the smaller side of
-    each pair is checked first (a full-rank side settles the pair), and
-    sides too small to span skip the rank computation.
+    each pair is checked first (a full-rank side settles the pair), then
+    the larger side of each pair still open.
     """
-    n, d = frame.n_atoms, frame.dim
+    n = frame.n_atoms
     if n > cap:
         raise EnumerationCapExceeded(
             f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
         )
     v = frame.vectors
-    for s, c in _candidates(v, tol):
-        small, big = (s, c) if len(s) <= len(c) else (c, s)
-        if len(small) >= d and numerical_rank(v[list(small)], tol) >= d:
-            continue
-        if len(big) >= d and numerical_rank(v[list(big)], tol) >= d:
-            continue
-        yield s, c
+    for chunk in _candidates(v, tol):
+        small = [s if len(s) <= len(c) else c for s, c in chunk]
+        still = [split for split, spanning in zip(chunk, _spanning(v, small, tol)) if not spanning]
+        big = [c if len(s) <= len(c) else s for s, c in still]
+        yield [split for split, spanning in zip(still, _spanning(v, big, tol)) if not spanning]
+
+
+def _deficient_splits(
+    frame: Frame, tol: float, cap: int, what: str
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Yield, in scan order, every split {S, complement} where neither side spans."""
+    return chain.from_iterable(_deficient_chunks(frame, tol, cap, what))
 
 
 def complement_property(
@@ -436,8 +482,10 @@ def alpha_certify(
     Each half-step replaces one argument with the smallest eigenvector of
     the R operator built from the other, so the objective is monotone
     nonincreasing along every trace.  The returned alpha is the best value
-    over all restarts; a positive alpha is numerical evidence for phase
-    retrieval, zero pinpoints a flat direction.
+    over all restarts; zero pinpoints a flat direction.  Over R a positive
+    alpha is numerical evidence for phase retrieval.  Over C it is not:
+    alpha vanishes exactly when the complement property fails, so it adds
+    nothing beyond that property.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be at least 1")
@@ -470,21 +518,12 @@ def alpha_certify(
     )
 
 
-def _null_overlap(
-    v: np.ndarray, s: tuple[int, ...], c: tuple[int, ...], tol: float, rank_tol: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Unit null directions of the two sides whose overlap exceeds ``tol``, if any."""
-    d = v.shape[1]
-    left = annihilator(v[list(s)], d, rank_tol)
-    right = annihilator(v[list(c)], d, rank_tol)
-    # Rank check and annihilator can split an exact tie differently.
-    if left.shape[1] == 0 or right.shape[1] == 0:
-        return None
-    overlap = np.abs(left.T @ right)
-    if overlap.max() <= tol:
-        return None
-    i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-    return left[:, i], right[:, j]
+def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray]:
+    """The annihilator of each side's rows, one stacked SVD per side size."""
+    bases: dict[int, np.ndarray] = {}
+    for members, stack in _stacks(v, sides):
+        bases.update(zip(members, null_spaces(stack, tol)))
+    return [bases[i] for i in range(len(sides))]
 
 
 def norm_retrieval_certify(
@@ -504,16 +543,22 @@ def norm_retrieval_certify(
     """
     _require_real(frame, "norm retrieval certification")
     v = frame.vectors
-    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval certification"):
-        pair = _null_overlap(v, s, c, tol, rank_tol)
-        if pair is not None:
-            return Certificate(
-                verdict=FAILS,
-                method="nr-nullspace-orthogonality",
-                field=frame.field,
-                witness_subset=s,
-                witness_vectors=pair,
-            )
+    for chunk in _deficient_chunks(frame, rank_tol, cap, "norm retrieval certification"):
+        bases = _null_spaces(v, [side for split in chunk for side in split], rank_tol)
+        for (s, _), left, right in zip(chunk, bases[0::2], bases[1::2]):
+            # Rank check and null-space SVD can split an exact tie differently.
+            if left.shape[1] == 0 or right.shape[1] == 0:
+                continue
+            overlap = np.abs(left.T @ right)
+            if overlap.max() > tol:
+                i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+                return Certificate(
+                    verdict=FAILS,
+                    method="nr-nullspace-orthogonality",
+                    field=frame.field,
+                    witness_subset=s,
+                    witness_vectors=(left[:, i], right[:, j]),
+                )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import framelab as fl
+from framelab import cli
 from framelab.cli import main
 from oracles import norm_retrieval_oracle
 
@@ -252,6 +254,25 @@ def test_flag_beats_env(tmp_path, capsys, monkeypatch):
     code, stdout, _ = _run(capsys, "certify", "pr", str(merc), "--tol", "1e-12")
     assert code == 0
     assert json.loads(stdout)["tolerances"]["rank_tol"] == 1e-12
+
+
+def test_main_builds_its_parser_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    merc = tmp_path / "m.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    original, progs = argparse.ArgumentParser.__init__, []
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    _, first, _ = _run(capsys, "certify", "pr", str(merc), "--tol", "1e-6")
+    _, second, _ = _run(capsys, "certify", "pr", str(merc))
+    assert progs.count("framelab") == 1
+    assert json.loads(first)["tolerances"]["rank_tol"] == 1e-6
+    assert json.loads(second)["tolerances"]["rank_tol"] == fl.DEFAULT_RANK_TOL
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -201,6 +201,29 @@ def test_stability_sweep_is_deterministic():
     assert [(p.lam, p.failures) for p in a] == [(p.lam, p.failures) for p in b]
 
 
+def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
+    frame = fl.gen_random(2, 5, seed=3)
+    lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
+    certified = []
+
+    def recording(candidate, *args, **kwargs):
+        certified.append(candidate.vectors.tobytes())
+        return fl.Certificate(verdict=fl.HOLDS, method="recorded", field=candidate.field)
+
+    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", recording)
+    fl.stability_sweep(frame, lambdas, trials, seed)
+    n, d = frame.n_atoms, frame.dim
+    expected = [frame.vectors.tobytes()]
+    for lam in lambdas:
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            directions = rng.standard_normal((n, d))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
+            expected.append((frame.vectors + lam * directions * radii[:, None]).tobytes())
+    assert certified == expected
+
+
 def test_stability_sweep_validates_input():
     frame = fl.gen_mercedes()
     with pytest.raises(ValueError):

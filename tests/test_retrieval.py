@@ -242,19 +242,19 @@ def test_nr_certify_agrees_with_oracle_spot():
 
 
 def test_nr_checks_null_spaces_only_on_splits_where_neither_side_spans(monkeypatch):
-    original, calls = fl.retrieval.annihilator, []
+    original, matrices = fl.retrieval.null_spaces, []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(stack, *args, **kwargs):
+        matrices.append(len(stack))
+        return original(stack, *args, **kwargs)
 
-    monkeypatch.setattr("framelab.retrieval.annihilator", counting)
+    monkeypatch.setattr("framelab.retrieval.null_spaces", counting)
     assert fl.norm_retrieval_certify(fl.gen_random(4, 10, seed=0)).verdict == fl.HOLDS
-    assert calls == []
-    # The repeated ONB has deficient splits; each costs two annihilators.
+    assert matrices == []
+    # The repeated ONB has deficient splits; each costs two null spaces.
     onb = _unit_frame(np.vstack([np.eye(2), np.eye(2)]))
     assert fl.norm_retrieval_certify(onb).verdict == fl.HOLDS
-    assert len(calls) > 0 and len(calls) % 2 == 0
+    assert sum(matrices) == 2 * len(list(deficient_splits_reference(onb)))
 
 
 def test_nr_finds_a_failure_below_every_hyperplane():
