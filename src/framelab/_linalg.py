@@ -71,17 +71,25 @@ def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.nda
 
     One stacked SVD runs the same LAPACK routine on each matrix as a call per
     matrix does, so each basis equals the one-matrix result bit for bit.
+    Every basis column carries the canonical phase; for a real stack that is
+    one sign flip of all the singular vectors at once.
     """
     k, m, d = stack.shape
     if stack.size == 0:
         return [np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float) for _ in range(k)]
     # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
     _, s, vh = np.linalg.svd(np.conj(stack))
+    real = stack.dtype.kind != "c"
+    if real:
+        # canonical_phase of a real vector: times the sign of its first largest-magnitude entry.
+        pivot = np.take_along_axis(vh, np.abs(vh).argmax(axis=2)[..., None], axis=2)
+        vh = np.where(pivot == 0.0, vh, vh * np.sign(pivot) + 0.0)
     bases = []
     for sk, h in zip(s, vh):
         basis = h[_rank(sk, tol):].conj().T
-        for j in range(basis.shape[1]):
-            basis[:, j] = canonical_phase(basis[:, j])
+        if not real:
+            for j in range(basis.shape[1]):
+                basis[:, j] = canonical_phase(basis[:, j])
         bases.append(basis)
     return bases
 

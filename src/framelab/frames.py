@@ -53,6 +53,12 @@ __all__ = [
 ]
 
 
+def _require_finite(vectors: np.ndarray) -> None:
+    """Refuse frame vectors holding NaN or Inf entries."""
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("frame vectors must be finite (no NaN or Inf entries)")
+
+
 @dataclass(frozen=True, eq=False)
 class Frame:
     """A finite frame: one row of ``vectors`` per atom of ``space``.
@@ -77,8 +83,7 @@ class Frame:
             )
         if arr.shape[1] < 1:
             raise ValueError("frame vectors need at least one coordinate")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame vectors must be finite (no NaN or Inf entries)")
+        _require_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "vectors", arr)
 

@@ -10,10 +10,13 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
+  It certifies all its trials in one stacked scan, then continues frame by
+  frame on the hyperplane table past the scan budget.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,11 +31,13 @@ from ._linalg import (
     inner,
 )
 from .errors import FramelabError
-from .frames import Frame, FrameBounds, frame_bounds, magnitudes
+from .frames import Frame, FrameBounds, _require_finite, frame_bounds, magnitudes
 from .retrieval import (
     FAILS,
     HOLDS,
     Certificate,
+    _complement_holds,
+    complement_property,
     norm_retrieval_certify,
     phase_retrieval_certify,
 )
@@ -262,29 +267,33 @@ def stability_sweep(
     perturbation norm stays below ``lam``) and counts how many perturbed
     frames lose phase retrieval.  Trial ``t`` draws its direction field once,
     from the seed pair ``(seed, t)``, and every radius scales that field.
+    The input must be a real frame that does phase retrieval.  All
+    ``len(lambdas) * trials`` perturbed frames form one real stack, and
+    the sweep certifies all of them in one stacked scan over the scan
+    budget's splits, then continues frame by frame on the hyperplane table
+    past the scan budget.  Each verdict is the one
+    ``phase_retrieval_certify`` gives that perturbed frame.
     """
-    if phase_retrieval_certify(frame, tol, cap).verdict != HOLDS:
+    if complement_property(frame, tol, cap).verdict != HOLDS or frame.field != "real":
         raise ValueError("stability sweep needs a phase retrieval frame to start from")
     lams = [float(l) for l in lambdas]
-    if any(l < 0 for l in lams) or any(b < a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambdas must be nonnegative and ascending")
+    ascending = all(a <= b for a, b in zip(lams, lams[1:]))
+    if not (all(math.isfinite(l) and l >= 0 for l in lams) and ascending):
+        raise ValueError("lambdas must be finite, nonnegative and ascending")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
 
     n, d = frame.n_atoms, frame.dim
-    fields = []
+    directions = np.empty((trials, n, d))
+    radii = np.empty((trials, n, 1))
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        directions = rng.standard_normal((n, d))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        fields.append((directions, rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)))
-    points: list[SweepPoint] = []
-    for lam in lams:
-        failures = 0
-        for directions, radii in fields:
-            bump = lam * directions * radii[:, None]
-            cert = phase_retrieval_certify(frame.with_vectors(frame.vectors + bump), tol, cap)
-            if cert.verdict != HOLDS:
-                failures += 1
-        points.append(SweepPoint(lam=lam, all_preserved=failures == 0, failures=failures))
-    return points
+        field = rng.standard_normal((n, d))
+        directions[t] = field / np.linalg.norm(field, axis=1, keepdims=True)
+        radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
+    # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
+    stack = frame.vectors + np.array(lams)[:, None, None, None] * directions * radii
+    _require_finite(stack)
+    holds = _complement_holds(stack.reshape(-1, n, d), tol).reshape(len(lams), trials)
+    failures = (~holds).sum(axis=1)
+    return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

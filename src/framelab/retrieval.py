@@ -27,6 +27,13 @@ size limit is not built and every split is visited.  The atom count is
 capped.  The reference scan that checks every split, and independent
 brute-force references, live with the tests.
 
+A stack of real frames with the same atom count, such as the perturbed
+frames of a stability sweep, is certified in one stacked scan: each chunk
+of the scan budget is decided for every frame still open at once, and a
+frame leaves at its first deficient chunk.  The frames still open then
+continue frame by frame on the table past the scan budget.  A single frame
+is the stack of one, so every verdict is the one it gets alone.
+
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
 is ``inconclusive`` and an estimate of the lower-bound functional ``alpha``
@@ -37,7 +44,7 @@ frames; the subspace criterion it relies on is a real-field result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, filterfalse, islice
+from itertools import chain, combinations, compress, filterfalse, islice
 from math import comb
 from typing import Iterator
 
@@ -301,51 +308,100 @@ def _chunks(
         size = min(2 * size, limit)
 
 
-def _candidates(v: np.ndarray, tol: float) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Yield, in scan order and chunk by chunk, a superset of the splits where neither side spans.
+def _budget_chunks(
+    scan: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], n: int, d: int
+) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Cut the scan's first ``_scan_budget`` splits into chunks, leaving ``scan`` just past them."""
+    return _chunks(islice(scan, _scan_budget(n, d)), n, d)
 
-    The first ``_scan_budget`` splits come from the scan, and the table is
-    built only when a chunk past them is asked for, so a frame that fails
-    early never builds it.  The walk then goes on through the table's
-    intervals, or through every split when no table is built.
+
+def _table_chunks(
+    v: np.ndarray, tol: float, rest: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Yield, in scan order and chunk by chunk, a superset of the splits of ``rest`` where neither side spans.
+
+    ``rest`` is the scan past its budget.  The table is built only when
+    the first chunk is asked for; the walk goes through its intervals, or
+    through every split of ``rest`` when no table is built.
     """
     n, d = v.shape
-    scan = _complement_pairs(n)
-    yield from _chunks(islice(scan, _scan_budget(n, d)), n, d)
-    start = next(scan, None)
+    start = next(rest, None)
     if start is None:
         return
     deficient = _deficient_hyperplanes(v, tol)
     intervals = None if deficient is None else _intervals(deficient)
-    rest = chain([start], scan) if intervals is None else _walk(n, intervals, start[0])
-    yield from _chunks(rest, n, d)
+    splits = chain([start], rest) if intervals is None else _walk(n, intervals, start[0])
+    yield from _chunks(splits, n, d)
 
 
-def _stacks(
-    v: np.ndarray, sides: list[tuple[int, ...]], least: int = 0
-) -> Iterator[tuple[list[int], np.ndarray]]:
+def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list[int], np.ndarray]]:
     """Group the sides of at least ``least`` atoms by size.
 
-    Yields each group's positions in ``sides`` and its (k, size, d) stack of rows.
+    Yields each group's positions in ``sides`` and its (count, size) array of atom indices.
     """
     groups: dict[int, list[int]] = {}
     for i, side in enumerate(sides):
         if len(side) >= least:
             groups.setdefault(len(side), []).append(i)
     for members in groups.values():
-        yield members, v[np.array([sides[i] for i in members], dtype=np.intp)]
+        yield members, np.array([sides[i] for i in members], dtype=np.intp)
 
 
-def _spanning(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[bool]:
-    """For each side, whether its atoms span: ``numerical_rank`` of its rows is d.
+def _deficient(vs: np.ndarray, chunk: list[tuple[tuple[int, ...], tuple[int, ...]]], tol: float) -> list[bool]:
+    """For each frame of the (k, n, d) stack and each split of the chunk, whether neither side spans.
 
-    Sides too small to span skip the rank computation.
+    Returns k * len(chunk) flags, frame by frame.  Each split is decided
+    as the scan decides it, one stacked SVD per side size: the smaller
+    sides in every frame first (a spanning side settles the split), then
+    the larger side of each split still open in its frame.
     """
-    spans = [False] * len(sides)
-    for members, stack in _stacks(v, sides, v.shape[1]):
-        for i, spanning in zip(members, full_column_rank(stack, tol).tolist()):
-            spans[i] = spanning
-    return spans
+    k, n, d = vs.shape
+    m = len(chunk)
+    small = [s if len(s) <= len(c) else c for s, c in chunk]
+    big = [c if len(s) <= len(c) else s for s, c in chunk]
+    spans = [False] * (k * m)
+    for members, rows in _stacks(small, d):
+        decided = full_column_rank(vs.take(rows, axis=1).reshape(-1, rows.shape[1], d), tol).tolist()
+        for p, spanning in zip((i * m + j for i in range(k) for j in members), decided):
+            spans[p] = spanning
+    still = [p for p, spanning in enumerate(spans) if not spanning]
+    atoms = vs.reshape(k * n, d)
+    for members, rows in _stacks([big[p % m] for p in still], d):
+        if k > 1:  # atom a of frame f is row f * n + a of the stacked atoms
+            rows += n * np.array([still[q] // m for q in members])[:, None]
+        for q, spanning in zip(members, full_column_rank(atoms.take(rows, axis=0), tol).tolist()):
+            spans[still[q]] = spanning
+    return [not spanning for spanning in spans]
+
+
+def _complement_holds(vs: np.ndarray, tol: float) -> np.ndarray:
+    """For each frame of a real (k, n, d) stack, whether the complement property holds.
+
+    Each chunk of the scan budget is decided at once for every frame still
+    open, in blocks of frames that keep one stacked step within the batch
+    size; a frame leaves at its first deficient chunk.  The frames still
+    open after the budget go on one by one through the table, resuming
+    past the budget, so no frame has a split decided twice.  Every
+    decision is the one ``complement_property`` makes.
+    """
+    k, n, d = vs.shape
+    holds = np.ones(k, dtype=bool)
+    scan = _complement_pairs(n)
+    for chunk in _budget_chunks(scan, n, d):
+        live = np.flatnonzero(holds)
+        if not len(live):
+            return holds
+        step = max(1, _BATCH_ENTRIES // (n * d * len(chunk)))
+        for lo in range(0, len(live), step):
+            block = live[lo : lo + step]
+            holds[block] = ~np.reshape(_deficient(vs[block], chunk, tol), (len(block), -1)).any(axis=1)
+    if next(scan, None) is None:
+        return holds
+    for i in np.flatnonzero(holds):
+        rest = islice(_complement_pairs(n), _scan_budget(n, d), None)
+        chunks = _table_chunks(vs[i], tol, rest)
+        holds[i] = not any(any(_deficient(vs[i : i + 1], chunk, tol)) for chunk in chunks)
+    return holds
 
 
 def _deficient_chunks(
@@ -353,21 +409,18 @@ def _deficient_chunks(
 ) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Yield, chunk by chunk in scan order, the splits {S, complement} where neither side spans.
 
-    Each candidate is decided as the scan decides it: the smaller side of
-    each pair is checked first (a full-rank side settles the pair), then
-    the larger side of each pair still open.
+    The frame is a stack of one: the scan budget's chunks, then the
+    table's, each decided by ``_deficient``.
     """
-    n = frame.n_atoms
+    n, d = frame.n_atoms, frame.dim
     if n > cap:
         raise EnumerationCapExceeded(
             f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
         )
     v = frame.vectors
-    for chunk in _candidates(v, tol):
-        small = [s if len(s) <= len(c) else c for s, c in chunk]
-        still = [split for split, spanning in zip(chunk, _spanning(v, small, tol)) if not spanning]
-        big = [c if len(s) <= len(c) else s for s, c in still]
-        yield [split for split, spanning in zip(still, _spanning(v, big, tol)) if not spanning]
+    scan = _complement_pairs(n)
+    for chunk in chain(_budget_chunks(scan, n, d), _table_chunks(v, tol, scan)):
+        yield list(compress(chunk, _deficient(v[None], chunk, tol)))
 
 
 def _deficient_splits(
@@ -521,8 +574,8 @@ def alpha_certify(
 def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray]:
     """The annihilator of each side's rows, one stacked SVD per side size."""
     bases: dict[int, np.ndarray] = {}
-    for members, stack in _stacks(v, sides):
-        bases.update(zip(members, null_spaces(stack, tol)))
+    for members, rows in _stacks(sides):
+        bases.update(zip(members, null_spaces(v.take(rows, axis=0), tol)))
     return [bases[i] for i in range(len(sides))]
 
 

@@ -15,6 +15,9 @@ algorithm, so agreement between the two is meaningful evidence:
   bitmask walk and its own null-space computation.
 * ``near_riesz_oracle`` scans every removal set of size n - d in
   lexicographic order, where the library makes one greedy matroid pass.
+* ``annihilator_reference`` takes one matrix's null space from its own SVD
+  and puts each basis column in the canonical phase one column at a time,
+  where the library treats a whole stack at once.
 * ``deficient_splits_reference`` walks all 2^(n-1) splits with one rank
   check per side, where the library checks only the first ones and then
   those its hyperplane table proposes; with ``complement_property_reference``
@@ -30,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from framelab import FAILS, HOLDS, Certificate, Frame
-from framelab._linalg import annihilator
+from framelab._linalg import annihilator, canonical_phase
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -228,6 +231,23 @@ def _rank(rows: np.ndarray, tol: float) -> int:
     if s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def annihilator_reference(rows: np.ndarray, d: int, tol: float = 1e-10) -> np.ndarray:
+    """The null space of one matrix's rows under the library's conventions, one column at a time.
+
+    The basis is the right singular vectors of ``conj(rows)`` past the
+    numerical rank, conjugated, each column put in the canonical phase by
+    its own call.
+    """
+    if rows.size == 0:
+        return np.eye(d, dtype=rows.dtype if rows.dtype.kind == "c" else float)
+    _, s, vh = np.linalg.svd(np.conj(rows))
+    rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
+    basis = vh[rank:].conj().T
+    for j in range(basis.shape[1]):
+        basis[:, j] = canonical_phase(basis[:, j])
+    return basis
 
 
 def _null_space(rows: np.ndarray, d: int, tol: float) -> np.ndarray:

@@ -191,6 +191,16 @@ def test_sweep_command(tmp_path, capsys):
     assert all(p["failures"] == 0 for p in report["data"]["points"])
 
 
+@pytest.mark.parametrize("lambdas", ["nan", "inf", "0.1,nan"])
+def test_sweep_blames_non_finite_lambdas_not_the_frame(tmp_path, capsys, lambdas):
+    merc = tmp_path / "m.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    code, stdout, stderr = _run(capsys, "sweep", str(merc), "--lambdas", lambdas, "--trials", "4")
+    assert code == 2
+    assert json.loads(stdout)["error"] == "lambdas must be finite, nonnegative and ascending"
+    assert "frame vectors" not in stderr
+
+
 def test_tensor_command_with_pr_check(tmp_path, capsys):
     merc = tmp_path / "m.json"
     out = tmp_path / "t.json"

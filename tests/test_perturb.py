@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framelab as fl
+from framelab._linalg import full_column_rank
+from framelab.retrieval import _BATCH_ENTRIES
 
 
 def _tail_energy(frame: fl.Frame, head: list[int]) -> float:
@@ -179,6 +183,29 @@ def test_break_nr_l2_distance_scales_with_epsilon():
     assert large.l2_distance == pytest.approx(4.0 * small.l2_distance, rel=1e-9)
 
 
+def _trial_frames(frame: fl.Frame, lambdas, trials: int, seed: int) -> list[list[fl.Frame]]:
+    """A sweep's perturbed frames, radius by radius, each built alone from the sweep's formula."""
+    n, d = frame.n_atoms, frame.dim
+    fields = []
+    for t in range(trials):
+        rng = np.random.default_rng((seed, t))
+        directions = rng.standard_normal((n, d))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        fields.append((directions, rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)))
+    return [
+        [frame.with_vectors(frame.vectors + lam * directions * radii[:, None]) for directions, radii in fields]
+        for lam in lambdas
+    ]
+
+
+def _trial_failures(frame: fl.Frame, lambdas, trials: int, seed: int, tol: float) -> list[int]:
+    """Per radius, how many of the sweep's frames fail the complement property, certified one by one."""
+    return [
+        sum(fl.complement_property(trial, tol).verdict != fl.HOLDS for trial in row)
+        for row in _trial_frames(frame, lambdas, trials, seed)
+    ]
+
+
 def test_stability_sweep_mercedes_small_radii_preserve_pr():
     frame = fl.gen_mercedes()
     points = fl.stability_sweep(frame, [1e-4, 1e-3], trials=8, seed=0)
@@ -187,11 +214,77 @@ def test_stability_sweep_mercedes_small_radii_preserve_pr():
 
 
 def test_stability_sweep_huge_radius_can_break_pr():
+    # A loose rank tolerance makes the breaking perturbations a set of positive measure.
     frame = fl.gen_mercedes()
-    points = fl.stability_sweep(frame, [0.0, 5.0], trials=12, seed=1)
-    assert points[0].failures == 0
-    # A radius dwarfing the frame vectors usually collapses some direction.
-    assert points[1].failures >= 0
+    lambdas, trials, seed, tol = [0.0, 0.1, 0.3, 0.5, 1.0, 5.0], 40, 1, 0.3
+    points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
+    assert [p.failures for p in points] == [0, 0, 2, 15, 34, 35]
+    assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, seed, tol)
+    assert [p.all_preserved for p in points] == [True, True, False, False, False, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.integers(0, 4),
+    tol=st.sampled_from([1e-10, 0.05, 0.1, 0.15]),
+    trials=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_stability_sweep_counts_what_each_trial_certifies(d, extra, tol, trials, seed):
+    # All these frames but d = 2, n < 5 have more splits than the scan budget, so the holding ones
+    # go on to the table; the loose tolerances let large radii break some frames, so a stack holds both verdicts.
+    frame = fl.gen_random(d, 2 * d - 1 + extra, seed=seed)
+    lambdas = [0.0, 0.2, 0.5, 1.0, 3.0]
+    if fl.complement_property(frame, tol).verdict != fl.HOLDS:
+        with pytest.raises(ValueError, match="needs a phase retrieval frame"):
+            fl.stability_sweep(frame, lambdas, trials, seed, tol)
+        return
+    points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
+    assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, seed, tol)
+    assert [p.all_preserved for p in points] == [p.failures == 0 for p in points]
+
+
+@pytest.mark.parametrize(
+    "frame, tol, failures",
+    [
+        (fl.gen_mercedes(), 0.3, [0, 0, 0, 4]),
+        (fl.gen_random(3, 8, seed=3), 0.1, [0, 2, 4, 4]),
+        (fl.gen_random(4, 11, seed=0), 1e-10, [0, 0, 0, 0]),
+    ],
+)
+def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_trial(monkeypatch, frame, tol, failures):
+    lambdas, trials, seed = [0.0, 0.05, 0.2, 0.5], 6, 3
+    calls, matrices = [], []
+
+    def counting(stack, *args, **kwargs):
+        calls.append(1)
+        matrices.append(len(stack))
+        return full_column_rank(stack, *args, **kwargs)
+
+    monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
+    points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
+    swept_calls, swept = len(calls), sum(matrices)
+    calls.clear()
+    matrices.clear()
+    assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, seed, tol) == failures
+    fl.complement_property(frame, tol)
+    assert swept <= sum(matrices)
+    assert swept_calls < len(calls)
+
+
+def test_stability_sweep_steps_stay_within_the_batch_size(monkeypatch):
+    frame, lambdas, trials = fl.gen_mercedes(), [0.0, 0.3, 0.5, 1.0], 400
+    sizes = []
+
+    def recording(stack, *args, **kwargs):
+        sizes.append(stack.size)
+        return full_column_rank(stack, *args, **kwargs)
+
+    monkeypatch.setattr("framelab.retrieval.full_column_rank", recording)
+    points = fl.stability_sweep(frame, lambdas, trials, seed=2, tol=0.3)
+    assert len(lambdas) * trials * frame.vectors.size > _BATCH_ENTRIES >= max(sizes)
+    assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, 2, 0.3)
 
 
 def test_stability_sweep_is_deterministic():
@@ -210,17 +303,15 @@ def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
         certified.append(candidate.vectors.tobytes())
         return fl.Certificate(verdict=fl.HOLDS, method="recorded", field=candidate.field)
 
-    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", recording)
+    def recording_stack(stack, *args, **kwargs):
+        certified.extend(rows.tobytes() for rows in stack)
+        return np.ones(len(stack), dtype=bool)
+
+    monkeypatch.setattr("framelab.perturb.complement_property", recording)
+    monkeypatch.setattr("framelab.perturb._complement_holds", recording_stack)
     fl.stability_sweep(frame, lambdas, trials, seed)
-    n, d = frame.n_atoms, frame.dim
     expected = [frame.vectors.tobytes()]
-    for lam in lambdas:
-        for t in range(trials):
-            rng = np.random.default_rng((seed, t))
-            directions = rng.standard_normal((n, d))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            radii = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
-            expected.append((frame.vectors + lam * directions * radii[:, None]).tobytes())
+    expected += [trial.vectors.tobytes() for row in _trial_frames(frame, lambdas, trials, seed) for trial in row]
     assert certified == expected
 
 
@@ -232,6 +323,21 @@ def test_stability_sweep_validates_input():
         fl.stability_sweep(frame, [-0.1], trials=3)
     with pytest.raises(ValueError):
         fl.stability_sweep(fl.gen_onb(2), [0.01], trials=3)
+    for lambdas in ([float("nan")], [float("inf")], [0.1, float("nan")]):
+        with pytest.raises(ValueError, match="lambdas must be finite, nonnegative and ascending"):
+            fl.stability_sweep(frame, lambdas, trials=3)
+
+
+def test_stability_sweep_refuses_a_complex_frame_without_alpha(monkeypatch):
+    def no_alpha(*args, **kwargs):
+        raise AssertionError("alpha_certify ran")
+
+    monkeypatch.setattr("framelab.retrieval.alpha_certify", no_alpha)
+    frame = fl.gen_random(3, 9, seed=0, field="complex")
+    with pytest.raises(ValueError, match="needs a phase retrieval frame"):
+        fl.stability_sweep(frame, [0.01], trials=2)
+    with pytest.raises(fl.EnumerationCapExceeded):
+        fl.stability_sweep(frame, [0.01], trials=2, cap=8)
 
 
 def test_stability_sweep_zero_trials_is_vacuously_preserved():
