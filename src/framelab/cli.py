@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -70,13 +71,21 @@ _ERROR_EXIT = (
 )
 
 
+def _tolerance(value: float, name: str) -> float:
+    """``value`` if it is a finite number >= 0; ``name`` is the flag or variable it came from."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return value
+
+
 def _env_rank_tol() -> float:
     env = os.environ.get("FRAMELAB_TOL")
     if env is not None:
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise ValueError(f"FRAMELAB_TOL must be a float, got {env!r}") from exc
+        return _tolerance(value, "FRAMELAB_TOL")
     return DEFAULT_RANK_TOL
 
 
@@ -177,6 +186,8 @@ def _bounds(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
 
 def _certify(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
     (frame,) = frames
+    if args.tol is not None:
+        _tolerance(args.tol, "--tol")
     if args.property == "pr":
         name = "phase retrieval"
         rank_tol = args.tol if args.tol is not None else _env_rank_tol()
@@ -314,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s); certification decides up to 2^(n-1) subset splits")
+    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s) before certifying anything; a real frame with n >= d(d+1)/2 is then tested on its lifted symmetric map, which can only answer holds, and otherwise certification decides up to 2^(n-1) subset splits")
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -11,6 +11,8 @@ class EnumerationCapExceeded(FramelabError):
     The certificates are exact because they decide every subset split, up
     to 2^(n-1) of them: the first ones one by one, the rest through the
     frame's C(n, d - 1) hyperplanes, or one by one again when that table
-    would be too large.  The cap bounds the atom count n: past it we refuse
-    outright instead of silently sampling.
+    would be too large.  A real frame with n >= d(d + 1)/2 is first tested
+    on its lifted symmetric map, which can only answer ``holds``.  The cap
+    bounds the atom count n and is checked before either: past it we
+    refuse outright instead of silently sampling.
     """

@@ -10,8 +10,9 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It certifies all its trials in one stacked scan, then continues frame by
-  frame on the hyperplane table past the scan budget.
+  It tests all its trials on the lift in one stacked SVD, certifies the
+  rest in one stacked scan, then continues frame by frame on the
+  hyperplane table past the scan budget.
 """
 
 from __future__ import annotations
@@ -268,10 +269,10 @@ def stability_sweep(
     frames lose phase retrieval.  Trial ``t`` draws its direction field once,
     from the seed pair ``(seed, t)``, and every radius scales that field.
     The input must be a real frame that does phase retrieval.  All
-    ``len(lambdas) * trials`` perturbed frames form one real stack, and
-    the sweep certifies all of them in one stacked scan over the scan
-    budget's splits, then continues frame by frame on the hyperplane table
-    past the scan budget.  Each verdict is the one
+    ``len(lambdas) * trials`` perturbed frames form one real stack.  The
+    sweep tests all of them on the lift in one stacked SVD, certifies the
+    rest in one stacked scan over the scan budget's splits, then continues
+    frame by frame on the hyperplane table past the scan budget.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame.
     """
     if complement_property(frame, tol, cap).verdict != HOLDS or frame.field != "real":

@@ -6,6 +6,15 @@ retrieval holds exactly when, for every index subset, the null space of its
 rows is orthogonal to the null space of the complement's rows; a split with
 a spanning side satisfies both conditions.
 
+A real frame with n >= D = d(d + 1)/2 atoms is first tested on its lift,
+the n x D matrix of the map Q -> (phi_i^T Q phi_i)_i on symmetric d x d
+matrices.  When the lift's singular values clear a stated cutoff, no split
+can have neither side spanning under the scan's rank test, so both
+properties hold with no split visited; ``_lifted_holds`` carries the proof.
+The lift can only answer ``holds``, and the atom cap is checked before it.
+Frames it does not certify, frames with n < D and complex frames go on to
+the splits.
+
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
 lexicographic order), so each witness is the lexicographically smallest
@@ -28,7 +37,8 @@ capped.  The reference scan that checks every split, and independent
 brute-force references, live with the tests.
 
 A stack of real frames with the same atom count, such as the perturbed
-frames of a stability sweep, is certified in one stacked scan: each chunk
+frames of a stability sweep, is tested on the lift in one stacked SVD, and
+the frames it does not certify are certified in one stacked scan: each chunk
 of the scan budget is decided for every frame still open at once, and a
 frame leaves at its first deficient chunk.  The frames still open then
 continue frame by frame on the table past the scan budget.  A single frame
@@ -45,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, filterfalse, islice
-from math import comb
+from math import comb, sqrt
 from typing import Iterator
 
 import numpy as np
@@ -374,21 +384,79 @@ def _deficient(vs: np.ndarray, chunk: list[tuple[tuple[int, ...], tuple[int, ...
     return [not spanning for spanning in spans]
 
 
+def _lift_cutoff(n: int, d: int, tol: float) -> float:
+    """The cutoff beta of ``_lifted_holds``: ``2 sqrt(n d) (tol + 8 n D eps)`` with D = d(d + 1)/2."""
+    return 2.0 * sqrt(n * d) * (tol + 8 * n * (d * (d + 1) // 2) * np.finfo(float).eps)
+
+
+def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
+    """For each frame of a (k, n, d) stack, whether its lifted symmetric map proves the complement property.
+
+    The lift of a real frame is the n x D matrix L, D = d(d + 1)/2, whose
+    row i holds phi_a^2 and sqrt(2) phi_a phi_b (a < b) of atom phi = phi_i.
+    It is the map A(Q) = (phi_i^T Q phi_i)_i on symmetric d x d matrices Q
+    written in an orthonormal basis, so ``|L q| = |A(Q)|`` and
+    ``|q| = |Q|_F``.  A frame is certified when n >= D and
+    ``sigma_min(L) > beta sigma_max(L)`` with ``beta = _lift_cutoff(n, d,
+    tol)``; frames that are complex, have n < D, or get tol < 0 are not.
+    A certified frame has no split the scan calls deficient, so the lift
+    can only answer ``holds``.
+
+    Proof.  Let M be the largest atom norm and eta = n D eps.  Assume, as
+    LAPACK's error bounds state up to a modest polynomial in the sizes,
+    that each computed singular value of an m x c matrix X is within
+    eta |X|_2 of the exact one, for m <= n and c <= D.  Take a split
+    (S, S^c) the scan calls deficient.  A side of fewer than d atoms has a
+    unit u with V_S u = 0; a larger one was computed with
+    s_d <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with
+    t = tol + eta (1 + tol), and |V_S|_2 <= |V|_F <= sqrt(n) M.  So there
+    are unit u and w with |V_S u| and |V_{S^c} w| both at most
+    t sqrt(n) M.  Put Q = u w^T + w u^T.  Then A(Q)_i =
+    2 <phi_i, u> <phi_i, w>, whose size is at most 2 M |<phi_i, u>| on S
+    and 2 M |<phi_i, w>| on S^c, so |A(Q)| <= 2 sqrt(2) t sqrt(n) M^2,
+    while |Q|_F^2 = 2 + 2 <u, w>^2 >= 2.  Hence sigma_min(L) <=
+    2 t sqrt(n) M^2.  And sigma_max(L) >= |A(I)| / |I|_F >= M^2 / sqrt(d),
+    so sigma_min(L) / sigma_max(L) <= 2 sqrt(n d) t.
+    The computed test sees L plus the rounding of its entries (at most
+    2 eps |L|_F <= 2 eps sqrt(n) M^2 <= 2 eta sigma_max(L)) and then
+    LAPACK's error, so each computed singular value is within
+    kappa sigma_max(L) of the exact one, kappa <= 3.2 eta.  A passing test
+    gives sigma_min(L) / sigma_max(L) > beta (1 - kappa) - kappa.  It can
+    pass only when beta < 1, so tol < 1/2, and then the rounding term
+    8 eta of beta makes beta (1 - kappa) - kappa exceed 2 sqrt(n d) t,
+    with room for the rounding of beta itself: no deficient split exists.
+
+    Each frame is first scaled by a power of two, which is exact, so that
+    its largest entry lies in [1/2, 1) and the squares neither overflow nor
+    underflow.  One stacked SVD decides the whole stack.
+    """
+    k, n, d = vs.shape
+    if vs.dtype.kind == "c" or n < d * (d + 1) // 2 or not tol >= 0:
+        return np.zeros(k, dtype=bool)
+    _, exponent = np.frexp(np.abs(vs).max(axis=(1, 2)))
+    vs = np.ldexp(vs, -exponent[:, None, None])
+    a, b = np.triu_indices(d)
+    s = np.linalg.svd(vs[:, :, a] * vs[:, :, b] * np.where(a == b, 1.0, sqrt(2.0)), compute_uv=False)
+    return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]
+
+
 def _complement_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     """For each frame of a real (k, n, d) stack, whether the complement property holds.
 
-    Each chunk of the scan budget is decided at once for every frame still
-    open, in blocks of frames that keep one stacked step within the batch
-    size; a frame leaves at its first deficient chunk.  The frames still
-    open after the budget go on one by one through the table, resuming
-    past the budget, so no frame has a split decided twice.  Every
-    decision is the one ``complement_property`` makes.
+    Frames the lift certifies hold at once.  For the others, each chunk of
+    the scan budget is decided at once for every frame still open, in
+    blocks of frames that keep one stacked step within the batch size; a
+    frame leaves at its first deficient chunk.  The frames still open
+    after the budget go on one by one through the table, resuming past the
+    budget, so no frame has a split decided twice.  Every decision is the
+    one ``complement_property`` makes.
     """
     k, n, d = vs.shape
     holds = np.ones(k, dtype=bool)
+    scanned = ~_lifted_holds(vs, tol)
     scan = _complement_pairs(n)
     for chunk in _budget_chunks(scan, n, d):
-        live = np.flatnonzero(holds)
+        live = np.flatnonzero(holds & scanned)
         if not len(live):
             return holds
         step = max(1, _BATCH_ENTRIES // (n * d * len(chunk)))
@@ -397,7 +465,7 @@ def _complement_holds(vs: np.ndarray, tol: float) -> np.ndarray:
             holds[block] = ~np.reshape(_deficient(vs[block], chunk, tol), (len(block), -1)).any(axis=1)
     if next(scan, None) is None:
         return holds
-    for i in np.flatnonzero(holds):
+    for i in np.flatnonzero(holds & scanned):
         rest = islice(_complement_pairs(n), _scan_budget(n, d), None)
         chunks = _table_chunks(vs[i], tol, rest)
         holds[i] = not any(any(_deficient(vs[i : i + 1], chunk, tol)) for chunk in chunks)
@@ -409,8 +477,9 @@ def _deficient_chunks(
 ) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Yield, chunk by chunk in scan order, the splits {S, complement} where neither side spans.
 
-    The frame is a stack of one: the scan budget's chunks, then the
-    table's, each decided by ``_deficient``.
+    The cap is checked first; then a frame the lift certifies has none.
+    Otherwise the frame is a stack of one: the scan budget's chunks, then
+    the table's, each decided by ``_deficient``.
     """
     n, d = frame.n_atoms, frame.dim
     if n > cap:
@@ -418,6 +487,8 @@ def _deficient_chunks(
             f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
         )
     v = frame.vectors
+    if _lifted_holds(v[None], tol)[0]:
+        return
     scan = _complement_pairs(n)
     for chunk in chain(_budget_chunks(scan, n, d), _table_chunks(v, tol, scan)):
         yield list(compress(chunk, _deficient(v[None], chunk, tol)))
@@ -613,23 +684,6 @@ def norm_retrieval_certify(
                     witness_vectors=(left[:, i], right[:, j]),
                 )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
-
-
-def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,
-                          cap: int = DEFAULT_ENUM_CAP) -> Certificate:
-    """Uncalled brute-force pair check, kept only because ``perfbench/tracer.py`` traces it."""
-    _require_real(frame, "norm retrieval oracle")
-    v, d = frame.vectors, frame.dim
-    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval oracle"):
-        left = annihilator(v[list(s)], d, rank_tol)
-        right = annihilator(v[list(c)], d, rank_tol)
-        for u in left.T:
-            for w in right.T:
-                f, g = (w + u) / 2.0, (w - u) / 2.0
-                if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
-                    return Certificate(verdict=FAILS, method="nr-bruteforce-pairs", field=frame.field,
-                                       witness_subset=s, witness_vectors=(f, g))
-    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field=frame.field)
 
 
 def near_riesz_detect(

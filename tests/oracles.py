@@ -23,6 +23,9 @@ algorithm, so agreement between the two is meaningful evidence:
   those its hyperplane table proposes; with ``complement_property_reference``
   and ``norm_retrieval_reference`` on top of it, it pins the exact split
   order, witnesses and witness vectors.
+* ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
+  column by column from an orthonormal basis of the symmetric matrices,
+  where the library writes the lift's rows from products of coordinates.
 """
 
 from __future__ import annotations
@@ -257,3 +260,21 @@ def _null_space(rows: np.ndarray, d: int, tol: float) -> np.ndarray:
     _, s, vh = np.linalg.svd(rows, full_matrices=True)
     rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
     return vh[rank:].T
+
+
+def lift_ratio_reference(v: np.ndarray) -> float:
+    """sigma_min / sigma_max of the lifted map Q -> (phi_i^T Q phi_i)_i on symmetric d x d matrices.
+
+    Column k of the map's matrix is A(E_k) for the orthonormal basis E_aa,
+    (E_ab + E_ba) / sqrt(2) (a < b) of the symmetric matrices, each entry
+    evaluated as phi_i^T E_k phi_i.
+    """
+    d = v.shape[1]
+    columns = []
+    for a in range(d):
+        for b in range(a, d):
+            e = np.zeros((d, d))
+            e[a, b] = e[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
+            columns.append(np.einsum("ia,ab,ib->i", v, e, v))
+    s = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
+    return float(s[-1] / s[0])

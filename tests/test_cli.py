@@ -257,6 +257,31 @@ def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["certify", "pr", "m.json", "--tol", "nan"], None, "--tol must be finite and nonnegative, got nan"),
+    (["certify", "pr", "m.json", "--tol", "inf"], None, "--tol must be finite and nonnegative, got inf"),
+    (["certify", "pr", "m.json", "--tol", "-1"], None, "--tol must be finite and nonnegative, got -1.0"),
+    (["certify", "nr", "m.json", "--tol", "nan"], None, "--tol must be finite and nonnegative, got nan"),
+    (["certify", "pr", "m.json"], "nan", "FRAMELAB_TOL must be finite and nonnegative, got nan"),
+    (["bounds", "m.json"], "inf", "FRAMELAB_TOL must be finite and nonnegative, got inf"),
+    (["sweep", "m.json", "--lambdas", "0.1"], "-1e-3", "FRAMELAB_TOL must be finite and nonnegative, got -0.001"),
+    (["tensor", "m.json", "m.json", "-o", "p.json", "--check", "pr"], "nan",
+     "FRAMELAB_TOL must be finite and nonnegative, got nan"),
+])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_a_usage_error(argv, env, message, tmp_path, capsys, monkeypatch):
+    # Such a tolerance used to certify and then crash serializing the report, exiting 1.
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "gen", "mercedes", "-o", "m.json")
+    if env is None:
+        monkeypatch.delenv("FRAMELAB_TOL", raising=False)
+    else:
+        monkeypatch.setenv("FRAMELAB_TOL", env)
+    code, stdout, stderr = _run(capsys, *argv)
+    assert code == 2
+    assert json.loads(stdout)["error"] == message
+    assert stderr == f"error: {message}\n"
+
+
 def test_flag_beats_env(tmp_path, capsys, monkeypatch):
     merc = tmp_path / "m.json"
     _run(capsys, "gen", "mercedes", "-o", str(merc))

@@ -263,6 +263,8 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
         return full_column_rank(stack, *args, **kwargs)
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
+    # The lift settles gen_random(4, 11) with no rank call on either path; this counts the scan's.
+    monkeypatch.setattr("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
     points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
     swept_calls, swept = len(calls), sum(matrices)
     calls.clear()
@@ -271,6 +273,22 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
     fl.complement_property(frame, tol)
     assert swept <= sum(matrices)
     assert swept_calls < len(calls)
+
+
+def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):
+    # n = 11 >= d(d + 1)/2 = 10: the input frame and every perturbed frame pass the lifted test.
+    frame, lambdas, trials, seed = fl.gen_random(4, 11, seed=0), [0.0, 0.05, 0.2], 6, 3
+
+    def refuse(stack, *args, **kwargs):
+        raise AssertionError("full_column_rank ran")
+
+    monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
+    points = fl.stability_sweep(frame, lambdas, trials, seed)
+    assert [p.failures for p in points] == [0, 0, 0]
+    monkeypatch.undo()
+    # The scan and the table, with the lift refused, give the same counts.
+    monkeypatch.setattr("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed)] == [0, 0, 0]
 
 
 def test_stability_sweep_steps_stay_within_the_batch_size(monkeypatch):

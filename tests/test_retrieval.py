@@ -10,12 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
-from framelab.retrieval import _TABLE_LIMIT, _deficient_hyperplanes, _deficient_splits, _intervals
+from framelab.retrieval import (
+    _TABLE_LIMIT,
+    _complement_holds,
+    _deficient_hyperplanes,
+    _deficient_splits,
+    _intervals,
+    _lift_cutoff,
+    _lifted_holds,
+)
 from oracles import (
     alpha_grid_oracle_2d,
     brute_force_complement_property,
     complement_property_reference,
     deficient_splits_reference,
+    lift_ratio_reference,
     near_riesz_oracle,
     norm_retrieval_oracle,
     norm_retrieval_reference,
@@ -88,7 +97,9 @@ def test_complement_property_witness_is_genuine():
 
 def test_complement_property_cap():
     frame = fl.gen_random(2, 26, seed=0)
-    with pytest.raises(fl.EnumerationCapExceeded):
+    # The lift would certify this frame, but the cap is checked first.
+    assert _lifted_holds(frame.vectors[None], 1e-10)[0]
+    with pytest.raises(fl.EnumerationCapExceeded, match=r"refuses for n = 26 > cap = 24"):
         fl.complement_property(frame)
     cert = fl.complement_property(fl.gen_random(2, 5, seed=0), cap=30)
     assert cert.verdict in (fl.HOLDS, fl.FAILS)
@@ -236,8 +247,6 @@ def test_nr_certify_agrees_with_oracle_spot():
         cert = fl.norm_retrieval_certify(frame)
         oracle = norm_retrieval_oracle(frame)
         assert cert.verdict == oracle.verdict
-        # The library keeps its brute-force scan only as a benchmark trace target.
-        assert fl.retrieval.norm_retrieval_oracle(frame).verdict == oracle.verdict
     assert "norm_retrieval_oracle" not in fl.__all__
 
 
@@ -398,6 +407,11 @@ def _decisions(frame, splits, cp_witness, nr):
     return splits, cp_witness, nr.verdict, nr.witness_subset, vectors
 
 
+def _without_the_lift():
+    """Make the lifted test refuse every frame, so the scan and the table decide them all."""
+    return patch("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+
+
 def _assert_matches_the_scan(frame):
     real = frame.field == "real"
     reference = _decisions(
@@ -416,9 +430,12 @@ def _assert_matches_the_scan(frame):
         )
 
     assert library() == reference
-    # With no split checked before the table, every split comes from its walk.
-    with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    # The lift settles most frames with n >= d(d + 1)/2 before any split; without it
+    # they reach the table.  With no split checked before the table, every split comes from its walk.
+    with _without_the_lift():
         assert library() == reference
+        with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+            assert library() == reference
 
 
 def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
@@ -474,6 +491,8 @@ def test_ties_near_the_rank_tolerance_decide_as_the_scan_does(kind, d, n, factor
 
 def test_certifiers_decide_at_the_cap_from_the_table():
     assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
+    with _without_the_lift():
+        assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
     onb = _repeated_onb(4, 6)
     assert fl.norm_retrieval_certify(onb).holds
     cert = fl.complement_property(onb)
@@ -508,7 +527,88 @@ def test_tables_past_the_limit_are_not_built():
 
 def test_without_a_table_every_split_is_checked():
     frames = [_two_plane(8, seed=8), _repeated_onb(3, 3), fl.gen_random(3, 8, seed=0)]
-    with patch("framelab.retrieval._deficient_hyperplanes", lambda v, tol: None):
+    with patch("framelab.retrieval._deficient_hyperplanes", lambda v, tol: None), _without_the_lift():
         for frame in frames:
             splits = _deficient_splits(frame, 1e-10, 24, "test")
             assert list(splits) == list(deficient_splits_reference(frame))
+
+
+def _lift_test_vectors(kind, d, n, rng):
+    """Atoms on two random hyperplanes, atoms with exact repeats, or generic atoms."""
+    vectors = rng.standard_normal((n, d))
+    if kind == "two-hyperplane":
+        normals = rng.standard_normal((2, d))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        side = normals[rng.integers(2, size=n)]
+        vectors -= np.sum(vectors * side, axis=1, keepdims=True) * side
+    elif kind == "repeated":
+        for i in range(1, n, 2):
+            vectors[i] = vectors[int(rng.integers(i))]
+    return vectors
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    noise=st.floats(-4.0, 5.0),
+    tol=st.sampled_from([1e-10, 1e-6, 0.1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_lift_certifies_only_frames_without_a_deficient_split(d, extra, noise, tol, seed):
+    # Noise from 1e-4 to 1e5 times the tolerance, relative to each atom, and atom
+    # norms spread over 10^-3..10^3, straddle the lift's cutoff on every kind of frame.
+    rng = np.random.default_rng(seed)
+    n = d * (d + 1) // 2 + extra
+    frames = []
+    for kind in ("two-hyperplane", "repeated", "generic"):
+        vectors = _lift_test_vectors(kind, d, n, rng)
+        jitter = rng.standard_normal((n, d))
+        scale = np.linalg.norm(vectors, axis=1, keepdims=True)
+        jitter *= 10.0**noise * tol * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
+        frames.append(_unit_frame((vectors + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))))
+    stack = np.stack([frame.vectors for frame in frames])
+    lifted = _lifted_holds(stack, tol)
+    for frame, certified in zip(frames, lifted):
+        assert certified == _lifted_holds(frame.vectors[None], tol)[0]
+        if certified:
+            assert next(deficient_splits_reference(frame, tol), None) is None
+    per_frame = [fl.complement_property(frame, tol).holds for frame in frames]
+    assert _complement_holds(stack, tol).tolist() == per_frame
+
+
+def test_a_frame_the_scan_fails_is_not_lifted_even_near_the_cutoff():
+    # Atoms 0 and 2 are parallel up to just under the tolerance, so the split {0, 2} | {1}
+    # is deficient; its lift's ratio is over a quarter of the cutoff, so a cutoff ten times
+    # smaller would certify it.
+    tol = 1e-6
+    frame = _unit_frame([[-0.23319301, -0.04590143], [-0.00111205, 0.01071799], [0.26713014, 0.05258103]])
+    assert complement_property_reference(frame, tol) == (0, 2)
+    assert lift_ratio_reference(frame.vectors) > _lift_cutoff(3, 2, tol) / 10
+    assert fl.complement_property(frame, tol).witness_subset == (0, 2)
+    # In a stack with a frame the lift certifies, each keeps its own verdict.
+    stack = np.stack([frame.vectors, fl.gen_random(2, 3, seed=0).vectors])
+    assert _lifted_holds(stack, tol).tolist() == [False, True]
+    assert _complement_holds(stack, tol).tolist() == [False, True]
+
+
+def test_the_lift_agrees_with_the_reference_lift():
+    for d, n in [(1, 2), (2, 3), (3, 7), (4, 10)]:
+        v = fl.gen_random(d, n, seed=d).vectors
+        # The cutoff is 2 sqrt(n d) times tol, plus a rounding term far below 1% of it.
+        at_ratio = lift_ratio_reference(v) / (2 * np.sqrt(n * d))
+        assert _lifted_holds(v[None], 0.99 * at_ratio)[0]
+        assert not _lifted_holds(v[None], 1.01 * at_ratio)[0]
+
+
+def test_the_lift_refuses_complex_frames_short_frames_and_negative_tolerances():
+    assert not _lifted_holds(fl.gen_random(2, 6, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert not _lifted_holds(fl.gen_random(3, 5, seed=0).vectors[None], 1e-10)[0]
+    # The scan finds the split of the two zero atoms deficient, while with tol < 0
+    # the lift's cutoff would be negative.
+    zeros = np.vstack([np.zeros((2, 2)), [[1.0, 2.0]]])
+    assert not _lifted_holds(zeros[None], -1.0)[0]
+    assert not _lifted_holds(np.zeros((1, 3, 2)), 1e-10)[0]
+    # Entries whose squares overflow or underflow are scaled first.
+    for scale in (1e200, 1e-200):
+        assert _lifted_holds(fl.gen_random(2, 3, seed=0).vectors[None] * scale, 1e-10)[0]
