@@ -10,7 +10,8 @@ A real frame with n >= D = d(d + 1)/2 atoms is first tested on its lift,
 the n x D matrix of the map Q -> (phi_i^T Q phi_i)_i on symmetric d x d
 matrices.  When the lift's singular values clear a stated cutoff, no split
 can have neither side spanning under the scan's rank test, so both
-properties hold with no split visited; ``_lifted_holds`` carries the proof.
+properties hold with no split visited; ``_lifted_holds`` carries the proof
+and the bound on LAPACK's rounding error that it assumes.
 The lift can only answer ``holds``, and the atom cap is checked before it.
 Frames it does not certify, frames with n < D and complex frames go on to
 the splits.
@@ -402,12 +403,13 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     A certified frame has no split the scan calls deficient, so the lift
     can only answer ``holds``.
 
-    Proof.  Let M be the largest atom norm and eta = n D eps.  Assume, as
-    LAPACK's error bounds state up to a modest polynomial in the sizes,
-    that each computed singular value of an m x c matrix X is within
-    eta |X|_2 of the exact one, for m <= n and c <= D.  Take a split
-    (S, S^c) the scan calls deficient.  A side of fewer than d atoms has a
-    unit u with V_S u = 0; a larger one was computed with
+    Proof.  Let M be the largest atom norm and eta = n D eps.  Assume that
+    each computed singular value of an m x c matrix X is within eta |X|_2
+    of the exact one, for m <= n and c <= D.  This is an assumption, not a
+    theorem: LAPACK bounds that error by p(m, c) eps |X|_2 for a "modest
+    polynomial" p it does not state, and the proof takes p = n D.  Take a
+    split (S, S^c) the scan calls deficient.  A side of fewer than d atoms
+    has a unit u with V_S u = 0; a larger one was computed with
     s_d <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with
     t = tol + eta (1 + tol), and |V_S|_2 <= |V|_F <= sqrt(n) M.  So there
     are unit u and w with |V_S u| and |V_{S^c} w| both at most
@@ -684,6 +686,23 @@ def norm_retrieval_certify(
                     witness_vectors=(left[:, i], right[:, j]),
                 )
     return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
+
+
+def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,
+                          cap: int = DEFAULT_ENUM_CAP) -> Certificate:
+    """Uncalled brute-force pair check, kept only because ``perfbench/tracer.py`` traces it."""
+    _require_real(frame, "norm retrieval oracle")
+    v, d = frame.vectors, frame.dim
+    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval oracle"):
+        left = annihilator(v[list(s)], d, rank_tol)
+        right = annihilator(v[list(c)], d, rank_tol)
+        for u in left.T:
+            for w in right.T:
+                f, g = (w + u) / 2.0, (w - u) / 2.0
+                if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
+                    return Certificate(verdict=FAILS, method="nr-bruteforce-pairs", field=frame.field,
+                                       witness_subset=s, witness_vectors=(f, g))
+    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field=frame.field)
 
 
 def near_riesz_detect(

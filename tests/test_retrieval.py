@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
@@ -247,6 +247,8 @@ def test_nr_certify_agrees_with_oracle_spot():
         cert = fl.norm_retrieval_certify(frame)
         oracle = norm_retrieval_oracle(frame)
         assert cert.verdict == oracle.verdict
+        # The library keeps its brute-force scan only as a benchmark trace target.
+        assert fl.retrieval.norm_retrieval_oracle(frame).verdict == oracle.verdict
     assert "norm_retrieval_oracle" not in fl.__all__
 
 
@@ -552,12 +554,18 @@ def _lift_test_vectors(kind, d, n, rng):
     d=st.integers(1, 4),
     extra=st.integers(0, 3),
     noise=st.floats(-4.0, 5.0),
-    tol=st.sampled_from([1e-10, 1e-6, 0.1]),
+    tol=st.sampled_from([0.0, 1e-10, 1e-6, 0.1]),
     seed=st.integers(0, 2**31 - 1),
 )
+# At tol = 0 the cutoff is its rounding term alone, so these cases lean on the
+# bound the proof assumes for LAPACK's singular values.
+@example(d=2, extra=0, noise=0.0, tol=0.0, seed=0)
+@example(d=3, extra=1, noise=2.0, tol=0.0, seed=1)
+@example(d=4, extra=3, noise=-2.0, tol=0.0, seed=2)
 def test_the_lift_certifies_only_frames_without_a_deficient_split(d, extra, noise, tol, seed):
-    # Noise from 1e-4 to 1e5 times the tolerance, relative to each atom, and atom
-    # norms spread over 10^-3..10^3, straddle the lift's cutoff on every kind of frame.
+    # Noise from 1e-4 to 1e5 times the tolerance (times eps at tol = 0), relative to each
+    # atom, and atom norms spread over 10^-3..10^3, straddle the lift's cutoff on every
+    # kind of frame.
     rng = np.random.default_rng(seed)
     n = d * (d + 1) // 2 + extra
     frames = []
@@ -565,7 +573,7 @@ def test_the_lift_certifies_only_frames_without_a_deficient_split(d, extra, nois
         vectors = _lift_test_vectors(kind, d, n, rng)
         jitter = rng.standard_normal((n, d))
         scale = np.linalg.norm(vectors, axis=1, keepdims=True)
-        jitter *= 10.0**noise * tol * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
+        jitter *= 10.0**noise * max(tol, np.finfo(float).eps) * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
         frames.append(_unit_frame((vectors + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))))
     stack = np.stack([frame.vectors for frame in frames])
     lifted = _lifted_holds(stack, tol)
