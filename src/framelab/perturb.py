@@ -85,7 +85,6 @@ def break_phase_retrieval(
     head: Sequence[int],
     epsilon: float,
     rank_tol: float = DEFAULT_RANK_TOL,
-    match_tol: float = DEFAULT_MATCH_TOL,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> PerturbationResult:
     """Destroy phase retrieval while moving the frame by less than ``epsilon``.
@@ -131,7 +130,7 @@ def break_phase_retrieval(
     mf = magnitudes(perturbed, wf).values
     mg = magnitudes(perturbed, wg).values
     scale = 1.0 + float(max(mf.max(), mg.max()))
-    if np.max(np.abs(mf - mg)) > match_tol * scale:
+    if np.max(np.abs(mf - mg)) > DEFAULT_MATCH_TOL * scale:
         raise FramelabError("construction error: witness magnitudes differ beyond tolerance")
     if abs(inner(wf, wg)) >= np.linalg.norm(wf) * np.linalg.norm(wg) - 1e-9:
         raise FramelabError("construction error: witness vectors are collinear")

@@ -111,21 +111,20 @@ def tensor_nr_check(
     tol: float = DEFAULT_ORTHO_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
-    parseval_tol: float = 1e-8,
 ) -> TensorNRReport:
     """Check the norm retrieval transfer for a Parseval left factor of an already-built product.
 
-    Preconditions: real field, the left factor Parseval within tolerance
-    and the right factor norm retrieval.  The product must then be norm
-    retrieval, and conversely a norm retrieval product forces both factors
-    to be norm retrieval, so ``consistent`` demands all three certificates
-    hold.
+    Preconditions: real field, the left factor Parseval (both frame bounds
+    within 1e-8 of 1) and the right factor norm retrieval.  The product
+    must then be norm retrieval, and conversely a norm retrieval product
+    forces both factors to be norm retrieval, so ``consistent`` demands all
+    three certificates hold.
     """
     left, right = tensor.left, tensor.right
     if left.field != "real" or right.field != "real":
         raise ValueError("the norm retrieval transfer check is only defined over the real field")
     lb = frame_bounds(left)
-    if abs(lb.lower - 1.0) > parseval_tol or abs(lb.upper - 1.0) > parseval_tol:
+    if abs(lb.lower - 1.0) > 1e-8 or abs(lb.upper - 1.0) > 1e-8:
         raise ValueError(
             f"left factor must be Parseval; its bounds are ({lb.lower}, {lb.upper})"
         )

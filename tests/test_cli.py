@@ -214,6 +214,34 @@ def test_tensor_command_with_pr_check(tmp_path, capsys):
     assert product.n_atoms == 9
 
 
+def test_tensor_command_without_a_check(tmp_path, capsys):
+    merc, out = tmp_path / "m.json", tmp_path / "t.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    code, stdout, stderr = _run(capsys, "tensor", str(merc), str(merc), "-o", str(out))
+    assert code == 0
+    report = json.loads(stdout)
+    assert "check" not in report["data"]
+    assert "consistent" not in report["data"] and "theorem_consistent" not in report["data"]
+    assert report["certificates"] == []
+    assert report["data"]["atoms"] == 9
+    assert "tensor product: 9 atoms in dimension 4" in stderr
+
+
+def test_tensor_command_with_nr_check(tmp_path, capsys):
+    # A Parseval left factor and a norm retrieval right factor give a norm retrieval
+    # product, although the ONB factor, and so the product, fails phase retrieval.
+    left, right, out = tmp_path / "h.json", tmp_path / "o.json", tmp_path / "t.json"
+    _run(capsys, "gen", "harmonic", "--dim", "2", "--n", "3", "-o", str(left))
+    _run(capsys, "gen", "onb", "--dim", "2", "-o", str(right))
+    code, stdout, _ = _run(capsys, "tensor", str(left), str(right), "-o", str(out), "--check", "nr")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["data"]["check"] == "nr"
+    assert report["data"]["consistent"] is True
+    assert [c["verdict"] for c in report["certificates"]] == ["holds"] * 3
+    assert not fl.phase_retrieval_certify(fl.load_frame(out)).holds
+
+
 def test_tensor_check_builds_the_product_once(tmp_path, capsys, monkeypatch):
     merc, out = tmp_path / "m.json", tmp_path / "p.json"
     _run(capsys, "gen", "mercedes", "-o", str(merc))

@@ -13,11 +13,12 @@ import framelab as fl
 from framelab.retrieval import (
     _TABLE_LIMIT,
     _complement_holds,
-    _deficient_hyperplanes,
     _deficient_splits,
+    _hyperplane_table,
     _intervals,
     _lift_cutoff,
     _lifted_holds,
+    _walk,
 )
 from oracles import (
     alpha_grid_oracle_2d,
@@ -122,6 +123,20 @@ def test_pr_real_failure_carries_equal_magnitude_pair():
     assert np.allclose(mf, mg, atol=1e-12)
     assert np.linalg.norm(f - g) > 1e-6
     assert np.linalg.norm(f + g) > 1e-6
+
+
+def test_pr_witness_of_an_incomplete_frame_is_the_null_direction_and_zero():
+    # Both atoms lie on the e_2 axis, so the null directions of the empty side and of
+    # the full side coincide in e_1, and the witness is (e_1, 0).
+    frame = _unit_frame([[0.0, 1.0], [0.0, 2.0]])
+    cert = fl.phase_retrieval_certify(frame)
+    assert cert.verdict == fl.FAILS
+    assert cert.witness_subset == ()
+    f, g = cert.witness_vectors
+    assert f.tolist() == [1.0, 0.0] and g.tolist() == [0.0, 0.0]
+    assert np.array_equal(fl.magnitudes(frame, f).values, fl.magnitudes(frame, g).values)
+    # Not a global-phase multiple: the two norms differ.
+    assert np.linalg.norm(f) - np.linalg.norm(g) == 1.0
 
 
 def test_pr_matches_sign_pattern_oracle_spot():
@@ -375,7 +390,7 @@ def test_near_riesz_stable_under_invertible_images():
 
 def test_pr_complex_alpha_estimate_is_positive():
     frame = fl.gen_random(2, 4, seed=0, field="complex")
-    cert = fl.phase_retrieval_certify(frame, alpha_restarts=4, alpha_iters=60)
+    cert = fl.phase_retrieval_certify(frame, alpha_restarts=4)
     assert cert.verdict == fl.INCONCLUSIVE
     assert cert.alpha_estimate > 0.01
 
@@ -509,7 +524,7 @@ def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
     def refuse(v, tol):
         raise AssertionError("the table was built")
 
-    monkeypatch.setattr("framelab.retrieval._deficient_hyperplanes", refuse)
+    monkeypatch.setattr("framelab.retrieval._hyperplane_table", refuse)
     product = fl.tensor_product(fl.gen_random(3, 4, seed=1), fl.gen_random(3, 4, seed=2)).product
     for frame in (fl.gen_random(16, 24, seed=0), product):
         started = time.perf_counter()
@@ -520,16 +535,36 @@ def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
 
 
 def test_tables_past_the_limit_are_not_built():
-    assert comb(24, 11) > _TABLE_LIMIT
-    assert _deficient_hyperplanes(fl.gen_random(12, 24).vectors, 1e-10) is None
-    # Every pair of 300 deficient hyperplanes holding atom 0 would be tested.
+    # The limit bounds only the hyperplane pairs to test, not the atom subsets:
+    # this frame's table holds all C(22, 6) of its hyperplanes, and no two of
+    # them are large enough to cover the atoms, so its walk visits no split.
+    frame = fl.gen_random(7, 22)
+    table = _hyperplane_table(frame.vectors, 1e-10)
+    assert len(table) == comb(22, 6) > _TABLE_LIMIT
+    assert _intervals(table) == []
+    with patch("framelab.retrieval._walk", wraps=_walk) as walk:
+        assert fl.complement_property(frame).holds
+    walk.assert_called_once()
+    # Every pair of 300 hyperplanes holding atom 0 would be tested.
     assert 300 * 300 > _TABLE_LIMIT
     assert _intervals(np.ones((300, 24), dtype=bool)) is None
 
 
+def test_building_the_table_makes_no_rank_decision(monkeypatch):
+    def refuse(stack, tol):
+        raise AssertionError("full_column_rank was called")
+
+    monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
+    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)) == 3
+    # The two planes of four atoms, and the 16 closures of an even and an odd atom.
+    two_plane = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
+    assert sorted(two_plane.sum(axis=1).tolist()) == [2] * 16 + [4, 4]
+    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)) == comb(12, 3)
+
+
 def test_without_a_table_every_split_is_checked():
     frames = [_two_plane(8, seed=8), _repeated_onb(3, 3), fl.gen_random(3, 8, seed=0)]
-    with patch("framelab.retrieval._deficient_hyperplanes", lambda v, tol: None), _without_the_lift():
+    with patch("framelab.retrieval._hyperplane_table", lambda v, tol: None), _without_the_lift():
         for frame in frames:
             splits = _deficient_splits(frame, 1e-10, 24, "test")
             assert list(splits) == list(deficient_splits_reference(frame))
