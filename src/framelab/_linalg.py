@@ -55,15 +55,17 @@ def full_column_rank(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.nda
     return s[:, d - 1] > tol * s[:, 0]
 
 
-def canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Scale a vector by a unimodular factor so its largest-magnitude entry is real positive."""
-    mags = np.abs(v)
-    top = mags.max() if mags.size else 0.0
-    if top == 0.0:
-        return v
-    pivot = v[int(np.argmax(mags))]
+def canonical_phases(vs: np.ndarray) -> np.ndarray:
+    """Scale each nonzero row of a (k, d) array by a unimodular factor so its first largest-magnitude entry is real positive.
+
+    The rows are unit eigen- or singular vectors; a zero row would divide
+    by zero.  The pivot's modulus is ``np.hypot`` of its parts, which rounds
+    as the scalar ``abs`` of one complex number does; the array ``np.abs``
+    of complex values can differ in the last bit.
+    """
+    pivot = vs[np.arange(len(vs)), np.abs(vs).argmax(axis=1), None]
     # Adding 0.0 flushes IEEE negative zeros so serialized output is stable.
-    return v * (np.conj(pivot) / abs(pivot)) + 0.0
+    return vs * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) + 0.0
 
 
 def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
@@ -71,27 +73,17 @@ def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.nda
 
     One stacked SVD runs the same LAPACK routine on each matrix as a call per
     matrix does, so each basis equals the one-matrix result bit for bit.
-    Every basis column carries the canonical phase; for a real stack that is
-    one sign flip of all the singular vectors at once.
+    Every basis column carries the canonical phase, all columns of the
+    stack at once.
     """
     k, m, d = stack.shape
     if stack.size == 0:
         return [np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float) for _ in range(k)]
     # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
     _, s, vh = np.linalg.svd(np.conj(stack))
-    real = stack.dtype.kind != "c"
-    if real:
-        # canonical_phase of a real vector: times the sign of its first largest-magnitude entry.
-        pivot = np.take_along_axis(vh, np.abs(vh).argmax(axis=2)[..., None], axis=2)
-        vh = np.where(pivot == 0.0, vh, vh * np.sign(pivot) + 0.0)
-    bases = []
-    for sk, h in zip(s, vh):
-        basis = h[_rank(sk, tol):].conj().T
-        if not real:
-            for j in range(basis.shape[1]):
-                basis[:, j] = canonical_phase(basis[:, j])
-        bases.append(basis)
-    return bases
+    # Row j of conj(vh) is column j of the basis.
+    rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
+    return [h[_rank(sk, tol):].T for sk, h in zip(s, rows)]
 
 
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -103,15 +95,26 @@ def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np
     return null_spaces(rows.reshape(1, len(rows), dim), tol)[0]
 
 
+def eigmin_vectors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of each Hermitian matrix of a (k, d, d) stack, and a canonical-phase unit eigenvector of each, as rows.
+
+    One stacked ``eigh`` runs the same LAPACK routine on each matrix as a
+    call per matrix does, so each result equals the one-matrix result bit
+    for bit.
+    """
+    evals, evecs = np.linalg.eigh(mats)
+    return evals[:, 0], canonical_phases(evecs[:, :, 0])
+
+
 def eigmin_vector(mat: np.ndarray) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian matrix and a canonical-phase unit eigenvector."""
-    evals, evecs = np.linalg.eigh(mat)
-    v = canonical_phase(evecs[:, 0])
-    return float(evals[0]), v
+    vals, vecs = eigmin_vectors(mat[None])
+    return float(vals[0]), vecs[0]
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
+    """The Hermitian part of a matrix, or of each matrix of a stack."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2.0
 
 
 def inv_sqrt_psd(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -51,14 +51,22 @@ failure certifies a phase retrieval failure, but when it holds the verdict
 is ``inconclusive`` and an estimate of the lower-bound functional ``alpha``
 is attached.  Norm retrieval certification is rejected outright for complex
 frames; the subspace criterion it relies on is a real-field result.
+
+``alpha`` is estimated by alternating minimization from several random
+starts.  The restarts run together, in blocks that keep a stacked step
+within the batch size: each half-step builds R(f) for every restart of the
+block still running and takes one stacked ``eigh``, and a restart leaves
+the block at its own stopping test.  Every trace, and so the estimate and
+its minimizers, equals the one of the restarts run one after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, compress, filterfalse, islice
 from math import comb, sqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -67,7 +75,7 @@ from ._linalg import (
     DEFAULT_ORTHO_TOL,
     DEFAULT_RANK_TOL,
     annihilator,
-    eigmin_vector,
+    eigmin_vectors,
     full_column_rank,
     hermitize,
     inner,
@@ -384,6 +392,16 @@ def _lift_cutoff(n: int, d: int, tol: float) -> float:
     return 2.0 * sqrt(n * d) * (tol + 8 * n * (d * (d + 1) // 2) * np.finfo(float).eps)
 
 
+@lru_cache(maxsize=None)
+def _lift_columns(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lift's column pairs (a, b), a <= b, and their weights (1 when a = b, else sqrt 2), read-only."""
+    a, b = np.triu_indices(d)
+    weights = np.where(a == b, 1.0, sqrt(2.0))
+    for column in (a, b, weights):
+        column.setflags(write=False)
+    return a, b, weights
+
+
 def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     """For each frame of a (k, n, d) stack, whether its lifted symmetric map proves the complement property.
 
@@ -431,8 +449,8 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
         return np.zeros(k, dtype=bool)
     _, exponent = np.frexp(np.abs(vs).max(axis=(1, 2)))
     vs = np.ldexp(vs, -exponent[:, None, None])
-    a, b = np.triu_indices(d)
-    s = np.linalg.svd(vs[:, :, a] * vs[:, :, b] * np.where(a == b, 1.0, sqrt(2.0)), compute_uv=False)
+    a, b, weights = _lift_columns(d)
+    s = np.linalg.svd(vs[:, :, a] * vs[:, :, b] * weights, compute_uv=False)
     return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]
 
 
@@ -553,8 +571,11 @@ def phase_retrieval_certify(
     Completeness of the family is necessary for phase retrieval but not
     sufficient; the decisive real-field criterion is the complement
     property, which asks that every split of the atoms leaves at least one
-    side spanning.
+    side spanning.  ``alpha_restarts`` below 1 raises ValueError for every
+    frame, before anything is certified.
     """
+    if alpha_restarts < 1:
+        raise ValueError("alpha restarts must be at least 1")
     cp = complement_property(frame, tol, cap)
     if cp.verdict == FAILS:
         pair = _equal_magnitude_pair(frame, cp.witness_subset, tol)
@@ -579,14 +600,26 @@ def phase_retrieval_certify(
     )
 
 
+def _r_stack(frame: Frame) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a (k, d) array of vectors f to the (k, d, d) stack of their ``R(f)``."""
+    v = frame.vectors
+    rows, conj, weights = v.T, np.conj(v), frame.weights[:, None]
+
+    def stack(fs: np.ndarray) -> np.ndarray:
+        # conj(v) @ f for each f as its own column rounds as the one-vector
+        # product does; fs @ conj(v).T rounds differently.
+        scale = weights * np.abs(conj @ fs[:, :, None]) ** 2
+        return hermitize((rows * scale.swapaxes(1, 2)) @ conj)
+
+    return stack
+
+
 def r_operator(frame: Frame, f: np.ndarray) -> RQuadraticForm:
     """The positive semidefinite operator weighting each projector by ``|<f, F(x_i)>|^2``."""
     f = np.asarray(f)
     if f.shape != (frame.dim,):
         raise ValueError(f"expected a vector of length {frame.dim}, got shape {f.shape}")
-    v = frame.vectors
-    scale = frame.weights * np.abs(np.conj(v) @ f) ** 2
-    return RQuadraticForm(f=f, matrix=hermitize((v.T * scale) @ np.conj(v)))
+    return RQuadraticForm(f=f, matrix=_r_stack(frame)(f[None])[0])
 
 
 def alpha_certify(
@@ -600,34 +633,55 @@ def alpha_certify(
 
     Each half-step replaces one argument with the smallest eigenvector of
     the R operator built from the other, so the objective is monotone
-    nonincreasing along every trace.  The returned alpha is the best value
-    over all restarts; zero pinpoints a flat direction.  Over R a positive
-    alpha is numerical evidence for phase retrieval.  Over C it is not:
-    alpha vanishes exactly when the complement property fails, so it adds
-    nothing beyond that property.
+    nonincreasing along every trace.  A restart stops after the first full
+    step that lowers its value by less than ``tol``, or after ``iters``
+    steps.  The returned alpha is the best value over all restarts, the
+    first in restart order on a tie; zero pinpoints a flat direction.  Over
+    R a positive alpha is numerical evidence for phase retrieval.  Over C
+    it is not: alpha vanishes exactly when the complement property fails,
+    so it adds nothing beyond that property.
+
+    The restarts run together, in blocks that keep a stacked R step within
+    the batch size.  Each block draws its starting vectors in restart order,
+    and each half-step builds R for every restart of the block still
+    running and takes one stacked ``eigh``.  A restart leaves its block at
+    its own stopping test, so every trace equals the one the restart makes
+    alone, value for value.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be at least 1")
     rng = np.random.default_rng(seed)
     complex_ = frame.field == "complex"
+    d = frame.dim
+    block = max(1, _BATCH_ENTRIES // (max(frame.n_atoms, d) * d))
+    r_stack = _r_stack(frame)
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     traces: list[tuple[float, ...]] = []
-    for _ in range(restarts):
-        f = random_unit(rng, frame.dim, complex_)
-        val, g = eigmin_vector(r_operator(frame, f).matrix)
-        trace = [val]
-        prev = val
+    for lo in range(0, restarts, block):
+        f = np.array([random_unit(rng, d, complex_) for _ in range(min(block, restarts - lo))])
+        ends_f, ends_g = np.empty_like(f), np.empty_like(f)
+        vals, g = eigmin_vectors(r_stack(f))
+        block_traces = [[val] for val in vals.tolist()]
+        rows = list(range(len(f)))  # the restart of each row of f and g
         for _ in range(iters):
-            val, f = eigmin_vector(r_operator(frame, g).matrix)
-            trace.append(val)
-            val, g = eigmin_vector(r_operator(frame, f).matrix)
-            trace.append(val)
-            if prev - val < tol:
-                break
-            prev = val
-        traces.append(tuple(trace))
-        if best is None or trace[-1] < best[0]:
-            best = (trace[-1], f, g)
+            half, f = eigmin_vectors(r_stack(g))
+            vals, g = eigmin_vectors(r_stack(f))
+            going = []
+            for i, a, b in zip(rows, half.tolist(), vals.tolist()):
+                going.append(not block_traces[i][-1] - b < tol)
+                block_traces[i] += a, b
+            if not all(going):
+                # Rows still going are written again when they stop.
+                ends_f[rows], ends_g[rows] = f, g
+                rows = list(compress(rows, going))
+                f, g = f[going], g[going]
+                if not rows:
+                    break
+        ends_f[rows], ends_g[rows] = f, g
+        for trace, end_f, end_g in zip(block_traces, ends_f, ends_g):
+            traces.append(tuple(trace))
+            if best is None or trace[-1] < best[0]:
+                best = (trace[-1], end_f, end_g)
     assert best is not None
     return AlphaResult(
         alpha=max(best[0], 0.0),

@@ -26,6 +26,12 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
+* ``alpha_reference`` runs the alternating minimization one restart after
+  another, with one R operator and one ``eigh`` per half-step, where the
+  library runs a block of restarts as one stack.  Its R operator
+  (``r_matrix_reference``) and canonical phase (``canonical_phase_reference``)
+  treat one vector with the scalar arithmetic the stacked library code must
+  match bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from typing import Iterator
 
 import numpy as np
 
-from framelab import FAILS, HOLDS, Certificate, Frame
-from framelab._linalg import annihilator, canonical_phase
+from framelab import FAILS, HOLDS, AlphaResult, Certificate, Frame
+from framelab._linalg import annihilator, random_unit
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -249,8 +255,17 @@ def annihilator_reference(rows: np.ndarray, d: int, tol: float = 1e-10) -> np.nd
     rank = int(np.count_nonzero(s > tol * s[0])) if s[0] > 0.0 else 0
     basis = vh[rank:].conj().T
     for j in range(basis.shape[1]):
-        basis[:, j] = canonical_phase(basis[:, j])
+        basis[:, j] = canonical_phase_reference(basis[:, j])
     return basis
+
+
+def canonical_phase_reference(v: np.ndarray) -> np.ndarray:
+    """``v`` times conj(p) / |p| for its first largest-magnitude entry p, with the scalar ``abs`` of p."""
+    mags = np.abs(v)
+    if mags.max() == 0.0:
+        return v
+    pivot = v[int(np.argmax(mags))]
+    return v * (np.conj(pivot) / abs(pivot)) + 0.0
 
 
 def _null_space(rows: np.ndarray, d: int, tol: float) -> np.ndarray:
@@ -278,3 +293,44 @@ def lift_ratio_reference(v: np.ndarray) -> float:
             columns.append(np.einsum("ia,ab,ib->i", v, e, v))
     s = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
     return float(s[-1] / s[0])
+
+
+def r_matrix_reference(frame: Frame, f: np.ndarray) -> np.ndarray:
+    """R(f) = sum_i w_i |<f, phi_i>|^2 phi_i phi_i^*, Hermitized, from one vector f."""
+    v = frame.vectors
+    scale = frame.weights * np.abs(np.conj(v) @ f) ** 2
+    mat = (v.T * scale) @ np.conj(v)
+    return (mat + mat.conj().T) / 2.0
+
+
+def _eigmin_reference(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    evals, evecs = np.linalg.eigh(mat)
+    return float(evals[0]), canonical_phase_reference(evecs[:, 0])
+
+
+def alpha_reference(
+    frame: Frame, restarts: int = 8, iters: int = 100, tol: float = 1e-12, seed: int = 0
+) -> AlphaResult:
+    """Alternating minimization of <R(f) g, g>, one restart at a time; the best is the first minimum."""
+    rng = np.random.default_rng(seed)
+    complex_ = frame.field == "complex"
+    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    traces: list[tuple[float, ...]] = []
+    for _ in range(restarts):
+        f = random_unit(rng, frame.dim, complex_)
+        val, g = _eigmin_reference(r_matrix_reference(frame, f))
+        trace = [val]
+        prev = val
+        for _ in range(iters):
+            val, f = _eigmin_reference(r_matrix_reference(frame, g))
+            trace.append(val)
+            val, g = _eigmin_reference(r_matrix_reference(frame, f))
+            trace.append(val)
+            if prev - val < tol:
+                break
+            prev = val
+        traces.append(tuple(trace))
+        if best is None or trace[-1] < best[0]:
+            best = (trace[-1], f, g)
+    assert best is not None
+    return AlphaResult(alpha=max(best[0], 0.0), argmin_f=best[1], argmin_g=best[2], traces=tuple(traces))

@@ -147,6 +147,25 @@ def test_alpha_command(tmp_path, capsys):
     assert report["data"]["alpha"] == pytest.approx(0.375, abs=1e-6)
 
 
+@pytest.mark.parametrize("flag", ["--restarts", "--iters"])
+def test_alpha_command_refuses_zero(flag, tmp_path, capsys):
+    merc = tmp_path / "m.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    code, stdout, stderr = _run(capsys, "alpha", str(merc), flag, "0")
+    assert code == 2
+    assert "at least 1" in stderr
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_certify_pr_refuses_zero_alpha_restarts_for_every_field(field, tmp_path, capsys):
+    # A real frame never runs alpha, yet the flag is checked before certifying.
+    path = tmp_path / "f.json"
+    _run(capsys, "gen", "random", "--dim", "2", "--n", "5", "--field", field, "-o", str(path))
+    code, stdout, stderr = _run(capsys, "certify", "pr", str(path), "--alpha-restarts", "0")
+    assert code == 2
+    assert "alpha restarts must be at least 1" in stderr
+
+
 def test_perturb_break_nr_pipeline(tmp_path, capsys):
     onb = tmp_path / "o.json"
     pert = tmp_path / "p.json"

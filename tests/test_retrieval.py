@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import framelab as fl
 from framelab.retrieval import (
+    _BATCH_ENTRIES,
     _TABLE_LIMIT,
     _complement_holds,
     _deficient_splits,
@@ -18,10 +19,12 @@ from framelab.retrieval import (
     _intervals,
     _lift_cutoff,
     _lifted_holds,
+    _r_stack,
     _walk,
 )
 from oracles import (
     alpha_grid_oracle_2d,
+    alpha_reference,
     brute_force_complement_property,
     complement_property_reference,
     deficient_splits_reference,
@@ -29,6 +32,7 @@ from oracles import (
     near_riesz_oracle,
     norm_retrieval_oracle,
     norm_retrieval_reference,
+    r_matrix_reference,
     sign_pattern_pr_oracle,
 )
 
@@ -214,6 +218,88 @@ def test_alpha_positive_iff_pr_holds_spot():
     assert fl.alpha_certify(holds, restarts=4, iters=60).alpha > 1e-6
     fails = fl.gen_onb(3)
     assert fl.alpha_certify(fails, restarts=4, iters=60).alpha < 1e-10
+
+
+def _same_alpha(result, reference):
+    assert result.alpha == reference.alpha
+    assert result.traces == reference.traces
+    for got, want in ((result.argmin_f, reference.argmin_f), (result.argmin_g, reference.argmin_g)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_alpha_matches_the_one_restart_loop_bit_for_bit(field, d):
+    frame = fl.gen_random(d, 2 * d, seed=d, field=field)
+    for restarts in (1, 2, 5, 16):
+        for iters in (1, 7, 100):
+            result = fl.alpha_certify(frame, restarts=restarts, iters=iters, seed=d)
+            _same_alpha(result, alpha_reference(frame, restarts=restarts, iters=iters, seed=d))
+
+
+def test_alpha_restarts_leave_the_stack_at_their_own_step():
+    frame = fl.gen_random(4, 8, seed=1)
+    result = fl.alpha_certify(frame, restarts=5, iters=100, seed=0)
+    assert len({len(trace) for trace in result.traces}) > 1
+    _same_alpha(result, alpha_reference(frame, restarts=5, iters=100, seed=0))
+
+
+def test_alpha_keeps_the_first_of_tied_restarts():
+    # Every restart on an ONB reaches alpha = 0, at different coordinate vectors.
+    frame = fl.gen_onb(3)
+    result = fl.alpha_certify(frame, restarts=4, iters=40, seed=0)
+    assert len({trace[-1] for trace in result.traces}) == 1
+    _same_alpha(result, alpha_reference(frame, restarts=4, iters=40, seed=0))
+
+
+def test_alpha_of_an_all_zero_frame():
+    frame = fl.Frame(fl.make_atomic(np.ones(4)), np.zeros((4, 3)))
+    result = fl.alpha_certify(frame, restarts=3, iters=5, seed=2)
+    assert result.alpha == 0.0
+    _same_alpha(result, alpha_reference(frame, restarts=3, iters=5, seed=2))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_r_operator_is_a_row_of_the_stacked_builder(field):
+    frame = fl.gen_random(3, 7, seed=4, field=field)
+    rng = np.random.default_rng(5)
+    fs = rng.standard_normal((4, 3)) + (1j * rng.standard_normal((4, 3)) if field == "complex" else 0.0)
+    stack = _r_stack(frame)(fs)
+    for f, row in zip(fs, stack):
+        assert fl.r_operator(frame, f).matrix.tobytes() == row.tobytes()
+        assert row.tobytes() == r_matrix_reference(frame, f).tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(24, 8), (4, 8)])
+def test_alpha_blocks_keep_the_batch_size(n, d, monkeypatch):
+    eigh, shapes = np.linalg.eigh, []
+
+    def recording(mats):
+        shapes.append(mats.shape)
+        return eigh(mats)
+
+    frame = fl.gen_random(d, n, seed=0)
+    block = max(1, _BATCH_ENTRIES // (max(n, d) * d))
+    restarts, iters = 3 * block, 3
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    result = fl.alpha_certify(frame, restarts=restarts, iters=iters, seed=0)
+    monkeypatch.undo()
+    assert all(k * max(n, d) * d <= _BATCH_ENTRIES for k, _, _ in shapes)
+    assert len(shapes) <= -(-restarts // block) * (2 * iters + 1)
+    _same_alpha(result, alpha_reference(frame, restarts=restarts, iters=iters, seed=0))
+
+
+@pytest.mark.parametrize("restarts, iters", [(0, 10), (3, 0), (-1, 1)])
+def test_alpha_refuses_no_restarts_or_no_iterations(restarts, iters):
+    with pytest.raises(ValueError, match="at least 1"):
+        fl.alpha_certify(fl.gen_mercedes(), restarts=restarts, iters=iters)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_pr_refuses_no_alpha_restarts_for_every_field(field):
+    frame = fl.gen_random(2, 5, seed=0, field=field)
+    with pytest.raises(ValueError, match="alpha restarts must be at least 1"):
+        fl.phase_retrieval_certify(frame, alpha_restarts=0)
 
 
 def test_nr_mercedes_holds():
