@@ -43,6 +43,8 @@ def vector_to_json(v: np.ndarray) -> list:
 
 
 def _vector_from_json(entry: list, field: str, dim: int, where: str) -> np.ndarray:
+    if not isinstance(entry, list):
+        raise ValueError(f"{where}: vector must be a list of {dim} coordinates, got {entry!r}")
     if len(entry) != dim:
         raise ValueError(f"{where}: expected {dim} coordinates, got {len(entry)}")
     if field == "complex":
@@ -76,7 +78,7 @@ def doc_to_frame(doc: dict) -> Frame:
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     atoms = doc.get("atoms")
     if not isinstance(atoms, list) or not atoms:
@@ -87,7 +89,10 @@ def doc_to_frame(doc: dict) -> Frame:
     for k, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "weight" not in entry or "vector" not in entry:
             raise ValueError(f"atom {k}: each atom needs 'weight' and 'vector'")
-        weights.append(float(entry["weight"]))
+        try:
+            weights.append(float(entry["weight"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"atom {k}: weight must be a number, got {entry['weight']!r}") from exc
         labels.append(entry.get("label"))
         rows.append(_vector_from_json(entry["vector"], field, dim, f"atom {k}"))
     space = make_atomic(weights, labels)

@@ -180,10 +180,13 @@ def synthesis(frame: Frame, coeffs: CoefficientVector | np.ndarray) -> np.ndarra
 
 
 def frame_operator(frame: Frame) -> np.ndarray:
-    """The d-by-d positive semidefinite operator ``S = sum_i w_i F(x_i) F(x_i)*``."""
+    """The d-by-d positive semidefinite operator ``S = sum_i w_i F(x_i) F(x_i)*``; ValueError if it overflows."""
     v = frame.vectors
-    s = (v.T * frame.weights) @ np.conj(v)
-    return hermitize(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = hermitize((v.T * frame.weights) @ np.conj(v))
+    if not np.isfinite(s).all():
+        raise ValueError("the frame operator overflows float64; scale the frame vectors down")
+    return s
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:

@@ -10,9 +10,8 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It tests all its trials on the lift in one stacked SVD, certifies the
-  rest in one stacked scan, then continues frame by frame on the
-  hyperplane table past the scan budget.
+  It certifies all its trials as one stack, through the driver that
+  ``complement_property`` runs on a single frame.
 """
 
 from __future__ import annotations
@@ -37,7 +36,8 @@ from .retrieval import (
     FAILS,
     HOLDS,
     Certificate,
-    _complement_holds,
+    _first_failures,
+    _first_subset,
     complement_property,
     norm_retrieval_certify,
     phase_retrieval_certify,
@@ -268,10 +268,10 @@ def stability_sweep(
     frames lose phase retrieval.  Trial ``t`` draws its direction field once,
     from the seed pair ``(seed, t)``, and every radius scales that field.
     The input must be a real frame that does phase retrieval.  All
-    ``len(lambdas) * trials`` perturbed frames form one real stack.  The
-    sweep tests all of them on the lift in one stacked SVD, certifies the
-    rest in one stacked scan over the scan budget's splits, then continues
-    frame by frame on the hyperplane table past the scan budget.  Each verdict is the one
+    ``len(lambdas) * trials`` perturbed frames form one real stack, which
+    goes through the driver of ``complement_property``: the lift and the
+    scan budget decide every trial at once, and the trials still open go on
+    frame by frame through the hyperplane table.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame.
     """
     if complement_property(frame, tol, cap).verdict != HOLDS or frame.field != "real":
@@ -294,6 +294,6 @@ def stability_sweep(
     # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
     stack = frame.vectors + np.array(lams)[:, None, None, None] * directions * radii
     _require_finite(stack)
-    holds = _complement_holds(stack.reshape(-1, n, d), tol).reshape(len(lams), trials)
-    failures = (~holds).sum(axis=1)
+    witnesses = _first_failures(stack.reshape(-1, n, d), tol, _first_subset)
+    failures = np.array([w is not None for w in witnesses], dtype=bool).reshape(len(lams), trials).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

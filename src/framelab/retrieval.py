@@ -38,13 +38,15 @@ when the pairs to test pass the table's limit or the frame does not span
 with the margin.  The atom count is capped.  The reference scan that checks
 every split, and independent brute-force references, live with the tests.
 
-A stack of real frames with the same atom count, such as the perturbed
-frames of a stability sweep, is tested on the lift in one stacked SVD, and
-the frames it does not certify are certified in one stacked scan: each chunk
-of the scan budget is decided for every frame still open at once, and a
-frame leaves at its first deficient chunk.  The frames still open then
-continue frame by frame on the table past the scan budget.  A single frame
-is the stack of one, so every verdict is the one it gets alone.
+Both properties, and a stability sweep, are decided by one driver over a
+stack of frames with the same atom count; a single frame is the stack of
+one, and the perturbed frames of a sweep form one stack.  The lift tests
+the whole stack in one stacked SVD.  Each chunk of the scan budget is then
+decided at once for every frame still open, and the frames still open after
+the budget go on frame by frame through the table, from the first split past
+the budget.  Each certifier hands the driver its test of one frame's
+deficient splits, and a frame leaves at its first failure, so every verdict
+is the one the frame gets alone.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure, but when it holds the verdict
@@ -64,9 +66,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, filterfalse, islice
+from itertools import combinations, compress, dropwhile, filterfalse, islice
 from math import comb, sqrt
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -153,6 +155,8 @@ def _require_real(frame: Frame, what: str) -> None:
         raise ValueError(f"{what} is only defined over the real field")
 
 
+# A split {S, complement} of the atom indices, S first.
+_Split = tuple[tuple[int, ...], tuple[int, ...]]
 # Float entries per batched step: stacks of small matrices are cut to this size.
 _BATCH_ENTRIES = 1 << 12
 # Splits decided together at first; later chunks double, up to the batch size.
@@ -247,9 +251,7 @@ def _intervals(table: np.ndarray) -> list[tuple[int, int]] | None:
     return intervals
 
 
-def _walk(
-    n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> Iterator[_Split]:
     """Yield the splits {S, complement} in scan order from S = ``start`` on, S in the union of the intervals.
 
     Each interval [low, high] is a pair of bitmasks holding atom 0; S never
@@ -258,7 +260,7 @@ def _walk(
     """
     full = (1 << n) - 1
 
-    def members(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def members(mask: int) -> _Split:
         return (
             tuple(i for i in range(n) if mask >> i & 1),
             tuple(i for i in range(n) if not mask >> i & 1),
@@ -281,7 +283,7 @@ def _walk(
     yield from visit(1, 0, intervals, start[1:])
 
 
-def _complement_pairs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _complement_pairs(n: int) -> Iterator[_Split]:
     """Yield each unordered pair {S, complement} exactly once, in scan order.
 
     The empty/full pair comes first; after that the representatives are the
@@ -309,9 +311,7 @@ def _scan_budget(n: int, d: int) -> int:
     return comb(n, d - 1) // 4 + 8
 
 
-def _chunks(
-    splits: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], n: int, d: int
-) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
     """Cut splits into lists of ``_FIRST_CHUNK``, then twice as many each time, up to the batch size."""
     limit = max(1, _BATCH_ENTRIES // (n * d))
     size = min(_FIRST_CHUNK, limit)
@@ -320,31 +320,21 @@ def _chunks(
         size = min(2 * size, limit)
 
 
-def _budget_chunks(
-    scan: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], n: int, d: int
-) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Cut the scan's first ``_scan_budget`` splits into chunks, leaving ``scan`` just past them."""
-    return _chunks(islice(scan, _scan_budget(n, d)), n, d)
+def _table_chunks(v: np.ndarray, tol: float, start: tuple[int, ...]) -> Iterator[list[_Split]]:
+    """Yield, in scan order and chunk by chunk, a superset of the splits from S = ``start`` on where neither side spans.
 
-
-def _table_chunks(
-    v: np.ndarray, tol: float, rest: Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Yield, in scan order and chunk by chunk, a superset of the splits of ``rest`` where neither side spans.
-
-    ``rest`` is the scan past its budget.  The table is built only when
-    the first chunk is asked for; the walk goes through its intervals, or
-    through every split of ``rest`` when ``_hyperplane_table`` or
-    ``_intervals`` refuses.
+    The table is built only when the first chunk is asked for; the walk
+    goes through its intervals, or through every split from ``start`` on
+    when ``_hyperplane_table`` or ``_intervals`` refuses.  Scan order is
+    tuple order, so those splits are the ones whose S is not below ``start``.
     """
     n, d = v.shape
-    start = next(rest, None)
-    if start is None:
-        return
     table = _hyperplane_table(v, tol)
     intervals = None if table is None else _intervals(table)
-    splits = chain([start], rest) if intervals is None else _walk(n, intervals, start[0])
-    yield from _chunks(splits, n, d)
+    if intervals is None:
+        yield from _chunks(dropwhile(lambda split: split[0] < start, _complement_pairs(n)), n, d)
+    else:
+        yield from _chunks(_walk(n, intervals, start), n, d)
 
 
 def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -360,10 +350,10 @@ def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list
         yield members, np.array([sides[i] for i in members], dtype=np.intp)
 
 
-def _deficient(vs: np.ndarray, chunk: list[tuple[tuple[int, ...], tuple[int, ...]]], tol: float) -> list[bool]:
+def _deficient(vs: np.ndarray, chunk: list[_Split], tol: float) -> list[list[bool]]:
     """For each frame of the (k, n, d) stack and each split of the chunk, whether neither side spans.
 
-    Returns k * len(chunk) flags, frame by frame.  Each split is decided
+    Returns one list of flags per frame.  Each split is decided
     as the scan decides it, one stacked SVD per side size: the smaller
     sides in every frame first (a spanning side settles the split), then
     the larger side of each split still open in its frame.
@@ -384,7 +374,7 @@ def _deficient(vs: np.ndarray, chunk: list[tuple[tuple[int, ...], tuple[int, ...
             rows += n * np.array([still[q] // m for q in members])[:, None]
         for q, spanning in zip(members, full_column_rank(atoms.take(rows, axis=0), tol).tolist()):
             spans[still[q]] = spanning
-    return [not spanning for spanning in spans]
+    return [[not spanning for spanning in spans[i * m : (i + 1) * m]] for i in range(k)]
 
 
 def _lift_cutoff(n: int, d: int, tol: float) -> float:
@@ -454,65 +444,54 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]
 
 
-def _complement_holds(vs: np.ndarray, tol: float) -> np.ndarray:
-    """For each frame of a real (k, n, d) stack, whether the complement property holds.
+def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]) -> list[Any]:
+    """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
-    Frames the lift certifies hold at once.  For the others, each chunk of
-    the scan budget is decided at once for every frame still open, in
-    blocks of frames that keep one stacked step within the batch size; a
-    frame leaves at its first deficient chunk.  The frames still open
-    after the budget go on one by one through the table, resuming past the
-    budget, so no frame has a split decided twice.  Every decision is the
-    one ``complement_property`` makes.
+    ``fails(v, splits)`` gets one frame's splits where neither side spans,
+    those of one chunk in scan order, and returns a finding or None; a frame
+    leaves at its first finding.  Frames the lift certifies have no such
+    split.  Each chunk of the scan budget is decided at once for every frame
+    still open, in blocks of frames that keep one stacked step within the
+    batch size.  The frames still open then go on one by one through the
+    table from the first split past the budget, so no split of a frame is
+    decided twice, and every frame gets the findings it gets alone.
     """
     k, n, d = vs.shape
-    holds = np.ones(k, dtype=bool)
-    scanned = ~_lifted_holds(vs, tol)
+    found: list[Any] = [None] * k
+    open_ = ~_lifted_holds(vs, tol)
     scan = _complement_pairs(n)
-    for chunk in _budget_chunks(scan, n, d):
-        live = np.flatnonzero(holds & scanned)
-        if not len(live):
-            return holds
+    chunks = _chunks(islice(scan, _scan_budget(n, d)), n, d)
+    while len(live := np.flatnonzero(open_)) and (chunk := next(chunks, None)) is not None:
         step = max(1, _BATCH_ENTRIES // (n * d * len(chunk)))
         for lo in range(0, len(live), step):
             block = live[lo : lo + step]
-            holds[block] = ~np.reshape(_deficient(vs[block], chunk, tol), (len(block), -1)).any(axis=1)
-    if next(scan, None) is None:
-        return holds
-    for i in np.flatnonzero(holds & scanned):
-        rest = islice(_complement_pairs(n), _scan_budget(n, d), None)
-        chunks = _table_chunks(vs[i], tol, rest)
-        holds[i] = not any(any(_deficient(vs[i : i + 1], chunk, tol)) for chunk in chunks)
-    return holds
+            for i, row in zip(block.tolist(), _deficient(vs[block], chunk, tol)):
+                if any(row):
+                    found[i] = fails(vs[i], list(compress(chunk, row)))
+                    open_[i] = found[i] is None
+    # A frame still open went through the whole budget, which left ``scan`` just past it.
+    start = next(scan, None)
+    if start is None:
+        return found
+    for i in np.flatnonzero(open_).tolist():
+        for chunk in _table_chunks(vs[i], tol, start[0]):
+            splits = list(compress(chunk, _deficient(vs[i : i + 1], chunk, tol)[0]))
+            if splits and (finding := fails(vs[i], splits)) is not None:
+                found[i] = finding
+                break
+    return found
 
 
-def _deficient_chunks(
-    frame: Frame, tol: float, cap: int, what: str
-) -> Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Yield, chunk by chunk in scan order, the splits {S, complement} where neither side spans.
+def _first_subset(v: np.ndarray, splits: list[_Split]) -> tuple[int, ...]:
+    """The ``fails`` of the complement property: any deficient split fails it, and its S is the witness."""
+    return splits[0][0]
 
-    The cap is checked first; then a frame the lift certifies has none.
-    Otherwise the frame is a stack of one: the scan budget's chunks, then
-    the table's, each decided by ``_deficient``.
-    """
-    n, d = frame.n_atoms, frame.dim
-    if n > cap:
+
+def _require_within_cap(frame: Frame, cap: int, what: str) -> None:
+    if frame.n_atoms > cap:
         raise EnumerationCapExceeded(
-            f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}"
+            f"{what} enumerates 2^(n-1) subsets and refuses for n = {frame.n_atoms} > cap = {cap}"
         )
-    v = frame.vectors
-    if _lifted_holds(v[None], tol)[0]:
-        return
-    scan = _complement_pairs(n)
-    for chunk in chain(_budget_chunks(scan, n, d), _table_chunks(v, tol, scan)):
-        yield list(compress(chunk, _deficient(v[None], chunk, tol)))
-
-
-def _deficient_splits(
-    frame: Frame, tol: float, cap: int, what: str
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield, in scan order, every split {S, complement} where neither side spans."""
-    return chain.from_iterable(_deficient_chunks(frame, tol, cap, what))
 
 
 def complement_property(
@@ -525,13 +504,10 @@ def complement_property(
     A failing verdict reports the lexicographically smallest violating
     subset: the first split the shared scan yields.
     """
-    split = next(_deficient_splits(frame, tol, cap, "complement property certification"), None)
-    return Certificate(
-        verdict=HOLDS if split is None else FAILS,
-        method="complement-subset-enumeration",
-        field=frame.field,
-        witness_subset=None if split is None else split[0],
-    )
+    _require_within_cap(frame, cap, "complement property certification")
+    subset = _first_failures(frame.vectors[None], tol, _first_subset)[0]
+    verdict = HOLDS if subset is None else FAILS
+    return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
 
 def _equal_magnitude_pair(
@@ -601,8 +577,16 @@ def phase_retrieval_certify(
 
 
 def _r_stack(frame: Frame) -> Callable[[np.ndarray], np.ndarray]:
-    """The map from a (k, d) array of vectors f to the (k, d, d) stack of their ``R(f)``."""
+    """The map from a (k, d) array of vectors f to the (k, d, d) stack of their ``R(f)``.
+
+    Raises ValueError when an entry of R(f) could overflow float64 for a unit f.
+    """
     v = frame.vectors
+    # For unit f no entry of R(f) + R(f)*, or of a partial result on the way, exceeds this.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ceiling = 2.0 * np.sum((np.sqrt(frame.weights) * np.linalg.norm(v, axis=1) ** 2) ** 2)
+    if not np.isfinite(ceiling):
+        raise ValueError("R(f) can overflow float64 on this frame; scale the frame vectors down")
     rows, conj, weights = v.T, np.conj(v), frame.weights[:, None]
 
     def stack(fs: np.ndarray) -> np.ndarray:
@@ -715,41 +699,46 @@ def norm_retrieval_certify(
     offending unit null directions.
     """
     _require_real(frame, "norm retrieval certification")
-    v = frame.vectors
-    for chunk in _deficient_chunks(frame, rank_tol, cap, "norm retrieval certification"):
-        bases = _null_spaces(v, [side for split in chunk for side in split], rank_tol)
-        for (s, _), left, right in zip(chunk, bases[0::2], bases[1::2]):
+    _require_within_cap(frame, cap, "norm retrieval certification")
+    method = "nr-nullspace-orthogonality"
+
+    def overlapping(v: np.ndarray, splits: list[_Split]) -> Certificate | None:
+        bases = _null_spaces(v, [side for split in splits for side in split], rank_tol)
+        for (s, _), left, right in zip(splits, bases[0::2], bases[1::2]):
             # Rank check and null-space SVD can split an exact tie differently.
             if left.shape[1] == 0 or right.shape[1] == 0:
                 continue
             overlap = np.abs(left.T @ right)
             if overlap.max() > tol:
                 i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-                return Certificate(
-                    verdict=FAILS,
-                    method="nr-nullspace-orthogonality",
-                    field=frame.field,
-                    witness_subset=s,
-                    witness_vectors=(left[:, i], right[:, j]),
-                )
-    return Certificate(verdict=HOLDS, method="nr-nullspace-orthogonality", field=frame.field)
+                pair = (left[:, i], right[:, j])
+                return Certificate(FAILS, method, frame.field, witness_subset=s, witness_vectors=pair)
+        return None
+
+    found = _first_failures(frame.vectors[None], rank_tol, overlapping)[0]
+    return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
 
 
 def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,
                           cap: int = DEFAULT_ENUM_CAP) -> Certificate:
     """Uncalled brute-force pair check, kept only because ``perfbench/tracer.py`` traces it."""
     _require_real(frame, "norm retrieval oracle")
-    v, d = frame.vectors, frame.dim
-    for s, c in _deficient_splits(frame, rank_tol, cap, "norm retrieval oracle"):
-        left = annihilator(v[list(s)], d, rank_tol)
-        right = annihilator(v[list(c)], d, rank_tol)
-        for u in left.T:
-            for w in right.T:
-                f, g = (w + u) / 2.0, (w - u) / 2.0
-                if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
-                    return Certificate(verdict=FAILS, method="nr-bruteforce-pairs", field=frame.field,
-                                       witness_subset=s, witness_vectors=(f, g))
-    return Certificate(verdict=HOLDS, method="nr-bruteforce-pairs", field=frame.field)
+    _require_within_cap(frame, cap, "norm retrieval oracle")
+    d, method = frame.dim, "nr-bruteforce-pairs"
+
+    def unequal_pair(v: np.ndarray, splits: list[_Split]) -> Certificate | None:
+        for s, c in splits:
+            left = annihilator(v[list(s)], d, rank_tol)
+            right = annihilator(v[list(c)], d, rank_tol)
+            for u in left.T:
+                for w in right.T:
+                    f, g = (w + u) / 2.0, (w - u) / 2.0
+                    if abs(np.linalg.norm(f) - np.linalg.norm(g)) > tol:
+                        return Certificate(FAILS, method, frame.field, witness_subset=s, witness_vectors=(f, g))
+        return None
+
+    found = _first_failures(frame.vectors[None], rank_tol, unequal_pair)[0]
+    return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
 
 
 def near_riesz_detect(

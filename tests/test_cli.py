@@ -284,6 +284,44 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"weight": None, "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
+        ({"weight": [1.0], "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
+        ({"weight": {}, "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
+        ({"weight": 1.0, "vector": 5}, "atom 1: vector must be a list of 2 coordinates"),
+        ({"weight": 1.0, "vector": None}, "atom 1: vector must be a list of 2 coordinates"),
+        ({"dim": True}, "dim must be a positive integer"),
+    ],
+)
+def test_a_malformed_frame_file_is_a_usage_error(doc, message, tmp_path, capsys):
+    atoms = [{"weight": 1.0, "vector": [0.0, 1.0]}]
+    if "dim" not in doc:
+        atoms.append(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": "real", "dim": doc.get("dim", 2), "atoms": atoms}))
+    code, stdout, stderr = _run(capsys, "certify", "pr", str(path))
+    assert code == 2
+    assert message in json.loads(stdout)["error"]
+    assert message in stderr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_and_alpha_refuse_a_frame_whose_operators_overflow(tmp_path, capsys):
+    # Squares of these entries overflow float64; the lift scales each frame by a power of two first.
+    path = tmp_path / "huge.json"
+    fl.save_frame(path, fl.Frame(fl.make_atomic([1.0] * 3), [[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]))
+    for command in ("bounds", "alpha"):
+        code, stdout, stderr = _run(capsys, command, str(path))
+        assert code == 2
+        assert "overflow" in json.loads(stdout)["error"]
+        assert "overflow" in stderr
+    code, stdout, _ = _run(capsys, "certify", "pr", str(path))
+    assert code == 0
+    assert json.loads(stdout)["data"]["verdict"] == "holds"
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys):
     big = tmp_path / "big.json"
     _run(capsys, "gen", "random", "--dim", "2", "--n", "30", "-o", str(big))

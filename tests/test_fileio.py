@@ -63,6 +63,21 @@ def test_doc_validation_messages(tmp_path):
         fl.doc_to_frame(doc)
     with pytest.raises(ValueError):
         fl.doc_to_frame({"field": "real", "dim": 2, "atoms": []})
+    for weight in (None, [1.0], {"w": 1.0}):
+        doc = fl.frame_to_doc(frame)
+        doc["atoms"][1]["weight"] = weight
+        with pytest.raises(ValueError, match="atom 1: weight must be a number"):
+            fl.doc_to_frame(doc)
+    for vector in (5, None):
+        doc = fl.frame_to_doc(frame)
+        doc["atoms"][1]["vector"] = vector
+        with pytest.raises(ValueError, match="atom 1: vector must be a list of 2 coordinates"):
+            fl.doc_to_frame(doc)
+    # A bool is an int to Python, and True would read as dimension 1.
+    doc = fl.frame_to_doc(fl.gen_onb(1))
+    doc["dim"] = True
+    with pytest.raises(ValueError, match="dim must be a positive integer"):
+        fl.doc_to_frame(doc)
 
 
 def test_saved_file_is_stable_bytes(tmp_path):

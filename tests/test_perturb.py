@@ -323,10 +323,10 @@ def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
 
     def recording_stack(stack, *args, **kwargs):
         certified.extend(rows.tobytes() for rows in stack)
-        return np.ones(len(stack), dtype=bool)
+        return [None] * len(stack)
 
     monkeypatch.setattr("framelab.perturb.complement_property", recording)
-    monkeypatch.setattr("framelab.perturb._complement_holds", recording_stack)
+    monkeypatch.setattr("framelab.perturb._first_failures", recording_stack)
     fl.stability_sweep(frame, lambdas, trials, seed)
     expected = [frame.vectors.tobytes()]
     expected += [trial.vectors.tobytes() for row in _trial_frames(frame, lambdas, trials, seed) for trial in row]

@@ -13,19 +13,22 @@ import framelab as fl
 from framelab.retrieval import (
     _BATCH_ENTRIES,
     _TABLE_LIMIT,
-    _complement_holds,
-    _deficient_splits,
+    _deficient,
+    _first_failures,
+    _first_subset,
     _hyperplane_table,
     _intervals,
     _lift_cutoff,
     _lifted_holds,
     _r_stack,
+    _scan_budget,
     _walk,
 )
 from oracles import (
     alpha_grid_oracle_2d,
     alpha_reference,
     brute_force_complement_property,
+    complement_pairs,
     complement_property_reference,
     deficient_splits_reference,
     lift_ratio_reference,
@@ -515,6 +518,17 @@ def _without_the_lift():
     return patch("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
 
 
+def _deficient_splits(frame, tol=1e-10):
+    """Every split of the frame where neither side spans, in the order the driver finds them."""
+    splits = []
+    _first_failures(frame.vectors[None], tol, lambda v, chunk: splits.extend(chunk))
+    return splits
+
+
+def _complement_holds(stack, tol):
+    return [subset is None for subset in _first_failures(stack, tol, _first_subset)]
+
+
 def _assert_matches_the_scan(frame):
     real = frame.field == "real"
     reference = _decisions(
@@ -527,7 +541,7 @@ def _assert_matches_the_scan(frame):
     def library():
         return _decisions(
             frame,
-            list(_deficient_splits(frame, 1e-10, 24, "test")),
+            _deficient_splits(frame),
             fl.complement_property(frame).witness_subset,
             fl.norm_retrieval_certify(frame) if real else None,
         )
@@ -652,8 +666,50 @@ def test_without_a_table_every_split_is_checked():
     frames = [_two_plane(8, seed=8), _repeated_onb(3, 3), fl.gen_random(3, 8, seed=0)]
     with patch("framelab.retrieval._hyperplane_table", lambda v, tol: None), _without_the_lift():
         for frame in frames:
-            splits = _deficient_splits(frame, 1e-10, 24, "test")
-            assert list(splits) == list(deficient_splits_reference(frame))
+            assert _deficient_splits(frame) == list(deficient_splits_reference(frame))
+
+
+def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
+    # 12 atoms in R^3 leave a scan budget of 24 splits.  The first frame fails at
+    # {0..5} | {6..11}, the 7th split of the scan.  The second holds through the table:
+    # its atoms lie on the cone x^2 + y^2 = z^2, so the lift has a kernel, and no two
+    # of its planes cover the atoms.  The third has its even atoms in the x-y plane and
+    # its odd atoms in the y-z plane with z scaled by 1e-8: it spans at the tolerance but
+    # not at 1000 times it, so it has no table and fails in the scan of every split.
+    blocked = np.random.default_rng(0).standard_normal((12, 3))
+    blocked[:6, 2] = 0.0
+    blocked[6:, 0] = 0.0
+    angles = 2 * np.pi * np.arange(12) / 12
+    cone = np.column_stack([np.cos(angles), np.sin(angles), np.ones(12)])
+    flat = _two_plane(12, seed=12).vectors * [1.0, 1.0, 1e-8]
+    frames = [_unit_frame(blocked), _unit_frame(cone), _unit_frame(flat)]
+    stack = np.stack([frame.vectors for frame in frames])
+    assert _scan_budget(12, 3) == 24
+    assert not _lifted_holds(stack, 1e-10).any()
+    assert [_hyperplane_table(frame.vectors, 1e-10) is None for frame in frames] == [False, False, True]
+    decided = {frame.vectors.tobytes(): [] for frame in frames}
+
+    def recording(vs, chunk, tol):
+        for v in vs:
+            decided[v.tobytes()].extend(chunk)
+        return _deficient(vs, chunk, tol)
+
+    with patch("framelab.retrieval._deficient", recording), patch(
+        "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
+    ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
+        found = _first_failures(stack, 1e-10, _first_subset)
+        assert table.call_count == 2 and walk.call_count == 1
+        assert found == [(0, 1, 2, 3, 4, 5), None, (0, 2, 4, 6, 8, 10)]
+        assert found == [complement_property_reference(frame) for frame in frames]
+        # Findings that never stop a frame give every deficient split of each frame,
+        # and the third frame has each split of the scan decided once.
+        for calls in decided.values():
+            calls.clear()
+        splits = {key: [] for key in decided}
+        _first_failures(stack, 1e-10, lambda v, chunk: splits[v.tobytes()].extend(chunk))
+    for frame in frames:
+        assert splits[frame.vectors.tobytes()] == list(deficient_splits_reference(frame))
+    assert decided[flat.tobytes()] == list(complement_pairs(12))
 
 
 def _lift_test_vectors(kind, d, n, rng):
@@ -703,7 +759,7 @@ def test_the_lift_certifies_only_frames_without_a_deficient_split(d, extra, nois
         if certified:
             assert next(deficient_splits_reference(frame, tol), None) is None
     per_frame = [fl.complement_property(frame, tol).holds for frame in frames]
-    assert _complement_holds(stack, tol).tolist() == per_frame
+    assert _complement_holds(stack, tol) == per_frame
 
 
 def test_a_frame_the_scan_fails_is_not_lifted_even_near_the_cutoff():
@@ -718,7 +774,7 @@ def test_a_frame_the_scan_fails_is_not_lifted_even_near_the_cutoff():
     # In a stack with a frame the lift certifies, each keeps its own verdict.
     stack = np.stack([frame.vectors, fl.gen_random(2, 3, seed=0).vectors])
     assert _lifted_holds(stack, tol).tolist() == [False, True]
-    assert _complement_holds(stack, tol).tolist() == [False, True]
+    assert _complement_holds(stack, tol) == [False, True]
 
 
 def test_the_lift_agrees_with_the_reference_lift():
