@@ -401,17 +401,18 @@ def main(argv: list[str] | None = None) -> int:
         if paths:
             watch.lap("load")
         outcome = args.compute(args, [loaded[path][0] for path in paths], watch)
+        digests = {path: digest for path, (_, digest) in loaded.items()}
+        # A report holding a number JSON cannot carry finitely is refused here.
+        text = dumps_canonical(build_report(
+            command, digests, outcome.tolerances, outcome.data, outcome.certificates, watch.result()
+        ))
     except (FramelabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.stdout.write(dumps_canonical({"command": command, "error": str(exc)}))
         return next(code for kind, code in _ERROR_EXIT if isinstance(exc, kind))
     for line in outcome.summary:
         print(line, file=sys.stderr)
-    digests = {path: digest for path, (_, digest) in loaded.items()}
-    report = build_report(
-        command, digests, outcome.tolerances, outcome.data, outcome.certificates, watch.result()
-    )
-    sys.stdout.write(dumps_canonical(report))
+    sys.stdout.write(text)
     return outcome.code
 
 

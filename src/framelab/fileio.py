@@ -42,6 +42,13 @@ def vector_to_json(v: np.ndarray) -> list:
     return [float(x) for x in v]
 
 
+def _number(value: Any) -> float:
+    """A JSON number as a float: TypeError for any other value, a bool included, and OverflowError past float64."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
 def _vector_from_json(entry: list, field: str, dim: int, where: str) -> np.ndarray:
     if not isinstance(entry, list):
         raise ValueError(f"{where}: vector must be a list of {dim} coordinates, got {entry!r}")
@@ -49,12 +56,12 @@ def _vector_from_json(entry: list, field: str, dim: int, where: str) -> np.ndarr
         raise ValueError(f"{where}: expected {dim} coordinates, got {len(entry)}")
     if field == "complex":
         try:
-            return np.array([complex(re, im) for re, im in entry], dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}: complex coordinates must be [re, im] pairs") from exc
+            return np.array([complex(_number(re), _number(im)) for re, im in entry], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{where}: complex coordinates must be [re, im] pairs of numbers") from exc
     try:
-        return np.array([float(x) for x in entry], dtype=float)
-    except (TypeError, ValueError) as exc:
+        return np.array([_number(x) for x in entry], dtype=float)
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{where}: real coordinates must be numbers") from exc
 
 
@@ -90,8 +97,8 @@ def doc_to_frame(doc: dict) -> Frame:
         if not isinstance(entry, dict) or "weight" not in entry or "vector" not in entry:
             raise ValueError(f"atom {k}: each atom needs 'weight' and 'vector'")
         try:
-            weights.append(float(entry["weight"]))
-        except (TypeError, ValueError) as exc:
+            weights.append(_number(entry["weight"]))
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"atom {k}: weight must be a number, got {entry['weight']!r}") from exc
         labels.append(entry.get("label"))
         rows.append(_vector_from_json(entry["vector"], field, dim, f"atom {k}"))

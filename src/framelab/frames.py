@@ -201,10 +201,19 @@ def is_mu_complete(frame: Frame, tol: float = DEFAULT_RANK_TOL) -> bool:
 
 
 def bessel_norm_bound_check(frame: Frame, tol: float = DEFAULT_MATCH_TOL) -> BesselBoundReport:
-    """Check ``max_x ||F(x)|| <= sqrt(B / eta)`` with B the upper frame bound."""
-    upper = frame_bounds(frame).upper
-    bound = float(np.sqrt(upper / frame.space.eta))
-    max_norm = float(np.max(np.linalg.norm(frame.vectors, axis=1)))
+    """Check ``max_x ||F(x)|| <= sqrt(B / eta)`` with B the upper frame bound.
+
+    Both sides are computed from operands scaled by powers of two, which is
+    exact, so neither overflows on the way when its value is finite.
+    """
+    # B / eta = (b / m) 2^(2 half + odd) for the mantissas b and m, so the bound is sqrt((b / m) 2^odd) 2^half.
+    (b, b_exp), (m, m_exp) = np.frexp(frame_bounds(frame).upper), np.frexp(frame.space.eta)
+    half, odd = divmod(int(b_exp - m_exp), 2)
+    _, e = np.frexp(np.abs(frame.vectors).max())
+    norms = np.linalg.norm(frame.vectors * np.ldexp(1.0, -e), axis=1)
+    with np.errstate(over="ignore"):
+        bound = float(np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half))
+        max_norm = float(np.ldexp(np.max(norms), e))
     return BesselBoundReport(bound=bound, max_norm=max_norm, holds=max_norm <= bound + tol * (1.0 + bound))
 
 

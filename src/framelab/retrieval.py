@@ -34,9 +34,9 @@ covering pairs, and only pairs with |H1| + |H2| >= n are tested; with no
 covering pair there is no candidate and both properties hold.  The table
 decides rank with a margin above the tolerance: near the cutoff it lists
 extra candidates, which the rank check drops.  Every split is visited only
-when the pairs to test pass the table's limit or the frame does not span
-with the margin.  The atom count is capped.  The reference scan that checks
-every split, and independent brute-force references, live with the tests.
+when the frame does not span with the margin.  The atom count is capped.
+The reference scan that checks every split, and independent brute-force
+references, live with the tests.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
@@ -165,8 +165,6 @@ _FIRST_CHUNK = 8
 # near the cutoff it lists more candidate splits, never fewer; every candidate
 # is then decided with ``numerical_rank``'s cutoff, as the scan decides it.
 _TABLE_MARGIN = 1e3
-# Most hyperplane pairs the table may test for covering; past it the scan goes on.
-_TABLE_LIMIT = 1 << 16
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
@@ -204,8 +202,12 @@ def _hyperplane_table(v: np.ndarray, tol: float) -> np.ndarray | None:
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
     most C(n, d - 1) of them.  Returns None when the frame does not span
-    with the margin.
+    with the margin.  The frame is first scaled by a power of two, which is
+    exact, so that its largest entry lies in [1/2, 1) and no atom norm
+    overflows.
     """
+    _, exponent = np.frexp(np.abs(v).max())
+    v = v * np.ldexp(1.0, -exponent)  # np.ldexp refuses complex arrays
     if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
         return None
     return _distinct(np.concatenate(list(_hyperplanes(v, tol))))
@@ -228,24 +230,20 @@ def _bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _intervals(table: np.ndarray) -> list[tuple[int, int]] | None:
+def _intervals(table: np.ndarray) -> list[tuple[int, int]]:
     """The intervals [atoms minus H2, H1] over pairs of table hyperplanes with H1 | H2 = atoms.
 
     A subset S holding atom 0 has neither side spanning exactly when it
     lies in such an interval with atom 0 in H1.  A covering pair has
-    |H1| + |H2| >= n, so only those pairs are tested; returns None when they
-    pass the table's limit.
+    |H1| + |H2| >= n, so only those pairs are tested.
     """
     n = table.shape[1]
     sizes = table.sum(axis=1)
     holders = table[:, 0]
-    groups = [(holders & (sizes == s), sizes >= n - s) for s in np.unique(sizes[holders])]
-    if sum(np.count_nonzero(first) * np.count_nonzero(second) for first, second in groups) > _TABLE_LIMIT:
-        return None
     intervals: list[tuple[int, int]] = []
-    for first, second in groups:
-        if second.any():
-            h1, h2 = table[first], table[second]
+    for s in np.unique(sizes[holders]):
+        h1, h2 = table[holders & (sizes == s)], table[sizes >= n - s]
+        if len(h2):
             i, j = _covering(h1, h2).T
             intervals += zip(_bitmasks(~h2[j]), _bitmasks(h1[i]))
     return intervals
@@ -325,16 +323,16 @@ def _table_chunks(v: np.ndarray, tol: float, start: tuple[int, ...]) -> Iterator
 
     The table is built only when the first chunk is asked for; the walk
     goes through its intervals, or through every split from ``start`` on
-    when ``_hyperplane_table`` or ``_intervals`` refuses.  Scan order is
-    tuple order, so those splits are the ones whose S is not below ``start``.
+    when ``_hyperplane_table`` refuses.  Scan order is tuple order, so
+    those splits are the ones whose S is not below ``start``.
     """
     n, d = v.shape
     table = _hyperplane_table(v, tol)
-    intervals = None if table is None else _intervals(table)
-    if intervals is None:
-        yield from _chunks(dropwhile(lambda split: split[0] < start, _complement_pairs(n)), n, d)
+    if table is None:
+        splits = dropwhile(lambda split: split[0] < start, _complement_pairs(n))
     else:
-        yield from _chunks(_walk(n, intervals, start), n, d)
+        splits = _walk(n, _intervals(table), start)
+    yield from _chunks(splits, n, d)
 
 
 def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list[int], np.ndarray]]:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framelab as fl
 from framelab import cli
@@ -293,6 +297,11 @@ def test_missing_file_is_usage_error(capsys):
         ({"weight": 1.0, "vector": 5}, "atom 1: vector must be a list of 2 coordinates"),
         ({"weight": 1.0, "vector": None}, "atom 1: vector must be a list of 2 coordinates"),
         ({"dim": True}, "dim must be a positive integer"),
+        # Only JSON numbers: no strings, no bools, nothing past float64.
+        ({"weight": "2", "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
+        ({"weight": True, "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
+        ({"weight": 2, "vector": [True, "0"]}, "atom 1: real coordinates must be numbers"),
+        ({"weight": 1, "vector": [1.0, 10**400]}, "atom 1: real coordinates must be numbers"),
     ],
 )
 def test_a_malformed_frame_file_is_a_usage_error(doc, message, tmp_path, capsys):
@@ -480,3 +489,138 @@ def test_perturb_certifies_its_output_once(construction, gen_argv, ids, certifie
     assert sum(np.allclose(v, perturbed, rtol=0.0, atol=1e-15) for v in seen) == 1
     (cert,) = json.loads(stdout)["certificates"]
     assert cert["verdict"] == "fails"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_of_a_frame_with_huge_atoms_and_tiny_weights(tmp_path, capsys):
+    # The frame operator is finite (bounds 1e20 and 3e20), but upper / eta = 3e320 is not.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"field": "real", "dim": 2, "atoms": [
+        {"weight": 1e-300, "vector": vector} for vector in ([1e160, 0], [0, 1e160], [1e160, 1e160])
+    ]}))
+    code, stdout, _ = _run(capsys, "bounds", str(path))
+    assert code == 0
+    data = json.loads(stdout)["data"]
+    assert data["upper"] == pytest.approx(3e20)
+    assert data["bessel_bound"] == pytest.approx(3**0.5 * 1e160)
+    assert data["max_vector_norm"] == pytest.approx(2**0.5 * 1e160)
+    assert data["bessel_holds"] is True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_report_that_json_cannot_carry_is_a_usage_error(tmp_path, capsys):
+    # sqrt(B / eta) with B about 1e300 and eta = 5e-324 passes the largest float64.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"field": "real", "dim": 1, "atoms": [
+        {"weight": 1.0, "vector": [1e150]}, {"weight": 5e-324, "vector": [1.0]},
+    ]}))
+    code, stdout, stderr = _run(capsys, "bounds", str(path))
+    assert code == 2
+    assert set(json.loads(stdout)) == {"command", "error"}
+    assert "bounds:" not in stderr and "error:" in stderr
+
+
+# The commands of the exit-code contract, run on every generated frame document.
+_CONTRACT_COMMANDS = (
+    ["bounds"],
+    ["certify", "pr"],
+    ["certify", "nr"],
+    ["alpha", "--iters", "3"],
+    ["sweep", "--lambdas", "0.01,0.5", "--trials", "3"],
+)
+# Replacements that make a valid frame document invalid, by where they go.
+_BAD_WEIGHTS = ("2", True, None, [1.0], {}, 0, -1.0, 10**400, float("nan"), float("inf"))
+_BAD_COORDINATES = ("0", True, None, [], 10**400, float("nan"))
+_BAD_FIELDS = (
+    ("field", "quaternion"), ("field", None), ("dim", 0), ("dim", True), ("dim", "2"),
+    ("dim", 1.5), ("atoms", []), ("atoms", {}), ("atoms", [[1.0, 0.0]]),
+)
+
+
+@st.composite
+def _frame_documents(draw):
+    """A frame document: valid, scaled to extreme magnitudes, with zero atoms, or malformed.
+
+    Returns the document and whether it is malformed.
+    """
+    field = draw(st.sampled_from(["real", "complex"]))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((n, d))
+    if field == "complex":
+        vectors = vectors + 1j * rng.standard_normal((n, d))
+    vectors[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    vectors *= draw(st.sampled_from([1.0, 1e300, 1e-300, 1e160]))
+    weights = rng.uniform(0.1, 2.0, size=n)
+    doc = fl.frame_to_doc(fl.Frame(fl.make_atomic(weights), vectors))
+    malformed = draw(st.sampled_from(["", "", "", "", "weight", "coordinate", "atom", "field"]))
+    k = draw(st.integers(0, n - 1))
+    if malformed == "weight":
+        doc["atoms"][k]["weight"] = draw(st.sampled_from(_BAD_WEIGHTS))
+    elif malformed == "coordinate":
+        bad = draw(st.sampled_from(_BAD_COORDINATES))
+        j = draw(st.integers(0, d - 1))
+        if field == "complex":
+            doc["atoms"][k]["vector"][j][draw(st.integers(0, 1))] = bad
+        else:
+            doc["atoms"][k]["vector"][j] = bad
+    elif malformed == "atom":
+        doc["atoms"][k] = draw(st.sampled_from([None, 1.0, {"weight": 1.0}, {"vector": [0.0] * d}]))
+    elif malformed == "field":
+        key, value = draw(st.sampled_from(_BAD_FIELDS))
+        doc[key] = value
+    return doc, bool(malformed)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"stdout holds the non-JSON number {name}")
+
+
+def _witness_reverifies(doc: dict, cert: dict) -> bool:
+    """Whether a ``fails`` certificate's two vectors have equal magnitudes on every atom, in plain numpy.
+
+    A phase retrieval witness must not be equal up to a unimodular factor;
+    a norm retrieval witness (u, w) stands for u + w and u - w, whose norms
+    must differ.
+    """
+    if doc["field"] == "complex":
+        rows = np.array([[complex(*z) for z in atom["vector"]] for atom in doc["atoms"]])
+        x, y = (np.array([complex(*z) for z in v]) for v in cert["witness_vectors"])
+    else:
+        rows = np.array([atom["vector"] for atom in doc["atoms"]])
+        x, y = (np.array(v) for v in cert["witness_vectors"])
+    largest = np.abs(rows).max()
+    rows = rows / largest if largest > 0 else rows
+    if cert["method"] == "nr-nullspace-orthogonality":
+        x, y = x + y, x - y
+        differ = abs(np.linalg.norm(x) - np.linalg.norm(y)) > 1e-8
+    else:
+        differ = np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2 - 2 * abs(np.vdot(y, x)) > 1e-8
+    scale = np.linalg.norm(rows, axis=1) * max(np.linalg.norm(x), np.linalg.norm(y))
+    return bool(differ and np.all(np.abs(np.abs(rows @ x.conj()) - np.abs(rows @ y.conj())) <= 1e-8 * scale))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(case=_frame_documents())
+def test_every_command_keeps_the_exit_code_contract(case, tmp_path_factory):
+    doc, malformed = case
+    path = tmp_path_factory.mktemp("contract") / "frame.json"
+    path.write_text(json.dumps(doc))
+    for command in _CONTRACT_COMMANDS:
+        runs = []
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, str(path)])
+            runs.append((code, out.getvalue(), err.getvalue()))
+        assert runs[0] == runs[1], command
+        code, stdout, stderr = runs[0]
+        assert code in (0, 1, 2, 3), (command, code, stdout)
+        assert code == 2 or not malformed, (command, stdout)
+        report = json.loads(stdout, parse_constant=_reject_constant)
+        assert "Traceback" not in stderr
+        if code == 1:
+            assert report["data"]["verdict"] == "fails"
+            (cert,) = report["certificates"]
+            assert cert["verdict"] == "fails" and _witness_reverifies(doc, cert), (command, report)

@@ -63,7 +63,7 @@ def test_doc_validation_messages(tmp_path):
         fl.doc_to_frame(doc)
     with pytest.raises(ValueError):
         fl.doc_to_frame({"field": "real", "dim": 2, "atoms": []})
-    for weight in (None, [1.0], {"w": 1.0}):
+    for weight in (None, [1.0], {"w": 1.0}, "2", True, False, 10**400):
         doc = fl.frame_to_doc(frame)
         doc["atoms"][1]["weight"] = weight
         with pytest.raises(ValueError, match="atom 1: weight must be a number"):
@@ -73,6 +73,22 @@ def test_doc_validation_messages(tmp_path):
         doc["atoms"][1]["vector"] = vector
         with pytest.raises(ValueError, match="atom 1: vector must be a list of 2 coordinates"):
             fl.doc_to_frame(doc)
+    # Only JSON numbers are coordinates: no strings, no bools, nothing past float64.
+    for coordinate in ("0", True, None, 10**400):
+        doc = fl.frame_to_doc(frame)
+        doc["atoms"][1]["vector"][0] = coordinate
+        with pytest.raises(ValueError, match="atom 1: real coordinates must be numbers"):
+            fl.doc_to_frame(doc)
+    complex_frame = fl.gen_random(2, 2, seed=0, field="complex")
+    for part in ("0", True, None, 10**400):
+        for k in (0, 1):
+            doc = fl.frame_to_doc(complex_frame)
+            doc["atoms"][1]["vector"][0][k] = part
+            with pytest.raises(ValueError, match=r"atom 1: complex coordinates must be \[re, im\] pairs"):
+                fl.doc_to_frame(doc)
+    doc = fl.frame_to_doc(fl.gen_onb(2))
+    doc["atoms"][1] = {"weight": 3, "vector": [0, -2]}
+    assert fl.doc_to_frame(doc).vectors.tolist() == [[1.0, 0.0], [0.0, -2.0]]
     # A bool is an int to Python, and True would read as dimension 1.
     doc = fl.frame_to_doc(fl.gen_onb(1))
     doc["dim"] = True

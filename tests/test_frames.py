@@ -253,6 +253,29 @@ def test_bessel_bound_with_tiny_weight():
     assert report.holds
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(1, 6),
+    field=st.sampled_from(["real", "complex"]),
+    decades=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bessel_check_scales_exactly(d, n, field, decades, seed):
+    # Power-of-two scaling gives the plain formulas bit for bit wherever they stay in the normal range.
+    rng = np.random.default_rng(seed)
+    frame = fl.gen_random(d, n, seed=seed, field=field)
+    frame = fl.Frame(fl.make_atomic(rng.uniform(0.1, 2.0, size=n)), frame.vectors * 10.0**decades)
+    report = fl.bessel_norm_bound_check(frame)
+    with np.errstate(over="ignore", under="ignore"):
+        bound = float(np.sqrt(fl.frame_bounds(frame).upper / frame.space.eta))
+        max_norm = float(np.max(np.linalg.norm(frame.vectors, axis=1)))
+    if abs(decades) < 100:
+        assert (report.bound, report.max_norm) == (bound, max_norm)
+    assert np.isfinite(report.bound) and np.isfinite(report.max_norm) and report.holds
+
+
 def test_lipschitz_holds_on_random_pairs():
     frame = fl.gen_mercedes()
     rng = np.random.default_rng(5)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import framelab as fl
 from framelab.retrieval import (
     _BATCH_ENTRIES,
-    _TABLE_LIMIT,
     _deficient,
     _first_failures,
     _first_subset,
@@ -634,20 +633,42 @@ def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
         assert cert.witness_subset == complement_property_reference(frame)
 
 
-def test_tables_past_the_limit_are_not_built():
-    # The limit bounds only the hyperplane pairs to test, not the atom subsets:
-    # this frame's table holds all C(22, 6) of its hyperplanes, and no two of
+def test_a_table_without_covering_pairs_is_walked_once():
+    # This frame's table holds all C(22, 6) of its hyperplanes, and no two of
     # them are large enough to cover the atoms, so its walk visits no split.
     frame = fl.gen_random(7, 22)
     table = _hyperplane_table(frame.vectors, 1e-10)
-    assert len(table) == comb(22, 6) > _TABLE_LIMIT
+    assert len(table) == comb(22, 6)
     assert _intervals(table) == []
     with patch("framelab.retrieval._walk", wraps=_walk) as walk:
         assert fl.complement_property(frame).holds
     walk.assert_called_once()
-    # Every pair of 300 hyperplanes holding atom 0 would be tested.
-    assert 300 * 300 > _TABLE_LIMIT
-    assert _intervals(np.ones((300, 24), dtype=bool)) is None
+
+
+def test_a_table_with_many_covering_candidates_decides_through_its_walk():
+    # 18 atoms in R^8: 128,400 hyperplane pairs are tested for covering.  With no
+    # split checked before the table, the first failure comes from its walk.
+    product = fl.tensor_product(fl.gen_random(2, 3, seed=0), fl.gen_random(4, 6, seed=10)).product
+    with patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
+        "framelab.retrieval._walk", wraps=_walk
+    ) as walk:
+        cert = fl.complement_property(product)
+    walk.assert_called_once()
+    assert cert.witness_subset == tuple(range(9)) == complement_property_reference(product)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
+    # The squared norms of these atoms overflow float64 unless the table scales the frame first.
+    for frame in (fl.gen_random(3, 5), _two_plane(8, seed=8), _repeated_onb(3, 3)):
+        huge = frame.with_vectors(frame.vectors * scale)
+        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10), _hyperplane_table(frame.vectors, 1e-10))
+        for budget in (_scan_budget, lambda n, d: 0):
+            with patch("framelab.retrieval._scan_budget", budget):
+                assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
+                assert fl.phase_retrieval_certify(huge).verdict == fl.phase_retrieval_certify(frame).verdict
+                assert fl.norm_retrieval_certify(huge).verdict == fl.norm_retrieval_certify(frame).verdict
 
 
 def test_building_the_table_makes_no_rank_decision(monkeypatch):
