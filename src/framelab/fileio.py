@@ -100,7 +100,10 @@ def doc_to_frame(doc: dict) -> Frame:
             weights.append(_number(entry["weight"]))
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"atom {k}: weight must be a number, got {entry['weight']!r}") from exc
-        labels.append(entry.get("label"))
+        label = entry.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"atom {k}: label must be a string, got {label!r}")
+        labels.append(label)
         rows.append(_vector_from_json(entry["vector"], field, dim, f"atom {k}"))
     space = make_atomic(weights, labels)
     vectors = np.vstack(rows)

@@ -33,6 +33,7 @@ from ._linalg import (
 from .errors import FramelabError
 from .frames import Frame, FrameBounds, _require_finite, frame_bounds, magnitudes
 from .retrieval import (
+    _BATCH_ENTRIES,
     FAILS,
     HOLDS,
     Certificate,
@@ -71,6 +72,11 @@ class SweepPoint:
     failures: int
 
 
+def _require_finite_epsilon(epsilon: float) -> None:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+
+
 def _validate_subset(ids: Sequence[int], n: int, name: str) -> tuple[int, ...]:
     subset = tuple(sorted(set(int(i) for i in ids)))
     if not subset:
@@ -98,6 +104,7 @@ def break_phase_retrieval(
     ``epsilon`` for the construction to apply; the perturbed frame's
     certificate must fail.
     """
+    _require_finite_epsilon(epsilon)
     n, d = frame.n_atoms, frame.dim
     head_ids = _validate_subset(head, n, "head")
     tail_ids = [i for i in range(n) if i not in set(head_ids)]
@@ -172,6 +179,7 @@ def break_norm_retrieval(
     retrieval demands.  Requires ``0 <= epsilon < 2 sqrt(A)`` so the result
     is still a frame; for ``epsilon > 0`` its certificate must fail.
     """
+    _require_finite_epsilon(epsilon)
     if frame.field != "real":
         raise ValueError("the norm retrieval perturbation is only defined over the real field")
     n, d = frame.n_atoms, frame.dim
@@ -267,12 +275,15 @@ def stability_sweep(
     perturbation norm stays below ``lam``) and counts how many perturbed
     frames lose phase retrieval.  Trial ``t`` draws its direction field once,
     from the seed pair ``(seed, t)``, and every radius scales that field.
-    The input must be a real frame that does phase retrieval.  All
-    ``len(lambdas) * trials`` perturbed frames form one real stack, which
-    goes through the driver of ``complement_property``: the lift and the
-    scan budget decide every trial at once, and the trials still open go on
-    frame by frame through the hyperplane table.  Each verdict is the one
-    ``phase_retrieval_certify`` gives that perturbed frame.
+    The input must be a real frame that does phase retrieval, with at
+    least one radius and one trial.  The perturbed frames are built and
+    certified in blocks of trials, every radius of a trial in its block,
+    each block of at most the batch size in entries (at least one trial).
+    A block's frames form one real stack, which goes through the driver of
+    ``complement_property``: the lift and the scan budget decide the stack
+    at once, and the frames still open go on one by one through the
+    hyperplane table.  Each verdict is the one ``phase_retrieval_certify``
+    gives that perturbed frame, so the counts do not depend on the blocks.
     """
     if complement_property(frame, tol, cap).verdict != HOLDS or frame.field != "real":
         raise ValueError("stability sweep needs a phase retrieval frame to start from")
@@ -280,20 +291,27 @@ def stability_sweep(
     ascending = all(a <= b for a, b in zip(lams, lams[1:]))
     if not (all(math.isfinite(l) and l >= 0 for l in lams) and ascending):
         raise ValueError("lambdas must be finite, nonnegative and ascending")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
+    if not lams:
+        raise ValueError("lambdas must hold at least one radius")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
 
     n, d = frame.n_atoms, frame.dim
-    directions = np.empty((trials, n, d))
-    radii = np.empty((trials, n, 1))
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        field = rng.standard_normal((n, d))
-        directions[t] = field / np.linalg.norm(field, axis=1, keepdims=True)
-        radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
-    # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
-    stack = frame.vectors + np.array(lams)[:, None, None, None] * directions * radii
-    _require_finite(stack)
-    witnesses = _first_failures(stack.reshape(-1, n, d), tol, _first_subset)
-    failures = np.array([w is not None for w in witnesses], dtype=bool).reshape(len(lams), trials).sum(axis=1)
+    scales = np.array(lams)[:, None, None, None]
+    block = max(1, _BATCH_ENTRIES // (len(lams) * n * d))
+    failures = np.zeros(len(lams), dtype=int)
+    for lo in range(0, trials, block):
+        count = min(block, trials - lo)
+        directions = np.empty((count, n, d))
+        radii = np.empty((count, n, 1))
+        for t in range(count):
+            rng = np.random.default_rng((seed, lo + t))
+            field = rng.standard_normal((n, d))
+            directions[t] = field / np.linalg.norm(field, axis=1, keepdims=True)
+            radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
+        # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
+        stack = frame.vectors + scales * directions * radii
+        _require_finite(stack)
+        witnesses = _first_failures(stack.reshape(-1, n, d), tol, _first_subset)
+        failures += np.array([w is not None for w in witnesses]).reshape(len(lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

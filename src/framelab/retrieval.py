@@ -38,9 +38,20 @@ when the frame does not span with the margin.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
+Norm retrieval first tries the frame's flats on that table, before any
+split is walked.  They are the intersections of covering rows whose
+complement lies in a covering row: 14 for a repeated orthonormal basis of
+R^4, however many copies it holds, while its deficient splits grow
+exponentially.  When every table and flat decision clears its cutoff by
+the table's margin, and each flat's null space is orthogonal to its
+complement's with that margin too, every split passes and the frame holds
+with no split walked; ``_flats_hold`` carries the argument and its
+assumptions.  This test can only answer ``holds``: any other frame is
+walked as before, so every failure and its witness come from the walk.
+
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
-one, and the perturbed frames of a sweep form one stack.  The lift tests
+one, and the perturbed frames of a sweep form stacks.  The lift tests
 the whole stack in one stacked SVD.  Each chunk of the scan budget is then
 decided at once for every frame still open, and the frames still open after
 the budget go on frame by frame through the table, from the first split past
@@ -174,14 +185,21 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[np.ndarray]:
+def _outside_band(x: np.ndarray, scale: np.ndarray, tol: float) -> bool:
+    """Whether no ratio ``x / scale`` lies in the band (tol / M, M tol], M = ``_TABLE_MARGIN``."""
+    return not np.any((x > tol / _TABLE_MARGIN * scale) & (x <= _TABLE_MARGIN * tol * scale))
+
+
+def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[tuple[np.ndarray, bool]]:
     """Yield, batch by batch, the closures of the independent (d - 1)-subsets of rows as boolean rows.
 
     A subset is independent when its smallest singular value clears
     ``tol * sigma_max``.  An atom lies in its closure when the atom's
     distance to their span is at most ``_TABLE_MARGIN * tol`` times the
     larger of ``sigma_max`` and the atom's norm, so exact zero atoms lie in
-    every hyperplane.  Rows repeat only across batches.
+    every hyperplane.  Rows repeat only across batches.  With each batch
+    comes whether all its ratios, sigma_min / sigma_max and the membership
+    ratios of the independent subsets, lie outside ``_outside_band``'s band.
     """
     n, d = v.shape
     r = d - 1
@@ -189,28 +207,37 @@ def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[np.ndarray]:
     subsets = combinations(range(n), r)
     while batch := list(islice(subsets, max(1, _BATCH_ENTRIES // (n * d)))):
         _, s, vh = np.linalg.svd(v[np.array(batch, dtype=np.intp).reshape(len(batch), r)])
+        clear = True
         if r:
+            clear = _outside_band(s[:, -1], s[:, 0], tol)
             independent = s[:, -1] > tol * s[:, 0]
             s, vh = s[independent], vh[independent]
         top = s[:, :1] if r else np.zeros((len(vh), 1))
         distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
-        yield _distinct(distance <= _TABLE_MARGIN * tol * np.maximum(top, norms))
+        scale = np.maximum(top, norms)
+        yield _distinct(distance <= _TABLE_MARGIN * tol * scale), clear and _outside_band(distance, scale, tol)
 
 
-def _hyperplane_table(v: np.ndarray, tol: float) -> np.ndarray | None:
-    """The frame's distinct hyperplanes, as boolean rows, with the table's margin.
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """``v`` times the power of two that puts its largest entry in [1/2, 1); the scaling is exact."""
+    _, exponent = np.frexp(np.abs(v).max())
+    return v * np.ldexp(1.0, -exponent)  # np.ldexp refuses complex arrays
+
+
+def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | None:
+    """The frame's distinct hyperplanes, as boolean rows, with the table's margin, and whether its decisions clear the band.
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
     most C(n, d - 1) of them.  Returns None when the frame does not span
-    with the margin.  The frame is first scaled by a power of two, which is
-    exact, so that its largest entry lies in [1/2, 1) and no atom norm
-    overflows.
+    with the margin; a frame that does has sigma_d / sigma_1 > M tol, above
+    the band.  The frame is first scaled by a power of two, so that no atom
+    norm overflows.
     """
-    _, exponent = np.frexp(np.abs(v).max())
-    v = v * np.ldexp(1.0, -exponent)  # np.ldexp refuses complex arrays
+    v = _scaled(v)
     if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
         return None
-    return _distinct(np.concatenate(list(_hyperplanes(v, tol))))
+    batches = list(_hyperplanes(v, tol))
+    return _distinct(np.concatenate([rows for rows, _ in batches])), all(clear for _, clear in batches)
 
 
 def _covering(rows: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
@@ -249,6 +276,11 @@ def _intervals(table: np.ndarray) -> list[tuple[int, int]]:
     return intervals
 
 
+def _atoms(mask: int, n: int) -> tuple[int, ...]:
+    """The atoms whose bits are set in ``mask``, in order."""
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> Iterator[_Split]:
     """Yield the splits {S, complement} in scan order from S = ``start`` on, S in the union of the intervals.
 
@@ -259,10 +291,7 @@ def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> I
     full = (1 << n) - 1
 
     def members(mask: int) -> _Split:
-        return (
-            tuple(i for i in range(n) if mask >> i & 1),
-            tuple(i for i in range(n) if not mask >> i & 1),
-        )
+        return _atoms(mask, n), _atoms(full ^ mask, n)
 
     def visit(mask: int, last: int, alive: list[tuple[int, int]], rest: tuple[int, ...] | None):
         # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``;
@@ -279,6 +308,107 @@ def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> I
                 return
 
     yield from visit(1, 0, intervals, start[1:])
+
+
+def _flats(n: int, rows: set[int]) -> list[int]:
+    """The intersections of ``rows`` whose complement lies in one of them, as bitmasks in increasing order.
+
+    They are found level by level, one more row at a time.  A set whose
+    complement lies in no row is dropped with everything below it, whose
+    complements are larger.
+    """
+    full = (1 << n) - 1
+
+    def fits(mask: int) -> bool:
+        return any(mask | row == full for row in rows)
+
+    found = {row for row in rows if fits(row)}
+    level = found
+    while level:
+        level = {f for f in {a & row for a in level for row in rows} - found if fits(f)}
+        found |= level
+    return sorted(found)
+
+
+def _null_spaces_in_band(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray | None]:
+    """The null space of each side's rows at ``numerical_rank``'s cutoff, as orthonormal rows, or None.
+
+    None marks a side with a singular-value ratio sigma_j / sigma_1 inside
+    ``_outside_band``'s band.  One stacked SVD per side size.
+    """
+    bases: list[np.ndarray | None] = [None] * len(sides)
+    for members, rows in _stacks(sides):
+        _, s, vh = np.linalg.svd(v.take(rows, axis=0))
+        top = s[:, :1]
+        ranks = np.count_nonzero(s > tol * top, axis=1).tolist()
+        for i, sk, topk, rank, h in zip(members, s, top, ranks, vh):
+            if _outside_band(sk, topk, tol):
+                bases[i] = h[rank:]
+    return bases
+
+
+def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ortho_tol: float) -> bool:
+    """Whether the frame's flats prove that every split the walk would test passes the norm retrieval test.
+
+    ``intervals`` are the covering pairs of the frame's table, built with
+    every decision outside the band.  The test can only answer ``holds``:
+    False sends the frame on to the walk, on the same table.
+
+    The flats.  Take a split {S, S^c} where neither side spans.  The walk
+    rests on S lying in a table row H1 and S^c in a row H2, with
+    H1 | H2 = E, the atoms.  Let F be the intersection of the rows that hold
+    S, the table's closure of S.  Each such row covers E with H2, so it is
+    a covering row, and E minus F lies in S^c, so in the covering row H2.
+    ``_flats`` lists every intersection of covering rows whose complement
+    lies in a covering row, so F is among them.
+
+    Exact argument.  In exact arithmetic F is the closure of S, so V_F and
+    V_S span the same space and null(F) = null(S), while E minus F lies in
+    S^c, so null(S^c) lies in null(E minus F).  For orthonormal bases L and
+    R of null(S) and null(S^c), each entry of L^T R is at most
+    |P_null(S) P_null(S^c)|_2 <= |P_null(F) P_null(E minus F)|_2 =
+    |L_F^T R_(E minus F)|_2.  So when each listed F has that overlap at most
+    ``ortho_tol``, every split passes the scan's max-entry test.  (Exactly,
+    the hyperplanes alone would do: null(F) is spanned by the normals of
+    the hyperplanes through F.  The lower flats are tested as well, so that
+    no overlap is inferred through a sum of nearly dependent normals.)
+
+    Floating point.  The scan, the table and this test each decide
+    numerical ranks, so the argument is applied only when every decision
+    clears its cutoff by the factor M = ``_TABLE_MARGIN``: no
+    (d - 1)-subset's sigma_min / sigma_max and no atom's membership ratio
+    (both checked in the table's batched SVDs), and no singular-value ratio
+    sigma_j / sigma_1 of a listed flat or of its complement, lies in
+    (tol / M, M tol]; the frame's own sigma_d / sigma_1 exceeds M tol, or
+    it would have no table.  Each flat and each complement must have a null
+    space, no row may hold every atom, and each overlap must be at most
+    ``ortho_tol`` / M.  The assumption, which is not a theorem, is that a
+    frame whose every decision clears the band has the rank structure of
+    its table, so that the scan's null spaces of S and S^c lie within the
+    rest of ``ortho_tol`` of those of F and of a superset of E minus F.
+    It also assumes that LAPACK's singular values are those of a matrix
+    within a few hundred eps of the input, relative to its norm, where
+    LAPACK itself promises an unstated modest polynomial in the sizes; the
+    rounding then lies below the band's lower edge tol / M for the default
+    tolerance.  At tol = 0 the band is empty and protects nothing, so no
+    frame is certified here.  ``tests/test_retrieval.py`` checks the
+    verdicts against the reference scan on near-tolerance and
+    near-orthogonal frames.
+    """
+    n = v.shape[0]
+    full = (1 << n) - 1
+    rows = {high for _, high in intervals} | {full ^ low for low, _ in intervals}
+    if not tol > 0 or full in rows:
+        return False
+    flats = _flats(n, rows)
+    sides = [_atoms(f, n) for f in flats] + [_atoms(full ^ f, n) for f in flats]
+    bases = _null_spaces_in_band(_scaled(v), sides, tol)
+    for left, right in zip(bases[: len(flats)], bases[len(flats) :]):
+        if left is None or right is None or not len(left) or not len(right):
+            return False
+        if np.linalg.norm(left @ right.T, 2) > ortho_tol / _TABLE_MARGIN:
+            return False
+    return True
 
 
 def _complement_pairs(n: int) -> Iterator[_Split]:
@@ -318,20 +448,28 @@ def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
         size = min(2 * size, limit)
 
 
-def _table_chunks(v: np.ndarray, tol: float, start: tuple[int, ...]) -> Iterator[list[_Split]]:
+def _table_chunks(
+    v: np.ndarray, tol: float, start: tuple[int, ...], ortho_tol: float | None = None
+) -> Iterator[list[_Split]]:
     """Yield, in scan order and chunk by chunk, a superset of the splits from S = ``start`` on where neither side spans.
 
     The table is built only when the first chunk is asked for; the walk
     goes through its intervals, or through every split from ``start`` on
     when ``_hyperplane_table`` refuses.  Scan order is tuple order, so
-    those splits are the ones whose S is not below ``start``.
+    those splits are the ones whose S is not below ``start``.  Given an
+    ``ortho_tol``, a frame whose flats prove norm retrieval at it
+    (``_flats_hold``) yields nothing.
     """
     n, d = v.shape
     table = _hyperplane_table(v, tol)
     if table is None:
         splits = dropwhile(lambda split: split[0] < start, _complement_pairs(n))
     else:
-        splits = _walk(n, _intervals(table), start)
+        rows, clear = table
+        intervals = _intervals(rows)
+        if ortho_tol is not None and clear and _flats_hold(v, intervals, tol, ortho_tol):
+            return
+        splits = _walk(n, intervals, start)
     yield from _chunks(splits, n, d)
 
 
@@ -442,7 +580,9 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]
 
 
-def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]) -> list[Any]:
+def _first_failures(
+    vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any], ortho_tol: float | None = None
+) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
     ``fails(v, splits)`` gets one frame's splits where neither side spans,
@@ -452,7 +592,9 @@ def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, lis
     still open, in blocks of frames that keep one stacked step within the
     batch size.  The frames still open then go on one by one through the
     table from the first split past the budget, so no split of a frame is
-    decided twice, and every frame gets the findings it gets alone.
+    decided twice, and every frame gets the findings it gets alone.  Norm
+    retrieval passes its ``ortho_tol``: a frame whose flats prove it at the
+    table stage then gets None with no split walked (``_flats_hold``).
     """
     k, n, d = vs.shape
     found: list[Any] = [None] * k
@@ -472,7 +614,7 @@ def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, lis
     if start is None:
         return found
     for i in np.flatnonzero(open_).tolist():
-        for chunk in _table_chunks(vs[i], tol, start[0]):
+        for chunk in _table_chunks(vs[i], tol, start[0], ortho_tol):
             splits = list(compress(chunk, _deficient(vs[i : i + 1], chunk, tol)[0]))
             if splits and (finding := fails(vs[i], splits)) is not None:
                 found[i] = finding
@@ -713,7 +855,7 @@ def norm_retrieval_certify(
                 return Certificate(FAILS, method, frame.field, witness_subset=s, witness_vectors=pair)
         return None
 
-    found = _first_failures(frame.vectors[None], rank_tol, overlapping)[0]
+    found = _first_failures(frame.vectors[None], rank_tol, overlapping, tol)[0]
     return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
 
 

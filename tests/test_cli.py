@@ -224,6 +224,50 @@ def test_sweep_blames_non_finite_lambdas_not_the_frame(tmp_path, capsys, lambdas
     assert "frame vectors" not in stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--lambdas", "0.01", "--trials", "0"], "trials must be at least 1"),
+    (["--lambdas", "", "--trials", "4"], "lambdas must hold at least one radius"),
+    (["--lambdas", ",", "--trials", "4"], "lambdas must hold at least one radius"),
+])
+def test_sweep_refuses_a_sweep_with_no_trial_or_no_radius(argv, message, tmp_path, capsys):
+    merc = tmp_path / "m.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+    code, stdout, stderr = _run(capsys, "sweep", str(merc), *argv)
+    assert code == 2
+    assert json.loads(stdout)["error"] == message
+    assert message in stderr
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("gen_argv, perturb_argv", [
+    (["onb", "--dim", "2"], ["break-nr", "--subset", "0"]),
+    (["deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "3", "--seed", "1"], ["break-pr", "--head", "0,1,2"]),
+])
+def test_perturb_refuses_a_non_finite_epsilon(gen_argv, perturb_argv, eps, tmp_path, capsys):
+    src = tmp_path / "f.json"
+    _run(capsys, "gen", *gen_argv, "-o", str(src))
+    construction, *ids = perturb_argv
+    code, stdout, _ = _run(capsys, "perturb", construction, str(src), *ids, f"--eps={eps}", "-o", str(tmp_path / "p.json"))
+    assert code == 2
+    assert json.loads(stdout)["error"] == f"epsilon must be finite, got {float(eps)}"
+    assert not (tmp_path / "p.json").exists()
+
+
+def test_tensor_keeps_string_labels_and_refuses_others(tmp_path, capsys):
+    doc = fl.frame_to_doc(fl.gen_onb(2))
+    doc["atoms"][0]["label"] = "a"
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "t.json"
+    good.write_text(json.dumps(doc))
+    code, _, _ = _run(capsys, "tensor", str(good), str(good), "-o", str(out))
+    assert code == 0
+    assert [atom.get("label") for atom in json.loads(out.read_text())["atoms"]] == ["(a,a)", None, None, None]
+    doc["atoms"][1]["label"] = True
+    bad.write_text(json.dumps(doc))
+    code, stdout, _ = _run(capsys, "tensor", str(bad), str(bad), "-o", str(out))
+    assert code == 2
+    assert json.loads(stdout)["error"] == "atom 1: label must be a string, got True"
+
+
 def test_tensor_command_with_pr_check(tmp_path, capsys):
     merc = tmp_path / "m.json"
     out = tmp_path / "t.json"
@@ -302,6 +346,11 @@ def test_missing_file_is_usage_error(capsys):
         ({"weight": True, "vector": [1.0, 0.0]}, "atom 1: weight must be a number"),
         ({"weight": 2, "vector": [True, "0"]}, "atom 1: real coordinates must be numbers"),
         ({"weight": 1, "vector": [1.0, 10**400]}, "atom 1: real coordinates must be numbers"),
+        # A label is a string, or absent or null.
+        ({"weight": 1.0, "vector": [1.0, 0.0], "label": True}, "atom 1: label must be a string"),
+        ({"weight": 1.0, "vector": [1.0, 0.0], "label": 5}, "atom 1: label must be a string"),
+        ({"weight": 1.0, "vector": [1.0, 0.0], "label": [1, 2]}, "atom 1: label must be a string"),
+        ({"weight": 1.0, "vector": [1.0, 0.0], "label": {"a": 1}}, "atom 1: label must be a string"),
     ],
 )
 def test_a_malformed_frame_file_is_a_usage_error(doc, message, tmp_path, capsys):
@@ -440,13 +489,15 @@ def _readme_commands() -> list[list[str]]:
 
 
 def test_readme_commands_run_in_order(tmp_path, capsys, monkeypatch):
+    # Every line of the README's command block, in a fresh directory: each exits 0 with one JSON report.
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
-    assert len(commands) >= 10
+    assert len(commands) == 13
     for argv in commands:
         assert argv[0] == "framelab"
         code, stdout, _ = _run(capsys, *argv[1:])
-        assert code in (0, 1), f"{shlex.join(argv)} exited {code}: {stdout}"
+        assert code == 0, f"{shlex.join(argv)} exited {code}: {stdout}"
+        assert json.loads(stdout, parse_constant=_reject_constant)["command"] == shlex.join(argv)
 
 
 @pytest.mark.parametrize("argv", [

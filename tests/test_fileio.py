@@ -86,6 +86,15 @@ def test_doc_validation_messages(tmp_path):
             doc["atoms"][1]["vector"][0][k] = part
             with pytest.raises(ValueError, match=r"atom 1: complex coordinates must be \[re, im\] pairs"):
                 fl.doc_to_frame(doc)
+    # A label is a string, or absent or null; tensor products would print any other value's repr.
+    for label in (True, 5, 1.5, [1, 2], {"a": 1}):
+        doc = fl.frame_to_doc(frame)
+        doc["atoms"][1]["label"] = label
+        with pytest.raises(ValueError, match="atom 1: label must be a string"):
+            fl.doc_to_frame(doc)
+    doc = fl.frame_to_doc(frame)
+    doc["atoms"][0]["label"], doc["atoms"][1]["label"] = "x", None
+    assert [atom.label for atom in fl.doc_to_frame(doc).space.atoms] == ["x", None]
     doc = fl.frame_to_doc(fl.gen_onb(2))
     doc["atoms"][1] = {"weight": 3, "vector": [0, -2]}
     assert fl.doc_to_frame(doc).vectors.tolist() == [[1.0, 0.0], [0.0, -2.0]]

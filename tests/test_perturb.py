@@ -358,11 +358,47 @@ def test_stability_sweep_refuses_a_complex_frame_without_alpha(monkeypatch):
         fl.stability_sweep(frame, [0.01], trials=2, cap=8)
 
 
-def test_stability_sweep_zero_trials_is_vacuously_preserved():
-    points = fl.stability_sweep(fl.gen_mercedes(), [0.5], trials=0)
-    assert len(points) == 1
-    assert points[0].all_preserved
-    assert points[0].failures == 0
+def test_stability_sweep_refuses_zero_trials_and_no_radii():
+    # Zero trials or no radius would report "all preserved" from no evidence.
+    frame = fl.gen_mercedes()
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            fl.stability_sweep(frame, [0.5], trials=trials)
+    with pytest.raises(ValueError, match="lambdas must hold at least one radius"):
+        fl.stability_sweep(frame, [], trials=3)
+
+
+def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
+    # A stand-in verdict that fails about half the perturbed frames, each by its own rows,
+    # so that counts over blocks can differ from the counts over one stack.
+    frame, lambdas, trials = fl.gen_random(3, 5, seed=3), [0.01, 0.1, 0.3], 11
+    stacks = []
+
+    def by_rows(stack, *args, **kwargs):
+        stacks.append(stack.shape)
+        return [() if rows[0, 0] > frame.vectors[0, 0] else None for rows in stack]
+
+    monkeypatch.setattr("framelab.perturb._first_failures", by_rows)
+    whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
+    assert stacks == [(33, 5, 3)] and 0 < sum(whole) < 33
+    # A trial takes 45 entries, so a block of 200 holds four trials: 12 frames, then 12, then 9.
+    stacks.clear()
+    monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 200)
+    assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
+    assert stacks == [(12, 5, 3), (12, 5, 3), (9, 5, 3)]
+    # A block holds at least one trial, whatever the batch size.
+    stacks.clear()
+    monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 1)
+    assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
+    assert stacks == [(3, 5, 3)] * 11
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+def test_the_constructions_refuse_a_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        fl.break_norm_retrieval(fl.gen_onb(2), [0], epsilon)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        fl.break_phase_retrieval(fl.gen_deficient_plus_tail(3, 2, 3, seed=0), [0, 1, 2], epsilon)
 
 
 def test_break_nr_carries_the_perturbed_certificate():

@@ -10,11 +10,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
+from framelab._linalg import annihilator
 from framelab.retrieval import (
     _BATCH_ENTRIES,
+    _bitmasks,
     _deficient,
     _first_failures,
     _first_subset,
+    _flats,
+    _flats_hold,
     _hyperplane_table,
     _intervals,
     _lift_cutoff,
@@ -568,9 +572,16 @@ def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
 
 
 def _coincident_frame(kind, d, n, rng):
-    """A frame with exact rank coincidences: repeated atoms, coordinate-plane atoms or two planes."""
+    """A frame with exact rank coincidences: repeated atoms, coordinate-plane atoms, two planes or a repeated ONB.
+
+    A rotated ONB is turned by a random orthogonal matrix, so its table and
+    null spaces come from SVDs with rounding error.
+    """
     if kind == "two-plane":
         return _two_plane(n, int(rng.integers(2**31))).vectors
+    if kind in ("onb", "rotated-onb"):
+        vectors = np.tile(np.eye(d), (n // d + 1, 1))[:n]
+        return vectors @ np.linalg.qr(rng.standard_normal((d, d)))[0] if kind == "rotated-onb" else vectors
     vectors = rng.standard_normal((n, d))
     if kind == "repeated":
         for i in range(1, n, 2):
@@ -605,6 +616,108 @@ def test_ties_near_the_rank_tolerance_decide_as_the_scan_does(kind, d, n, factor
     _assert_matches_the_scan(fl.Frame(fl.make_atomic(rng.uniform(0.5, 2.0, size=len(vectors))), vectors))
 
 
+def _nr_decision(cert):
+    vectors = None if cert.witness_vectors is None else [u.tobytes() for u in cert.witness_vectors]
+    return cert.verdict, cert.witness_subset, vectors
+
+
+def _assert_nr_matches_the_scan(frame):
+    """Norm retrieval as the reference scan decides it, also when the table stage decides every frame."""
+    reference = _nr_decision(norm_retrieval_reference(frame))
+    assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
+    with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+        assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["repeated", "coordinate", "two-plane", "onb", "rotated-onb"]),
+    d=st.integers(2, 4),
+    n=st.integers(3, 9),
+    factor=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_nr_through_the_flats_decides_as_the_scan_does(kind, d, n, factor, seed):
+    # The tie generator above, real only, with repeated ONBs, unfiltered: exact frames and noise from far
+    # below to far above the rank tolerance, where the flats' band refuses some frames and not others.
+    rng = np.random.default_rng(seed)
+    vectors = _coincident_frame(kind, d, n, rng)
+    noise = rng.standard_normal(vectors.shape)
+    noise *= factor * 1e-10 * np.linalg.norm(vectors, axis=1, keepdims=True) / np.linalg.norm(noise, axis=1, keepdims=True)
+    _assert_nr_matches_the_scan(fl.Frame(fl.make_atomic(rng.uniform(0.5, 2.0, size=n)), vectors + noise))
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-9, 5e-9, 1e-8, 2e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("d, k, rotated", [(3, 3, False), (4, 3, False), (4, 3, True)])
+def test_nr_of_a_nearly_orthogonal_tilt_decides_as_the_scan_does(d, k, rotated, eps):
+    # Tilt the copies of one direction of a repeated ONB by eps <phi, g> f, as break-nr does: the
+    # null spaces of that subset and of its complement meet at about eps, around ortho_tol = 1e-8.
+    v = _repeated_onb(d, k).vectors.copy()
+    if rotated:
+        v = v @ np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+    subset, rest = list(range(0, d * k, d)), [i for i in range(d * k) if i % d]
+    f, g = annihilator(v[subset], d)[:, 0], annihilator(v[rest], d)[:, 0]
+    v[subset] += eps * np.outer(v[subset] @ g, f)
+    _assert_nr_matches_the_scan(_repeated_onb(d, k).with_vectors(v))
+
+
+def test_flats_of_a_repeated_onb():
+    # Its four hyperplanes e_i^perp, their six lines and four points: the 14 flats whose
+    # complement lies in a hyperplane; the empty intersection's complement spans.
+    n = 12
+    rows = set(_bitmasks(_hyperplane_table(_repeated_onb(4, 3).vectors, 1e-10)[0]))
+    assert len(rows) == 4
+    flats = _flats(n, rows)
+    assert len(flats) == 14 and 0 not in flats
+    assert sorted(bin(f).count("1") for f in flats) == [3] * 4 + [6] * 6 + [9] * 4
+
+
+def test_nr_on_a_repeated_onb_holds_through_its_flats_without_a_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr("framelab.retrieval._walk", refuse)
+    with patch("framelab.retrieval._hyperplane_table", wraps=_hyperplane_table) as table:
+        assert fl.norm_retrieval_certify(_repeated_onb(4, 6)).holds
+    table.assert_called_once()
+
+
+def test_the_flats_leave_a_frame_to_the_walk_unless_every_decision_clears_the_band():
+    # One atom of a repeated ONB moved by 1e-15, 1e-12 and 1e-6 of its norm: the first and
+    # the last clear the band (tol / 1000, 1000 tol], the second lies in it, although its
+    # overlaps stay below ortho_tol / 1000.  The broken frame clears the band, but its
+    # overlap is 0.25.  The last frame has no covering pair, so no flat, but two of its
+    # atoms lie 1e-12 apart, which puts one of the table's subsets in the band.
+    frames = []
+    for shift in (1e-15, 1e-12, 1e-6):
+        v = _repeated_onb(3, 3).vectors.copy()
+        v[0, 1] = shift
+        frames.append(_unit_frame(v))
+    frames.append(fl.break_norm_retrieval(_repeated_onb(3, 3), [0, 3, 6], 0.25).perturbed)
+    generic = fl.gen_random(3, 6, seed=0).vectors
+    frames.append(_unit_frame(np.vstack([generic, generic[0] + [0.0, 1e-12, 0.0]])))
+    walked = []
+    for frame in frames:
+        with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
+            "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
+        ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
+            cert = fl.norm_retrieval_certify(frame)
+        assert table.call_count == 1
+        walked.append(walk.call_count)
+        assert _nr_decision(cert) == _nr_decision(norm_retrieval_reference(frame))
+    assert walked == [0, 1, 0, 1, 1]
+    clear = [_hyperplane_table(frame.vectors, 1e-10)[1] for frame in frames]
+    assert clear == [True, False, True, True, False]
+
+
+def test_the_flats_need_a_positive_rank_tolerance():
+    # At tol = 0 the band is empty and protects nothing.
+    v = _repeated_onb(3, 3).vectors
+    table, clear = _hyperplane_table(v, 0.0)
+    assert clear and _flats_hold(v, _intervals(table), 1e-10, 1e-8)
+    assert not _flats_hold(v, _intervals(table), 0.0, 1e-8)
+
+
 def test_certifiers_decide_at_the_cap_from_the_table():
     assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
     with _without_the_lift():
@@ -637,7 +750,7 @@ def test_a_table_without_covering_pairs_is_walked_once():
     # This frame's table holds all C(22, 6) of its hyperplanes, and no two of
     # them are large enough to cover the atoms, so its walk visits no split.
     frame = fl.gen_random(7, 22)
-    table = _hyperplane_table(frame.vectors, 1e-10)
+    table, _ = _hyperplane_table(frame.vectors, 1e-10)
     assert len(table) == comb(22, 6)
     assert _intervals(table) == []
     with patch("framelab.retrieval._walk", wraps=_walk) as walk:
@@ -663,7 +776,7 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
     # The squared norms of these atoms overflow float64 unless the table scales the frame first.
     for frame in (fl.gen_random(3, 5), _two_plane(8, seed=8), _repeated_onb(3, 3)):
         huge = frame.with_vectors(frame.vectors * scale)
-        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10), _hyperplane_table(frame.vectors, 1e-10))
+        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10)[0], _hyperplane_table(frame.vectors, 1e-10)[0])
         for budget in (_scan_budget, lambda n, d: 0):
             with patch("framelab.retrieval._scan_budget", budget):
                 assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
@@ -676,11 +789,11 @@ def test_building_the_table_makes_no_rank_decision(monkeypatch):
         raise AssertionError("full_column_rank was called")
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
-    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)) == 3
+    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)[0]) == 3
     # The two planes of four atoms, and the 16 closures of an even and an odd atom.
-    two_plane = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
+    two_plane, _ = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
     assert sorted(two_plane.sum(axis=1).tolist()) == [2] * 16 + [4, 4]
-    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)) == comb(12, 3)
+    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)[0]) == comb(12, 3)
 
 
 def test_without_a_table_every_split_is_checked():
