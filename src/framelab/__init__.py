@@ -3,133 +3,31 @@
 Tools for building weighted frames, certifying phase and norm retrieval by
 subset enumeration, constructing retrieval-breaking perturbations of
 arbitrarily small energy, and forming tensor products.
+
+Each module lists its public names in its own ``__all__``; the package
+re-exports them, with the shared tolerances, ``inner`` and the errors.
 """
 
 from __future__ import annotations
 
-from ._linalg import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_MATCH_TOL,
-    DEFAULT_ORTHO_TOL,
-    DEFAULT_RANK_TOL,
-    inner,
-)
+from . import fileio, frames, measure, perturb, retrieval, tensor
+from ._linalg import DEFAULT_ENUM_CAP, DEFAULT_MATCH_TOL, DEFAULT_ORTHO_TOL, DEFAULT_RANK_TOL, inner
 from .errors import EnumerationCapExceeded, FramelabError
-from .fileio import (
-    build_report,
-    certificate_to_dict,
-    doc_to_frame,
-    dumps_canonical,
-    file_digest,
-    frame_to_doc,
-    load_frame,
-    load_provenance,
-    save_frame,
-    vector_to_json,
-)
-from .frames import (
-    BesselBoundReport,
-    CoefficientVector,
-    Frame,
-    FrameBounds,
-    LipschitzReport,
-    analysis,
-    apply_operator,
-    bessel_norm_bound_check,
-    frame_bounds,
-    frame_operator,
-    gen_deficient_plus_tail,
-    gen_harmonic,
-    gen_mercedes,
-    gen_onb,
-    gen_random,
-    is_mu_complete,
-    lipschitz_check,
-    magnitudes,
-    parsevalize,
-    synthesis,
-)
-from .measure import Atom, MeasureSpace, make_atomic, quadrature_discretize
-from .perturb import (
-    PerturbationResult,
-    SweepPoint,
-    break_norm_retrieval,
-    break_phase_retrieval,
-    stability_sweep,
-)
-from .retrieval import (
-    FAILS,
-    HOLDS,
-    INCONCLUSIVE,
-    AlphaResult,
-    Certificate,
-    RQuadraticForm,
-    alpha_certify,
-    complement_property,
-    near_riesz_detect,
-    norm_retrieval_certify,
-    phase_retrieval_certify,
-    r_operator,
-)
-from .tensor import (
-    TensorFrame,
-    TensorNRReport,
-    TensorPRReport,
-    tensor_nr_check,
-    tensor_pr_check,
-    tensor_product,
-)
+from .fileio import *  # noqa: F403
+from .frames import *  # noqa: F403
+from .measure import *  # noqa: F403
+from .perturb import *  # noqa: F403
+from .retrieval import *  # noqa: F403
+from .tensor import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom",
-    "MeasureSpace",
-    "make_atomic",
-    "quadrature_discretize",
-    "Frame",
-    "FrameBounds",
-    "CoefficientVector",
-    "BesselBoundReport",
-    "LipschitzReport",
-    "analysis",
-    "synthesis",
-    "frame_operator",
-    "frame_bounds",
-    "is_mu_complete",
-    "bessel_norm_bound_check",
-    "magnitudes",
-    "lipschitz_check",
-    "apply_operator",
-    "parsevalize",
-    "gen_onb",
-    "gen_mercedes",
-    "gen_harmonic",
-    "gen_random",
-    "gen_deficient_plus_tail",
-    "HOLDS",
-    "FAILS",
-    "INCONCLUSIVE",
-    "Certificate",
-    "RQuadraticForm",
-    "AlphaResult",
-    "complement_property",
-    "phase_retrieval_certify",
-    "r_operator",
-    "alpha_certify",
-    "norm_retrieval_certify",
-    "near_riesz_detect",
-    "PerturbationResult",
-    "SweepPoint",
-    "break_phase_retrieval",
-    "break_norm_retrieval",
-    "stability_sweep",
-    "TensorFrame",
-    "TensorPRReport",
-    "TensorNRReport",
-    "tensor_product",
-    "tensor_pr_check",
-    "tensor_nr_check",
+    *measure.__all__,
+    *frames.__all__,
+    *retrieval.__all__,
+    *perturb.__all__,
+    *tensor.__all__,
     "inner",
     "DEFAULT_RANK_TOL",
     "DEFAULT_ORTHO_TOL",
@@ -137,15 +35,6 @@ __all__ = [
     "DEFAULT_ENUM_CAP",
     "FramelabError",
     "EnumerationCapExceeded",
-    "frame_to_doc",
-    "doc_to_frame",
-    "save_frame",
-    "load_frame",
-    "load_provenance",
-    "vector_to_json",
-    "dumps_canonical",
-    "file_digest",
-    "certificate_to_dict",
-    "build_report",
+    *fileio.__all__,
     "__version__",
 ]

@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * inner products are linear in the first argument and conjugate-linear in
   the second, ``<u, v> = sum_k u_k * conj(v_k)``;
-* numerical rank uses a relative cutoff ``tol * sigma_max``;
+* numerical rank uses a relative cutoff ``tol * sigma_max``, counted by
+  ``ranks`` alone;
 * basis vectors returned from eigen/null-space computations are normalized
   to a canonical phase so repeated runs give byte-identical results.
 """
@@ -25,34 +26,52 @@ def inner(u: np.ndarray, v: np.ndarray):
     return np.vdot(v, u)
 
 
-def _rank(s: np.ndarray, tol: float) -> int:
-    """Rank from descending singular values: those above ``tol * sigma_max`` count; a zero matrix has rank 0."""
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))
+def scaled(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each matrix of a stack (its last two axes) times the power of two that puts its largest |entry| in [1/2, 1).
+
+    Returns the scaled stack and the exponents e, one per matrix, with
+    ``stack = scaled * 2^e``.  The scaling is exact, save for entries more
+    than 2^1021 below their matrix's largest, which round into the
+    subnormal range; a zero matrix stays zero.  No factor 2^-e is formed,
+    so a matrix whose largest entry is subnormal is scaled as well.
+    ``np.ldexp`` refuses complex arrays, so it scales their real and
+    imaginary parts.
+    """
+    _, exponent = np.frexp(np.abs(stack).max(axis=(-2, -1)))
+    shift = -exponent[..., None, None]
+    if stack.dtype.kind != "c":
+        return np.ldexp(stack, shift), exponent
+    out = np.empty_like(stack)
+    out.real, out.imag = np.ldexp(stack.real, shift), np.ldexp(stack.imag, shift)
+    return out, exponent
+
+
+def ranks(s: np.ndarray, tol: float) -> np.ndarray:
+    """Ranks from descending singular values along the last axis: those above ``tol * sigma_max`` count.
+
+    A zero matrix has rank 0 for every ``tol``: none of its values exceeds
+    ``tol * 0``.
+    """
+    return (s > tol * s[..., :1]).sum(axis=-1)
 
 
 def numerical_rank(rows: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank of ``rows`` with singular values below ``tol * sigma_max`` treated as zero."""
     if rows.size == 0:
         return 0
-    return _rank(np.linalg.svd(rows, compute_uv=False), tol)
+    return int(ranks(np.linalg.svd(rows, compute_uv=False), tol))
 
 
 def full_column_rank(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """For each matrix of a (k, m, d) stack, whether ``numerical_rank`` of it is d.
 
-    With singular values in descending order the rank reaches d exactly when
-    ``sigma_d > tol * sigma_max`` and ``sigma_max > 0``; the first test fails
-    whenever ``sigma_max`` is 0, for every ``tol``.  One stacked SVD runs the
-    same LAPACK routine on each matrix as a call per matrix does, so each
-    decision equals ``numerical_rank(matrix) >= d``.
+    One stacked SVD runs the same LAPACK routine on each matrix as a call
+    per matrix does, so each decision equals ``numerical_rank(matrix) >= d``.
     """
     k, m, d = stack.shape
     if m < d or k == 0:
         return np.zeros(k, dtype=bool)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return s[:, d - 1] > tol * s[:, 0]
+    return ranks(np.linalg.svd(stack, compute_uv=False), tol) >= d
 
 
 def canonical_phases(vs: np.ndarray) -> np.ndarray:
@@ -83,7 +102,7 @@ def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.nda
     _, s, vh = np.linalg.svd(np.conj(stack))
     # Row j of conj(vh) is column j of the basis.
     rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
-    return [h[_rank(sk, tol):].T for sk, h in zip(s, rows)]
+    return [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
 
 
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -125,27 +125,23 @@ class _Outcome:
     code: int = EXIT_OK
 
 
+# Each kind of ``gen``: its generator and the options it takes, in call order.
+_GENERATORS = {
+    "onb": (gen_onb, ("dim",)),
+    "mercedes": (gen_mercedes, ()),
+    "harmonic": (gen_harmonic, ("dim", "n", "field")),
+    "random": (gen_random, ("dim", "n", "seed", "field")),
+    "deficient-tail": (gen_deficient_plus_tail, ("dim", "head_dim", "tail_len", "seed")),
+}
+
+
 def _gen(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
     kind = args.kind
-    provenance: dict = {"generator": kind}
-    if kind == "onb":
-        frame = gen_onb(args.dim)
-        provenance["dim"] = args.dim
-    elif kind == "mercedes":
-        frame = gen_mercedes()
-    elif kind == "harmonic":
-        frame = gen_harmonic(args.dim, args.n, args.field)
-        provenance.update(dim=args.dim, n=args.n, field=args.field)
-    elif kind == "random":
-        frame = gen_random(args.dim, args.n, args.seed, args.field)
-        provenance.update(dim=args.dim, n=args.n, seed=args.seed, field=args.field)
-    else:  # deficient-tail
-        frame = gen_deficient_plus_tail(args.dim, args.head_dim, args.tail_len, args.seed)
-        provenance.update(
-            dim=args.dim, head_dim=args.head_dim, tail_len=args.tail_len, seed=args.seed
-        )
+    generate, names = _GENERATORS[kind]
+    options = {name: getattr(args, name) for name in names}
+    frame = generate(*options.values())
     watch.lap("generate")
-    digest = save_frame(args.output, frame, provenance)
+    digest = save_frame(args.output, frame, {"generator": kind, **options})
     watch.lap("write")
     data = {
         "output": args.output,
@@ -331,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p_gen = sub.add_parser("gen", parents=[common], help="generate a frame file")
-    p_gen.add_argument("kind", choices=["onb", "mercedes", "harmonic", "random", "deficient-tail"])
+    p_gen.add_argument("kind", choices=list(_GENERATORS))
     p_gen.add_argument("--dim", type=int, default=3)
     p_gen.add_argument("--n", type=int, default=4)
     p_gen.add_argument("--seed", type=int, default=0)

@@ -26,6 +26,7 @@ from ._linalg import (
     inner,
     inv_sqrt_psd,
     numerical_rank,
+    scaled,
 )
 from .measure import MeasureSpace, make_atomic
 
@@ -209,8 +210,8 @@ def bessel_norm_bound_check(frame: Frame, tol: float = DEFAULT_MATCH_TOL) -> Bes
     # B / eta = (b / m) 2^(2 half + odd) for the mantissas b and m, so the bound is sqrt((b / m) 2^odd) 2^half.
     (b, b_exp), (m, m_exp) = np.frexp(frame_bounds(frame).upper), np.frexp(frame.space.eta)
     half, odd = divmod(int(b_exp - m_exp), 2)
-    _, e = np.frexp(np.abs(frame.vectors).max())
-    norms = np.linalg.norm(frame.vectors * np.ldexp(1.0, -e), axis=1)
+    atoms, e = scaled(frame.vectors)
+    norms = np.linalg.norm(atoms, axis=1)
     with np.errstate(over="ignore"):
         bound = float(np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half))
         max_norm = float(np.ldexp(np.max(norms), e))

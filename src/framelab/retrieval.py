@@ -34,7 +34,10 @@ covering pairs, and only pairs with |H1| + |H2| >= n are tested; with no
 covering pair there is no candidate and both properties hold.  The table
 decides rank with a margin above the tolerance: near the cutoff it lists
 extra candidates, which the rank check drops.  Every split is visited only
-when the frame does not span with the margin.  The atom count is capped.
+when the frame does not span with the margin.  Past the scan's first
+splits, the table's walk and that full scan resume alike: each is read
+from its start, and its splits before the first one past the budget are
+dropped undecided.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
@@ -48,6 +51,12 @@ complement's with that margin too, every split passes and the frame holds
 with no split walked; ``_flats_hold`` carries the argument and its
 assumptions.  This test can only answer ``holds``: any other frame is
 walked as before, so every failure and its witness come from the walk.
+
+The lift, the table and the flats scale each frame by a power of two,
+exactly, with ``_linalg.scaled``, so that no norm or square overflows or
+underflows to zero, and each of their ranks, like the scan's, is counted
+by ``_linalg.ranks``: the singular values above ``tol * sigma_max``.  The
+lift's cutoff, the band and the table's membership test are other rules.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
@@ -95,6 +104,8 @@ from ._linalg import (
     null_spaces,
     numerical_rank,
     random_unit,
+    ranks,
+    scaled,
 )
 from .errors import EnumerationCapExceeded
 from .frames import Frame
@@ -210,18 +221,12 @@ def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[tuple[np.ndarray, bool]]
         clear = True
         if r:
             clear = _outside_band(s[:, -1], s[:, 0], tol)
-            independent = s[:, -1] > tol * s[:, 0]
+            independent = ranks(s, tol) == r
             s, vh = s[independent], vh[independent]
         top = s[:, :1] if r else np.zeros((len(vh), 1))
         distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
         scale = np.maximum(top, norms)
         yield _distinct(distance <= _TABLE_MARGIN * tol * scale), clear and _outside_band(distance, scale, tol)
-
-
-def _scaled(v: np.ndarray) -> np.ndarray:
-    """``v`` times the power of two that puts its largest entry in [1/2, 1); the scaling is exact."""
-    _, exponent = np.frexp(np.abs(v).max())
-    return v * np.ldexp(1.0, -exponent)  # np.ldexp refuses complex arrays
 
 
 def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | None:
@@ -233,7 +238,7 @@ def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | No
     the band.  The frame is first scaled by a power of two, so that no atom
     norm overflows.
     """
-    v = _scaled(v)
+    v, _ = scaled(v)
     if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
         return None
     batches = list(_hyperplanes(v, tol))
@@ -281,8 +286,8 @@ def _atoms(mask: int, n: int) -> tuple[int, ...]:
     return tuple(i for i in range(n) if mask >> i & 1)
 
 
-def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> Iterator[_Split]:
-    """Yield the splits {S, complement} in scan order from S = ``start`` on, S in the union of the intervals.
+def _walk(n: int, intervals: list[tuple[int, int]]) -> Iterator[_Split]:
+    """Yield the splits {S, complement} in scan order, S in the union of the intervals.
 
     Each interval [low, high] is a pair of bitmasks holding atom 0; S never
     holds every atom.  The walk enters only subtrees that hold some S, so it
@@ -290,24 +295,20 @@ def _walk(n: int, intervals: list[tuple[int, int]], start: tuple[int, ...]) -> I
     """
     full = (1 << n) - 1
 
-    def members(mask: int) -> _Split:
-        return _atoms(mask, n), _atoms(full ^ mask, n)
-
-    def visit(mask: int, last: int, alive: list[tuple[int, int]], rest: tuple[int, ...] | None):
-        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``;
-        # ``rest`` is what ``start`` adds to ``mask``, or None once the walk is past it.
-        if not rest and mask != full and any(not low & ~mask for low, _ in alive):
-            yield members(mask)
+    def visit(mask: int, last: int, alive: list[tuple[int, int]]):
+        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``.
+        if mask != full and any(not low & ~mask for low, _ in alive):
+            yield _atoms(mask, n), _atoms(full ^ mask, n)
         for j in range(last + 1, n):
             bit = 1 << j
             inside = [iv for iv in alive if iv[1] & bit]
-            if inside and not (rest and j < rest[0]):
-                yield from visit(mask | bit, j, inside, rest[1:] if rest and j == rest[0] else None)
+            if inside:
+                yield from visit(mask | bit, j, inside)
             alive = [iv for iv in alive if not iv[0] & bit]
             if not alive:
                 return
 
-    yield from visit(1, 0, intervals, start[1:])
+    yield from visit(1, 0, intervals)
 
 
 def _flats(n: int, rows: set[int]) -> list[int]:
@@ -339,10 +340,8 @@ def _null_spaces_in_band(v: np.ndarray, sides: list[tuple[int, ...]], tol: float
     bases: list[np.ndarray | None] = [None] * len(sides)
     for members, rows in _stacks(sides):
         _, s, vh = np.linalg.svd(v.take(rows, axis=0))
-        top = s[:, :1]
-        ranks = np.count_nonzero(s > tol * top, axis=1).tolist()
-        for i, sk, topk, rank, h in zip(members, s, top, ranks, vh):
-            if _outside_band(sk, topk, tol):
+        for i, sk, rank, h in zip(members, s, ranks(s, tol).tolist(), vh):
+            if _outside_band(sk, sk[0], tol):
                 bases[i] = h[rank:]
     return bases
 
@@ -402,7 +401,7 @@ def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ort
         return False
     flats = _flats(n, rows)
     sides = [_atoms(f, n) for f in flats] + [_atoms(full ^ f, n) for f in flats]
-    bases = _null_spaces_in_band(_scaled(v), sides, tol)
+    bases = _null_spaces_in_band(scaled(v)[0], sides, tol)
     for left, right in zip(bases[: len(flats)], bases[len(flats) :]):
         if left is None or right is None or not len(left) or not len(right):
             return False
@@ -453,24 +452,25 @@ def _table_chunks(
 ) -> Iterator[list[_Split]]:
     """Yield, in scan order and chunk by chunk, a superset of the splits from S = ``start`` on where neither side spans.
 
-    The table is built only when the first chunk is asked for; the walk
-    goes through its intervals, or through every split from ``start`` on
-    when ``_hyperplane_table`` refuses.  Scan order is tuple order, so
-    those splits are the ones whose S is not below ``start``.  Given an
-    ``ortho_tol``, a frame whose flats prove norm retrieval at it
+    The table is built only when the first chunk is asked for; the splits
+    come from the walk through its intervals, or from every split when
+    ``_hyperplane_table`` refuses.  Either source resumes at ``start`` the
+    same way: scan order is tuple order, so the splits kept are those
+    whose S is not below ``start``, and none before it is decided.  Given
+    an ``ortho_tol``, a frame whose flats prove norm retrieval at it
     (``_flats_hold``) yields nothing.
     """
     n, d = v.shape
     table = _hyperplane_table(v, tol)
     if table is None:
-        splits = dropwhile(lambda split: split[0] < start, _complement_pairs(n))
+        splits = _complement_pairs(n)
     else:
         rows, clear = table
         intervals = _intervals(rows)
         if ortho_tol is not None and clear and _flats_hold(v, intervals, tol, ortho_tol):
             return
-        splits = _walk(n, intervals, start)
-    yield from _chunks(splits, n, d)
+        splits = _walk(n, intervals)
+    yield from _chunks(dropwhile(lambda split: split[0] < start, splits), n, d)
 
 
 def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -573,8 +573,7 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     k, n, d = vs.shape
     if vs.dtype.kind == "c" or n < d * (d + 1) // 2 or not tol >= 0:
         return np.zeros(k, dtype=bool)
-    _, exponent = np.frexp(np.abs(vs).max(axis=(1, 2)))
-    vs = np.ldexp(vs, -exponent[:, None, None])
+    vs, _ = scaled(vs)
     a, b, weights = _lift_columns(d)
     s = np.linalg.svd(vs[:, :, a] * vs[:, :, b] * weights, compute_uv=False)
     return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]

@@ -559,6 +559,19 @@ def test_bounds_of_a_frame_with_huge_atoms_and_tiny_weights(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_of_a_frame_with_subnormal_atoms(tmp_path, capsys):
+    # The largest entry lies below 2.2e-308, where the factor 2^-e of a scaled norm overflows.
+    path = tmp_path / "f.json"
+    atoms = fl.gen_random(3, 5).vectors
+    fl.save_frame(path, fl.Frame(fl.make_atomic([1.0] * 5), atoms * 1e-310))
+    code, stdout, _ = _run(capsys, "bounds", str(path))
+    assert code == 0
+    data = json.loads(stdout, parse_constant=_reject_constant)["data"]
+    # The norms of the stored atoms themselves would square them to 0.
+    assert data["max_vector_norm"] == pytest.approx(np.linalg.norm(atoms, axis=1).max() * 1e-310)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_report_that_json_cannot_carry_is_a_usage_error(tmp_path, capsys):
     # sqrt(B / eta) with B about 1e300 and eta = 5e-324 passes the largest float64.
     path = tmp_path / "f.json"
@@ -601,7 +614,7 @@ def _frame_documents(draw):
     if field == "complex":
         vectors = vectors + 1j * rng.standard_normal((n, d))
     vectors[draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
-    vectors *= draw(st.sampled_from([1.0, 1e300, 1e-300, 1e160]))
+    vectors *= draw(st.sampled_from([1.0, 1e300, 1e-300, 1e160, 1e-310]))
     weights = rng.uniform(0.1, 2.0, size=n)
     doc = fl.frame_to_doc(fl.Frame(fl.make_atomic(weights), vectors))
     malformed = draw(st.sampled_from(["", "", "", "", "weight", "coordinate", "atom", "field"]))
@@ -641,7 +654,9 @@ def _witness_reverifies(doc: dict, cert: dict) -> bool:
         rows = np.array([atom["vector"] for atom in doc["atoms"]])
         x, y = (np.array(v) for v in cert["witness_vectors"])
     largest = np.abs(rows).max()
-    rows = rows / largest if largest > 0 else rows
+    if largest > 0:
+        # Part by part: a complex division by a subnormal number overflows on the way.
+        rows = rows.real / largest + 1j * (rows.imag / largest) if doc["field"] == "complex" else rows / largest
     if cert["method"] == "nr-nullspace-orthogonality":
         x, y = x + y, x - y
         differ = abs(np.linalg.norm(x) - np.linalg.norm(y)) > 1e-8

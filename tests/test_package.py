@@ -1,0 +1,59 @@
+"""The package surface: its public names, and the README's library sketch."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import framelab as fl
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC = """
+    Atom MeasureSpace make_atomic quadrature_discretize
+    Frame FrameBounds CoefficientVector BesselBoundReport LipschitzReport analysis synthesis
+    frame_operator frame_bounds is_mu_complete bessel_norm_bound_check magnitudes lipschitz_check
+    apply_operator parsevalize gen_onb gen_mercedes gen_harmonic gen_random gen_deficient_plus_tail
+    HOLDS FAILS INCONCLUSIVE Certificate RQuadraticForm AlphaResult complement_property
+    phase_retrieval_certify r_operator alpha_certify norm_retrieval_certify near_riesz_detect
+    PerturbationResult SweepPoint break_phase_retrieval break_norm_retrieval stability_sweep
+    TensorFrame TensorPRReport TensorNRReport tensor_product tensor_pr_check tensor_nr_check
+    inner DEFAULT_RANK_TOL DEFAULT_ORTHO_TOL DEFAULT_MATCH_TOL DEFAULT_ENUM_CAP
+    FramelabError EnumerationCapExceeded
+    frame_to_doc doc_to_frame save_frame load_frame load_provenance vector_to_json dumps_canonical
+    file_digest certificate_to_dict build_report __version__
+""".split()
+
+
+def test_the_package_exports_each_public_name_once():
+    assert len(PUBLIC) == len(set(PUBLIC)) == 65
+    assert len(fl.__all__) == len(set(fl.__all__))
+    assert set(fl.__all__) == set(PUBLIC)
+    assert all(hasattr(fl, name) for name in fl.__all__)
+    assert "norm_retrieval_oracle" not in fl.__all__
+    assert not hasattr(fl, "norm_retrieval_oracle")
+
+
+def _sketch() -> str:
+    section = README.read_text().split("## Library sketch", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_library_sketch_gives_its_commented_values():
+    # Run the block statement by statement, keeping the value of each bare expression.
+    block, namespace, values = _sketch(), {}, []
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            values.append(eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    for comment in ("lower=1.5, upper=1.5", "(1, -0.5, -0.5)", "# holds", "# 0.375", '# "fails"'):
+        assert comment in block
+    bounds, coefficients, alpha, verdict = values
+    assert (bounds.lower, bounds.upper) == pytest.approx((1.5, 1.5), abs=1e-9)
+    assert tuple(coefficients.values) == pytest.approx((1.0, -0.5, -0.5), abs=1e-9)
+    assert namespace["cert"].verdict == fl.HOLDS
+    assert alpha == pytest.approx(0.375, abs=1e-9)
+    assert verdict == fl.FAILS == "fails"

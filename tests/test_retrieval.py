@@ -784,6 +784,34 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
                 assert fl.norm_retrieval_certify(huge).verdict == fl.norm_retrieval_certify(frame).verdict
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field, d, n, seed, certify", [
+    ("real", 3, 5, 0, fl.phase_retrieval_certify),
+    ("real", 3, 5, 0, fl.norm_retrieval_certify),
+    ("complex", 3, 18, 1, fl.phase_retrieval_certify),
+])
+def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
+    # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
+    # table must scale such a frame all the same, or every split is scanned.
+    tiny = fl.gen_random(d, n, seed, field)
+    tiny = tiny.with_vectors(tiny.vectors * 1e-310)
+    # The stored entries times 2^1030 are normal, and the product is exact.
+    normal = tiny.with_vectors(tiny.vectors * 2.0**515 * 2.0**515)
+    tables = []
+
+    def recording(*args):
+        tables.append(_hyperplane_table(*args))
+        return tables[-1]
+
+    with patch("framelab.retrieval._hyperplane_table", recording):
+        got = certify(tiny)
+    assert tables and all(table is not None for table in tables)
+    want = certify(normal)
+    assert (got.verdict, got.witness_subset) == (want.verdict, want.witness_subset)
+    for a, b in zip(got.witness_vectors or (), want.witness_vectors or (), strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_building_the_table_makes_no_rank_decision(monkeypatch):
     def refuse(stack, tol):
         raise AssertionError("full_column_rank was called")
