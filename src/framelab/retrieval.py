@@ -187,13 +187,10 @@ _FIRST_CHUNK = 8
 # near the cutoff it lists more candidate splits, never fewer; every candidate
 # is then decided with ``numerical_rank``'s cutoff, as the scan decides it.
 _TABLE_MARGIN = 1e3
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct boolean rows, in sorted order."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)
-    return rows[first]
+# Projected entries the hyperplane walk expands at a time, per level of its subset tree.
+_WALK_ENTRIES = 1 << 15
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _outside_band(x: np.ndarray, scale: np.ndarray, tol: float) -> bool:
@@ -201,48 +198,154 @@ def _outside_band(x: np.ndarray, scale: np.ndarray, tol: float) -> bool:
     return not np.any((x > tol / _TABLE_MARGIN * scale) & (x <= _TABLE_MARGIN * tol * scale))
 
 
-def _hyperplanes(v: np.ndarray, tol: float) -> Iterator[tuple[np.ndarray, bool]]:
-    """Yield, batch by batch, the closures of the independent (d - 1)-subsets of rows as boolean rows.
+def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """Cut the items into runs [lo, hi) whose sizes sum to at most ``limit``, each run at least one item."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + limit, side="right")))
+        yield lo, hi
+        lo = hi
 
-    A subset is independent when its smallest singular value clears
-    ``tol * sigma_max``.  An atom lies in its closure when the atom's
-    distance to their span is at most ``_TABLE_MARGIN * tol`` times the
-    larger of ``sigma_max`` and the atom's norm, so exact zero atoms lie in
-    every hyperplane.  Rows repeat only across batches.  With each batch
-    comes whether all its ratios, sigma_min / sigma_max and the membership
-    ratios of the independent subsets, lie outside ``_outside_band``'s band.
+
+def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
+    """The closures of the independent (d - 1)-subsets of rows, d >= 2, packed as bits, and whether they clear the band.
+
+    The walk.  A (d - 1)-subset is a prefix of d - 2 atoms and a last atom
+    j after them.  The prefixes are grown one atom at a time, one level of
+    the subset tree after another, for a block of nodes at once, so no
+    more than about ``_WALK_ENTRIES`` projected entries are held per level.
+    Each node keeps every atom projected onto the orthogonal complement of
+    its prefix's span: adding an atom x to the prefix is one Householder
+    reflection taking x onto the first axis, whose other axes are the new
+    complement.  The norm p of x there, its pivot, is its distance to the
+    prefix's span.  At depth d - 2 the atoms are points in R^2 or C^2, and
+    atom i lies at distance |p_j x p_i| / |p_j| from the hyperplane through
+    the prefix and atom j.
+
+    The cutoffs.  The rules the table stands for are those of one SVD per
+    subset T: T is independent when sigma_min(T) > tol sigma_max(T), and
+    atom i lies in its closure when its distance is at most
+    M tol max(sigma_max(T), |v_i|), M = ``_TABLE_MARGIN``.  The walk bounds
+    sigma_max(T) between the largest atom norm of T and F = |V_T|_F, and
+    sigma_min(T) between sigma_lo and the least pivot.  sigma_lo is the
+    larger of the least pivot minus the Frobenius norm of the triangular
+    factor's off-diagonal part, (F^2 - sum p^2)^(1/2) (Weyl), and
+    prod p / F^(|T| - 1), since prod p = prod sigma.  Assume that the
+    computed projections are those of an exactly orthonormal complement to
+    within eta |v|, eta = d^2 eps, with each prefix atom within eta |a| of
+    its span, and that LAPACK's SVD of T is exact for a matrix within
+    eta sigma_max of T.  Like the lift's, this assumption is not a theorem.
+    Then a pivot or distance, computed either way, lies within
+    eta (kappa + 1) |v| of the exact one, kappa = F / sigma_lo.  So a
+    prefix, and every subset grown from it, is dropped only when its new
+    pivot, raised by that error, is at most
+    (tol (1 - eta) - eta) times its largest atom norm, or is exactly zero:
+    every pivot of an independent T exceeds that, because a pivot is at
+    least sigma_min and a prefix's sigma_min is at least that of T.  An atom
+    is listed when its distance is at most M tol (1 + eta) max(F, |v_i|)
+    plus twice the error, and the subset's own atoms always are.  So each
+    closure under the SVD rules lies in this table's row of the same T: the
+    table may list extra atoms and rows, never miss one.
+
+    The closures clear the band of ``_outside_band`` when every dropped
+    prefix's bound on sigma_min / sigma_max lies at or below tol / M, every
+    T's lower bound on it above M tol, and every membership ratio, bounds
+    and errors included, outside (tol / M, M tol], the subset's own atoms
+    aside.  Then each of these
+    decisions is the one the SVD rules make, so the rows are theirs.  At
+    tol = 0 the band is empty.
     """
     n, d = v.shape
-    r = d - 1
     norms = np.linalg.norm(v, axis=1)
-    subsets = combinations(range(n), r)
-    while batch := list(islice(subsets, max(1, _BATCH_ENTRIES // (n * d)))):
-        _, s, vh = np.linalg.svd(v[np.array(batch, dtype=np.intp).reshape(len(batch), r)])
-        clear = True
-        if r:
-            clear = _outside_band(s[:, -1], s[:, 0], tol)
-            independent = ranks(s, tol) == r
-            s, vh = s[independent], vh[independent]
-        top = s[:, :1] if r else np.zeros((len(vh), 1))
-        distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
-        scale = np.maximum(top, norms)
-        yield _distinct(distance <= _TABLE_MARGIN * tol * scale), clear and _outside_band(distance, scale, tol)
+    packed: list[np.ndarray] = []
+    clear = True
+    eta = d * d * _EPS
+    low_cut, high_cut = tol / _TABLE_MARGIN * (1 - eta), _TABLE_MARGIN * tol * (1 + eta)
+    floor = tol * (1 - eta) - eta
+    band = tol > 0
+    atoms = np.arange(n)
+
+    def grow(proj, last, inside, stats, k):
+        nonlocal clear
+        # A block of nodes with prefixes of k atoms: their projected atoms, last atoms, prefix
+        # masks, and per node F^2, max |a|, sum p_lo^2, min p_lo, prod p_lo and kappa.
+        leaf = k == d - 2
+        valid = (atoms > last[:, None]) & (atoms <= (n - 1 if leaf else n - d + 1 + k))
+        for lo, hi in _blocks(valid.sum(axis=1) * (n * (d - k)), _WALK_ENTRIES):
+            b, j = np.nonzero(valid[lo:hi])
+            b += lo
+            x, a, (f2, top, low2, least, prod, kappa) = proj[b, j], norms[j], stats[b].T
+            px = np.sqrt(np.einsum("ij,ij->i", x, x.conj()).real)
+            e = eta * (kappa + 1) * a
+            top = np.maximum(top, a)
+            alive = (px > 0) & (px + e > floor * top)
+            if band and clear:
+                clear = not (~alive & (px + e + eta * top > low_cut * top)).any()
+            if not alive.all():
+                if not alive.any():
+                    continue
+                b, j, x, px, a, e, top, f2, low2, least, prod = (
+                    z[alive] for z in (b, j, x, px, a, e, top, f2, low2, least, prod)
+                )
+            plo = np.maximum(px - e, 0.0)
+            f2, low2, least, prod = f2 + a * a, low2 + plo * plo, np.minimum(least, plo), prod * plo
+            f = np.sqrt(f2)
+            weyl = least - np.sqrt(np.maximum(f2 - low2, 0.0) + 2 * (k + 1) * _EPS * f2)
+            sigma = np.minimum(np.maximum(weyl, prod / np.maximum(f**k, _TINY)), least) * (1 - eta)
+            kappa = f / np.maximum(sigma, eta * f)
+            y, own = proj[b], inside[b]
+            own[np.arange(len(b)), j] = True
+            if leaf:
+                cross = np.abs(x[:, :1] * y[:, :, 1] - x[:, 1:] * y[:, :, 0])
+                allow = px[:, None] * (2 * eta) * (kappa + 1)[:, None] * norms
+                high = px[:, None] * np.maximum(f[:, None], norms)
+                if band and clear:
+                    low = low_cut * px[:, None] * np.maximum(top[:, None], norms)
+                    clear = not (sigma <= f * (eta + high_cut)).any() and not (
+                        ~own & (cross + allow > low) & (cross - allow <= high_cut * high)
+                    ).any()
+                packed.append(np.packbits(own | (cross <= high_cut * high + allow), axis=1, bitorder="little"))
+                continue
+            x0 = x[:, 0]
+            ax0 = np.abs(x0)
+            # The reflection I - 2 w w^H / |w|^2 with w = x + |x| (x_0 / |x_0|) e_1 maps x onto the
+            # first axis; |w|^2 = 2 |x| (|x| + |x_0|), and w equals x past the first axis.
+            w_conj = x.conj()
+            w_conj[:, 0] += px * np.where(ax0 > 0, w_conj[:, 0] / np.where(ax0 > 0, ax0, 1.0), 1.0)
+            coef = np.einsum("cnm,cm->cn", y, w_conj) / (px * (px + ax0))[:, None]
+            grow(
+                y[:, :, 1:] - coef[:, :, None] * x[:, None, 1:], j, own,
+                np.column_stack([f2, top, low2, least, prod, kappa]), k + 1,
+            )
+
+    root = np.array([[0.0, 0.0, 0.0, np.inf, 1.0, 0.0]])
+    grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), root, 0)
+    return (np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)), clear
 
 
 def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | None:
     """The frame's distinct hyperplanes, as boolean rows, with the table's margin, and whether its decisions clear the band.
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
-    most C(n, d - 1) of them.  Returns None when the frame does not span
-    with the margin; a frame that does has sigma_d / sigma_1 > M tol, above
-    the band.  The frame is first scaled by a power of two, so that no atom
-    norm overflows.
+    most C(n, d - 1) of them; ``_hyperplanes`` finds them with no SVD.
+    With d = 1 the one hyperplane is the zero space, which holds the zero
+    atoms.  Returns None when the frame does not span with the margin; a
+    frame that does has sigma_d / sigma_1 > M tol, above the band.  The
+    frame is first scaled by a power of two, so that no atom norm
+    overflows.
     """
     v, _ = scaled(v)
     if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
         return None
-    batches = list(_hyperplanes(v, tol))
-    return _distinct(np.concatenate([rows for rows, _ in batches])), all(clear for _, clear in batches)
+    n, d = v.shape
+    if d == 1:
+        norms = np.abs(v[:, 0])
+        return (norms <= _TABLE_MARGIN * tol * norms)[None], _outside_band(norms, norms, tol)
+    packed, clear = _hyperplanes(v, tol)
+    packed = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()).view(np.uint8)
+    rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
+    return rows.astype(bool), clear
 
 
 def _covering(rows: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
@@ -431,11 +534,13 @@ def _scan_budget(n: int, d: int) -> int:
     """Splits of the scan checked before the table is built.
 
     A frame that fails within the budget pays what the scan pays and never
-    builds the table.  On random frames with d = 6 and 7 the budget costs
-    about a third as much as the table, so a frame that holds pays about
-    1.3 times the table.
+    builds the table.  The table costs about 0.35 ms plus 1.5 to 2.5 us per
+    (d - 1)-subset, and a split of the scan 7 to 25 us, more as n and d
+    grow.  On random frames (real d = 4, 6 and 8 with n up to 22, complex
+    d = 3 and 4) the budget then costs 0.27 to 0.5 times the table, about a
+    third, so a frame that holds pays about 1.3 times the table.
     """
-    return comb(n, d - 1) // 4 + 8
+    return comb(n, d - 1) // 32 + 16
 
 
 def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
