@@ -14,7 +14,7 @@ strictly positive (relative to the upper one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,15 +111,22 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameBounds:
-    """Extreme eigenvalues (lower, upper) of the frame operator."""
+    """Extreme eigenvalues (lower, upper) of the frame operator.
+
+    ``_scaled`` holds the bounds of the frame scaled by a power of two
+    (``frame_bounds``), which keep their ratio when the bounds themselves
+    underflow.
+    """
 
     lower: float
     upper: float
+    _scaled: tuple[float, float] | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_frame(self) -> bool:
         """True when the lower bound is positive relative to the upper one."""
-        return self.lower > FRAME_RATIO_TOL * self.upper
+        lower, upper = self._scaled or (self.lower, self.upper)
+        return lower > FRAME_RATIO_TOL * upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +187,49 @@ def synthesis(frame: Frame, coeffs: CoefficientVector | np.ndarray) -> np.ndarra
     return frame.vectors.T @ (frame.weights * c)
 
 
-def frame_operator(frame: Frame) -> np.ndarray:
-    """The d-by-d positive semidefinite operator ``S = sum_i w_i F(x_i) F(x_i)*``; ValueError if it overflows."""
-    v = frame.vectors
+_OVERFLOW = "the frame operator overflows float64; scale the frame vectors down"
+
+
+def _operator(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_i w_i v_i v_i*`` over the rows v_i; ValueError if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = hermitize((v.T * frame.weights) @ np.conj(v))
+        s = hermitize((vectors.T * weights) @ np.conj(vectors))
     if not np.isfinite(s).all():
-        raise ValueError("the frame operator overflows float64; scale the frame vectors down")
+        raise ValueError(_OVERFLOW)
     return s
 
 
+def frame_operator(frame: Frame) -> np.ndarray:
+    """The d-by-d positive semidefinite operator ``S = sum_i w_i F(x_i) F(x_i)*``; ValueError if it overflows."""
+    return _operator(frame.vectors, frame.weights)
+
+
+def _scaled_bounds(frame: Frame) -> tuple[float, float, int]:
+    """The extreme eigenvalues of the frame operator of the ``scaled`` frame, and its exponent e.
+
+    The frame's vectors are the scaled ones times 2^e, so its frame operator
+    is 4^e times the scaled frame's, whose entries neither underflow nor
+    overflow on the way for moderate weights.
+    """
+    vectors, e = scaled(frame.vectors)
+    evals = np.linalg.eigvalsh(_operator(vectors, frame.weights))
+    return max(float(evals[0]), 0.0), max(float(evals[-1]), 0.0), int(e)
+
+
 def frame_bounds(frame: Frame) -> FrameBounds:
-    """Optimal frame bounds: the extreme eigenvalues of the frame operator."""
-    evals = np.linalg.eigvalsh(frame_operator(frame))
-    return FrameBounds(lower=max(float(evals[0]), 0.0), upper=max(float(evals[-1]), 0.0))
+    """Optimal frame bounds: the extreme eigenvalues of the frame operator.
+
+    They are computed on the frame scaled by a power of two, which is
+    exact, and ``is_frame`` compares the scaled bounds, so a frame whose
+    bounds underflow to zero is judged by their ratio.  ValueError if a
+    bound overflows.
+    """
+    lower, upper, e = _scaled_bounds(frame)
+    with np.errstate(over="ignore"):
+        bounds = np.ldexp([lower, upper], 2 * e)
+    if not np.isfinite(bounds).all():
+        raise ValueError(_OVERFLOW)
+    return FrameBounds(lower=float(bounds[0]), upper=float(bounds[1]), _scaled=(lower, upper))
 
 
 def is_mu_complete(frame: Frame, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -204,18 +240,21 @@ def is_mu_complete(frame: Frame, tol: float = DEFAULT_RANK_TOL) -> bool:
 def bessel_norm_bound_check(frame: Frame, tol: float = DEFAULT_MATCH_TOL) -> BesselBoundReport:
     """Check ``max_x ||F(x)|| <= sqrt(B / eta)`` with B the upper frame bound.
 
-    Both sides are computed from operands scaled by powers of two, which is
-    exact, so neither overflows on the way when its value is finite.
+    Both sides are computed for the frame scaled by a power of two, which
+    is exact, and then scaled back, so neither overflows on the way when
+    its value is finite.  The check compares the scaled sides, so that
+    ``tol`` is relative to the frame's largest entry and a frame whose
+    sides underflow is still checked.
     """
+    _, upper, e = _scaled_bounds(frame)
     # B / eta = (b / m) 2^(2 half + odd) for the mantissas b and m, so the bound is sqrt((b / m) 2^odd) 2^half.
-    (b, b_exp), (m, m_exp) = np.frexp(frame_bounds(frame).upper), np.frexp(frame.space.eta)
+    (b, b_exp), (m, m_exp) = np.frexp(upper), np.frexp(frame.space.eta)
     half, odd = divmod(int(b_exp - m_exp), 2)
-    atoms, e = scaled(frame.vectors)
-    norms = np.linalg.norm(atoms, axis=1)
+    norm = np.linalg.norm(scaled(frame.vectors)[0], axis=1).max()
     with np.errstate(over="ignore"):
-        bound = float(np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half))
-        max_norm = float(np.ldexp(np.max(norms), e))
-    return BesselBoundReport(bound=bound, max_norm=max_norm, holds=max_norm <= bound + tol * (1.0 + bound))
+        bound = np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half)
+        report = np.ldexp([bound, norm], e)
+    return BesselBoundReport(bound=float(report[0]), max_norm=float(report[1]), holds=bool(norm <= bound + tol * (1.0 + bound)))
 
 
 def magnitudes(frame: Frame, f: np.ndarray) -> CoefficientVector:

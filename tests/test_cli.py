@@ -572,6 +572,31 @@ def test_bounds_of_a_frame_with_subnormal_atoms(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bounds_of_a_subnormal_frame_decide_as_the_frame_does(tmp_path, capsys):
+    # Its frame bounds, about 1e-620, underflow to zero, but their ratio and the Bessel check
+    # are decided on the frame scaled by a power of two, as they are for the frame itself.
+    tiny = fl.gen_random(3, 5)
+    tiny = tiny.with_vectors(tiny.vectors * 1e-310)
+    # The stored entries times 2^1030 are normal, and the product is exact.
+    normal = tiny.with_vectors(tiny.vectors * 2.0**515 * 2.0**515)
+    reports = []
+    for name, frame in (("tiny.json", tiny), ("normal.json", normal)):
+        fl.save_frame(tmp_path / name, frame)
+        code, stdout, _ = _run(capsys, "bounds", str(tmp_path / name))
+        assert code == 0
+        reports.append(json.loads(stdout, parse_constant=_reject_constant)["data"])
+    got, want = reports
+    assert want["lower"] > 0.0 and got["lower"] == got["upper"] == 0.0
+    for key in ("is_frame", "mu_complete", "bessel_holds", "eta", "total_mass"):
+        assert got[key] == want[key], key
+    assert got["is_frame"] is True and got["bessel_holds"] is True
+    for key in ("bessel_bound", "max_vector_norm"):
+        assert got[key] * 2.0**515 * 2.0**515 == pytest.approx(want[key], rel=1e-12), key
+    # Without its absolute term the check still passes: it compares the scaled sides.
+    assert fl.bessel_norm_bound_check(tiny, tol=0.0).holds and fl.bessel_norm_bound_check(normal, tol=0.0).holds
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_report_that_json_cannot_carry_is_a_usage_error(tmp_path, capsys):
     # sqrt(B / eta) with B about 1e300 and eta = 5e-324 passes the largest float64.
     path = tmp_path / "f.json"
