@@ -23,21 +23,24 @@ one.  Visited splits are decided in chunks of 8, 16, 32, ... splits: the
 smaller sides of a chunk, then the larger sides of the splits still open,
 each group of equal-sized sides by one stacked SVD with the per-side cutoff
 of ``numerical_rank``, so every decision is the scan's.  The scan's first
-splits are visited before the hyperplane table is built, so a frame that
-fails early never builds it.  After that only candidate splits are visited.
-The table holds the frame's distinct hyperplanes, the closures of its
-d - 1 independent atoms: at most C(n, d - 1) of them, found in batched
-passes over the atom subsets.  A split has neither side spanning exactly
-when S lies in a hyperplane H1 and its complement in a hyperplane H2, and
-then H1 and H2 together hold every atom.  So the candidates come from the
-covering pairs, and only pairs with |H1| + |H2| >= n are tested; with no
-covering pair there is no candidate and both properties hold.  The table
-decides rank with a margin above the tolerance: near the cutoff it lists
-extra candidates, which the rank check drops.  Every split is visited only
-when the frame does not span with the margin.  Past the scan's first
-splits, the table's walk and that full scan resume alike: each is read
-from its start, and its splits before the first one past the budget are
-dropped undecided.  The atom count is capped.
+splits, about a third of the table's cost, are visited before the
+hyperplane table is built, so a frame that fails early never builds it.
+After that only candidate splits are visited.  The table holds the frame's
+distinct hyperplanes, the closures of its d - 1 independent atoms: at most
+C(n, d - 1) of them, found with no SVD by a walk over the atom subsets that
+keeps every atom projected onto the complement of the subset's span by
+Householder reflections (``_hyperplanes``), in blocks of bounded size.  A
+split has neither side spanning exactly when S lies in a hyperplane H1 and
+its complement in a hyperplane H2, and then H1 and H2 together hold every
+atom.  So the candidates come from the covering pairs, and only pairs with
+|H1| + |H2| >= n are tested; with no covering pair there is no candidate
+and both properties hold.  The table decides rank with a margin above the
+tolerance, widened by a bound on its rounding: near the cutoff it lists
+extra candidates, which the rank check drops, and never misses one.  Every
+split is visited only when the frame does not span with the margin.  Past
+the scan's first splits, the table's walk and that full scan resume alike:
+each is read from its start, and its splits before the first one past the
+budget are dropped undecided.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
@@ -211,50 +214,53 @@ def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
 def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     """The closures of the independent (d - 1)-subsets of rows, d >= 2, packed as bits, and whether they clear the band.
 
-    The walk.  A (d - 1)-subset is a prefix of d - 2 atoms and a last atom
-    j after them.  The prefixes are grown one atom at a time, one level of
-    the subset tree after another, for a block of nodes at once, so no
-    more than about ``_WALK_ENTRIES`` projected entries are held per level.
-    Each node keeps every atom projected onto the orthogonal complement of
-    its prefix's span: adding an atom x to the prefix is one Householder
-    reflection taking x onto the first axis, whose other axes are the new
-    complement.  The norm p of x there, its pivot, is its distance to the
-    prefix's span.  At depth d - 2 the atoms are points in R^2 or C^2, and
-    atom i lies at distance |p_j x p_i| / |p_j| from the hyperplane through
-    the prefix and atom j.
+    The walk.  A (d - 1)-subset T is a prefix of d - 2 atoms and a last
+    atom j after them.  The prefixes are grown one atom at a time, one
+    level of the subset tree after another, for a block of nodes at once,
+    so that no more than about ``_WALK_ENTRIES`` projected entries are held
+    per level.  Each node keeps every atom projected onto the orthogonal
+    complement of its prefix's span: adding an atom x to the prefix is one
+    Householder reflection taking x onto the first axis, whose other axes
+    are the new complement.  The norm p of x there, its pivot, is its
+    distance to the prefix's span.  At depth d - 2 the atoms are points in
+    R^2 or C^2, and atom i lies at distance |p_j x p_i| / |p_j| from the
+    hyperplane through the prefix and atom j.
 
     The cutoffs.  The rules the table stands for are those of one SVD per
-    subset T: T is independent when sigma_min(T) > tol sigma_max(T), and
-    atom i lies in its closure when its distance is at most
-    M tol max(sigma_max(T), |v_i|), M = ``_TABLE_MARGIN``.  The walk bounds
-    sigma_max(T) between the largest atom norm of T and F = |V_T|_F, and
-    sigma_min(T) between sigma_lo and the least pivot.  sigma_lo is the
-    larger of the least pivot minus the Frobenius norm of the triangular
-    factor's off-diagonal part, (F^2 - sum p^2)^(1/2) (Weyl), and
-    prod p / F^(|T| - 1), since prod p = prod sigma.  Assume that the
-    computed projections are those of an exactly orthonormal complement to
-    within eta |v|, eta = d^2 eps, with each prefix atom within eta |a| of
-    its span, and that LAPACK's SVD of T is exact for a matrix within
-    eta sigma_max of T.  Like the lift's, this assumption is not a theorem.
-    Then a pivot or distance, computed either way, lies within
-    eta (kappa + 1) |v| of the exact one, kappa = F / sigma_lo.  So a
+    subset T (``hyperplane_table_reference`` in the tests): T is
+    independent when sigma_min(T) > tol sigma_max(T), and atom i lies in
+    its closure when its distance is at most M tol max(sigma_max(T), |v_i|),
+    M = ``_TABLE_MARGIN``.  Assume, as Householder's backward error bound
+    gives with a constant LAPACK does not state, that the computed pivots
+    and points are exact for atoms each moved by at most eta |a|,
+    eta = d^2 eps, and that LAPACK's SVD of T is exact for a matrix within
+    eta sigma_max(T) of T; like the lift's, this assumption is not a
+    theorem.  Let F = |V_T|_F.  The pivots of the moved atoms bound their
+    sigma_min from above, and within eta F so are those of the atoms,
+    while sigma_max(T) lies between the largest atom norm of T and F.
+    sigma_min only shrinks and sigma_max only grows as atoms join, so a
     prefix, and every subset grown from it, is dropped only when its new
-    pivot, raised by that error, is at most
-    (tol (1 - eta) - eta) times its largest atom norm, or is exactly zero:
-    every pivot of an independent T exceeds that, because a pivot is at
-    least sigma_min and a prefix's sigma_min is at least that of T.  An atom
-    is listed when its distance is at most M tol (1 + eta) max(F, |v_i|)
-    plus twice the error, and the subset's own atoms always are.  So each
-    closure under the SVD rules lies in this table's row of the same T: the
-    table may list extra atoms and rows, never miss one.
+    pivot plus eta F is at most (tol (1 - eta) - eta) times its largest
+    atom norm, or is zero: the SVD rules call each such subset dependent.
+    At a leaf, sigma_lo bounds sigma_min from below: the larger of the
+    least pivot minus the Frobenius norm of the triangular factor's
+    off-diagonal part, (F^2 - sum p^2)^(1/2) (Weyl), and
+    prod p / (F^2 / (d - 2))^((d - 2) / 2), since prod p = prod sigma and the
+    other d - 2 singular values have squares summing to at most F^2.  With kappa = F / sigma_lo, the span of the
+    moved atoms and the one LAPACK's SVD sees lie within an angle of
+    2 eta kappa of each other, so a distance computed either way lies
+    within 2 eta (kappa + 1) |v_i| of the other.  An atom is listed when its
+    distance is at most M tol (1 + eta) max(F, |v_i|) plus that error, and
+    the subset's own atoms always are.  So each closure under the SVD rules
+    lies in this table's row of the same T: the table may list extra atoms
+    and rows, never miss one.
 
     The closures clear the band of ``_outside_band`` when every dropped
     prefix's bound on sigma_min / sigma_max lies at or below tol / M, every
     T's lower bound on it above M tol, and every membership ratio, bounds
     and errors included, outside (tol / M, M tol], the subset's own atoms
-    aside.  Then each of these
-    decisions is the one the SVD rules make, so the rows are theirs.  At
-    tol = 0 the band is empty.
+    aside.  Then each of these decisions is the one the SVD rules make, so
+    the rows are theirs.  At tol = 0 the band is empty.
     """
     n, d = v.shape
     norms = np.linalg.norm(v, axis=1)
@@ -263,64 +269,60 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     eta = d * d * _EPS
     low_cut, high_cut = tol / _TABLE_MARGIN * (1 - eta), _TABLE_MARGIN * tol * (1 + eta)
     floor = tol * (1 - eta) - eta
-    band = tol > 0
     atoms = np.arange(n)
 
     def grow(proj, last, inside, stats, k):
-        nonlocal clear
         # A block of nodes with prefixes of k atoms: their projected atoms, last atoms, prefix
-        # masks, and per node F^2, max |a|, sum p_lo^2, min p_lo, prod p_lo and kappa.
+        # masks, and per node F^2, the largest atom norm, and the sum of squares, least and
+        # product of the pivots.
+        nonlocal clear
         leaf = k == d - 2
         valid = (atoms > last[:, None]) & (atoms <= (n - 1 if leaf else n - d + 1 + k))
         for lo, hi in _blocks(valid.sum(axis=1) * (n * (d - k)), _WALK_ENTRIES):
             b, j = np.nonzero(valid[lo:hi])
             b += lo
-            x, a, (f2, top, low2, least, prod, kappa) = proj[b, j], norms[j], stats[b].T
+            x, a, (f2, top, low2, least, prod) = proj[b, j], norms[j], stats[b].T
             px = np.sqrt(np.einsum("ij,ij->i", x, x.conj()).real)
-            e = eta * (kappa + 1) * a
-            top = np.maximum(top, a)
-            alive = (px > 0) & (px + e > floor * top)
-            if band and clear:
-                clear = not (~alive & (px + e + eta * top > low_cut * top)).any()
+            f2, top = f2 + a * a, np.maximum(top, a)
+            f = np.sqrt(f2)
+            alive = (px > 0) & (px + eta * f > floor * top)
+            if tol > 0 and clear:
+                clear = not (~alive & (px + eta * (f + top) > low_cut * top)).any()
             if not alive.all():
                 if not alive.any():
                     continue
-                b, j, x, px, a, e, top, f2, low2, least, prod = (
-                    z[alive] for z in (b, j, x, px, a, e, top, f2, low2, least, prod)
+                b, j, x, px, f2, top, f, low2, least, prod = (
+                    z[alive] for z in (b, j, x, px, f2, top, f, low2, least, prod)
                 )
-            plo = np.maximum(px - e, 0.0)
-            f2, low2, least, prod = f2 + a * a, low2 + plo * plo, np.minimum(least, plo), prod * plo
-            f = np.sqrt(f2)
-            weyl = least - np.sqrt(np.maximum(f2 - low2, 0.0) + 2 * (k + 1) * _EPS * f2)
-            sigma = np.minimum(np.maximum(weyl, prod / np.maximum(f**k, _TINY)), least) * (1 - eta)
-            kappa = f / np.maximum(sigma, eta * f)
+            low2, least, prod = low2 + px * px, np.minimum(least, px), prod * px
             y, own = proj[b], inside[b]
             own[np.arange(len(b)), j] = True
-            if leaf:
-                cross = np.abs(x[:, :1] * y[:, :, 1] - x[:, 1:] * y[:, :, 0])
-                allow = px[:, None] * (2 * eta) * (kappa + 1)[:, None] * norms
-                high = px[:, None] * np.maximum(f[:, None], norms)
-                if band and clear:
-                    low = low_cut * px[:, None] * np.maximum(top[:, None], norms)
-                    clear = not (sigma <= f * (eta + high_cut)).any() and not (
-                        ~own & (cross + allow > low) & (cross - allow <= high_cut * high)
-                    ).any()
-                packed.append(np.packbits(own | (cross <= high_cut * high + allow), axis=1, bitorder="little"))
+            if not leaf:
+                x0 = x[:, 0]
+                ax0 = np.abs(x0)
+                # The reflection I - 2 w w^H / |w|^2 with w = x + |x| (x_0 / |x_0|) e_1 maps x onto the
+                # first axis; |w|^2 = 2 |x| (|x| + |x_0|), and w equals x past the first axis.
+                w_conj = x.conj()
+                w_conj[:, 0] += px * np.where(ax0 > 0, w_conj[:, 0] / np.where(ax0 > 0, ax0, 1.0), 1.0)
+                coef = np.einsum("cnm,cm->cn", y, w_conj) / (px * (px + ax0))[:, None]
+                projected = y[:, :, 1:] - coef[:, :, None] * x[:, None, 1:]
+                grow(projected, j, own, np.column_stack([f2, top, low2, least, prod]), k + 1)
                 continue
-            x0 = x[:, 0]
-            ax0 = np.abs(x0)
-            # The reflection I - 2 w w^H / |w|^2 with w = x + |x| (x_0 / |x_0|) e_1 maps x onto the
-            # first axis; |w|^2 = 2 |x| (|x| + |x_0|), and w equals x past the first axis.
-            w_conj = x.conj()
-            w_conj[:, 0] += px * np.where(ax0 > 0, w_conj[:, 0] / np.where(ax0 > 0, ax0, 1.0), 1.0)
-            coef = np.einsum("cnm,cm->cn", y, w_conj) / (px * (px + ax0))[:, None]
-            grow(
-                y[:, :, 1:] - coef[:, :, None] * x[:, None, 1:], j, own,
-                np.column_stack([f2, top, low2, least, prod, kappa]), k + 1,
-            )
+            g2 = f2 * (1 + eta) ** 2
+            weyl = least - np.sqrt(np.maximum(g2 - low2, 0.0) + 2 * d * _EPS * g2)
+            sigma = np.minimum(np.maximum(weyl, prod / np.maximum((g2 / max(k, 1)) ** (k / 2), _TINY)), least) * (1 - eta)
+            kappa = f / np.maximum(sigma - eta * f, eta * f)
+            cross = np.abs(x[:, :1] * y[:, :, 1] - x[:, 1:] * y[:, :, 0])
+            allow = px[:, None] * (2 * eta) * (kappa + 1)[:, None] * norms
+            high = px[:, None] * np.maximum(f[:, None], norms)
+            if tol > 0 and clear:
+                low = low_cut * px[:, None] * np.maximum(top[:, None], norms)
+                clear = not (sigma <= f * (2 * eta + high_cut)).any() and not (
+                    ~own & (cross + allow > low) & (cross - allow <= high_cut * high)
+                ).any()
+            packed.append(np.packbits(own | (cross <= high_cut * high + allow), axis=1, bitorder="little"))
 
-    root = np.array([[0.0, 0.0, 0.0, np.inf, 1.0, 0.0]])
-    grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), root, 0)
+    grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), np.array([[0.0, 0.0, 0.0, np.inf, 1.0]]), 0)
     return (np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)), clear
 
 
@@ -479,8 +481,9 @@ def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ort
     numerical ranks, so the argument is applied only when every decision
     clears its cutoff by the factor M = ``_TABLE_MARGIN``: no
     (d - 1)-subset's sigma_min / sigma_max and no atom's membership ratio
-    (both checked in the table's batched SVDs), and no singular-value ratio
-    sigma_j / sigma_1 of a listed flat or of its complement, lies in
+    (both bounded, rounding included, by the table's walk), and no
+    singular-value ratio sigma_j / sigma_1 of a listed flat or of its
+    complement, lies in
     (tol / M, M tol]; the frame's own sigma_d / sigma_1 exceeds M tol, or
     it would have no table.  Each flat and each complement must have a null
     space, no row may hold every atom, and each overlap must be at most
