@@ -254,7 +254,8 @@ def bessel_norm_bound_check(frame: Frame, tol: float = DEFAULT_MATCH_TOL) -> Bes
     with np.errstate(over="ignore"):
         bound = np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half)
         report = np.ldexp([bound, norm], e)
-    return BesselBoundReport(bound=float(report[0]), max_norm=float(report[1]), holds=bool(norm <= bound + tol * (1.0 + bound)))
+    holds = bool(norm <= bound + tol * (1.0 + bound))
+    return BesselBoundReport(bound=float(report[0]), max_norm=float(report[1]), holds=holds)
 
 
 def magnitudes(frame: Frame, f: np.ndarray) -> CoefficientVector:

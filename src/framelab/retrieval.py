@@ -298,19 +298,19 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
             y, own = proj[b], inside[b]
             own[np.arange(len(b)), j] = True
             if not leaf:
-                x0 = x[:, 0]
-                ax0 = np.abs(x0)
                 # The reflection I - 2 w w^H / |w|^2 with w = x + |x| (x_0 / |x_0|) e_1 maps x onto the
                 # first axis; |w|^2 = 2 |x| (|x| + |x_0|), and w equals x past the first axis.
-                w_conj = x.conj()
-                w_conj[:, 0] += px * np.where(ax0 > 0, w_conj[:, 0] / np.where(ax0 > 0, ax0, 1.0), 1.0)
-                coef = np.einsum("cnm,cm->cn", y, w_conj) / (px * (px + ax0))[:, None]
-                projected = y[:, :, 1:] - coef[:, :, None] * x[:, None, 1:]
-                grow(projected, j, own, np.column_stack([f2, top, low2, least, prod]), k + 1)
+                x0 = x[:, 0]
+                ax0 = np.abs(x0)
+                phase = np.where(ax0 > 0, x0 / np.where(ax0 > 0, ax0, 1.0), 1.0)
+                coef = np.einsum("cnm,cm->cn", y, x.conj()) + (px * phase.conj())[:, None] * y[:, :, 0]
+                y[:, :, 1:] -= (coef / (px * (px + ax0))[:, None])[:, :, None] * x[:, None, 1:]
+                grow(y[:, :, 1:], j, own, np.column_stack([f2, top, low2, least, prod]), k + 1)
                 continue
             g2 = f2 * (1 + eta) ** 2
             weyl = least - np.sqrt(np.maximum(g2 - low2, 0.0) + 2 * d * _EPS * g2)
-            sigma = np.minimum(np.maximum(weyl, prod / np.maximum((g2 / max(k, 1)) ** (k / 2), _TINY)), least) * (1 - eta)
+            det = prod / np.maximum((g2 / max(k, 1)) ** (k / 2), _TINY)
+            sigma = np.minimum(np.maximum(weyl, det), least) * (1 - eta)
             kappa = f / np.maximum(sigma - eta * f, eta * f)
             cross = np.abs(x[:, :1] * y[:, :, 1] - x[:, 1:] * y[:, :, 0])
             allow = px[:, None] * (2 * eta) * (kappa + 1)[:, None] * norms
@@ -322,7 +322,8 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
                 ).any()
             packed.append(np.packbits(own | (cross <= high_cut * high + allow), axis=1, bitorder="little"))
 
-    grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), np.array([[0.0, 0.0, 0.0, np.inf, 1.0]]), 0)
+    root = np.array([[0.0, 0.0, 0.0, np.inf, 1.0]])
+    grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), root, 0)
     return (np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)), clear
 
 
