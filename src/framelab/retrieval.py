@@ -89,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, dropwhile, filterfalse, islice
+from itertools import compress, dropwhile, filterfalse, islice
 from math import comb, sqrt
 from typing import Any, Callable, Iterator
 
@@ -229,27 +229,28 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     The cutoffs.  The rules the table stands for are those of one SVD per
     subset T (``hyperplane_table_reference`` in the tests): T is
     independent when sigma_min(T) > tol sigma_max(T), and atom i lies in
-    its closure when its distance is at most M tol max(sigma_max(T), |v_i|),
-    M = ``_TABLE_MARGIN``.  Assume, as Householder's backward error bound
-    gives with a constant LAPACK does not state, that the computed pivots
-    and points are exact for atoms each moved by at most eta |a|,
-    eta = d^2 eps, and that LAPACK's SVD of T is exact for a matrix within
-    eta sigma_max(T) of T; like the lift's, this assumption is not a
-    theorem.  Let F = |V_T|_F.  The pivots of the moved atoms bound their
-    sigma_min from above, and within eta F so are those of the atoms,
-    while sigma_max(T) lies between the largest atom norm of T and F.
-    sigma_min only shrinks and sigma_max only grows as atoms join, so a
-    prefix, and every subset grown from it, is dropped only when its new
-    pivot plus eta F is at most (tol (1 - eta) - eta) times its largest
-    atom norm, or is zero: the SVD rules call each such subset dependent.
-    At a leaf, sigma_lo bounds sigma_min from below: the larger of the
-    least pivot minus the Frobenius norm of the triangular factor's
-    off-diagonal part, (F^2 - sum p^2)^(1/2) (Weyl), and
-    prod p / (F^2 / (d - 2))^((d - 2) / 2), since prod p = prod sigma and the
-    other d - 2 singular values have squares summing to at most F^2.  With kappa = F / sigma_lo, the span of the
-    moved atoms and the one LAPACK's SVD sees lie within an angle of
-    2 eta kappa of each other, so a distance computed either way lies
-    within 2 eta (kappa + 1) |v_i| of the other.  An atom is listed when its
+    its closure when its distance is at most M tol max(sigma_max(T),
+    |v_i|), M = ``_TABLE_MARGIN``.  Assume that the computed pivots and
+    points are exact for atoms each moved by at most eta |a|, eta = d^2
+    eps, which is the backward error bound of d - 2 Householder
+    reflections in dimension d with its unstated constant taken as 2, and
+    that LAPACK's SVD of T is exact for a matrix within eta sigma_max(T)
+    of T; like the lift's, this assumption is not a theorem.  Let F =
+    |V_T|_F.  The pivots of the moved atoms bound their sigma_min from
+    above, and so, within eta F, those of the atoms, while sigma_max(T)
+    lies between the largest atom norm of T and F.  sigma_min only shrinks
+    and sigma_max only grows as atoms join, so a prefix, and every subset
+    grown from it, is dropped only when its new pivot plus eta F is at
+    most (tol (1 - eta) - eta) times its largest atom norm, or is zero:
+    the SVD rules call each such subset dependent.  At a leaf, sigma_lo
+    bounds sigma_min from below: the larger of the least pivot minus the
+    Frobenius norm of the triangular factor's off-diagonal part, (F^2 -
+    sum p^2)^(1/2) (Weyl), and prod p / (F^2 / (d - 2))^((d - 2) / 2),
+    since prod p = prod sigma and the other d - 2 singular values have
+    squares summing to at most F^2.  With kappa = F / sigma_lo, the span of
+    the moved atoms and the one LAPACK's SVD sees lie within an angle of 2
+    eta kappa of each other, so a distance computed either way lies within
+    2 eta (kappa + 1) |v_i| of the other.  An atom is listed when its
     distance is at most M tol (1 + eta) max(F, |v_i|) plus that error, and
     the subset's own atoms always are.  So each closure under the SVD rules
     lies in this table's row of the same T: the table may list extra atoms
