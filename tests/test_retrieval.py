@@ -14,6 +14,7 @@ import framelab as fl
 from framelab._linalg import annihilator
 from framelab.retrieval import (
     _BATCH_ENTRIES,
+    _WALK_ENTRIES,
     _bitmasks,
     _deficient,
     _first_failures,
@@ -25,7 +26,6 @@ from framelab.retrieval import (
     _lift_cutoff,
     _lifted_holds,
     _r_stack,
-    _WALK_ENTRIES,
     _scan_budget,
     _walk,
 )
@@ -856,13 +856,15 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, d, n, seed, certify", [
-    ("real", 4, 8, 0, fl.phase_retrieval_certify),
-    ("real", 4, 8, 0, fl.norm_retrieval_certify),
+    ("real", 3, 5, 0, fl.phase_retrieval_certify),
+    ("real", 3, 5, 0, fl.norm_retrieval_certify),
     ("complex", 3, 18, 1, fl.phase_retrieval_certify),
 ])
 def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
     # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
-    # table must scale such a frame all the same, or every split is scanned.
+    # table must scale such a frame all the same, or every split is scanned.  With no
+    # split checked before it every frame builds the table; gen_random(3, 5) would
+    # otherwise fit whole in the scan budget.
     tiny = fl.gen_random(d, n, seed, field)
     tiny = tiny.with_vectors(tiny.vectors * 1e-310)
     # The stored entries times 2^1030 are normal, and the product is exact.
@@ -873,10 +875,11 @@ def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d
         tables.append(_hyperplane_table(*args))
         return tables[-1]
 
-    with patch("framelab.retrieval._hyperplane_table", recording):
-        got = certify(tiny)
-    assert tables and all(table is not None for table in tables)
-    want = certify(normal)
+    with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+        with patch("framelab.retrieval._hyperplane_table", recording):
+            got = certify(tiny)
+        assert tables and all(table is not None for table in tables)
+        want = certify(normal)
     assert (got.verdict, got.witness_subset) == (want.verdict, want.witness_subset)
     for a, b in zip(got.witness_vectors or (), want.witness_vectors or (), strict=True):
         assert np.array_equal(a, b)
