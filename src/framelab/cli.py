@@ -105,9 +105,10 @@ class _Stopwatch:
         self._t0 = time.perf_counter()
 
     def lap(self, stage: str) -> None:
+        """Add the time since the last lap to ``stage``, which may be lapped more than once."""
         now = time.perf_counter()
         if self.enabled:
-            self.times[stage] = (now - self._t0) * 1000.0
+            self.times[stage] = self.times.get(stage, 0.0) + (now - self._t0) * 1000.0
         self._t0 = now
 
     def result(self) -> dict[str, float] | None:
@@ -393,9 +394,9 @@ def main(argv: list[str] | None = None) -> int:
         for path in paths:
             if path not in loaded:
                 doc, digest = _read_json(path)
+                watch.lap("read")
                 loaded[path] = (doc_to_frame(doc), digest)
-        if paths:
-            watch.lap("load")
+                watch.lap("frame")
         outcome = args.compute(args, [loaded[path][0] for path in paths], watch)
         digests = {path: digest for path, (_, digest) in loaded.items()}
         # A report holding a number JSON cannot carry finitely is refused here.

@@ -2,16 +2,26 @@
 
 A frame file records the field, the dimension, one atom record per frame
 vector (weight, coordinates, optional label) and an optional provenance
-block.  Complex coordinates are stored as ``[re, im]`` pairs.  Serialization
-uses two-space indentation and shortest round-trip decimals, so parsing a
-file and writing it back is byte-identical; reports built from fixed seeds
-come out byte-identical the same way.
+block.  Complex coordinates are stored as ``[re, im]`` pairs.  Loading
+checks every atom with plain type tests, then builds the row array in one
+call.
+
+Canonical bytes are ``json.dumps(obj, indent=2, allow_nan=False)`` plus a
+newline: two-space indentation, ASCII escapes and shortest round-trip
+decimals, so parsing a file and writing it back is byte-identical, and
+reports built from fixed seeds come out byte-identical the same way.
+``dumps_canonical`` writes those bytes with a small direct encoder, because
+``indent`` keeps json on its pure-Python encoder before Python 3.13.  It
+hands any value it does not encode, a non-finite float among them, to
+``json.dumps``, whose error is then raised.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Any
 
@@ -49,22 +59,6 @@ def _number(value: Any) -> float:
     return float(value)
 
 
-def _vector_from_json(entry: list, field: str, dim: int, where: str) -> np.ndarray:
-    if not isinstance(entry, list):
-        raise ValueError(f"{where}: vector must be a list of {dim} coordinates, got {entry!r}")
-    if len(entry) != dim:
-        raise ValueError(f"{where}: expected {dim} coordinates, got {len(entry)}")
-    if field == "complex":
-        try:
-            return np.array([complex(_number(re), _number(im)) for re, im in entry], dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{where}: complex coordinates must be [re, im] pairs of numbers") from exc
-    try:
-        return np.array([_number(x) for x in entry], dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{where}: real coordinates must be numbers") from exc
-
-
 def frame_to_doc(frame: Frame, provenance: dict | None = None) -> dict:
     atoms = []
     for atom, row in zip(frame.space.atoms, frame.vectors):
@@ -92,7 +86,8 @@ def doc_to_frame(doc: dict) -> Frame:
         raise ValueError("atoms must be a non-empty list")
     weights: list[float] = []
     labels: list[str | None] = []
-    rows: list[np.ndarray] = []
+    coordinates: list[list] = []
+    pairs = field == "complex"
     for k, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "weight" not in entry or "vector" not in entry:
             raise ValueError(f"atom {k}: each atom needs 'weight' and 'vector'")
@@ -104,16 +99,106 @@ def doc_to_frame(doc: dict) -> Frame:
         if label is not None and not isinstance(label, str):
             raise ValueError(f"atom {k}: label must be a string, got {label!r}")
         labels.append(label)
-        rows.append(_vector_from_json(entry["vector"], field, dim, f"atom {k}"))
+        vector = entry["vector"]
+        if not isinstance(vector, list):
+            raise ValueError(f"atom {k}: vector must be a list of {dim} coordinates, got {vector!r}")
+        if len(vector) != dim:
+            raise ValueError(f"atom {k}: expected {dim} coordinates, got {len(vector)}")
+        # A float is a number; any other value must pass ``_number``.
+        if pairs:
+            try:
+                for pair in vector:
+                    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                        raise TypeError(f"not an [re, im] pair: {pair!r}")
+                    for part in pair:
+                        if type(part) is not float:
+                            _number(part)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"atom {k}: complex coordinates must be [re, im] pairs of numbers") from exc
+        else:
+            try:
+                for x in vector:
+                    if type(x) is not float:
+                        _number(x)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"atom {k}: real coordinates must be numbers") from exc
+        coordinates.append(vector)
     space = make_atomic(weights, labels)
-    vectors = np.vstack(rows)
-    if field == "complex":
-        vectors = vectors.astype(complex)
-    return Frame(space, vectors)
+    parts = np.array(coordinates, dtype=float)
+    if pairs:
+        vectors = np.empty(parts.shape[:2], dtype=complex)
+        vectors.real = parts[..., 0]
+        vectors.imag = parts[..., 1]
+        return Frame(space, vectors)
+    return Frame(space, parts)
+
+
+class _Unencodable(Exception):
+    """A value ``_encode`` leaves to ``json.dumps``, which raises its own error for it."""
+
+
+def _encode(obj: Any, out: list[str], newline: str) -> None:
+    """Append the text ``json.dumps(obj, indent=2)`` gives ``obj`` to ``out``; ``newline`` ends in the current indent.
+
+    The type tests run in json's order, so ``bool`` and float subclasses
+    encode as json encodes them.
+    """
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise _Unencodable
+        out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in obj:
+            out.append(separator)
+            _encode(item, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise _Unencodable
+            out.append(separator + _string(key) + ": ")
+            _encode(value, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise _Unencodable
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, by a direct encoder.
+
+    Any value the encoder does not take (a non-finite float, a non-string
+    key, another type, or nesting too deep) goes to ``json.dumps``, so the
+    error raised is json's own.
+    """
+    out: list[str] = []
+    try:
+        _encode(obj, out, "\n")
+    except (_Unencodable, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def _digest(raw: bytes) -> str:

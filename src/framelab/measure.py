@@ -8,6 +8,7 @@ for the infimum of positive subset measures and feeds the Bessel bound
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ class Atom:
 
     def __post_init__(self) -> None:
         w = float(self.weight)
-        if not np.isfinite(w) or w <= 0.0:
+        if not math.isfinite(w) or w <= 0.0:
             raise ValueError(f"atom {self.index}: weight must be positive and finite, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
 

@@ -10,8 +10,8 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It certifies all its trials as one stack, through the driver that
-  ``complement_property`` runs on a single frame.
+  It certifies the input frame and its trials in stacks, through the
+  driver that ``complement_property`` runs on a single frame.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .retrieval import (
     Certificate,
     _first_failures,
     _first_subset,
-    complement_property,
+    _require_within_cap,
     norm_retrieval_certify,
     phase_retrieval_certify,
 )
@@ -70,6 +70,9 @@ class SweepPoint:
     lam: float
     all_preserved: bool
     failures: int
+
+
+_NOT_PR = "stability sweep needs a phase retrieval frame to start from"
 
 
 def _require_finite_epsilon(epsilon: float) -> None:
@@ -284,9 +287,14 @@ def stability_sweep(
     at once, and the frames still open go on one by one through the
     hyperplane table.  Each verdict is the one ``phase_retrieval_certify``
     gives that perturbed frame, so the counts do not depend on the blocks.
+    The input frame is certified as row 0 of the first block's stack, after
+    the cap, the field, the radii and the trial count are checked.  Each
+    block draws its trials' fields from their own generators, then
+    normalizes the directions and takes the radii's d-th roots at once.
     """
-    if complement_property(frame, tol, cap).verdict != HOLDS or frame.field != "real":
-        raise ValueError("stability sweep needs a phase retrieval frame to start from")
+    _require_within_cap(frame, cap, "complement property certification")
+    if frame.field != "real":
+        raise ValueError(_NOT_PR)
     lams = [float(l) for l in lambdas]
     ascending = all(a <= b for a, b in zip(lams, lams[1:]))
     if not (all(math.isfinite(l) and l >= 0 for l in lams) and ascending):
@@ -306,12 +314,17 @@ def stability_sweep(
         radii = np.empty((count, n, 1))
         for t in range(count):
             rng = np.random.default_rng((seed, lo + t))
-            field = rng.standard_normal((n, d))
-            directions[t] = field / np.linalg.norm(field, axis=1, keepdims=True)
-            radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)
+            directions[t] = rng.standard_normal((n, d))
+            radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n)
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        radii **= 1.0 / d
         # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
-        stack = frame.vectors + scales * directions * radii
+        stack = (frame.vectors + scales * directions * radii).reshape(-1, n, d)
         _require_finite(stack)
-        witnesses = _first_failures(stack.reshape(-1, n, d), tol, _first_subset)
-        failures += np.array([w is not None for w in witnesses]).reshape(len(lams), count).sum(axis=1)
+        # The first block also certifies the input frame, as its row 0.
+        head = frame.vectors[None] if lo == 0 else stack[:0]
+        failed = [w is not None for w in _first_failures(np.concatenate([head, stack]), tol, _first_subset)]
+        if any(failed[: len(head)]):
+            raise ValueError(_NOT_PR)
+        failures += np.array(failed[len(head) :]).reshape(len(lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

@@ -224,6 +224,17 @@ def test_sweep_blames_non_finite_lambdas_not_the_frame(tmp_path, capsys, lambdas
     assert "frame vectors" not in stderr
 
 
+def test_sweep_blames_bad_radii_before_a_frame_without_phase_retrieval(tmp_path, capsys):
+    onb = tmp_path / "o.json"
+    _run(capsys, "gen", "onb", "--dim", "2", "-o", str(onb))
+    code, stdout, _ = _run(capsys, "sweep", str(onb), "--lambdas", "0.1,0.01", "--trials", "4")
+    assert code == 2
+    assert json.loads(stdout)["error"] == "lambdas must be finite, nonnegative and ascending"
+    code, stdout, _ = _run(capsys, "sweep", str(onb), "--lambdas", "0.01,0.1", "--trials", "4")
+    assert code == 2
+    assert json.loads(stdout)["error"] == "stability sweep needs a phase retrieval frame to start from"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--lambdas", "0.01", "--trials", "0"], "trials must be at least 1"),
     (["--lambdas", "", "--trials", "4"], "lambdas must hold at least one radius"),
@@ -365,6 +376,63 @@ def test_a_malformed_frame_file_is_a_usage_error(doc, message, tmp_path, capsys)
     assert message in stderr
 
 
+_GOOD_ATOM = {"weight": 1.0, "vector": [0.0, 1.0]}
+_GOOD_PAIRS = {"weight": 1.0, "vector": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "field, atoms, message",
+    [
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [True, 0.0]}], "atom 1: real coordinates must be numbers"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [0.0, "1"]}], "atom 1: real coordinates must be numbers"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [[1.0], 0.0]}], "atom 1: real coordinates must be numbers"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [1.0, 10**400]}], "atom 1: real coordinates must be numbers"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [1.0]}], "atom 1: expected 2 coordinates, got 1"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [1.0, 0.0, 0.0]}], "atom 1: expected 2 coordinates, got 3"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": "ab"}], "atom 1: vector must be a list of 2 coordinates, got 'ab'"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0}], "atom 1: each atom needs 'weight' and 'vector'"),
+        ("real", [_GOOD_ATOM, {"vector": [1.0, 0.0]}], "atom 1: each atom needs 'weight' and 'vector'"),
+        ("real", [_GOOD_ATOM, [1.0, 0.0]], "atom 1: each atom needs 'weight' and 'vector'"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [1.0, 0.0], "label": 5}], "atom 1: label must be a string, got 5"),
+        ("real", [_GOOD_ATOM, {"weight": 10**400, "vector": [1.0, 0.0]}], "atom 1: weight must be a number, got " + str(10**400)),
+        ("real", [_GOOD_ATOM, {"weight": 0.0, "vector": [1.0, 0.0]}], "atom 1: weight must be positive and finite, got 0.0"),
+        ("real", [_GOOD_ATOM, {"weight": float("inf"), "vector": [1.0, 0.0]}], "atom 1: weight must be positive and finite, got inf"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [float("inf"), 0.0]}], "frame vectors must be finite (no NaN or Inf entries)"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [float("nan"), 0.0]}], "frame vectors must be finite (no NaN or Inf entries)"),
+        # Every atom's types are checked before any weight's sign, and each atom's weight before its label and vector.
+        ("real", [{"weight": -1.0, "vector": [0.0, 1.0]}, {"weight": 1.0, "vector": [0.0, 1.0], "label": 5}],
+         "atom 1: label must be a string, got 5"),
+        ("real", [_GOOD_ATOM, {"weight": "1", "vector": [True, 0.0], "label": 5}], "atom 1: weight must be a number, got '1'"),
+        ("real", [_GOOD_ATOM, {"weight": 1.0, "vector": [True], "label": 5}], "atom 1: label must be a string, got 5"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, 0.0, 2.0], [0.0, 0.0]]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0], [0.0, 0.0]]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [1.0, [0.0, 0.0]]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, 0.0], [False, 0.0]]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, 0.0], [0.0, 10**400]]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, 0.0], "ab"]}],
+         "atom 1: complex coordinates must be [re, im] pairs of numbers"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}],
+         "atom 1: expected 2 coordinates, got 3"),
+        ("complex", [_GOOD_PAIRS, {"weight": 1.0, "vector": [[1.0, float("-inf")], [0.0, 0.0]]}],
+         "frame vectors must be finite (no NaN or Inf entries)"),
+    ],
+)
+def test_each_malformed_atom_gets_its_own_error_report(field, atoms, message, tmp_path, capsys):
+    # The whole report is pinned: exit 2, the error on stdout as canonical JSON, and one line on stderr.
+    # json.dumps writes inf and nan as Infinity and NaN, which the loader's JSON parser reads back.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"field": field, "dim": 2, "atoms": atoms}))
+    code, stdout, stderr = _run(capsys, "certify", "pr", str(path))
+    assert code == 2
+    assert stdout == json.dumps({"command": f"framelab certify pr {path}", "error": message}, indent=2) + "\n"
+    assert stderr == f"error: {message}\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bounds_and_alpha_refuse_a_frame_whose_operators_overflow(tmp_path, capsys):
     # Squares of these entries overflow float64; the lift scales each frame by a power of two first.
@@ -469,7 +537,14 @@ def test_timings_flag_attaches_timings(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert "timings_ms" in report
-    assert set(report["timings_ms"]) == {"load", "certify"}
+    # The loader's layers are timed apart: read (bytes, parse, digest), then frame.
+    assert list(report["timings_ms"]) == ["read", "frame", "certify"]
+    # Two inputs add their laps into the same two stages.
+    onb = tmp_path / "o.json"
+    _run(capsys, "gen", "onb", "--dim", "2", "-o", str(onb))
+    code, stdout, _ = _run(capsys, "tensor", str(merc), str(onb), "-o", str(tmp_path / "p.json"), "--timings")
+    assert code == 0
+    assert list(json.loads(stdout)["timings_ms"]) == ["read", "frame", "write", "check"]
 
 
 def test_bounds_reports_bessel_bound_value(tmp_path, capsys):

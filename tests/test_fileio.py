@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framelab as fl
 
@@ -105,6 +107,26 @@ def test_doc_validation_messages(tmp_path):
         fl.doc_to_frame(doc)
 
 
+def test_doc_to_frame_builds_the_rows_of_its_numbers():
+    # Ints convert as float() converts them, float subclasses are numbers, and complex parts keep their signs.
+    doc = {"field": "real", "dim": 2, "atoms": [
+        {"weight": 1, "vector": [2**53 + 1, -(2**70) - 3]},
+        {"weight": np.float64(0.5), "vector": [np.float64(0.1), -0.0]},
+    ]}
+    frame = fl.doc_to_frame(doc)
+    assert frame.vectors.dtype == np.float64
+    assert frame.vectors.tobytes() == np.array([[float(2**53 + 1), float(-(2**70) - 3)], [0.1, -0.0]]).tobytes()
+    assert frame.weights.tolist() == [1.0, 0.5]
+    doc = {"field": "complex", "dim": 2, "atoms": [
+        {"weight": 1.0, "vector": [[1.0, -0.0], (-0.0, 2)]},
+        {"weight": 2.0, "vector": [[3, 5e-324], [-1.5, 1e300]]},
+    ]}
+    frame = fl.doc_to_frame(doc)
+    expected = np.array([[complex(1.0, -0.0), complex(-0.0, 2.0)], [complex(3.0, 5e-324), complex(-1.5, 1e300)]])
+    assert frame.vectors.dtype == np.complex128
+    assert frame.vectors.tobytes() == expected.tobytes()
+
+
 def test_saved_file_is_stable_bytes(tmp_path):
     frame = fl.gen_random(2, 4, seed=5)
     a = tmp_path / "a.json"
@@ -120,6 +142,78 @@ def test_saved_file_is_stable_bytes(tmp_path):
 def test_dumps_canonical_rejects_nan():
     with pytest.raises(ValueError):
         fl.dumps_canonical({"x": float("nan")})
+
+
+def _json_canonical(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _finite,
+    _finite.map(np.float64),
+    st.sampled_from([-0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1, 1.5e-7]),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F)),
+)
+_documents = st.recursive(
+    _scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_dumps_canonical_writes_the_bytes_of_json_dumps(obj):
+    assert fl.dumps_canonical(obj) == _json_canonical(obj)
+
+
+def test_dumps_canonical_encodes_each_kind_as_json_does():
+    report = {
+        "text": "tab\t, newline\n, quote\", backslash\\, bell\x07, e-acute \u00e9, snowman \u2603, clef \U0001d11e",
+        "flags": [True, False, None],
+        "numbers": [0, -7, 10**30, -0.0, 1e16, 5e-324, 0.1, np.float64(2.5), np.float64(-0.0)],
+        "nested": {"empty list": [], "empty dict": {}, "tuple": (1, [2, {"k": ()}])},
+    }
+    text = fl.dumps_canonical(report)
+    assert text == _json_canonical(report)
+    assert text.isascii()
+    assert '"numbers": [\n    0,\n    -7,' in text
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float64("nan"), np.float64("-inf")])
+def test_dumps_canonical_refuses_non_finite_floats_with_the_json_message(value):
+    for obj in (value, [1.0, value], {"x": {"y": [value]}}):
+        with pytest.raises(ValueError) as ours:
+            fl.dumps_canonical(obj)
+        with pytest.raises(ValueError) as theirs:
+            _json_canonical(obj)
+        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value).startswith("Out of range float values are not JSON compliant")
+
+
+def test_dumps_canonical_leaves_what_it_does_not_encode_to_json():
+    # Keys json converts, and a value json refuses, give json's own text and error.
+    keyed = {1: "a", 2.5: "b", None: "c", True: "d"}
+    assert fl.dumps_canonical(keyed) == _json_canonical(keyed)
+    for obj, kind in (({"s": {1, 2}}, TypeError), ({(1, 2): 0}, TypeError)):
+        with pytest.raises(kind) as ours:
+            fl.dumps_canonical(obj)
+        with pytest.raises(kind) as theirs:
+            _json_canonical(obj)
+        assert str(ours.value) == str(theirs.value)
+    circular: list = []
+    circular.append(circular)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        fl.dumps_canonical(circular)
 
 
 def test_certificate_serialization():

@@ -312,25 +312,38 @@ def test_stability_sweep_is_deterministic():
     assert [(p.lam, p.failures) for p in a] == [(p.lam, p.failures) for p in b]
 
 
+def _certified_stacks(monkeypatch, frame, lambdas, trials: int, seed: int) -> list[list[bytes]]:
+    """The bytes of every frame the sweep certifies, stack by stack, each stand-in verdict holding."""
+    stacks = []
+
+    def recording_stack(stack, *args, **kwargs):
+        stacks.append([rows.tobytes() for rows in stack])
+        return [None] * len(stack)
+
+    monkeypatch.setattr("framelab.perturb._first_failures", recording_stack)
+    fl.stability_sweep(frame, lambdas, trials, seed)
+    return stacks
+
+
 def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
     frame = fl.gen_random(2, 5, seed=3)
     lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
-    certified = []
-
-    def recording(candidate, *args, **kwargs):
-        certified.append(candidate.vectors.tobytes())
-        return fl.Certificate(verdict=fl.HOLDS, method="recorded", field=candidate.field)
-
-    def recording_stack(stack, *args, **kwargs):
-        certified.extend(rows.tobytes() for rows in stack)
-        return [None] * len(stack)
-
-    monkeypatch.setattr("framelab.perturb.complement_property", recording)
-    monkeypatch.setattr("framelab.perturb._first_failures", recording_stack)
-    fl.stability_sweep(frame, lambdas, trials, seed)
+    # The input frame is row 0 of the one stack, and each trial's frames are byte for byte those it builds alone.
     expected = [frame.vectors.tobytes()]
     expected += [trial.vectors.tobytes() for row in _trial_frames(frame, lambdas, trials, seed) for trial in row]
-    assert certified == expected
+    assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [expected]
+
+
+def test_stability_sweep_blocks_build_each_trial_as_it_builds_alone(monkeypatch):
+    # Each trial draws its own field, and a block normalizes and scales all its trials at once.
+    # At d = 3 and a batch of 200 entries, a block holds three trials: the blocks hold trials 0-2, then 3.
+    frame = fl.gen_random(3, 7, seed=1)
+    lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
+    monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 200)
+    rows = _trial_frames(frame, lambdas, trials, seed)
+    first = [frame.vectors.tobytes()] + [row[t].vectors.tobytes() for row in rows for t in range(3)]
+    second = [row[3].vectors.tobytes() for row in rows]
+    assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [first, second]
 
 
 def test_stability_sweep_validates_input():
@@ -358,6 +371,27 @@ def test_stability_sweep_refuses_a_complex_frame_without_alpha(monkeypatch):
         fl.stability_sweep(frame, [0.01], trials=2, cap=8)
 
 
+def test_stability_sweep_checks_radii_and_trials_before_certifying(monkeypatch):
+    # The cap comes first; then the radii and the trial count are refused before any SVD.
+    # So a frame that does not do phase retrieval gets the radii error, not the frame error.
+    def no_certification(*args, **kwargs):
+        raise AssertionError("a frame was certified")
+
+    monkeypatch.setattr("framelab.perturb._first_failures", no_certification)
+    for frame in (fl.gen_random(4, 24, seed=0), fl.gen_onb(2)):
+        with pytest.raises(ValueError, match="lambdas must be finite, nonnegative and ascending"):
+            fl.stability_sweep(frame, [0.1, 0.01], trials=3)
+        with pytest.raises(ValueError, match="lambdas must hold at least one radius"):
+            fl.stability_sweep(frame, [], trials=3)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            fl.stability_sweep(frame, [0.1], trials=0)
+    with pytest.raises(fl.EnumerationCapExceeded):
+        fl.stability_sweep(fl.gen_random(4, 24, seed=0), [0.1, 0.01], trials=3, cap=23)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="needs a phase retrieval frame"):
+        fl.stability_sweep(fl.gen_onb(2), [0.1], trials=3)
+
+
 def test_stability_sweep_refuses_zero_trials_and_no_radii():
     # Zero trials or no radius would report "all preserved" from no evidence.
     frame = fl.gen_mercedes()
@@ -380,17 +414,18 @@ def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
 
     monkeypatch.setattr("framelab.perturb._first_failures", by_rows)
     whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
-    assert stacks == [(33, 5, 3)] and 0 < sum(whole) < 33
+    # The first stack also holds the input frame, in row 0.
+    assert stacks == [(34, 5, 3)] and 0 < sum(whole) < 33
     # A trial takes 45 entries, so a block of 200 holds four trials: 12 frames, then 12, then 9.
     stacks.clear()
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 200)
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
-    assert stacks == [(12, 5, 3), (12, 5, 3), (9, 5, 3)]
+    assert stacks == [(13, 5, 3), (12, 5, 3), (9, 5, 3)]
     # A block holds at least one trial, whatever the batch size.
     stacks.clear()
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 1)
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
-    assert stacks == [(3, 5, 3)] * 11
+    assert stacks == [(4, 5, 3)] + [(3, 5, 3)] * 10
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
