@@ -10,8 +10,10 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It certifies the input frame and its trials in stacks, through the
-  driver that ``complement_property`` runs on a single frame.
+  It draws every trial's perturbation from one seeded generator, a block
+  of trials at a time, and certifies the input frame and its trials in
+  stacks, through the driver that ``complement_property`` runs on a single
+  frame.
 """
 
 from __future__ import annotations
@@ -276,8 +278,11 @@ def stability_sweep(
     For each radius ``lam``, draws ``trials`` perturbations uniform on the
     per-atom Euclidean ball of radius ``lam`` (so the sup over atoms of the
     perturbation norm stays below ``lam``) and counts how many perturbed
-    frames lose phase retrieval.  Trial ``t`` draws its direction field once,
-    from the seed pair ``(seed, t)``, and every radius scales that field.
+    frames lose phase retrieval.  One generator, seeded with ``seed``, draws
+    a standard normal ``x`` of shape ``(trials, n, d + 2)``; trial ``t``
+    moves atom ``i`` by ``lam * x[t, i, :d] / |x[t, i]|``, a point uniform
+    on the ball of radius ``lam`` (Voelker, Gosmann & Stewart, 2017), so
+    every radius scales one field per trial.
     The input must be a real frame that does phase retrieval, with at
     least one radius and one trial.  The perturbed frames are built and
     certified in blocks of trials, every radius of a trial in its block,
@@ -289,8 +294,9 @@ def stability_sweep(
     gives that perturbed frame, so the counts do not depend on the blocks.
     The input frame is certified as row 0 of the first block's stack, after
     the cap, the field, the radii and the trial count are checked.  Each
-    block draws its trials' fields from their own generators, then
-    normalizes the directions and takes the radii's d-th roots at once.
+    block draws its trials' rows of ``x`` at once; the generator fills them
+    in order, so a trial's field does not depend on where the blocks are
+    cut.
     """
     _require_within_cap(frame, cap, "complement property certification")
     if frame.field != "real":
@@ -307,19 +313,14 @@ def stability_sweep(
     n, d = frame.n_atoms, frame.dim
     scales = np.array(lams)[:, None, None, None]
     block = max(1, _BATCH_ENTRIES // (len(lams) * n * d))
+    rng = np.random.default_rng(seed)
     failures = np.zeros(len(lams), dtype=int)
     for lo in range(0, trials, block):
         count = min(block, trials - lo)
-        directions = np.empty((count, n, d))
-        radii = np.empty((count, n, 1))
-        for t in range(count):
-            rng = np.random.default_rng((seed, lo + t))
-            directions[t] = rng.standard_normal((n, d))
-            radii[t, :, 0] = rng.uniform(0.0, 1.0, size=n)
-        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
-        radii **= 1.0 / d
-        # (lam * direction) * radius, in the order one trial multiplies, so no row depends on the stacking.
-        stack = (frame.vectors + scales * directions * radii).reshape(-1, n, d)
+        # The first d of d + 2 normal coordinates, over the norm of all d + 2, are uniform on the unit d-ball.
+        x = rng.standard_normal((count, n, d + 2))
+        fields = x[..., :d] / np.linalg.norm(x, axis=2, keepdims=True)
+        stack = (frame.vectors + scales * fields).reshape(-1, n, d)
         _require_finite(stack)
         # The first block also certifies the input frame, as its row 0.
         head = frame.vectors[None] if lo == 0 else stack[:0]

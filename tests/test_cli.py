@@ -249,6 +249,26 @@ def test_sweep_refuses_a_sweep_with_no_trial_or_no_radius(argv, message, tmp_pat
     assert message in stderr
 
 
+def test_sweep_refuses_a_negative_seed_before_certifying_and_takes_a_seed_past_64_bits(tmp_path, capsys, monkeypatch):
+    merc = tmp_path / "m.json"
+    _run(capsys, "gen", "mercedes", "-o", str(merc))
+
+    def no_certification(*args, **kwargs):
+        raise AssertionError("a frame was certified")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("framelab.perturb._first_failures", no_certification)
+        code, stdout, stderr = _run(capsys, "sweep", str(merc), "--lambdas", "0.01", "--trials", "4", "--seed", "-1")
+    assert code == 2
+    assert "expected non-negative integer" in json.loads(stdout)["error"]
+    assert "expected non-negative integer" in stderr
+    seed = 2**64 + 1
+    code, stdout, _ = _run(capsys, "sweep", str(merc), "--lambdas", "0.01", "--trials", "4", "--seed", str(seed))
+    assert code == 0
+    data = json.loads(stdout)["data"]
+    assert data["seed"] == seed and data["points"][0]["failures"] == 0
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("gen_argv, perturb_argv", [
     (["onb", "--dim", "2"], ["break-nr", "--subset", "0"]),

@@ -184,18 +184,11 @@ def test_break_nr_l2_distance_scales_with_epsilon():
 
 
 def _trial_frames(frame: fl.Frame, lambdas, trials: int, seed: int) -> list[list[fl.Frame]]:
-    """A sweep's perturbed frames, radius by radius, each built alone from the sweep's formula."""
+    """A sweep's perturbed frames, radius by radius, each trial built alone from its slice of one draw."""
     n, d = frame.n_atoms, frame.dim
-    fields = []
-    for t in range(trials):
-        rng = np.random.default_rng((seed, t))
-        directions = rng.standard_normal((n, d))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        fields.append((directions, rng.uniform(0.0, 1.0, size=n) ** (1.0 / d)))
-    return [
-        [frame.with_vectors(frame.vectors + lam * directions * radii[:, None]) for directions, radii in fields]
-        for lam in lambdas
-    ]
+    x = np.random.default_rng(seed).standard_normal((trials, n, d + 2))
+    fields = [x[t, :, :d] / np.linalg.norm(x[t], axis=1, keepdims=True) for t in range(trials)]
+    return [[frame.with_vectors(frame.vectors + lam * field) for field in fields] for lam in lambdas]
 
 
 def _trial_failures(frame: fl.Frame, lambdas, trials: int, seed: int, tol: float) -> list[int]:
@@ -218,7 +211,7 @@ def test_stability_sweep_huge_radius_can_break_pr():
     frame = fl.gen_mercedes()
     lambdas, trials, seed, tol = [0.0, 0.1, 0.3, 0.5, 1.0, 5.0], 40, 1, 0.3
     points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
-    assert [p.failures for p in points] == [0, 0, 2, 15, 34, 35]
+    assert [p.failures for p in points] == [0, 0, 2, 13, 37, 36]
     assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, seed, tol)
     assert [p.all_preserved for p in points] == [True, True, False, False, False, False]
 
@@ -248,8 +241,8 @@ def test_stability_sweep_counts_what_each_trial_certifies(d, extra, tol, trials,
 @pytest.mark.parametrize(
     "frame, tol, failures",
     [
-        (fl.gen_mercedes(), 0.3, [0, 0, 0, 4]),
-        (fl.gen_random(3, 8, seed=3), 0.1, [0, 2, 4, 4]),
+        (fl.gen_mercedes(), 0.3, [0, 0, 0, 3]),
+        (fl.gen_random(3, 8, seed=3), 0.1, [0, 3, 5, 5]),
         (fl.gen_random(4, 11, seed=0), 1e-10, [0, 0, 0, 0]),
     ],
 )
@@ -335,7 +328,7 @@ def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
 
 
 def test_stability_sweep_blocks_build_each_trial_as_it_builds_alone(monkeypatch):
-    # Each trial draws its own field, and a block normalizes and scales all its trials at once.
+    # A block draws, normalizes and scales all its trials' fields at once, from the one generator.
     # At d = 3 and a batch of 200 entries, a block holds three trials: the blocks hold trials 0-2, then 3.
     frame = fl.gen_random(3, 7, seed=1)
     lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
@@ -344,6 +337,47 @@ def test_stability_sweep_blocks_build_each_trial_as_it_builds_alone(monkeypatch)
     first = [frame.vectors.tobytes()] + [row[t].vectors.tobytes() for row in rows for t in range(3)]
     second = [row[3].vectors.tobytes() for row in rows]
     assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [first, second]
+
+
+def _frames_by_radius(stacks: list[list[bytes]], n_lams: int) -> list[list[bytes]]:
+    """Each radius's certified frames in trial order, gathered from every block's stack, the input frame left out."""
+    rows: list[list[bytes]] = [[] for _ in range(n_lams)]
+    for stack in [stacks[0][1:], *stacks[1:]]:
+        count = len(stack) // n_lams
+        for k in range(n_lams):
+            rows[k] += stack[k * count : (k + 1) * count]
+    return rows
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_stability_sweep_blocks_change_no_trial(monkeypatch, per_block):
+    # Blocks of one or of three trials certify the frames of one block of all ten, byte for byte and in trial order.
+    frame, lambdas, trials, seed, tol = fl.gen_mercedes(), [0.3, 0.5, 1.0], 10, 4, 0.3
+
+    def run():
+        counts = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed, tol)]
+        with pytest.MonkeyPatch.context() as patch:
+            return counts, _certified_stacks(patch, frame, lambdas, trials, seed)
+
+    whole_counts, whole = run()
+    monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", per_block * len(lambdas) * frame.vectors.size)
+    counts, blocked = run()
+    assert len(whole) == 1 and len(blocked) == -(-trials // per_block)
+    assert blocked[0][0] == whole[0][0] == frame.vectors.tobytes()
+    assert _frames_by_radius(blocked, len(lambdas)) == _frames_by_radius(whole, len(lambdas))
+    assert counts == whole_counts and sum(counts) > 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stability_sweep_draws_uniformly_on_the_ball(monkeypatch, d):
+    # 1000 trials of 20 atoms: 20,000 perturbations, whose norms over lam have the radial CDF r^d of the unit d-ball.
+    frame, lam = fl.gen_random(d, 20, seed=d), 0.5
+    stacks = _certified_stacks(monkeypatch, frame, [lam], 1000, seed=11)
+    rows = np.concatenate([np.frombuffer(b"".join(stack), dtype=float) for stack in stacks]).reshape(-1, 20, d)
+    radii = np.linalg.norm(rows[1:] - frame.vectors, axis=2).ravel() / lam
+    assert radii.size == 20_000 and radii.max() < 1.0
+    for r in (0.3, 0.6, 0.9):
+        assert abs(np.mean(radii <= r) - r**d) < 0.02
 
 
 def test_stability_sweep_validates_input():
