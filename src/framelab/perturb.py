@@ -14,6 +14,14 @@ Two explicit perturbations and one empirical sweep:
   of trials at a time, and certifies the input frame and its trials in
   stacks, through the driver that ``complement_property`` runs on a single
   frame.
+
+Each construction certifies its perturbed frame on the split it broke,
+with the test the walk applies to that split: the scan's rank test, and for
+norm retrieval the null-space overlap against ``ortho_tol``.  The
+certificate then witnesses that split, written as the scan writes it, the
+side holding atom 0 first.  A split that fails there makes the full
+certifier fail too, so every split is walked only when it does not, and
+the certificate is then the full certifier's.
 """
 
 from __future__ import annotations
@@ -39,9 +47,13 @@ from .retrieval import (
     FAILS,
     HOLDS,
     Certificate,
+    _deficient,
     _first_failures,
     _first_subset,
+    _nr_failure,
+    _pr_failure,
     _require_within_cap,
+    _Split,
     norm_retrieval_certify,
     phase_retrieval_certify,
 )
@@ -91,6 +103,20 @@ def _validate_subset(ids: Sequence[int], n: int, name: str) -> tuple[int, ...]:
     return subset
 
 
+def _scan_split(n: int, ids: tuple[int, ...]) -> _Split:
+    """The split {ids, the rest} as the scan writes it: S holds atom 0, or S is empty when a side is."""
+    inside = set(ids)
+    rest = tuple(i for i in range(n) if i not in inside)
+    if not rest:
+        return (), ids
+    return (ids, rest) if ids[0] == 0 else (rest, ids)
+
+
+def _split_is_deficient(frame: Frame, split: _Split, rank_tol: float) -> bool:
+    """Whether neither side of the split spans, decided as the scan decides it."""
+    return _deficient(frame.vectors[None], [split], rank_tol)[0][0]
+
+
 def break_phase_retrieval(
     frame: Frame,
     head: Sequence[int],
@@ -107,7 +133,12 @@ def break_phase_retrieval(
     frame without being collinear.  The squared L2(mu) distance equals the
     tail energy ``sum_tail w_i |<e1, F(x_i)>|^2``, which must be below
     ``epsilon`` for the construction to apply; the perturbed frame's
-    certificate must fail.
+    certificate must fail.  The tail lies in the complement of ``e1`` and
+    the head in that of ``e2``, so neither side of (head, tail) spans: the
+    certificate witnesses that split, with the equal-magnitude pair that
+    ``phase_retrieval_certify`` builds from it, unless the rank test finds
+    a side spanning, when the full certifier decides.  The atom cap is
+    checked either way.
     """
     _require_finite_epsilon(epsilon)
     n, d = frame.n_atoms, frame.dim
@@ -150,7 +181,13 @@ def break_phase_retrieval(
     new_bounds = frame_bounds(perturbed)
     if epsilon < frame_bounds(frame).lower and not new_bounds.is_frame:
         raise FramelabError("construction error: perturbed family lost the frame property")
-    certificate = phase_retrieval_certify(perturbed, rank_tol, cap)
+    # (head, tail) is the split the construction breaks; every split is walked only when it does not fail.
+    _require_within_cap(perturbed, cap, "complement property certification")
+    split = _scan_split(n, head_ids)
+    if _split_is_deficient(perturbed, split, rank_tol):
+        certificate = _pr_failure(perturbed, split[0], rank_tol)
+    else:
+        certificate = phase_retrieval_certify(perturbed, rank_tol, cap)
     if certificate.verdict != FAILS:
         raise FramelabError("construction error: perturbed frame still does phase retrieval")
 
@@ -183,6 +220,15 @@ def break_norm_retrieval(
     ``<w1, w2> = epsilon > 0`` breaks the null-space orthogonality that norm
     retrieval demands.  Requires ``0 <= epsilon < 2 sqrt(A)`` so the result
     is still a frame; for ``epsilon > 0`` its certificate must fail.
+
+    The input is certified with ``norm_retrieval_certify``; the output is
+    tested on (subset, complement) alone, and the certificate witnesses
+    that split when its null spaces overlap by more than ``ortho_tol``.
+    Otherwise, as at ``epsilon = 0``, the full certifier decides, and a
+    positive ``epsilon`` whose overlap it does not see either is refused
+    with ValueError, as too small for ``ortho_tol``.  The annihilation
+    self-checks are relative to ``|w|`` times the largest atom norm, so
+    scaling the frame does not change whether the construction applies.
     """
     _require_finite_epsilon(epsilon)
     if frame.field != "real":
@@ -240,9 +286,11 @@ def break_norm_retrieval(
     w1 = 2.0 * root_b * f + epsilon * g
     w2 = g
 
-    if np.max(np.abs(np.conj(perturbed.vectors[sub]) @ w1)) > 1e-8 * (1.0 + np.abs(w1).max()):
+    # Residuals relative to |w| times the largest atom norm, so that scaling the frame scales both sides.
+    top = float(np.linalg.norm(v, axis=1).max())
+    if np.max(np.abs(perturbed.vectors[sub] @ w1)) > 1e-8 * np.linalg.norm(w1) * top:
         raise FramelabError("construction error: w1 fails to annihilate the perturbed subset rows")
-    if np.max(np.abs(np.conj(perturbed.vectors[comp_ids]) @ w2)) > 1e-8:
+    if np.max(np.abs(perturbed.vectors[comp_ids] @ w2)) > 1e-8 * np.linalg.norm(w2) * top:
         raise FramelabError("construction error: w2 fails to annihilate the complement rows")
     if abs(float(inner(w1, w2)) - epsilon) > 1e-9 * (1.0 + epsilon):
         raise FramelabError("construction error: <w1, w2> != epsilon")
@@ -250,9 +298,18 @@ def break_norm_retrieval(
     new_bounds = frame_bounds(perturbed)
     if not new_bounds.is_frame:
         raise FramelabError("construction error: perturbed family lost the frame property")
-    certificate = norm_retrieval_certify(perturbed, ortho_tol, rank_tol, cap)
+    # (subset, complement) is the split the construction breaks; every split is walked only when it does not fail.
+    split = _scan_split(n, subset_ids)
+    certificate = None
+    if _split_is_deficient(perturbed, split, rank_tol):
+        certificate = _nr_failure(perturbed.vectors, [split], rank_tol, ortho_tol)
+    if certificate is None:
+        certificate = norm_retrieval_certify(perturbed, ortho_tol, rank_tol, cap)
     if epsilon > 0.0 and certificate.verdict != FAILS:
-        raise FramelabError("construction error: perturbed frame still does norm retrieval")
+        raise ValueError(
+            f"epsilon {epsilon} is too small to break norm retrieval: the perturbed null spaces "
+            f"still meet within ortho_tol {ortho_tol}"
+        )
 
     l2_distance = float(epsilon**2 * np.sum(frame.weights[sub] * norms**2))
     return PerturbationResult(

@@ -510,12 +510,17 @@ def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ort
     flats = _flats(n, rows)
     sides = [_atoms(f, n) for f in flats] + [_atoms(full ^ f, n) for f in flats]
     bases = _null_spaces_in_band(scaled(v)[0], sides, tol)
-    for left, right in zip(bases[: len(flats)], bases[len(flats) :]):
-        if left is None or right is None or not len(left) or not len(right):
-            return False
-        if np.linalg.norm(left @ right.T, 2) > ortho_tol / _TABLE_MARGIN:
-            return False
-    return True
+    pairs = list(zip(bases[: len(flats)], bases[len(flats) :]))
+    if any(left is None or right is None or not len(left) or not len(right) for left, right in pairs):
+        return False
+    # Each overlap's 2-norm is its largest singular value, one stacked SVD per shape of L_F R^T.
+    overlaps: dict[tuple[int, int], list[np.ndarray]] = {}
+    for left, right in pairs:
+        overlaps.setdefault((len(left), len(right)), []).append(left @ right.T)
+    return all(
+        np.linalg.svd(np.array(stack), compute_uv=False)[:, 0].max() <= ortho_tol / _TABLE_MARGIN
+        for stack in overlaps.values()
+    )
 
 
 def _complement_pairs(n: int) -> Iterator[_Split]:
@@ -779,6 +784,13 @@ def _equal_magnitude_pair(
     return u + w, u - w
 
 
+def _pr_failure(frame: Frame, subset: tuple[int, ...], tol: float) -> Certificate:
+    """The failing phase retrieval certificate of a split where neither side spans, S = ``subset``."""
+    method = "pr-complement-equivalence" if frame.field == "real" else "pr-complement-necessity"
+    pair = _equal_magnitude_pair(frame, subset, tol)
+    return Certificate(FAILS, method, frame.field, witness_subset=subset, witness_vectors=pair)
+
+
 def phase_retrieval_certify(
     frame: Frame,
     tol: float = DEFAULT_RANK_TOL,
@@ -803,17 +815,7 @@ def phase_retrieval_certify(
         raise ValueError("alpha restarts must be at least 1")
     cp = complement_property(frame, tol, cap)
     if cp.verdict == FAILS:
-        pair = _equal_magnitude_pair(frame, cp.witness_subset, tol)
-        method = (
-            "pr-complement-equivalence" if frame.field == "real" else "pr-complement-necessity"
-        )
-        return Certificate(
-            verdict=FAILS,
-            method=method,
-            field=frame.field,
-            witness_subset=cp.witness_subset,
-            witness_vectors=pair,
-        )
+        return _pr_failure(frame, cp.witness_subset, tol)
     if frame.field == "real":
         return Certificate(verdict=HOLDS, method="pr-complement-equivalence", field=frame.field)
     alpha = alpha_certify(frame, restarts=alpha_restarts, iters=60, seed=seed).alpha
@@ -932,6 +934,29 @@ def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> lis
     return [bases[i] for i in range(len(sides))]
 
 
+_NR_METHOD = "nr-nullspace-orthogonality"
+
+
+def _nr_failure(v: np.ndarray, splits: list[_Split], rank_tol: float, ortho_tol: float) -> Certificate | None:
+    """The norm retrieval test of a real frame's splits where neither side spans, in order: the first failure, or None.
+
+    A split fails when some entry of L^T R, for the orthonormal null-space
+    bases L of S and R of its complement, exceeds ``ortho_tol``; its
+    certificate carries S and the two null directions of the largest entry.
+    """
+    bases = _null_spaces(v, [side for split in splits for side in split], rank_tol)
+    for (s, _), left, right in zip(splits, bases[0::2], bases[1::2]):
+        # Rank check and null-space SVD can split an exact tie differently.
+        if left.shape[1] == 0 or right.shape[1] == 0:
+            continue
+        overlap = np.abs(left.T @ right)
+        if overlap.max() > ortho_tol:
+            i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
+            pair = (left[:, i], right[:, j])
+            return Certificate(FAILS, _NR_METHOD, "real", witness_subset=s, witness_vectors=pair)
+    return None
+
+
 def norm_retrieval_certify(
     frame: Frame,
     tol: float = DEFAULT_ORTHO_TOL,
@@ -949,23 +974,10 @@ def norm_retrieval_certify(
     """
     _require_real(frame, "norm retrieval certification")
     _require_within_cap(frame, cap, "norm retrieval certification")
-    method = "nr-nullspace-orthogonality"
-
-    def overlapping(v: np.ndarray, splits: list[_Split]) -> Certificate | None:
-        bases = _null_spaces(v, [side for split in splits for side in split], rank_tol)
-        for (s, _), left, right in zip(splits, bases[0::2], bases[1::2]):
-            # Rank check and null-space SVD can split an exact tie differently.
-            if left.shape[1] == 0 or right.shape[1] == 0:
-                continue
-            overlap = np.abs(left.T @ right)
-            if overlap.max() > tol:
-                i, j = np.unravel_index(int(np.argmax(overlap)), overlap.shape)
-                pair = (left[:, i], right[:, j])
-                return Certificate(FAILS, method, frame.field, witness_subset=s, witness_vectors=pair)
-        return None
-
-    found = _first_failures(frame.vectors[None], rank_tol, overlapping, tol)[0]
-    return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
+    found = _first_failures(
+        frame.vectors[None], rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), tol
+    )[0]
+    return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 
 
 def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,

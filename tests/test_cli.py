@@ -626,15 +626,33 @@ def _certified_frames(monkeypatch, name: str) -> list[np.ndarray]:
     ("break-pr", ["deficient-tail", "--dim", "3", "--seed", "1"], ["--head", "0,1,2"], "phase_retrieval_certify"),
 ])
 def test_perturb_certifies_its_output_once(construction, gen_argv, ids, certifier, tmp_path, capsys, monkeypatch):
+    # The output is certified once, on the split the construction broke; the full certifier never walks it.
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     _run(capsys, "gen", *gen_argv, "-o", str(src))
+    full = getattr(fl, certifier)
     seen = _certified_frames(monkeypatch, certifier)
     code, stdout, _ = _run(capsys, "perturb", construction, str(src), *ids, "--eps", "0.4", "-o", str(out))
     assert code == 0
-    perturbed = fl.load_frame(out).vectors
-    assert sum(np.allclose(v, perturbed, rtol=0.0, atol=1e-15) for v in seen) == 1
+    source, perturbed = fl.load_frame(src), fl.load_frame(out)
+    # break-nr certifies its input once, break-pr not at all.
+    assert [np.array_equal(v, source.vectors) for v in seen] == ([True] if construction == "break-nr" else [])
     (cert,) = json.loads(stdout)["certificates"]
-    assert cert["verdict"] == "fails"
+    assert cert["verdict"] == full(perturbed).verdict == "fails"
+    assert cert["witness_subset"] == [int(i) for i in ids[1].split(",")]
+    assert _witness_reverifies(json.loads(out.read_text()), cert)
+
+
+def test_perturb_break_nr_refuses_an_epsilon_too_small_to_see(tmp_path, capsys):
+    # The overlap of order epsilon lies below ortho_tol: nothing internal failed, so the exit code is 2, not 4.
+    onb, out = tmp_path / "onb.json", tmp_path / "p.json"
+    _run(capsys, "gen", "onb", "--dim", "2", "-o", str(onb))
+    argv = ["perturb", "break-nr", str(onb), "--subset", "0", "--eps", "1e-12", "-o", str(out)]
+    code, stdout, stderr = _run(capsys, *argv)
+    assert code == 2
+    error = json.loads(stdout)["error"]
+    assert "epsilon 1e-12" in error and "ortho_tol 1e-08" in error and "construction error" not in error
+    assert "error: epsilon 1e-12" in stderr
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

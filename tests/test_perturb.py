@@ -51,23 +51,70 @@ def test_break_pr_l2_distance_is_tail_energy():
     assert result.l2_distance == pytest.approx(energy, rel=1e-9)
 
 
-def test_break_pr_carries_the_perturbed_certificate():
+def _pr_witness_reverifies(frame: fl.Frame, cert: fl.Certificate) -> bool:
+    """Whether a phase retrieval witness splits the atoms into two deficient sides and its pair has equal magnitudes.
+
+    The pair must also differ by more than a unimodular factor.  Plain numpy, cutoffs relative to the atoms.
+    """
+    v, d = frame.vectors, frame.dim
+    s = list(cert.witness_subset)
+    c = [i for i in range(frame.n_atoms) if i not in s]
+    x, y = cert.witness_vectors
+    deficient = all(np.linalg.matrix_rank(v[side], tol=1e-9 * np.abs(v).max()) < d for side in (s, c) if side)
+    scale = np.linalg.norm(v, axis=1) * max(np.linalg.norm(x), np.linalg.norm(y))
+    equal = np.all(np.abs(np.abs(np.conj(v) @ x) - np.abs(np.conj(v) @ y)) <= 1e-8 * scale)
+    differ = np.linalg.norm(x) ** 2 + np.linalg.norm(y) ** 2 - 2 * abs(np.vdot(y, x)) > 1e-8
+    return bool(deficient and equal and differ)
+
+
+def _refuse(name: str):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return refuse
+
+
+def test_break_pr_carries_the_perturbed_certificate(monkeypatch):
     frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=1)
+    full = fl.phase_retrieval_certify
+    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", _refuse("phase_retrieval_certify"))
     result = fl.break_phase_retrieval(frame, [0, 1, 2], 0.4)
-    cert = fl.phase_retrieval_certify(result.perturbed)
+    cert = full(result.perturbed)
     assert result.certificate.verdict == cert.verdict == fl.FAILS
-    assert result.certificate.witness_subset == cert.witness_subset
+    assert result.certificate.method == cert.method
+    # The certificate witnesses the split the construction broke, which here is also the scan's first.
+    assert result.certificate.witness_subset == cert.witness_subset == (0, 1, 2)
     assert all(np.array_equal(a, b) for a, b in zip(result.certificate.witness_vectors, cert.witness_vectors))
+    assert _pr_witness_reverifies(result.perturbed, result.certificate)
     with pytest.raises(fl.EnumerationCapExceeded):
         fl.break_phase_retrieval(frame, [0, 1, 2], 0.4, cap=5)
 
 
 def test_break_pr_self_check_rejects_a_perturbed_frame_that_still_retrieves(monkeypatch):
+    # Only when the constructed split does not fail is every split walked, here by a stand-in that holds.
     frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=1)
     holds = fl.Certificate(verdict=fl.HOLDS, method="stub", field="real")
+    monkeypatch.setattr("framelab.perturb._split_is_deficient", lambda *a, **k: False)
     monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", lambda *a, **k: holds)
     with pytest.raises(fl.FramelabError, match="still does phase retrieval"):
         fl.break_phase_retrieval(frame, [0, 1, 2], 0.4)
+
+
+@pytest.mark.parametrize("d, head_dim, tail_len", [(2, 1, 2), (3, 2, 3), (4, 2, 4), (4, 3, 3)])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("skip_atom_0", [False, True])
+def test_break_pr_witnesses_its_split_on_deficient_tail_frames(monkeypatch, d, head_dim, tail_len, seed, skip_atom_0):
+    # With atom 0 outside the head it joins the tail, so the witness is the tail side.
+    frame = fl.gen_deficient_plus_tail(d, head_dim, tail_len, seed=seed)
+    head = list(range(1 if skip_atom_0 else 0, head_dim + 1))
+    full = fl.phase_retrieval_certify
+    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", _refuse("phase_retrieval_certify"))
+    result = fl.break_phase_retrieval(frame, head, 1.25 * _tail_energy(frame, head) + 1e-12)
+    rest = tuple(i for i in range(frame.n_atoms) if i not in head)
+    assert result.certificate.verdict == full(result.perturbed).verdict == fl.FAILS
+    assert result.certificate.witness_subset == (rest if skip_atom_0 else tuple(head))
+    assert all(type(i) is int for i in result.certificate.witness_subset)
+    assert _pr_witness_reverifies(result.perturbed, result.certificate)
 
 
 def test_break_pr_epsilon_too_small():
@@ -113,6 +160,11 @@ def test_break_pr_complex_field():
     mf = fl.magnitudes(result.perturbed, result.witness_f).values
     mg = fl.magnitudes(result.perturbed, result.witness_g).values
     assert np.allclose(mf, mg, atol=1e-9)
+    # The certificate of the broken split is the complex field's complement-necessity failure.
+    cert = result.certificate
+    assert (cert.verdict, cert.method, cert.witness_subset) == (fl.FAILS, "pr-complement-necessity", (0, 1, 2))
+    assert fl.phase_retrieval_certify(result.perturbed).verdict == fl.FAILS
+    assert _pr_witness_reverifies(result.perturbed, cert)
 
 
 def test_break_nr_onb_reference_values():
@@ -470,12 +522,133 @@ def test_the_constructions_refuse_a_non_finite_epsilon(epsilon):
         fl.break_phase_retrieval(fl.gen_deficient_plus_tail(3, 2, 3, seed=0), [0, 1, 2], epsilon)
 
 
-def test_break_nr_carries_the_perturbed_certificate():
+def _nr_witness_reverifies(frame: fl.Frame, cert: fl.Certificate, ortho_tol: float = 1e-8) -> bool:
+    """Whether a norm retrieval witness (u, w) annihilates its subset and the complement, with <u, w> above ortho_tol.
+
+    Plain numpy, with annihilation relative to the largest atom norm.
+    """
+    v = frame.vectors
+    s = list(cert.witness_subset)
+    c = [i for i in range(frame.n_atoms) if i not in s]
+    u, w = cert.witness_vectors
+    top = np.linalg.norm(v, axis=1).max()
+    units = np.isclose(np.linalg.norm(u), 1.0) and np.isclose(np.linalg.norm(w), 1.0)
+    annihilated = all(np.abs(v[side] @ x).max(initial=0.0) <= 1e-8 * top for side, x in ((s, u), (c, w)))
+    return bool(units and annihilated and abs(u @ w) > ortho_tol)
+
+
+def _recorded_certifications(monkeypatch, name: str) -> list[np.ndarray]:
+    """The vectors of every frame the construction hands to the full certifier ``name``."""
+    original, seen = getattr(fl, name), []
+
+    def recording(frame, *args, **kwargs):
+        seen.append(frame.vectors)
+        return original(frame, *args, **kwargs)
+
+    monkeypatch.setattr(f"framelab.perturb.{name}", recording)
+    return seen
+
+
+def test_break_nr_carries_the_perturbed_certificate(monkeypatch):
     frame = fl.gen_onb(2)
+    seen = _recorded_certifications(monkeypatch, "norm_retrieval_certify")
     broken = fl.break_norm_retrieval(frame, [0], 0.5)
+    # The input is certified once; the output is not walked, since its constructed split fails.
+    assert len(seen) == 1 and np.array_equal(seen[0], frame.vectors)
     cert = fl.norm_retrieval_certify(broken.perturbed)
     assert broken.certificate.verdict == cert.verdict == fl.FAILS
+    assert broken.certificate.method == cert.method
+    # The constructed split {0} | {1} is also the scan's first, so the witness is the full certifier's.
     assert broken.certificate.witness_subset == cert.witness_subset == (0,)
     assert all(np.array_equal(a, b) for a, b in zip(broken.certificate.witness_vectors, cert.witness_vectors))
-    # At epsilon 0 the frame is unchanged, and so is its verdict.
+    assert _nr_witness_reverifies(broken.perturbed, broken.certificate)
+    # Breaking atom 1 witnesses the same split, written with atom 0's side first.
+    other = fl.break_norm_retrieval(frame, [1], 0.5)
+    assert other.certificate.witness_subset == (0,)
+    assert _nr_witness_reverifies(other.perturbed, other.certificate)
+    # At epsilon 0 the frame is unchanged, and so is its verdict, which the full certifier gives.
+    seen.clear()
     assert fl.break_norm_retrieval(frame, [0], 0.0).certificate.verdict == fl.HOLDS
+    assert len(seen) == 2 and all(np.array_equal(v, frame.vectors) for v in seen)
+
+
+def _repeated_onb(d: int, k: int) -> fl.Frame:
+    """k copies of a seeded rotation of the standard basis of R^d, unit weights; atom c * d + j is copy c of e_j."""
+    q = np.linalg.qr(np.random.default_rng(10 * d + k).standard_normal((d, d)))[0]
+    return fl.Frame(fl.make_atomic(np.ones(d * k)), np.vstack([q] * k))
+
+
+def _copy_classes(d: int, k: int) -> list[list[int]]:
+    """Subsets of whole copy classes, so that neither side spans.
+
+    They are the copies of e_0, those of every e_j but e_0 (atom 0 on the other side), and, when d >= 3,
+    those of e_0 and e_1.  A subset that splits the copies of one e_j leaves a spanning complement, and
+    the construction refuses it.
+    """
+    classes = [[c * d + j for c in range(k)] for j in range(d)]
+    subsets = [classes[0], sorted(sum(classes[1:], []))]
+    if d >= 3:
+        subsets.append(sorted(classes[0] + classes[1]))
+    return subsets
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5])
+def test_break_nr_witnesses_its_split_on_repeated_onbs(monkeypatch, d, k, eps):
+    frame = _repeated_onb(d, k)
+    full = fl.norm_retrieval_certify
+    for subset in _copy_classes(d, k):
+        seen = _recorded_certifications(monkeypatch, "norm_retrieval_certify")
+        broken = fl.break_norm_retrieval(frame, subset, eps)
+        assert len(seen) == 1 and np.array_equal(seen[0], frame.vectors)
+        monkeypatch.undo()
+        rest = tuple(i for i in range(d * k) if i not in subset)
+        cert = broken.certificate
+        assert cert.verdict == full(broken.perturbed).verdict == fl.FAILS
+        assert cert.witness_subset == (tuple(subset) if subset[0] == 0 else rest)
+        assert all(type(i) is int for i in cert.witness_subset)
+        assert _nr_witness_reverifies(broken.perturbed, cert)
+
+
+@pytest.mark.parametrize("construction", ["break-nr", "break-pr"])
+def test_a_split_that_does_not_fail_falls_back_to_the_full_certifier(monkeypatch, construction):
+    # Forced down the fallback, each construction carries today's certificate, byte for byte.
+    if construction == "break-nr":
+        build, certify = fl.break_norm_retrieval, fl.norm_retrieval_certify
+        frame, ids, eps = _repeated_onb(3, 3), [1, 4, 7], 0.25
+    else:
+        build, certify = fl.break_phase_retrieval, fl.phase_retrieval_certify
+        frame, ids, eps = fl.gen_deficient_plus_tail(3, 2, 3, seed=1), [1, 2], 10.0
+    direct = build(frame, ids, eps).certificate
+    monkeypatch.setattr("framelab.perturb._split_is_deficient", lambda *a, **k: False)
+    result = build(frame, ids, eps)
+    cert = certify(result.perturbed)
+    assert result.certificate.verdict == cert.verdict == fl.FAILS
+    assert result.certificate.method == cert.method == direct.method
+    assert result.certificate.witness_subset == cert.witness_subset
+    assert all(np.array_equal(a, b) for a, b in zip(result.certificate.witness_vectors, cert.witness_vectors))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8, 1e10])
+def test_break_nr_applies_to_frames_of_any_scale(d, scale):
+    # The annihilation self-checks are relative to |w| times the largest atom, so scaling the frame changes nothing.
+    frame = _repeated_onb(d, 2)
+    frame = frame.with_vectors(frame.vectors * scale)
+    eps = 0.25 * scale
+    broken = fl.break_norm_retrieval(frame, [0, d], eps)
+    v, w1, w2 = broken.perturbed.vectors, broken.witness_f, broken.witness_g
+    rest = [i for i in range(2 * d) if i not in (0, d)]
+    assert np.abs(v[[0, d]] @ w1).max() <= 1e-8 * np.linalg.norm(w1) * scale
+    assert np.abs(v[rest] @ w2).max() <= 1e-8 * np.linalg.norm(w2) * scale
+    assert float(w1 @ w2) == pytest.approx(eps, rel=1e-9)
+    assert broken.certificate.verdict == fl.FAILS and broken.certificate.witness_subset == (0, d)
+    assert _nr_witness_reverifies(broken.perturbed, broken.certificate)
+
+
+def test_break_nr_refuses_an_epsilon_too_small_to_see():
+    # The overlap, of order epsilon, lies below ortho_tol: a precondition error, not a construction error.
+    with pytest.raises(ValueError, match=r"epsilon 1e-12 is too small .* ortho_tol 1e-08"):
+        fl.break_norm_retrieval(fl.gen_onb(2), [0], 1e-12)
+    assert fl.break_norm_retrieval(fl.gen_onb(2), [0], 1e-12, ortho_tol=1e-14).certificate.verdict == fl.FAILS
