@@ -188,9 +188,9 @@ def _certify(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -
     if args.property == "pr":
         name = "phase retrieval"
         rank_tol = args.tol if args.tol is not None else _env_rank_tol()
-        cert = phase_retrieval_certify(
-            frame, rank_tol, args.cap, alpha_restarts=args.alpha_restarts, seed=args.seed
-        )
+        if args.alpha_restarts < 1:
+            raise ValueError("alpha restarts must be at least 1")
+        cert = phase_retrieval_certify(frame, rank_tol, args.cap)
         tolerances = {"rank_tol": rank_tol}
     else:
         name = "norm retrieval"
@@ -322,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s) before certifying anything; a real frame with n >= d(d+1)/2 is then tested on its lifted symmetric map, which can only answer holds, and otherwise certification decides up to 2^(n-1) subset splits, most of them through the covering pairs of the frame's at most C(n, d-1) hyperplanes")
+    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s) before certifying anything; a frame with n >= d(d+1)/2 atoms (real) or n >= d^2 (complex) is then tested on its lifted symmetric or Hermitian map, which can only answer holds, and otherwise certification decides up to 2^(n-1) subset splits, most of them through the covering pairs of the frame's at most C(n, d-1) hyperplanes")
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -346,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("property", choices=["pr", "nr"])
     p_cert.add_argument("file")
     p_cert.add_argument("--tol", type=float, default=None, help="pr: rank tolerance, overriding FRAMELAB_TOL; nr: orthogonality tolerance (default 1e-8), while FRAMELAB_TOL still sets the rank tolerance")
-    p_cert.add_argument("--alpha-restarts", type=int, default=4)
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--alpha-restarts", type=int, default=4, help="accepted and ignored, but must be at least 1 for pr: certify estimates no alpha (see the alpha command); a complex frame holds when its lifted Hermitian map certifies it, fails when the complement property fails, and is otherwise inconclusive (exit 3)")
+    p_cert.add_argument("--seed", type=int, default=0, help="accepted and ignored: certify draws nothing at random")
     p_cert.set_defaults(compute=_certify, inputs=("file",))
 
     p_alpha = sub.add_parser("alpha", parents=[common], help="alternating minimization lower-bound functional")

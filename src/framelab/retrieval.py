@@ -6,15 +6,17 @@ retrieval holds exactly when, for every index subset, the null space of its
 rows is orthogonal to the null space of the complement's rows; a split with
 a spanning side satisfies both conditions.
 
-A real frame with n >= D = d(d + 1)/2 atoms is first tested on its lift,
-the n x D matrix of the map Q -> (phi_i^T Q phi_i)_i on symmetric d x d
-matrices.  When the lift's singular values clear a stated cutoff, no split
-can have neither side spanning under the scan's rank test, so both
-properties hold with no split visited; ``_lifted_holds`` carries the proof
-and the bound on LAPACK's rounding error that it assumes.
+A frame with n >= D atoms is first tested on its lift, the n x D matrix
+of the map Q -> (phi_i^* Q phi_i)_i: on symmetric d x d matrices, D =
+d(d + 1)/2, for a real frame, and on Hermitian ones, D = d^2, for a complex
+frame.  When the lift's singular values clear a stated cutoff, no split
+can have neither side spanning under the scan's rank test, so the
+complement property, and norm retrieval with it for a real frame, hold
+with no split visited; and the lift is injective, so the frame does phase
+retrieval over either field.  ``_lifted_holds`` carries the proof and the
+bound on LAPACK's rounding error that it assumes.
 The lift can only answer ``holds``, and the atom cap is checked before it.
-Frames it does not certify, frames with n < D and complex frames go on to
-the splits.
+Frames it does not certify and frames with n < D go on to the splits.
 
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
@@ -72,17 +74,21 @@ deficient splits, and a frame leaves at its first failure, so every verdict
 is the one the frame gets alone.
 
 Over the complex field the complement property is only necessary: its
-failure certifies a phase retrieval failure, but when it holds the verdict
-is ``inconclusive`` and an estimate of the lower-bound functional ``alpha``
-is attached.  Norm retrieval certification is rejected outright for complex
-frames; the subspace criterion it relies on is a real-field result.
+failure certifies a phase retrieval failure.  A complex frame whose
+Hermitian lift is injective does phase retrieval (Bandeira, Cahill, Mixon
+and Nelson, "Saving phase", 2014); one that neither the lift certifies nor
+the complement property fails is ``inconclusive``.  Norm retrieval
+certification is rejected outright for complex frames; the subspace
+criterion it relies on is a real-field result.
 
-``alpha`` is estimated by alternating minimization from several random
-starts.  The restarts run together, in blocks that keep a stacked step
-within the batch size: each half-step builds R(f) for every restart of the
-block still running and takes one stacked ``eigh``, and a restart leaves
-the block at its own stopping test.  Every trace, and so the estimate and
-its minimizers, equals the one of the restarts run one after another.
+The lower-bound functional ``alpha`` is its own computation, and no
+certificate rests on it.  It is estimated by alternating minimization
+from several random starts.  The restarts run together, in blocks that
+keep a stacked step within the batch size: each half-step builds R(f) for
+every restart of the block still running and takes one stacked ``eigh``,
+and a restart leaves the block at its own stopping test.  Every trace, and
+so the estimate and its minimizers, equals the one of the restarts run
+one after another.
 """
 
 from __future__ import annotations
@@ -146,7 +152,6 @@ class Certificate:
     field: str
     witness_subset: tuple[int, ...] | None = None
     witness_vectors: tuple[np.ndarray, np.ndarray] | None = None
-    alpha_estimate: float | None = None
 
     @property
     def holds(self) -> bool:
@@ -628,82 +633,125 @@ def _deficient(vs: np.ndarray, chunk: list[_Split], tol: float) -> list[list[boo
     return [[not spanning for spanning in spans[i * m : (i + 1) * m]] for i in range(k)]
 
 
-def _lift_cutoff(n: int, d: int, tol: float) -> float:
-    """The cutoff beta of ``_lifted_holds``: ``2 sqrt(n d) (tol + 8 n D eps)`` with D = d(d + 1)/2."""
-    return 2.0 * sqrt(n * d) * (tol + 8 * n * (d * (d + 1) // 2) * np.finfo(float).eps)
+def _lift_width(d: int, complex_: bool) -> int:
+    """The lift's column count D: d(d + 1)/2 for a real frame, d^2 for a complex one."""
+    return d * d if complex_ else d * (d + 1) // 2
+
+
+def _lift_cutoff(n: int, d: int, tol: float, complex_: bool = False) -> float:
+    """The cutoff beta of ``_lifted_holds``: ``2 sqrt(n d) (tol + 8 n D eps)`` with D = ``_lift_width(d, complex_)``."""
+    return 2.0 * sqrt(n * d) * (tol + 8 * n * _lift_width(d, complex_) * np.finfo(float).eps)
 
 
 @lru_cache(maxsize=None)
-def _lift_columns(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lift's column pairs (a, b), a <= b, and their weights (1 when a = b, else sqrt 2), read-only."""
+def _lift_columns(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lift's column pairs (a, b), a <= b, their weights (1 when a = b, else sqrt 2), and the positions with a < b, read-only."""
     a, b = np.triu_indices(d)
     weights = np.where(a == b, 1.0, sqrt(2.0))
-    for column in (a, b, weights):
+    off = np.flatnonzero(a < b)
+    for column in (a, b, weights, off):
         column.setflags(write=False)
-    return a, b, weights
+    return a, b, weights, off
+
+
+def _lift(vs: np.ndarray) -> np.ndarray:
+    """The lift of each frame of a (k, n, d) stack: the (k, n, D) matrices of Q -> (phi_i^* Q phi_i)_i in an orthonormal basis.
+
+    Row i of a real frame's lift holds phi_a^2 and sqrt(2) phi_a phi_b
+    (a < b), the map on symmetric Q in the basis E_aa, (E_ab + E_ba) /
+    sqrt(2).  Row i of a complex frame's lift holds |phi_a|^2, then
+    sqrt(2) Re(conj(phi_a) phi_b) and -sqrt(2) Im(conj(phi_a) phi_b)
+    (a < b), the map on Hermitian Q in the basis E_aa, (E_ab + E_ba) /
+    sqrt(2), i (E_ab - E_ba) / sqrt(2).
+    """
+    a, b, weights, off = _lift_columns(vs.shape[2])
+    if vs.dtype.kind != "c":
+        return vs[:, :, a] * vs[:, :, b] * weights
+    z = vs[:, :, a].conj() * vs[:, :, b] * weights
+    return np.concatenate([z.real, -z.imag[:, :, off]], axis=2)
 
 
 def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
-    """For each frame of a (k, n, d) stack, whether its lifted symmetric map proves the complement property.
+    """For each frame of a (k, n, d) stack, whether its lift proves the complement property and phase retrieval.
 
-    The lift of a real frame is the n x D matrix L, D = d(d + 1)/2, whose
-    row i holds phi_a^2 and sqrt(2) phi_a phi_b (a < b) of atom phi = phi_i.
-    It is the map A(Q) = (phi_i^T Q phi_i)_i on symmetric d x d matrices Q
-    written in an orthonormal basis, so ``|L q| = |A(Q)|`` and
-    ``|q| = |Q|_F``.  A frame is certified when n >= D and
-    ``sigma_min(L) > beta sigma_max(L)`` with ``beta = _lift_cutoff(n, d,
-    tol)``; frames that are complex, have n < D, or get tol < 0 are not.
-    A certified frame has no split the scan calls deficient, so the lift
-    can only answer ``holds``.
+    The lift L is the n x D matrix of the map A(Q) = (phi_i^* Q phi_i)_i
+    written in an orthonormal basis (``_lift``), so ``|L q| = |A(Q)|`` and
+    ``|q| = |Q|_F``.  For a real frame Q runs over the symmetric d x d
+    matrices, D = d(d + 1)/2; for a complex frame over the Hermitian ones,
+    D = d^2, a real space with the inner product tr(P Q).  A frame is
+    certified when n >= D and ``sigma_min(L) > beta sigma_max(L)`` with
+    ``beta = _lift_cutoff(n, d, tol, complex_)``; frames with n < D, or
+    any frame given tol < 0, are not.  A certified frame has no split the
+    scan calls deficient, so the lift can only answer ``holds``.  Its
+    exact L has sigma_min(L) > 0 as well, by the bound below, so the frame
+    does phase retrieval: |<x, phi_i>| = |<y, phi_i>| on every atom puts
+    x x^* - y y^* in the kernel of A, so x x^* = y y^*, and x is y times a
+    unimodular number (Bandeira, Cahill, Mixon and Nelson, "Saving phase",
+    2014).
 
     Proof.  Let M be the largest atom norm and eta = n D eps.  Assume that
-    each computed singular value of an m x c matrix X is within eta |X|_2
-    of the exact one, for m <= n and c <= D.  This is an assumption, not a
-    theorem: LAPACK bounds that error by p(m, c) eps |X|_2 for a "modest
-    polynomial" p it does not state, and the proof takes p = n D.  Take a
-    split (S, S^c) the scan calls deficient.  A side of fewer than d atoms
-    has a unit u with V_S u = 0; a larger one was computed with
-    s_d <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with
+    each computed singular value of an m x c matrix X, real or complex, is
+    within eta |X|_2 of the exact one, for m <= n and c <= D.  This is an
+    assumption, not a theorem: LAPACK bounds that error by p(m, c) eps |X|_2
+    for a "modest polynomial" p it does not state, and the proof takes
+    p = n D.  Take a split (S, S^c) the scan calls deficient.  A side of
+    fewer than d atoms has a unit u with V_S u = 0; a larger one was
+    computed with s_d <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with
     t = tol + eta (1 + tol), and |V_S|_2 <= |V|_F <= sqrt(n) M.  So there
     are unit u and w with |V_S u| and |V_{S^c} w| both at most
-    t sqrt(n) M.  Put Q = u w^T + w u^T.  Then A(Q)_i =
-    2 <phi_i, u> <phi_i, w>, whose size is at most 2 M |<phi_i, u>| on S
-    and 2 M |<phi_i, w>| on S^c, so |A(Q)| <= 2 sqrt(2) t sqrt(n) M^2,
-    while |Q|_F^2 = 2 + 2 <u, w>^2 >= 2.  Hence sigma_min(L) <=
-    2 t sqrt(n) M^2.  And sigma_max(L) >= |A(I)| / |I|_F >= M^2 / sqrt(d),
-    so sigma_min(L) / sigma_max(L) <= 2 sqrt(n d) t.
-    The computed test sees L plus the rounding of its entries (at most
-    2 eps |L|_F <= 2 eps sqrt(n) M^2 <= 2 eta sigma_max(L)) and then
-    LAPACK's error, so each computed singular value is within
-    kappa sigma_max(L) of the exact one, kappa <= 3.2 eta.  A passing test
-    gives sigma_min(L) / sigma_max(L) > beta (1 - kappa) - kappa.  It can
-    pass only when beta < 1, so tol < 1/2, and then the rounding term
-    8 eta of beta makes beta (1 - kappa) - kappa exceed 2 sqrt(n d) t,
-    with room for the rounding of beta itself: no deficient split exists.
+    t sqrt(n) M.  Put p = conj(u) and q = c conj(w), with |c| = 1 chosen so
+    that q^* p is real (c = 1 for a real frame), and Q = p q^* + q p^*,
+    which is Hermitian.  Entry i of V_S u is phi_i^T u, whose size is
+    |phi_i^* p|, and likewise for w and q.  Then A(Q)_i =
+    2 Re((phi_i^* p)(q^* phi_i)), whose size is at most 2 M |phi_i^T u| on
+    S and 2 M |phi_i^T w| on S^c, so |A(Q)| <= 2 sqrt(2) t sqrt(n) M^2,
+    while |Q|_F^2 = 2 + 2 Re((q^* p)^2) = 2 + 2 |q^* p|^2 >= 2.  Hence
+    sigma_min(L) <= 2 t sqrt(n) M^2, as n >= D.  And sigma_max(L) >=
+    |A(I)| / |I|_F >= M^2 / sqrt(d), so sigma_min(L) / sigma_max(L) <=
+    2 sqrt(n d) t.
+    The computed test sees L plus the rounding of its entries and then
+    LAPACK's error.  Each entry is computed within 4 eps of its exact
+    value relative to |phi_a|^2 on a column with a = b and to
+    sqrt(2) |phi_a| |phi_b| on one with a < b.  Along row i these bounds
+    have squares summing to at most 2 |phi_i|^4, so the rounding is at
+    most 4 sqrt(2) eps sqrt(n) M^2 <= 4 sqrt(2) eps sqrt(n d) sigma_max(L)
+    <= 2 eta sigma_max(L), since sqrt(n d) <= n and D >= 3 when d >= 2;
+    at d = 1 the one column, |phi|^2, is within 2 eps of it, and the
+    rounding is at most 2 eps sqrt(n) M^2 <= 2 eta sigma_max(L) again.  So
+    each computed singular value is within kappa sigma_max(L) of the exact
+    one, kappa <= 3.2 eta.  A passing test gives sigma_min(L) /
+    sigma_max(L) > beta (1 - kappa) - kappa.  It can pass only when
+    beta < 1, so tol < 1/2, and then the rounding term 8 eta of beta makes
+    beta (1 - kappa) - kappa exceed 2 sqrt(n d) t, with room for the
+    rounding of beta itself: no deficient split exists.
 
     Each frame is first scaled by a power of two, which is exact, so that
     its largest entry lies in [1/2, 1) and the squares neither overflow nor
     underflow.  One stacked SVD decides the whole stack.
     """
     k, n, d = vs.shape
-    if vs.dtype.kind == "c" or n < d * (d + 1) // 2 or not tol >= 0:
+    complex_ = vs.dtype.kind == "c"
+    if n < _lift_width(d, complex_) or not tol >= 0:
         return np.zeros(k, dtype=bool)
-    vs, _ = scaled(vs)
-    a, b, weights = _lift_columns(d)
-    s = np.linalg.svd(vs[:, :, a] * vs[:, :, b] * weights, compute_uv=False)
-    return s[:, -1] > _lift_cutoff(n, d, tol) * s[:, 0]
+    s = np.linalg.svd(_lift(scaled(vs)[0]), compute_uv=False)
+    return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
 
 
 def _first_failures(
-    vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any], ortho_tol: float | None = None
+    vs: np.ndarray,
+    tol: float,
+    fails: Callable[[np.ndarray, list[_Split]], Any],
+    ortho_tol: float | None = None,
+    lift: bool = True,
 ) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
     ``fails(v, splits)`` gets one frame's splits where neither side spans,
     those of one chunk in scan order, and returns a finding or None; a frame
     leaves at its first finding.  Frames the lift certifies have no such
-    split.  Each chunk of the scan budget is decided at once for every frame
-    still open, in blocks of frames that keep one stacked step within the
+    split; a caller that has already run the lift passes ``lift=False``.
+    Each chunk of the scan budget is decided at once for every frame still
+    open, in blocks of frames that keep one stacked step within the
     batch size.  The frames still open then go on one by one through the
     table from the first split past the budget, so no split of a frame is
     decided twice, and every frame gets the findings it gets alone.  Norm
@@ -712,7 +760,7 @@ def _first_failures(
     """
     k, n, d = vs.shape
     found: list[Any] = [None] * k
-    open_ = ~_lifted_holds(vs, tol)
+    open_ = ~_lifted_holds(vs, tol) if lift else np.ones(k, dtype=bool)
     scan = _complement_pairs(n)
     chunks = _chunks(islice(scan, _scan_budget(n, d)), n, d)
     while len(live := np.flatnonzero(open_)) and (chunk := next(chunks, None)) is not None:
@@ -748,6 +796,9 @@ def _require_within_cap(frame: Frame, cap: int, what: str) -> None:
         )
 
 
+_LIFTED = "complement-lifted-map"
+
+
 def complement_property(
     frame: Frame,
     tol: float = DEFAULT_RANK_TOL,
@@ -755,11 +806,17 @@ def complement_property(
 ) -> Certificate:
     """Decide whether every index subset or its complement spans the space.
 
+    A frame its lift certifies (``_lifted_holds``) holds with method
+    ``complement-lifted-map`` and no split visited; any other frame is
+    decided on its splits, with method ``complement-subset-enumeration``.
     A failing verdict reports the lexicographically smallest violating
     subset: the first split the shared scan yields.
     """
     _require_within_cap(frame, cap, "complement property certification")
-    subset = _first_failures(frame.vectors[None], tol, _first_subset)[0]
+    vs = frame.vectors[None]
+    if _lifted_holds(vs, tol)[0]:
+        return Certificate(HOLDS, _LIFTED, frame.field)
+    subset = _first_failures(vs, tol, _first_subset, lift=False)[0]
     verdict = HOLDS if subset is None else FAILS
     return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
@@ -795,36 +852,26 @@ def phase_retrieval_certify(
     frame: Frame,
     tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
-    alpha_restarts: int = 4,
-    seed: int = 0,
 ) -> Certificate:
-    """Certify phase retrieval: exact over R, complement-necessity over C.
+    """Certify phase retrieval: exact over R; over C by the Hermitian lift, or its failure by the complement property.
 
-    Real frames get a definite verdict via the complement property.  Complex
-    frames get ``fails`` when the complement property fails (with the same
-    witness pair construction, which is field-agnostic); otherwise the
-    verdict is ``inconclusive`` with an ``alpha_estimate`` attached.
-
-    Completeness of the family is necessary for phase retrieval but not
-    sufficient; the decisive real-field criterion is the complement
-    property, which asks that every split of the atoms leaves at least one
-    side spanning.  ``alpha_restarts`` below 1 raises ValueError for every
-    frame, before anything is certified.
+    Real frames get a definite verdict via the complement property, which
+    asks that every split of the atoms leaves at least one side spanning.
+    A complex frame holds when its lift certifies it (``_lifted_holds``,
+    method ``pr-lifted-hermitian``); otherwise it fails when the complement
+    property fails, with the same witness pair construction, which is
+    field-agnostic, and is ``inconclusive`` when that property holds, since
+    over C it is only necessary.  ``complement_property`` runs the lift,
+    once per frame, after the atom cap is checked.
     """
-    if alpha_restarts < 1:
-        raise ValueError("alpha restarts must be at least 1")
     cp = complement_property(frame, tol, cap)
     if cp.verdict == FAILS:
         return _pr_failure(frame, cp.witness_subset, tol)
     if frame.field == "real":
         return Certificate(verdict=HOLDS, method="pr-complement-equivalence", field=frame.field)
-    alpha = alpha_certify(frame, restarts=alpha_restarts, iters=60, seed=seed).alpha
-    return Certificate(
-        verdict=INCONCLUSIVE,
-        method="pr-alpha-estimate",
-        field=frame.field,
-        alpha_estimate=alpha,
-    )
+    if cp.method == _LIFTED:
+        return Certificate(HOLDS, "pr-lifted-hermitian", frame.field)
+    return Certificate(INCONCLUSIVE, "pr-complement-necessity", frame.field)
 
 
 def _r_stack(frame: Frame) -> Callable[[np.ndarray], np.ndarray]:

@@ -29,6 +29,10 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
+* ``hermitian_lift_reference`` builds the lifted map Q -> (phi_i^* Q phi_i)_i
+  on Hermitian matrices column by column from an explicit orthonormal
+  basis of them, where the library writes the complex lift's rows from
+  products conj(phi_a) phi_b.
 * ``alpha_reference`` runs the alternating minimization one restart after
   another, with one R operator and one ``eigh`` per half-step, where the
   library runs a block of restarts as one stack.  Its R operator
@@ -333,6 +337,35 @@ def lift_ratio_reference(v: np.ndarray) -> float:
             columns.append(np.einsum("ia,ab,ib->i", v, e, v))
     s = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
     return float(s[-1] / s[0])
+
+
+def hermitian_basis(d: int) -> list[np.ndarray]:
+    """An orthonormal basis of the Hermitian d x d matrices under <P, Q> = tr(P Q).
+
+    E_aa, then (E_ab + E_ba) / sqrt(2) and i (E_ab - E_ba) / sqrt(2) for a < b.
+    """
+    basis = []
+    for a in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[a, a] = 1.0
+        basis.append(e)
+    for a in range(d):
+        for b in range(a + 1, d):
+            for entry in (1.0, 1j):
+                e = np.zeros((d, d), dtype=complex)
+                e[a, b], e[b, a] = entry / np.sqrt(2.0), np.conj(entry) / np.sqrt(2.0)
+                basis.append(e)
+    return basis
+
+
+def hermitian_lift_reference(v: np.ndarray) -> np.ndarray:
+    """The n x d^2 matrix of Q -> (phi_i^* Q phi_i)_i on Hermitian matrices, in ``hermitian_basis``.
+
+    Column k is A(E_k), each entry evaluated as phi_i^* E_k phi_i, real
+    because E_k is Hermitian.
+    """
+    columns = [np.einsum("ia,ab,ib->i", np.conj(v), e, v).real for e in hermitian_basis(v.shape[1])]
+    return np.stack(columns, axis=1)
 
 
 def r_matrix_reference(frame: Frame, f: np.ndarray) -> np.ndarray:

@@ -74,13 +74,41 @@ def test_certify_pr_exit_codes(tmp_path, capsys):
 
 
 def test_certify_pr_complex_inconclusive(tmp_path, capsys):
+    # The harmonic frame's Hermitian lift has diag(1, -1) in its kernel, and the
+    # complement property holds, which over C is only necessary.
     cx = tmp_path / "c.json"
-    _run(capsys, "gen", "random", "--dim", "2", "--n", "5", "--field", "complex", "-o", str(cx))
+    _run(capsys, "gen", "harmonic", "--dim", "2", "--n", "4", "--field", "complex", "-o", str(cx))
     code, stdout, _ = _run(capsys, "certify", "pr", str(cx))
     assert code == 3
     report = json.loads(stdout)
     assert report["data"]["verdict"] == "inconclusive"
-    assert report["certificates"][0]["alpha_estimate"] is not None
+    cert = report["certificates"][0]
+    assert cert["method"] == "pr-complement-necessity"
+    assert cert["alpha_estimate"] is None and cert["witness_subset"] is None
+
+
+def test_certify_pr_complex_holds_on_its_lift(tmp_path, capsys):
+    # Random d=2, n=5: n >= d^2, and its Hermitian lift is injective.
+    cx = tmp_path / "c.json"
+    _run(capsys, "gen", "random", "--dim", "2", "--n", "5", "--field", "complex", "-o", str(cx))
+    code, stdout, _ = _run(capsys, "certify", "pr", str(cx))
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["data"]["verdict"] == "holds"
+    cert = report["certificates"][0]
+    assert cert["method"] == "pr-lifted-hermitian"
+    assert cert["alpha_estimate"] is None
+
+
+@pytest.mark.parametrize("kind", [["harmonic", "--n", "4"], ["random", "--n", "5"], ["random", "--n", "3"]])
+def test_certify_pr_alpha_restarts_and_seed_change_no_report_byte(kind, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    _run(capsys, "gen", *kind, "--dim", "2", "--field", "complex", "-o", str(path))
+    code, stdout, _ = _run(capsys, "certify", "pr", str(path))
+    for flags in (["--alpha-restarts", "1"], ["--alpha-restarts", "9", "--seed", "5"]):
+        again, out, _ = _run(capsys, "certify", "pr", str(path), *flags)
+        assert again == code
+        assert json.loads(out)["certificates"] == json.loads(stdout)["certificates"]
 
 
 def test_certify_nr_emits_one_certificate_matching_the_oracle(tmp_path, capsys):
@@ -162,7 +190,7 @@ def test_alpha_command_refuses_zero(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_certify_pr_refuses_zero_alpha_restarts_for_every_field(field, tmp_path, capsys):
-    # A real frame never runs alpha, yet the flag is checked before certifying.
+    # certify runs no alpha, yet the flag is still refused below 1 before anything is certified.
     path = tmp_path / "f.json"
     _run(capsys, "gen", "random", "--dim", "2", "--n", "5", "--field", field, "-o", str(path))
     code, stdout, stderr = _run(capsys, "certify", "pr", str(path), "--alpha-restarts", "0")

@@ -35,6 +35,32 @@ def test_make_atomic_rejects_empty():
         fl.make_atomic([])
 
 
+def test_make_atomic_builds_the_atoms_and_weights_of_the_checked_constructors():
+    weights, labels = [0.5, 2, np.float64(1.5)], ["a", None, "c"]
+    space = fl.make_atomic(weights, labels)
+    reference = fl.MeasureSpace(tuple(fl.Atom(k, w, label) for k, (w, label) in enumerate(zip(weights, labels))))
+    assert space.atoms == reference.atoms
+    assert all(type(a.weight) is float for a in space.atoms)
+    assert space.weights.tobytes() == reference.weights.tobytes()
+    assert not space.weights.flags.writeable
+
+
+@pytest.mark.parametrize("weights, labels, message", [
+    ([1.0, -1.0, float("nan")], None, "atom 1: weight must be positive and finite, got -1.0"),
+    ([1.0, 0.0], None, "atom 1: weight must be positive and finite, got 0.0"),
+    ([float("inf")], None, "atom 0: weight must be positive and finite, got inf"),
+    # Atom by atom, the bad weight of atom 1 comes before atom 2's conversion error.
+    ([1.0, -2.0, "x"], None, "atom 1: weight must be positive and finite, got -2.0"),
+    (["x", -2.0], None, "could not convert string to float: 'x'"),
+    ([], None, "a measure space needs at least one atom"),
+    ([-1.0], ["a", "b"], "labels and weights must have the same length"),
+])
+def test_make_atomic_keeps_the_errors_of_the_checked_constructors(weights, labels, message):
+    with pytest.raises(ValueError) as exc:
+        fl.make_atomic(weights, labels)
+    assert str(exc.value) == message
+
+
 def test_weights_are_read_only():
     space = fl.make_atomic([1.0, 2.0])
     with pytest.raises(ValueError):

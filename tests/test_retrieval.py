@@ -7,7 +7,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
@@ -23,6 +23,7 @@ from framelab.retrieval import (
     _flats_hold,
     _hyperplane_table,
     _intervals,
+    _lift,
     _lift_cutoff,
     _lifted_holds,
     _r_stack,
@@ -36,6 +37,8 @@ from oracles import (
     complement_pairs,
     complement_property_reference,
     deficient_splits_reference,
+    hermitian_basis,
+    hermitian_lift_reference,
     hyperplane_table_reference,
     lift_ratio_reference,
     near_riesz_oracle,
@@ -47,7 +50,7 @@ from oracles import (
 
 
 def _unit_frame(vectors, weights=None):
-    vectors = np.asarray(vectors, dtype=float)
+    vectors = np.asarray(vectors, dtype=complex if np.iscomplexobj(vectors) else float)
     if weights is None:
         weights = np.ones(len(vectors))
     return fl.Frame(fl.make_atomic(weights), vectors)
@@ -57,6 +60,8 @@ def test_complement_property_mercedes_holds():
     cert = fl.complement_property(fl.gen_mercedes())
     assert cert.verdict == fl.HOLDS
     assert cert.witness_subset is None
+    # n = 3 = d(d + 1)/2, and the lift settles it with no split visited.
+    assert cert.method == "complement-lifted-map"
 
 
 def test_complement_property_onb_fails_with_lex_min_witness():
@@ -164,13 +169,54 @@ def test_pr_matches_sign_pattern_oracle_spot():
         assert cert.verdict == sign_pattern_pr_oracle(frame)
 
 
-def test_pr_complex_inconclusive_with_alpha():
+def _no_alpha(*args, **kwargs):
+    raise AssertionError("alpha_certify ran")
+
+
+def test_pr_complex_holds_on_its_hermitian_lift(monkeypatch):
+    # n = 6 >= d^2 = 4, and the lift is injective; no alpha is estimated.
+    monkeypatch.setattr("framelab.retrieval.alpha_certify", _no_alpha)
     frame = fl.gen_random(2, 6, seed=0, field="complex")
-    cert = fl.phase_retrieval_certify(frame, alpha_restarts=2)
+    assert fl.complement_property(frame).method == "complement-lifted-map"
+    cert = fl.phase_retrieval_certify(frame)
+    assert cert.verdict == fl.HOLDS
+    assert cert.method == "pr-lifted-hermitian"
+    assert cert.witness_subset is None and cert.witness_vectors is None
+
+
+@pytest.mark.parametrize("frame", [
+    fl.gen_random(4, 12, seed=0, field="complex"),  # n < d^2 = 16: no lift
+    fl.gen_harmonic(2, 4, "complex"),  # its lift has diag(1, -1) in its kernel
+])
+def test_pr_complex_stays_inconclusive_without_alpha(frame, monkeypatch):
+    monkeypatch.setattr("framelab.retrieval.alpha_certify", _no_alpha)
+    assert not _lifted_holds(frame.vectors[None], 1e-10)[0]
+    cp = fl.complement_property(frame)
+    assert cp.holds and cp.method == "complement-subset-enumeration"
+    cert = fl.phase_retrieval_certify(frame)
     assert cert.verdict == fl.INCONCLUSIVE
-    assert cert.method == "pr-alpha-estimate"
-    assert cert.alpha_estimate is not None
-    assert cert.alpha_estimate >= 0.0
+    assert cert.method == "pr-complement-necessity"
+    assert cert.witness_subset is None and cert.witness_vectors is None
+
+
+def test_harmonic_2_4_lift_kernel_is_diag_1_minus_1():
+    frame = fl.gen_harmonic(2, 4, "complex")
+    q = np.diag([1.0, -1.0])
+    values = np.einsum("ia,ab,ib->i", frame.vectors.conj(), q, frame.vectors)
+    assert np.abs(values).max() < 1e-15
+
+
+@pytest.mark.parametrize("field, d, n", [("real", 3, 6), ("complex", 2, 4), ("complex", 3, 9), ("complex", 2, 3)])
+def test_pr_decides_the_lift_once_per_frame(field, d, n, monkeypatch):
+    calls = []
+
+    def counting(vs, tol):
+        calls.append(len(vs))
+        return _lifted_holds(vs, tol)
+
+    monkeypatch.setattr("framelab.retrieval._lifted_holds", counting)
+    fl.phase_retrieval_certify(fl.gen_random(d, n, seed=1, field=field))
+    assert calls == [1]
 
 
 def test_pr_complex_fails_via_complement_necessity():
@@ -302,13 +348,6 @@ def test_alpha_blocks_keep_the_batch_size(n, d, monkeypatch):
 def test_alpha_refuses_no_restarts_or_no_iterations(restarts, iters):
     with pytest.raises(ValueError, match="at least 1"):
         fl.alpha_certify(fl.gen_mercedes(), restarts=restarts, iters=iters)
-
-
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_pr_refuses_no_alpha_restarts_for_every_field(field):
-    frame = fl.gen_random(2, 5, seed=0, field=field)
-    with pytest.raises(ValueError, match="alpha restarts must be at least 1"):
-        fl.phase_retrieval_certify(frame, alpha_restarts=0)
 
 
 def test_nr_mercedes_holds():
@@ -483,11 +522,12 @@ def test_near_riesz_stable_under_invertible_images():
     assert fl.near_riesz_detect(moved) == (0,)
 
 
-def test_pr_complex_alpha_estimate_is_positive():
+def test_pr_complex_holds_with_n_equal_to_d_squared():
+    # Its 4 x 4 Hermitian lift is invertible.
     frame = fl.gen_random(2, 4, seed=0, field="complex")
-    cert = fl.phase_retrieval_certify(frame, alpha_restarts=4)
-    assert cert.verdict == fl.INCONCLUSIVE
-    assert cert.alpha_estimate > 0.01
+    cert = fl.phase_retrieval_certify(frame)
+    assert cert.verdict == fl.HOLDS
+    assert cert.method == "pr-lifted-hermitian"
 
 
 def test_near_riesz_matches_oracle_on_corpus(real_corpus):
@@ -863,19 +903,20 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
 def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
     # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
     # table must scale such a frame all the same, or every split is scanned.  With no
-    # split checked before it every frame builds the table; gen_random(3, 5) would
-    # otherwise fit whole in the scan budget.
+    # split checked before it and no lift every frame builds the table; gen_random(3, 5)
+    # would otherwise fit whole in the scan budget, and the lift certify the complex frame.
     tiny = fl.gen_random(d, n, seed, field)
     tiny = tiny.with_vectors(tiny.vectors * 1e-310)
     # The stored entries times 2^1030 are normal, and the product is exact.
     normal = tiny.with_vectors(tiny.vectors * 2.0**515 * 2.0**515)
+    assert _lifted_holds(tiny.vectors[None], 1e-10)[0] == _lifted_holds(normal.vectors[None], 1e-10)[0]
     tables = []
 
     def recording(*args):
         tables.append(_hyperplane_table(*args))
         return tables[-1]
 
-    with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
         with patch("framelab.retrieval._hyperplane_table", recording):
             got = certify(tiny)
         assert tables and all(table is not None for table in tables)
@@ -947,14 +988,19 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     assert decided[flat.tobytes()] == list(complement_pairs(12))
 
 
-def _lift_test_vectors(kind, d, n, rng):
+def _normal(rng, shape, field="real"):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+
+
+def _lift_test_vectors(kind, d, n, rng, field="real"):
     """Atoms on two random hyperplanes, atoms with exact repeats, or generic atoms."""
-    vectors = rng.standard_normal((n, d))
+    vectors = _normal(rng, (n, d), field)
     if kind == "two-hyperplane":
-        normals = rng.standard_normal((2, d))
+        normals = _normal(rng, (2, d), field)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         side = normals[rng.integers(2, size=n)]
-        vectors -= np.sum(vectors * side, axis=1, keepdims=True) * side
+        vectors -= np.sum(vectors * side.conj(), axis=1, keepdims=True) * side
     elif kind == "repeated":
         for i in range(1, n, 2):
             vectors[i] = vectors[int(rng.integers(i))]
@@ -975,15 +1021,34 @@ def _lift_test_vectors(kind, d, n, rng):
 @example(d=3, extra=1, noise=2.0, tol=0.0, seed=1)
 @example(d=4, extra=3, noise=-2.0, tol=0.0, seed=2)
 def test_the_lift_certifies_only_frames_without_a_deficient_split(d, extra, noise, tol, seed):
+    _assert_the_lift_certifies_only_frames_without_a_deficient_split("real", d * (d + 1) // 2 + extra, d, noise, tol, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    extra=st.integers(0, 3),
+    noise=st.floats(-4.0, 5.0),
+    tol=st.sampled_from([0.0, 1e-10, 1e-6, 0.1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(d=2, extra=0, noise=0.0, tol=0.0, seed=0)
+@example(d=3, extra=0, noise=2.0, tol=0.0, seed=1)
+@example(d=3, extra=2, noise=-2.0, tol=0.0, seed=2)
+def test_the_hermitian_lift_certifies_only_frames_without_a_deficient_split(d, extra, noise, tol, seed):
+    # The complex twin, n >= d^2; d = 4 would take n >= 16 and 2^15 reference splits per frame.
+    _assert_the_lift_certifies_only_frames_without_a_deficient_split("complex", d * d + extra, d, noise, tol, seed)
+
+
+def _assert_the_lift_certifies_only_frames_without_a_deficient_split(field, n, d, noise, tol, seed):
     # Noise from 1e-4 to 1e5 times the tolerance (times eps at tol = 0), relative to each
     # atom, and atom norms spread over 10^-3..10^3, straddle the lift's cutoff on every
     # kind of frame.
     rng = np.random.default_rng(seed)
-    n = d * (d + 1) // 2 + extra
     frames = []
     for kind in ("two-hyperplane", "repeated", "generic"):
-        vectors = _lift_test_vectors(kind, d, n, rng)
-        jitter = rng.standard_normal((n, d))
+        vectors = _lift_test_vectors(kind, d, n, rng, field)
+        jitter = _normal(rng, (n, d), field)
         scale = np.linalg.norm(vectors, axis=1, keepdims=True)
         jitter *= 10.0**noise * max(tol, np.finfo(float).eps) * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
         frames.append(_unit_frame((vectors + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))))
@@ -1022,13 +1087,77 @@ def test_the_lift_agrees_with_the_reference_lift():
 
 
 def test_the_lift_refuses_complex_frames_short_frames_and_negative_tolerances():
-    assert not _lifted_holds(fl.gen_random(2, 6, seed=0, field="complex").vectors[None], 1e-10)[0]
+    # A complex frame needs n >= d^2 atoms, a real one n >= d(d + 1)/2.
+    assert not _lifted_holds(fl.gen_random(3, 8, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert _lifted_holds(fl.gen_random(3, 9, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert _lifted_holds(fl.gen_random(2, 6, seed=0, field="complex").vectors[None], 1e-10)[0]
     assert not _lifted_holds(fl.gen_random(3, 5, seed=0).vectors[None], 1e-10)[0]
     # The scan finds the split of the two zero atoms deficient, while with tol < 0
     # the lift's cutoff would be negative.
     zeros = np.vstack([np.zeros((2, 2)), [[1.0, 2.0]]])
     assert not _lifted_holds(zeros[None], -1.0)[0]
     assert not _lifted_holds(np.zeros((1, 3, 2)), 1e-10)[0]
+    assert not _lifted_holds(np.zeros((1, 4, 2), dtype=complex), 1e-10)[0]
     # Entries whose squares overflow or underflow are scaled first.
-    for scale in (1e200, 1e-200):
+    for scale in (1e200, 1e-200, 1e-310):
         assert _lifted_holds(fl.gen_random(2, 3, seed=0).vectors[None] * scale, 1e-10)[0]
+        assert _lifted_holds(fl.gen_random(2, 4, seed=0, field="complex").vectors[None] * scale, 1e-10)[0]
+
+
+@pytest.mark.parametrize("d, n, seed", [(1, 1, 0), (1, 3, 1), (2, 4, 2), (2, 7, 3), (3, 9, 4), (3, 12, 5), (4, 16, 6)])
+def test_the_hermitian_lift_is_the_map_in_an_orthonormal_basis(d, n, seed):
+    rng = np.random.default_rng(seed)
+    v = _normal(rng, (n, d), "complex")
+    reference = hermitian_lift_reference(v)
+    lift = _lift(v[None])[0]
+    assert lift.shape == reference.shape == (n, d * d)
+    scale = np.linalg.norm(reference, 2)
+    s = np.linalg.svd(lift, compute_uv=False)
+    assert np.allclose(s, np.linalg.svd(reference, compute_uv=False), rtol=0, atol=1e-13 * scale)
+    basis = hermitian_basis(d)
+    for _ in range(5):
+        x = _normal(rng, (d, d), "complex")
+        q_matrix = x + x.conj().T
+        q = np.array([np.trace(e @ q_matrix).real for e in basis])
+        values = np.einsum("ia,ab,ib->i", v.conj(), q_matrix, v)
+        assert np.abs(values.imag).max() <= 1e-13 * scale * np.linalg.norm(q)
+        assert np.linalg.norm(reference @ q) == pytest.approx(np.linalg.norm(values.real), rel=1e-12)
+        assert np.linalg.norm(q) == pytest.approx(np.linalg.norm(q_matrix), rel=1e-12)
+        assert np.allclose(reference @ q, values.real, rtol=0, atol=1e-12 * scale * np.linalg.norm(q))
+
+
+def test_the_hermitian_lift_agrees_with_the_reference_lift():
+    for d, n in [(1, 2), (2, 4), (2, 6), (3, 10)]:
+        v = fl.gen_random(d, n, seed=d, field="complex").vectors
+        s = np.linalg.svd(hermitian_lift_reference(v), compute_uv=False)
+        at_ratio = s[-1] / s[0] / (2 * np.sqrt(n * d))
+        assert _lifted_holds(v[None], 0.99 * at_ratio)[0]
+        assert not _lifted_holds(v[None], 1.01 * at_ratio)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from(["real", "complex"]),
+    kind=st.sampled_from(["two-hyperplane", "repeated", "generic"]),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    tol=st.sampled_from([1e-10, 1e-6]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_lift_verdict_is_invariant_under_unitaries_phases_and_reordering(field, kind, d, extra, tol, seed):
+    rng = np.random.default_rng(seed)
+    n = (d * d if field == "complex" else d * (d + 1) // 2) + extra
+    v = _lift_test_vectors(kind, d, n, rng, field)
+    s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
+    # Rounding moves the ratio by about eps; keep clear of the cutoff by far more.
+    ratio, cutoff = (s[-1] / s[0] if s[0] > 0 else 0.0), _lift_cutoff(n, d, tol, field == "complex")
+    assume(not cutoff / 1e3 < ratio < cutoff * 1e3)
+    verdict = _lifted_holds(v[None], tol)[0]
+    assert verdict == (ratio > cutoff)
+    unitary, _ = np.linalg.qr(_normal(rng, (d, d), field))
+    if field == "complex":
+        phases = np.exp(2j * np.pi * rng.uniform(size=(n, 1)))
+    else:
+        phases = rng.choice([-1.0, 1.0], size=(n, 1))
+    images = [v @ unitary.T, v * phases, v[rng.permutation(n)], (v * phases)[::-1] @ unitary.T]
+    assert _lifted_holds(np.stack(images), tol).tolist() == [verdict] * len(images)
