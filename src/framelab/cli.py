@@ -89,11 +89,11 @@ def _env_rank_tol() -> float:
     return DEFAULT_RANK_TOL
 
 
-def _parse_ids(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, kind: type, nouns: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"{what} must be a comma-separated list of integers, got {text!r}") from exc
+        raise ValueError(f"{what} must be a comma-separated list of {nouns}, got {text!r}") from exc
 
 
 class _Stopwatch:
@@ -231,7 +231,7 @@ def _perturb(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -
         raise ValueError(
             f"perturb {args.construction} requires --{key} with comma-separated atom ids"
         )
-    ids = _parse_ids(text, f"--{key}")
+    ids = _parse_list(text, f"--{key}", int, "integers")
     construct = break_phase_retrieval if breaks_pr else break_norm_retrieval
     result = construct(frame, ids, args.eps, rank_tol=rank_tol, cap=args.cap)
     cert = result.certificate
@@ -263,7 +263,7 @@ def _perturb(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -
 def _sweep(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) -> _Outcome:
     (frame,) = frames
     rank_tol = _env_rank_tol()
-    lambdas = [float(part) for part in args.lambdas.split(",") if part.strip() != ""]
+    lambdas = _parse_list(args.lambdas, "--lambdas", float, "numbers")
     points = stability_sweep(frame, lambdas, args.trials, args.seed, rank_tol, args.cap)
     watch.lap("sweep")
     data = {
@@ -347,7 +347,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("file")
     p_cert.add_argument("--tol", type=float, default=None, help="pr: rank tolerance, overriding FRAMELAB_TOL; nr: orthogonality tolerance (default 1e-8), while FRAMELAB_TOL still sets the rank tolerance")
     p_cert.add_argument("--alpha-restarts", type=int, default=4, help="accepted and ignored, but must be at least 1 for pr: certify estimates no alpha (see the alpha command); a complex frame holds when its lifted Hermitian map certifies it, fails when the complement property fails, and is otherwise inconclusive (exit 3)")
-    p_cert.add_argument("--seed", type=int, default=0, help="accepted and ignored: certify draws nothing at random")
     p_cert.set_defaults(compute=_certify, inputs=("file",))
 
     p_alpha = sub.add_parser("alpha", parents=[common], help="alternating minimization lower-bound functional")
@@ -389,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     command = " ".join(["framelab"] + argv)
     watch = _Stopwatch(args.timings)
     try:
+        # Refused before any input is read, so a capped command certifies and writes nothing.
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         paths = [getattr(args, name) for name in args.inputs]
         loaded: dict[str, tuple[Frame, str]] = {}
         for path in paths:

@@ -12,8 +12,9 @@ class EnumerationCapExceeded(FramelabError):
     to 2^(n-1) of them: the first ones one by one, the rest through the
     pairs of the frame's at most C(n, d - 1) hyperplanes that cover the
     atoms, or one by one again when the frame spans only within the
-    table's margin.  A real frame with n >= d(d + 1)/2 is first tested on
-    its lifted symmetric map, which can only answer ``holds``.  The cap
+    table's margin.  A real frame with n >= d(d + 1)/2, or a complex one
+    with n >= d^2, is first tested on its lifted symmetric or Hermitian
+    map, which can only answer ``holds``.  The cap
     bounds the atom count n and is checked before either: past it we
     refuse outright instead of silently sampling.
     """

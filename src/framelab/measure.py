@@ -8,9 +8,10 @@ for the infimum of positive subset measures and feeds the Bessel bound
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,46 +66,20 @@ class MeasureSpace:
         return float(self._weights.min())
 
 
-def _checked_weights(values: list[float]) -> np.ndarray:
-    """The weights as a read-only array; raises Atom's error for the first one that is not positive and finite."""
-    w = np.array(values, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0.0)))
-    if len(bad):
-        k = int(bad[0])
-        raise ValueError(f"atom {k}: weight must be positive and finite, got {values[k]!r}")
-    w.setflags(write=False)
-    return w
+def make_atomic(weights: Iterable[float], labels: Sequence[str | None] | None = None) -> MeasureSpace:
+    """Build a measure space from positive weights and optional labels.
 
-
-def make_atomic(weights: Sequence[float], labels: Sequence[str | None] | None = None) -> MeasureSpace:
-    """Build a measure space from a list of positive weights.
-
-    The weights are checked once, as an array, and the atoms are built
-    without ``Atom``'s own check or ``MeasureSpace``'s index check, which
-    they pass by construction; the errors are theirs, in the same order.
+    ``weights`` is any iterable of numbers, such as a list, a generator or
+    a numpy array; ``labels``, when given, must be as long as ``weights``.
+    Atom ``k`` is ``Atom(k, float(weights[k]), labels[k])`` (the ``float``
+    puts a numpy weight into an error message as a plain number), and the
+    space is the ``MeasureSpace`` of those atoms, so every check and its
+    error is theirs, raised for the first atom that fails it.
     """
     if labels is not None and len(labels) != len(weights):
         raise ValueError("labels and weights must have the same length")
-    values: list[float] = []
-    for w in weights:
-        try:
-            values.append(float(w))
-        except (TypeError, ValueError, OverflowError):
-            # Atom by atom, a bad weight before this one is reported first.
-            _checked_weights(values)
-            raise
-    checked = _checked_weights(values)
-    if not values:
-        raise ValueError("a measure space needs at least one atom")
-    names = [None] * len(values) if labels is None else labels
-    atoms = []
-    for k, (w, label) in enumerate(zip(values, names)):
-        atom = object.__new__(Atom)
-        atom.__dict__.update(index=k, weight=w, label=label)
-        atoms.append(atom)
-    space = object.__new__(MeasureSpace)
-    space.__dict__.update(atoms=tuple(atoms), _weights=checked)
-    return space
+    names = itertools.repeat(None) if labels is None else labels
+    return MeasureSpace(tuple(Atom(k, float(w), label) for k, (w, label) in enumerate(zip(weights, names))))
 
 
 def quadrature_discretize(

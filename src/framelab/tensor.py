@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_ENUM_CAP, DEFAULT_ORTHO_TOL, DEFAULT_RANK_TOL
 from .frames import Frame, frame_bounds
-from .measure import Atom, MeasureSpace
+from .measure import make_atomic
 from .retrieval import (
     Certificate,
     HOLDS,
@@ -65,18 +65,14 @@ def tensor_product(left: Frame, right: Frame) -> TensorFrame:
     """
     if left.field != right.field:
         raise ValueError(f"field mismatch: {left.field} vs {right.field}")
-    n2 = right.n_atoms
-    prod_weights = np.outer(left.weights, right.weights).ravel()
-    atoms = []
-    for i, a in enumerate(left.space.atoms):
-        for j, b in enumerate(right.space.atoms):
-            label = None
-            if a.label is not None and b.label is not None:
-                label = f"({a.label},{b.label})"
-            atoms.append(Atom(index=i * n2 + j, weight=float(prod_weights[i * n2 + j]), label=label))
-    space = MeasureSpace(tuple(atoms))
+    labels = [
+        None if a.label is None or b.label is None else f"({a.label},{b.label})"
+        for a in left.space.atoms
+        for b in right.space.atoms
+    ]
+    space = make_atomic(np.outer(left.weights, right.weights).ravel(), labels)
     vectors = np.einsum("ia,jb->ijab", left.vectors, right.vectors).reshape(
-        left.n_atoms * n2, left.dim * right.dim
+        left.n_atoms * right.n_atoms, left.dim * right.dim
     )
     return TensorFrame(left=left, right=right, product=Frame(space, vectors))
 

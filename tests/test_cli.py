@@ -105,10 +105,42 @@ def test_certify_pr_alpha_restarts_and_seed_change_no_report_byte(kind, tmp_path
     path = tmp_path / "c.json"
     _run(capsys, "gen", *kind, "--dim", "2", "--field", "complex", "-o", str(path))
     code, stdout, _ = _run(capsys, "certify", "pr", str(path))
-    for flags in (["--alpha-restarts", "1"], ["--alpha-restarts", "9", "--seed", "5"]):
+    for flags in (["--alpha-restarts", "1"], ["--alpha-restarts", "9"]):
         again, out, _ = _run(capsys, "certify", "pr", str(path), *flags)
         assert again == code
         assert json.loads(out)["certificates"] == json.loads(stdout)["certificates"]
+
+
+def test_certify_takes_no_seed(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    _run(capsys, "gen", "mercedes", "-o", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "pr", str(path), "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["certify", "pr", "m.json"],
+    ["perturb", "break-nr", "m.json", "--subset", "0", "--eps", "0.5", "-o", "out.json"],
+    ["sweep", "m.json", "--lambdas", "0.01", "--trials", "4"],
+    ["tensor", "m.json", "m.json", "-o", "out.json", "--check", "pr"],
+])
+def test_capped_commands_refuse_a_cap_below_one_before_reading_or_writing(argv, cap, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "gen", "mercedes", "-o", "m.json")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "_read_json", no_read)
+    code, stdout, stderr = _run(capsys, *argv, "--cap", cap)
+    message = f"--cap must be at least 1, got {cap}"
+    assert code == 2
+    assert json.loads(stdout) == {"command": " ".join(["framelab", *argv, "--cap", cap]), "error": message}
+    assert message in stderr
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_certify_nr_emits_one_certificate_matching_the_oracle(tmp_path, capsys):
@@ -272,6 +304,21 @@ def test_sweep_refuses_a_sweep_with_no_trial_or_no_radius(argv, message, tmp_pat
     merc = tmp_path / "m.json"
     _run(capsys, "gen", "mercedes", "-o", str(merc))
     code, stdout, stderr = _run(capsys, "sweep", str(merc), *argv)
+    assert code == 2
+    assert json.loads(stdout)["error"] == message
+    assert message in stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "m.json", "--lambdas", "abc"], "--lambdas must be a comma-separated list of numbers, got 'abc'"),
+    (["sweep", "m.json", "--lambdas", "0.1,x"], "--lambdas must be a comma-separated list of numbers, got '0.1,x'"),
+    (["perturb", "break-nr", "m.json", "--subset", "0,x", "--eps", "0.5", "-o", "p.json"],
+     "--subset must be a comma-separated list of integers, got '0,x'"),
+])
+def test_list_flags_name_the_flag_and_its_text_when_an_entry_is_not_a_number(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "gen", "mercedes", "-o", "m.json")
+    code, stdout, stderr = _run(capsys, *argv)
     assert code == 2
     assert json.loads(stdout)["error"] == message
     assert message in stderr

@@ -45,6 +45,29 @@ def test_make_atomic_builds_the_atoms_and_weights_of_the_checked_constructors():
     assert not space.weights.flags.writeable
 
 
+@pytest.mark.parametrize("weights", [
+    (w for w in [0.5, 2.0, 1.5]),
+    np.array([0.5, 2.0, 1.5]),
+    np.array([0.5, 2.0, 1.5], dtype=np.float32),
+])
+def test_make_atomic_takes_a_generator_or_an_array_of_weights(weights):
+    space = fl.make_atomic(weights)
+    reference = fl.MeasureSpace(tuple(fl.Atom(k, w) for k, w in enumerate([0.5, 2.0, 1.5])))
+    assert space.atoms == reference.atoms
+    assert all(type(a.weight) is float for a in space.atoms)
+    assert space.weights.tobytes() == reference.weights.tobytes()
+    assert not space.weights.flags.writeable
+
+
+def test_make_atomic_reports_a_bad_array_weight_as_a_float():
+    with pytest.raises(ValueError) as exc:
+        fl.make_atomic(np.array([1.0, -2.0]))
+    assert str(exc.value) == "atom 1: weight must be positive and finite, got -2.0"
+    with pytest.raises(ValueError) as exc:
+        fl.make_atomic(w for w in [1.0, 0.0])
+    assert str(exc.value) == "atom 1: weight must be positive and finite, got 0.0"
+
+
 @pytest.mark.parametrize("weights, labels, message", [
     ([1.0, -1.0, float("nan")], None, "atom 1: weight must be positive and finite, got -1.0"),
     ([1.0, 0.0], None, "atom 1: weight must be positive and finite, got 0.0"),

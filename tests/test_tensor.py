@@ -72,6 +72,31 @@ def test_tensor_labels_combine_when_present():
     assert unlabeled.space.atoms[0].label is None
 
 
+@pytest.mark.parametrize("left_labels, right_labels", [
+    (["a", "b"], ["x", "y", "z"]),
+    (None, None),
+    (["a", "b"], None),
+    (None, ["x", "y", "z"]),
+    (["a", None], ["x", "y", None]),
+])
+def test_tensor_product_space_is_the_checked_product_measure(left_labels, right_labels):
+    left = fl.Frame(fl.make_atomic([0.5, 3.0], left_labels), np.eye(2))
+    right = fl.Frame(fl.make_atomic([0.1, 2.0, 0.7], right_labels), np.array([[1.0], [2.0], [-1.0]]))
+    space = fl.tensor_product(left, right).product.space
+    atoms = []
+    for a in left.space.atoms:
+        for b in right.space.atoms:
+            label = None if a.label is None or b.label is None else f"({a.label},{b.label})"
+            atoms.append(fl.Atom(len(atoms), a.weight * b.weight, label))
+    reference = fl.MeasureSpace(tuple(atoms))
+    assert [(a.index, np.float64(a.weight).tobytes(), a.label) for a in space.atoms] == [
+        (a.index, np.float64(a.weight).tobytes(), a.label) for a in reference.atoms
+    ]
+    assert all(type(a.weight) is float for a in space.atoms)
+    assert space.weights.tobytes() == reference.weights.tobytes()
+    assert not space.weights.flags.writeable
+
+
 def test_tensor_pr_product_fails_when_either_factor_fails():
     m = fl.gen_mercedes()
     onb = fl.gen_onb(2)
