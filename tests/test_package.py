@@ -10,13 +10,14 @@ import pytest
 import framelab as fl
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(fl.__file__).resolve().parent
 
 PUBLIC = """
     Atom MeasureSpace make_atomic quadrature_discretize
     Frame FrameBounds CoefficientVector BesselBoundReport LipschitzReport analysis synthesis
     frame_operator frame_bounds is_mu_complete bessel_norm_bound_check magnitudes lipschitz_check
     apply_operator parsevalize gen_onb gen_mercedes gen_harmonic gen_random gen_deficient_plus_tail
-    HOLDS FAILS INCONCLUSIVE Certificate RQuadraticForm AlphaResult complement_property
+    HOLDS FAILS INCONCLUSIVE Certificate AlphaResult complement_property
     phase_retrieval_certify r_operator alpha_certify norm_retrieval_certify near_riesz_detect
     PerturbationResult SweepPoint break_phase_retrieval break_norm_retrieval stability_sweep
     TensorFrame TensorPRReport TensorNRReport tensor_product tensor_pr_check tensor_nr_check
@@ -28,12 +29,53 @@ PUBLIC = """
 
 
 def test_the_package_exports_each_public_name_once():
-    assert len(PUBLIC) == len(set(PUBLIC)) == 65
+    assert len(PUBLIC) == len(set(PUBLIC)) == 64
     assert len(fl.__all__) == len(set(fl.__all__))
     assert set(fl.__all__) == set(PUBLIC)
     assert all(hasattr(fl, name) for name in fl.__all__)
     assert "norm_retrieval_oracle" not in fl.__all__
     assert not hasattr(fl, "norm_retrieval_oracle")
+
+
+def _bound_names(statement: ast.stmt) -> list[str]:
+    """The names a top-level function, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    names = [t for target in targets for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+    return [t.id for t in names if isinstance(t, ast.Name)]
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    """The names a node reads, imports or looks up as an attribute."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+    return found
+
+
+def test_every_private_top_level_name_is_used_elsewhere_in_the_package():
+    # A private helper that only its own definition mentions is left over from a removal.
+    statements = [statement for path in sorted(SRC.glob("*.py")) for statement in ast.parse(path.read_text()).body]
+    references = [_referenced_names(statement) for statement in statements]
+    unused = [
+        name
+        for i, statement in enumerate(statements)
+        for name in _bound_names(statement)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in found for j, found in enumerate(references) if j != i)
+    ]
+    assert unused == []
 
 
 def _sketch() -> str:
