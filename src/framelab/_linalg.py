@@ -93,8 +93,9 @@ def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[np.nd
     Returns the (k, min(m, d)) singular values and the k bases.  One stacked
     SVD runs the same LAPACK routine on each matrix as a call per matrix
     does, so each result equals the one-matrix result bit for bit.  Every
-    basis column carries the canonical phase, all columns of the stack at
-    once.
+    basis column carries the canonical phase: the rows of each V^H from the
+    stack's least rank on, which hold every null space, get it in one call,
+    and the rows before them, which are never returned, are not scaled.
     """
     k, m, d = stack.shape
     if stack.size == 0:
@@ -102,9 +103,11 @@ def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[np.nd
         return np.zeros((k, 0)), [eye.copy() for _ in range(k)]
     # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
     _, s, vh = np.linalg.svd(np.conj(stack))
-    # Row j of conj(vh) is column j of the basis.
-    rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
-    return s, [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
+    rank = ranks(s, tol).tolist()
+    low = min(rank)
+    # Row j of conj(vh) is column j of the basis; rows rank.. of each matrix span its null space.
+    rows = canonical_phases(np.conj(vh[:, low:]).reshape(-1, d)).reshape(k, d - low, d)
+    return s, [h[r - low :].T for r, h in zip(rank, rows)]
 
 
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

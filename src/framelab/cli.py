@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("file")
     p_bounds.set_defaults(compute=_bounds, inputs=("file",))
 
-    p_cert = sub.add_parser("certify", parents=[capped], help="certify phase or norm retrieval")
+    p_cert = sub.add_parser("certify", parents=[capped], help="certify phase or norm retrieval; complex nr holds when I lies in the span of the frame's rank-one projections, and is otherwise inconclusive (exit 3)")
     p_cert.add_argument("property", choices=["pr", "nr"])
     p_cert.add_argument("file")
     p_cert.add_argument("--tol", type=float, default=None, help="pr: rank tolerance, overriding FRAMELAB_TOL; nr: orthogonality tolerance (default 1e-8), while FRAMELAB_TOL still sets the rank tolerance")

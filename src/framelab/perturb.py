@@ -221,9 +221,11 @@ def break_norm_retrieval(
     retrieval demands.  Requires ``0 <= epsilon < 2 sqrt(A)`` so the result
     is still a frame; for ``epsilon > 0`` its certificate must fail.
 
-    The input is certified with ``norm_retrieval_certify``; the output is
-    tested on (subset, complement) alone, and the certificate witnesses
-    that split when its null spaces overlap by more than ``ortho_tol``.
+    The input is certified with ``norm_retrieval_certify``, whose identity
+    test settles a repeated orthonormal basis, or any input whose rank-one
+    projections span I, with no split visited.  The output is tested on
+    (subset, complement) alone, and the certificate witnesses that split
+    when its null spaces overlap by more than ``ortho_tol``.
     Otherwise, as at ``epsilon = 0``, the full certifier decides, and a
     positive ``epsilon`` whose overlap it does not see either is refused
     with ValueError, as too small for ``ortho_tol``.  The annihilation

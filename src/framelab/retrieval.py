@@ -16,7 +16,20 @@ with no split visited; and the lift is injective, so the frame does phase
 retrieval over either field.  ``_lifted_holds`` carries the proof and the
 bound on LAPACK's rounding error that it assumes.
 The lift can only answer ``holds``, and the atom cap is checked before it.
-Frames it does not certify and frames with n < D go on to the splits.
+Frames it does not certify and frames with n < D go on to the splits,
+save that norm retrieval first tries the identity test.
+
+The identity test (``_identity_holds``) runs for norm retrieval after the
+lift and before any split: one least-squares solve on the lift gives real
+c with I close to sum_i c_i phi_i phi_i^*, and then |x|^2 = sum_i c_i
+|<x, phi_i>|^2 up to the residual, so equal magnitudes force equal norms.
+When |c|_1 M^2 t sqrt(n) plus the residual, M the largest atom norm and t
+the rank tolerance plus rounding, is at most ``ortho_tol``, every split the
+walk would test passes its overlap test, and the frame holds with method
+``nr-identity-span`` and no split visited.  It settles a repeated
+orthonormal basis, a tight frame and a product of tight frames; it can
+only answer ``holds``, and it refuses a frame whose lift has a singular
+value in a band around its solve's cutoff.
 
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
@@ -57,11 +70,12 @@ with no split walked; ``_flats_hold`` carries the argument and its
 assumptions.  This test can only answer ``holds``: any other frame is
 walked as before, so every failure and its witness come from the walk.
 
-The lift, the table and the flats scale each frame by a power of two,
-exactly, with ``_linalg.scaled``, so that no norm or square overflows or
-underflows to zero, and each of their ranks, like the scan's, is counted
-by ``_linalg.ranks``: the singular values above ``tol * sigma_max``.  The
-lift's cutoff, the band and the table's membership test are other rules.
+The lift, the identity test, the table and the flats scale each frame by
+a power of two, exactly, with ``_linalg.scaled``, so that no norm or square
+overflows or underflows to zero, and each of their ranks, like the scan's,
+is counted by ``_linalg.ranks``: the singular values above ``tol *
+sigma_max``.  The lift's cutoff, the identity test's bound and band, the
+table's band and its membership test are other rules.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
@@ -77,9 +91,10 @@ Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure.  A complex frame whose
 Hermitian lift is injective does phase retrieval (Bandeira, Cahill, Mixon
 and Nelson, "Saving phase", 2014); one that neither the lift certifies nor
-the complement property fails is ``inconclusive``.  Norm retrieval
-certification is rejected outright for complex frames; the subspace
-criterion it relies on is a real-field result.
+the complement property fails is ``inconclusive``.  The null-space
+criterion of norm retrieval is a real-field result, so a complex frame's
+norm retrieval is decided by the identity test on its Hermitian lift
+alone: it holds when the test passes and is ``inconclusive`` otherwise.
 
 The lower-bound functional ``alpha`` is its own computation, and no
 certificate rests on it.  It is estimated by alternating minimization
@@ -709,6 +724,86 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
 
 
+# Lift singular values in this band, relative to the largest, make the identity test refuse a frame.
+_IDENTITY_BAND = (1e-13, 1e-7)
+
+
+def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
+    """Whether I = sum_i c_i phi_i phi_i^*, up to a small residual, proves norm retrieval at ``ortho_tol``.
+
+    If I = sum_i c_i phi_i phi_i^* exactly, then |x|^2 = sum_i c_i
+    |<x, phi_i>|^2, so equal magnitudes force equal norms (Bahmanpour,
+    Cahill, Casazza, Jasper and Woodland, "Phase retrieval and norm
+    retrieval", 2014).  The real coefficients c come from one least-squares
+    solve of L^T c = vec(I) on the frame's lift L (``_lift``), symmetric for
+    a real frame and Hermitian for a complex one, with singular values below
+    sqrt(lo hi) times the largest dropped, (lo, hi] = ``_IDENTITY_BAND``.
+    The lift's basis is orthonormal, so the residual E = I - sum_i c_i
+    phi_i phi_i^* has |E|_F = |L^T c - vec(I)|.  A frame is refused when
+    some singular value of L lies in (lo, hi] times the largest, so that c
+    never rests on a nearly dropped direction, or when either tolerance is
+    negative.  Otherwise it is certified when, with r the computed residual,
+    M the largest atom norm, D the lift's width, eta = n D eps, t = tol +
+    eta (1 + tol) and rho = 2 (n + D + 8) eps,
+
+        (|c|_1 M^2 (t sqrt(n) + rho) + r + rho (r + sqrt(d)) + (d + 1) eps) (1 + 3 eta + rho) <= ortho_tol.
+
+    The test can only answer ``holds``.
+
+    Proof, real frame.  Assume, as ``_lifted_holds`` does with p = n D,
+    that LAPACK's SVD of an m x d matrix X, m <= n, is exact for a matrix
+    within eta |X|_2 of X, and that its singular vectors are within eta of
+    unit norm.  A column x that the walk (``_nr_failure``) takes for the
+    null space of the rows V_S has a computed singular value at most tol
+    times the largest, or none, so |V_S x| <= t |V_S|_2 |x| <= t sqrt(n) M
+    |x|; likewise a column y for S^c.  Now x^T y = x^T I y = sum_i c_i
+    (phi_i^T x)(phi_i^T y) + x^T E y.  For i in S the first factor is at
+    most t sqrt(n) M |x| and the second at most M |y|; for i in S^c the
+    roles swap.  So |x^T y| <= |x| |y| (|c|_1 M^2 t sqrt(n) + |E|_F).  The
+    exact |E|_F exceeds r by little: the lift's entries are within 4 eps of
+    exact (``_lifted_holds``), so row i is off by at most 4 sqrt(2) eps
+    |phi_i|^2; forming L^T c - vec(I) rounds each entry by at most (n + 2)
+    eps times that of |L|^T |c| + vec(I), whose norm is at most |c|_1 M^2 +
+    sqrt(d); and the norm rounds by (D + 2) eps.  So |E|_F <= r + (rho / 2)
+    (|c|_1 M^2 + r + sqrt(d)), and the other half of rho covers the
+    rounding of |c|_1, of M and of the test itself.  The walk's computed
+    entry of L^T R is within (d + 1) eps |x| |y| of x^T y, and |x| |y| <=
+    (1 + eta)^2 <= 1 + 3 eta.  So every entry the walk would compute, on
+    every split it would test, is at most ``ortho_tol``: the walk's verdict
+    is ``holds``, the one this test gives with no split visited.
+
+    Complex frame.  Here ``holds`` means |f|^2 - |g|^2 is at most
+    ``ortho_tol`` (|f|^2 + |g|^2) in size whenever |<f, phi_i>| = |<g,
+    phi_i>| on every atom.  Such f and g have |f|^2 - |g|^2 = sum_i c_i
+    (|<f, phi_i>|^2 - |<g, phi_i>|^2) + f^* E f - g^* E g = f^* E f - g^* E
+    g, at most |E|_F (|f|^2 + |g|^2), and |E|_F lies below the left side of
+    the test, as above.
+
+    The frame is first scaled by a power of two (``scaled``), exactly: c
+    scales inversely to M^2, so |c|_1 M^2 and E do not change.
+    """
+    n, d = v.shape
+    if not (rank_tol >= 0 and ortho_tol >= 0):
+        return False
+    v, _ = scaled(v)
+    lift = _lift(v[None])[0]
+    width = lift.shape[1]
+    a, b, _, _ = _lift_columns(d)
+    identity = np.zeros(width)
+    identity[: len(a)] = a == b
+    lo, hi = _IDENTITY_BAND
+    c, _, _, s = np.linalg.lstsq(lift.T, identity, rcond=sqrt(lo * hi))
+    if np.any((s > lo * s[0]) & (s <= hi * s[0])):
+        return False
+    residual = float(np.linalg.norm(lift.T @ c - identity))
+    mass = float(np.abs(c).sum()) * float(np.linalg.norm(v, axis=1).max()) ** 2
+    eta = n * width * _EPS
+    rho = 2 * (n + width + 8) * _EPS
+    t = rank_tol + eta * (1 + rank_tol)
+    bound = mass * (t * sqrt(n) + rho) + residual + rho * (residual + sqrt(d)) + (d + 1) * _EPS
+    return bound * (1 + 3 * eta + rho) <= ortho_tol
+
+
 def _first_failures(
     vs: np.ndarray,
     tol: float,
@@ -958,6 +1053,7 @@ def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> lis
 
 
 _NR_METHOD = "nr-nullspace-orthogonality"
+_IDENTITY = "nr-identity-span"
 
 
 def _nr_failure(v: np.ndarray, splits: list[_Split], rank_tol: float, ortho_tol: float) -> Certificate | None:
@@ -986,19 +1082,36 @@ def norm_retrieval_certify(
     rank_tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> Certificate:
-    """Certify norm retrieval over R via orthogonality of complementary null spaces.
+    """Certify norm retrieval: over R by orthogonality of complementary null spaces, over C by the identity test.
 
     For every index subset, the annihilator of its rows must be orthogonal
     to the annihilator of the complement's rows.  A split where either side
     spans holds vacuously, so only the splits where neither side spans are
-    tested, in scan order, and a frame that does phase retrieval holds with
-    none tested.  The first failure is reported as the subset plus the
-    offending unit null directions.
+    tested, in scan order.  The stages run in this order, after the atom
+    cap: the lift (``_lifted_holds``), which certifies a frame that does
+    phase retrieval with no split tested; the identity test
+    (``_identity_holds``), which certifies a frame whose rank-one
+    projections span I closely enough, method ``nr-identity-span``; then
+    the scan budget, the hyperplane table, its flats and the walk.  The
+    first failure is reported as the subset plus the offending unit null
+    directions.
+
+    A complex frame is decided by the identity test on its Hermitian lift
+    alone: it holds (``nr-identity-span``) when the test passes, and is
+    otherwise ``inconclusive`` (``nr-identity-sufficiency``), since the
+    test is only sufficient.
     """
-    _require_real(frame, "norm retrieval certification")
     _require_within_cap(frame, cap, "norm retrieval certification")
+    real, vs = frame.field == "real", frame.vectors[None]
+    # The lift first: generic frames pass it, and would fail the identity test at the cost of a second SVD.
+    if real and _lifted_holds(vs, rank_tol)[0]:
+        return Certificate(HOLDS, _NR_METHOD, frame.field)
+    if _identity_holds(frame.vectors, rank_tol, tol):
+        return Certificate(HOLDS, _IDENTITY, frame.field)
+    if not real:
+        return Certificate(INCONCLUSIVE, "nr-identity-sufficiency", frame.field)
     found = _first_failures(
-        frame.vectors[None], rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), tol
+        vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), tol, lift=False
     )[0]
     return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 

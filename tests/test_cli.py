@@ -110,6 +110,28 @@ def test_certify_pr_complex_holds_on_its_lift(tmp_path, capsys):
     assert list(cert) == CERTIFICATE_KEYS
 
 
+@pytest.mark.parametrize("kind, code, verdict, method", [
+    # The complex harmonic frame is Parseval: I is the sum of its rank-one projections.
+    (["harmonic", "--dim", "2", "--n", "5", "--field", "complex"], 0, "holds", "nr-identity-span"),
+    # Three generic atoms of C^2 span three of the four dimensions of the Hermitian matrices, not I.
+    (["random", "--dim", "2", "--n", "3", "--field", "complex"], 3, "inconclusive", "nr-identity-sufficiency"),
+    # An orthonormal basis of R^3 has n = 3 < 6, so no lift; the identity test settles it.
+    (["onb", "--dim", "3"], 0, "holds", "nr-identity-span"),
+])
+def test_certify_nr_by_the_identity_test(kind, code, verdict, method, tmp_path, capsys):
+    # Complex certify nr used to be refused with exit 2; now it holds or is inconclusive.
+    path = tmp_path / "f.json"
+    _run(capsys, "gen", *kind, "-o", str(path))
+    got, stdout, stderr = _run(capsys, "certify", "nr", str(path))
+    assert got == code
+    report = json.loads(stdout)
+    assert report["data"] == {"property": "norm retrieval", "verdict": verdict}
+    (cert,) = report["certificates"]
+    assert list(cert) == CERTIFICATE_KEYS
+    assert (cert["verdict"], cert["method"], cert["witness_subset"], cert["witness_vectors"]) == (verdict, method, None, None)
+    assert f"norm retrieval: {verdict}" in stderr
+
+
 @pytest.mark.parametrize("kind", [["harmonic", "--n", "4"], ["random", "--n", "5"], ["random", "--n", "3"]])
 def test_certify_pr_alpha_restarts_and_seed_change_no_report_byte(kind, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -438,6 +460,7 @@ _COMPLEX = ["random", "--dim", "2", "--n", "3", "--field", "complex"]
     (["mercedes"], ["mercedes"], ["--check", "pr", "--cap", "5"], 3, "refuses for n = 9 > cap = 5"),
     (["mercedes"], ["onb", "--dim", "2"], ["--check", "nr"], 2, "left factor must be Parseval"),
     (_COMPLEX, _COMPLEX, ["--check", "pr"], 2, "only defined over the real field"),
+    (_COMPLEX, _COMPLEX, ["--check", "nr"], 2, "only defined over the real field"),
 ])
 def test_a_refused_tensor_check_writes_no_product(left, right, check, code, message, tmp_path, capsys):
     a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.json"
@@ -696,7 +719,7 @@ def test_readme_commands_run_in_order(tmp_path, capsys, monkeypatch):
     # Every line of the README's command block, in a fresh directory: each exits 0 with one JSON report.
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
-    assert len(commands) == 13
+    assert len(commands) == 16
     for argv in commands:
         assert argv[0] == "framelab"
         code, stdout, _ = _run(capsys, *argv[1:])

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab._linalg import full_column_rank, null_spaces, numerical_rank
+from framelab import _linalg
+from framelab._linalg import canonical_phases, full_column_rank, null_spaces, numerical_rank, ranks
 from oracles import _rank, annihilator_reference
 
 TOL = 1e-10
@@ -53,3 +56,43 @@ def test_stacked_helpers_equal_the_one_matrix_helpers_bit_for_bit(kind, d, n, fa
         alone = annihilator_reference(rows, d, TOL)
         assert basis.dtype == alone.dtype and basis.shape == alone.shape
         assert basis.tobytes() == alone.tobytes()
+
+
+def _null_spaces_phasing_every_row(stack, tol):
+    """The reference for ``null_spaces``: every row of each V^H gets the canonical phase, then the null rows are kept."""
+    d = stack.shape[2]
+    _, s, vh = np.linalg.svd(np.conj(stack))
+    rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
+    return s, [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "repeated", "zero", "coordinate"]),
+    d=st.integers(1, 5),
+    n=st.integers(1, 9),
+    factor=st.sampled_from([0.0, 1e-3, 1.0, 1e3]),
+    complex_=st.booleans(),
+    data=st.data(),
+)
+def test_null_spaces_phase_no_row_before_the_least_rank_and_keep_their_bytes(kind, d, n, factor, complex_, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    v = _rows(kind, n, d, factor, complex_, rng)
+    size = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(1, 6))
+    stack = v[np.array([np.sort(rng.choice(n, size, replace=False)) for _ in range(count)], dtype=np.intp)]
+    phased = []
+
+    def counting(rows):
+        phased.append(len(rows))
+        return canonical_phases(rows)
+
+    with patch.object(_linalg, "canonical_phases", counting):
+        s, bases = null_spaces(stack, TOL)
+    want_s, want = _null_spaces_phasing_every_row(stack, TOL)
+    assert s.tobytes() == want_s.tobytes()
+    for basis, reference in zip(bases, want, strict=True):
+        assert basis.dtype == reference.dtype and basis.shape == reference.shape
+        assert basis.tobytes() == reference.tobytes()
+    # One call, on the rows from the stack's least rank on: every null row, and no row before them.
+    assert phased == [count * max(basis.shape[1] for basis in bases)]

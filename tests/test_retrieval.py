@@ -22,6 +22,7 @@ from framelab.retrieval import (
     _flats,
     _flats_hold,
     _hyperplane_table,
+    _identity_holds,
     _intervals,
     _lift,
     _lift_cutoff,
@@ -416,9 +417,11 @@ def test_nr_checks_null_spaces_only_on_splits_where_neither_side_spans(monkeypat
     monkeypatch.setattr("framelab.retrieval.null_spaces", counting)
     assert fl.norm_retrieval_certify(fl.gen_random(4, 10, seed=0)).verdict == fl.HOLDS
     assert matrices == []
-    # The repeated ONB has deficient splits; each costs two null spaces.
+    # The repeated ONB has deficient splits; each costs two null spaces once the identity test,
+    # which would settle it first, is out of the way.
     onb = _unit_frame(np.vstack([np.eye(2), np.eye(2)]))
-    assert fl.norm_retrieval_certify(onb).verdict == fl.HOLDS
+    with _without_the_identity():
+        assert fl.norm_retrieval_certify(onb).verdict == fl.HOLDS
     assert sum(matrices) == 2 * len(list(deficient_splits_reference(onb)))
 
 
@@ -435,10 +438,18 @@ def test_nr_finds_a_failure_below_every_hyperplane():
     assert cert.witness_subset == norm_retrieval_reference(frame).witness_subset
 
 
-def test_nr_rejects_complex():
-    frame = fl.gen_random(2, 4, seed=0, field="complex")
-    with pytest.raises(ValueError):
-        fl.norm_retrieval_certify(frame)
+def test_nr_of_a_complex_frame_holds_on_the_identity_test_or_is_inconclusive():
+    # Decided on the Hermitian lift alone.  The harmonic frame is Parseval, so I is the sum of its
+    # projections.  n generic atoms of C^d with n < d^2 span n of the d^2 dimensions of the Hermitian
+    # matrices, and I is not among them.
+    holds = fl.norm_retrieval_certify(fl.gen_harmonic(2, 5, "complex"))
+    assert (holds.verdict, holds.method, holds.field) == (fl.HOLDS, "nr-identity-span", "complex")
+    for frame in (fl.gen_random(2, 3, seed=0, field="complex"), fl.gen_random(3, 7, seed=0, field="complex")):
+        cert = fl.norm_retrieval_certify(frame)
+        assert (cert.verdict, cert.method, cert.field) == (fl.INCONCLUSIVE, "nr-identity-sufficiency", "complex")
+        assert cert.witness_subset is None and cert.witness_vectors is None
+    with pytest.raises(fl.EnumerationCapExceeded):
+        fl.norm_retrieval_certify(fl.gen_harmonic(2, 5, "complex"), cap=4)
 
 
 def test_pr_implies_nr_on_spot_frames():
@@ -568,6 +579,11 @@ def _without_the_lift():
     return patch("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
 
 
+def _without_the_identity():
+    """Make the identity test refuse every frame, so that norm retrieval goes on to the scan, the table and the flats."""
+    return patch("framelab.retrieval._identity_holds", lambda v, rank_tol, ortho_tol: False)
+
+
 def _deficient_splits(frame, tol=1e-10):
     """Every split of the frame where neither side spans, in the order the driver finds them."""
     splits = []
@@ -603,6 +619,10 @@ def _assert_matches_the_scan(frame):
         assert library() == reference
         with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
             assert library() == reference
+            # Nor, for norm retrieval, does the identity test settle repeated ONBs before the table.
+            if real:
+                with _without_the_identity():
+                    assert _decisions(frame, [], None, fl.norm_retrieval_certify(frame))[2:] == reference[2:]
 
 
 def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
@@ -733,11 +753,13 @@ def _nr_decision(cert):
 
 
 def _assert_nr_matches_the_scan(frame):
-    """Norm retrieval as the reference scan decides it, also when the table stage decides every frame."""
+    """Norm retrieval as the reference scan decides it, also when the identity test or the table stage decides every frame."""
     reference = _nr_decision(norm_retrieval_reference(frame))
     assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
     with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
         assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
+        with _without_the_identity():
+            assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
 
 
 @settings(max_examples=150, deadline=None)
@@ -788,7 +810,8 @@ def test_nr_on_a_repeated_onb_holds_through_its_flats_without_a_walk(monkeypatch
         raise AssertionError("the walk ran")
 
     monkeypatch.setattr("framelab.retrieval._walk", refuse)
-    with patch("framelab.retrieval._hyperplane_table", wraps=_hyperplane_table) as table:
+    # The identity test would settle this frame before the table.
+    with _without_the_identity(), patch("framelab.retrieval._hyperplane_table", wraps=_hyperplane_table) as table:
         assert fl.norm_retrieval_certify(_repeated_onb(4, 6)).holds
     table.assert_called_once()
 
@@ -812,7 +835,8 @@ def test_the_flats_leave_a_frame_to_the_walk_unless_every_decision_clears_the_ba
     frames.append(_unit_frame(np.vstack([generic, generic[0] + [0.0, 1e-12, 0.0]])))
     walked = []
     for frame in frames:
-        with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
+        # Without the identity test, which would settle the first and third frames before the table.
+        with _without_the_lift(), _without_the_identity(), patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
             "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
         ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
             cert = fl.norm_retrieval_certify(frame)
@@ -830,6 +854,143 @@ def test_the_flats_need_a_positive_rank_tolerance():
     table, clear = _hyperplane_table(v, 0.0)
     assert clear and _flats_hold(v, _intervals(table), 1e-10, 1e-8)
     assert not _flats_hold(v, _intervals(table), 0.0, 1e-8)
+
+
+def _identity_test_vectors(source, d, n, noise, added, dropped, rng):
+    """A ``_coincident_frame`` kind, a repeated ONB or a small tensor product, moved by relative noise, with atoms dropped and added."""
+    if source == "tensor":
+        factors = [fl.gen_onb(2), fl.gen_onb(3), fl.gen_harmonic(2, 3), fl.gen_mercedes(), fl.gen_random(2, 3, seed=d)]
+        left, right = (factors[i] for i in rng.integers(len(factors), size=2))
+        vectors = fl.tensor_product(left, right).product.vectors
+    elif source == "repeated-onb":
+        vectors = np.tile(np.eye(d), (max(1, n // d), 1))
+    else:
+        vectors = _coincident_frame(source, d, n, rng)
+    jitter = rng.standard_normal(vectors.shape)
+    scale = np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors = vectors + noise * scale * jitter / np.maximum(np.linalg.norm(jitter, axis=1, keepdims=True), 1e-300)
+    vectors = np.delete(vectors, rng.choice(len(vectors), min(dropped, len(vectors) - 1), replace=False), axis=0)
+    return np.vstack([vectors, rng.standard_normal((added, vectors.shape[1]))])
+
+
+_IDENTITY_SOURCES = ["repeated", "coordinate", "two-plane", "onb", "rotated-onb", "repeated-onb", "tensor"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    source=st.sampled_from(_IDENTITY_SOURCES),
+    d=st.integers(1, 4),
+    n=st.integers(1, 9),
+    noise=st.sampled_from([0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4]),
+    added=st.integers(0, 2),
+    dropped=st.integers(0, 2),
+    field=st.sampled_from(["real", "complex"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(source="repeated-onb", d=3, n=9, noise=1e-12, added=0, dropped=1, field="real", seed=0)
+@example(source="tensor", d=2, n=1, noise=0.0, added=0, dropped=0, field="real", seed=3)
+@example(source="rotated-onb", d=2, n=6, noise=1e-6, added=1, dropped=0, field="complex", seed=1)
+def test_the_identity_test_certifies_no_frame_the_reference_fails(source, d, n, noise, added, dropped, field, seed):
+    # Every frame the identity test certifies holds under the reference scan.  A complex frame has no
+    # reference scan: its identity I = sum c_i phi_i phi_i^*, solved again from the reference lift,
+    # must hold as d x d matrices within ortho_tol, which bounds |f|^2 - |g|^2 for equal magnitudes.
+    rng = np.random.default_rng(seed)
+    vectors = _identity_test_vectors(source, d, n, noise, added, dropped, rng)
+    if field == "complex":
+        unitary, _ = np.linalg.qr(_normal(rng, (vectors.shape[1],) * 2, "complex"))
+        vectors = (vectors * np.exp(2j * np.pi * rng.uniform(size=(len(vectors), 1)))) @ unitary.T
+    if not _identity_holds(vectors, 1e-10, 1e-8):
+        return
+    frame = fl.Frame(fl.make_atomic(rng.uniform(0.5, 2.0, size=len(vectors))), vectors)
+    if field == "real":
+        assert norm_retrieval_reference(frame).verdict == fl.HOLDS
+        return
+    dim = vectors.shape[1]
+    basis = hermitian_basis(dim)
+    c = np.linalg.lstsq(hermitian_lift_reference(vectors).T, [np.trace(e).real for e in basis], rcond=1e-10)[0]
+    residual = np.eye(dim) - np.einsum("i,ia,ib->ab", c, vectors, vectors.conj())
+    assert np.linalg.norm(residual, 2) <= 1e-8
+
+
+def test_the_identity_test_certifies_repeated_onbs_and_tight_products():
+    # The frames the test exists for: a repeated ONB has c_i = 1 / k, so |c|_1 M^2 = d, and
+    # a product of tight frames is tight.
+    for frame in (_repeated_onb(3, 5), _repeated_onb(4, 6), fl.tensor_product(fl.gen_harmonic(3, 5), fl.gen_onb(3)).product):
+        assert _identity_holds(frame.vectors, 1e-10, 1e-8)
+        assert _identity_holds(frame.vectors * 1e-300, 1e-10, 1e-8) and _identity_holds(frame.vectors * 1e300, 1e-10, 1e-8)
+    # The bound for a repeated ONB of R^4 is about d t sqrt(n) = 2e-9 at n = 24.
+    assert not _identity_holds(_repeated_onb(4, 6).vectors, 1e-10, 1e-9)
+    assert not _identity_holds(np.eye(2), -1.0, 1e-8) and not _identity_holds(np.eye(2), 1e-10, -1.0)
+    # A frame that does not span leaves I - sum c_i phi_i phi_i^* of norm at least 1.
+    assert not _identity_holds(np.tile(np.eye(3)[:2], (3, 1)), 1e-10, 0.5)
+
+
+def test_the_identity_band_refuses_a_lift_with_a_singular_value_in_it():
+    # e_0 tilted by 1e-11 toward e_1, beside e_1, e_0 and e_1: the tilted atom's off-diagonal lift
+    # entry gives the lift a singular value 7e-12 times its largest.  The pass test alone would
+    # certify the frame, which does norm retrieval; the band sends it on to the scan instead.
+    v = np.array([[1.0, 1e-11], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
+    assert 1e-13 < s[-1] / s[0] <= 1e-7
+    assert not _identity_holds(v, 1e-10, 1e-8)
+    with patch("framelab.retrieval._IDENTITY_BAND", (1e-10, 1e-10)):
+        assert _identity_holds(v, 1e-10, 1e-8)
+    frame = _unit_frame(v)
+    with patch("framelab.retrieval._first_failures", wraps=_first_failures) as scan:
+        cert = fl.norm_retrieval_certify(frame)
+    scan.assert_called_once()
+    assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-nullspace-orthogonality")
+    assert norm_retrieval_reference(frame).verdict == fl.HOLDS
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    source=st.sampled_from(_IDENTITY_SOURCES),
+    d=st.integers(1, 4),
+    n=st.integers(1, 9),
+    noise=st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-4]),
+    added=st.integers(0, 2),
+    dropped=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(source="repeated-onb", d=4, n=8, noise=0.0, added=0, dropped=0, seed=0)
+def test_the_identity_verdict_is_invariant_under_orthogonal_maps(source, d, n, noise, added, dropped, seed):
+    # In exact arithmetic an orthogonal map moves the lift by an orthogonal map of the symmetric
+    # matrices and fixes I, so c, the residual and M do not change.  Rounding moves the bound and
+    # the singular values by about eps: a draw is kept only when its bound lies outside
+    # (ortho_tol / 4, 4 ortho_tol] and no lift singular value within a factor 10 of a band edge.
+    rng = np.random.default_rng(seed)
+    v = _identity_test_vectors(source, d, n, noise, added, dropped, rng)
+    s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
+    ratios = s / s[0] if s[0] > 0 else s
+    assume(not any(((ratios > edge / 10) & (ratios <= edge * 10)).any() for edge in (1e-13, 1e-7)))
+    assume(_identity_holds(v, 1e-10, 2.5e-9) == _identity_holds(v, 1e-10, 4e-8))
+    verdict = _identity_holds(v, 1e-10, 1e-8)
+    orthogonal, _ = np.linalg.qr(rng.standard_normal((v.shape[1], v.shape[1])))
+    images = [v @ orthogonal.T, -v, (v @ orthogonal.T)[::-1]]
+    assert [_identity_holds(image, 1e-10, 1e-8) for image in images] == [verdict] * 3
+    if source == "repeated-onb" and noise == 0.0 and not added and not dropped:
+        assert verdict
+
+
+def test_nr_tries_the_lift_before_the_identity_test(monkeypatch):
+    # A generic frame the lift certifies never pays the identity test's solve; a repeated ONB, which
+    # the lift cannot certify, is settled by it with no split decided.
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _identity_holds(*args)
+
+    def refuse(*args):
+        raise AssertionError("a split was decided")
+
+    monkeypatch.setattr("framelab.retrieval._identity_holds", counting)
+    monkeypatch.setattr("framelab.retrieval._deficient", refuse)
+    cert = fl.norm_retrieval_certify(fl.gen_random(4, 12, seed=0))
+    assert (cert.verdict, cert.method, calls) == (fl.HOLDS, "nr-nullspace-orthogonality", [])
+    cert = fl.norm_retrieval_certify(_repeated_onb(4, 4))
+    assert (cert.verdict, cert.method, len(calls)) == (fl.HOLDS, "nr-identity-span", 1)
 
 
 def test_certifiers_decide_at_the_cap_from_the_table():

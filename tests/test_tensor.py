@@ -130,6 +130,20 @@ def test_tensor_nr_parseval_left_onb_right():
     assert report.consistent
 
 
+def test_tensor_nr_of_harmonic_times_onb_walks_no_split(monkeypatch):
+    # harmonic(3, 5), onb(3) and their product (15 atoms in R^9, where the lift needs 45) are tight
+    # frames, so the identity test settles all three certificates; walking the product's splits
+    # took about a second.
+    def refuse(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr("framelab.retrieval._walk", refuse)
+    report = fl.tensor_nr_check(fl.tensor_product(fl.gen_harmonic(3, 5), fl.gen_onb(3)))
+    assert report.consistent
+    certs = (report.left_nr, report.right_nr, report.product_nr)
+    assert [(c.verdict, c.method) for c in certs] == [(fl.HOLDS, "nr-identity-span")] * 3
+
+
 def test_tensor_nr_requires_parseval_left():
     left = fl.gen_mercedes()
     with pytest.raises(ValueError):
