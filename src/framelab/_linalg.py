@@ -87,27 +87,27 @@ def canonical_phases(vs: np.ndarray) -> np.ndarray:
     return vs * (pivot.conj() / np.hypot(pivot.real, pivot.imag)) + 0.0
 
 
-def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, list[np.ndarray]]:
-    """For each matrix of a (k, m, d) stack, its descending singular values and the ``annihilator`` of its rows.
+def null_spaces(stack: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> list[np.ndarray]:
+    """For each matrix of a (k, m, d) stack, the ``annihilator`` of its rows.
 
-    Returns the (k, min(m, d)) singular values and the k bases.  One stacked
-    SVD runs the same LAPACK routine on each matrix as a call per matrix
-    does, so each result equals the one-matrix result bit for bit.  Every
-    basis column carries the canonical phase: the rows of each V^H from the
-    stack's least rank on, which hold every null space, get it in one call,
-    and the rows before them, which are never returned, are not scaled.
+    One stacked SVD runs the same LAPACK routine on each matrix as a call
+    per matrix does, so each basis equals the one-matrix basis bit for bit.
+    Every basis column carries the canonical phase: the rows of each V^H
+    from the stack's least rank on, which hold every null space, get it in
+    one call, and the rows before them, which are never returned, are not
+    scaled.
     """
     k, m, d = stack.shape
     if stack.size == 0:
         eye = np.eye(d, dtype=stack.dtype if stack.dtype.kind == "c" else float)
-        return np.zeros((k, 0)), [eye.copy() for _ in range(k)]
+        return [eye.copy() for _ in range(k)]
     # <u, r> = 0 reads conj(rows) @ u = 0 under the first-slot-linear convention.
     _, s, vh = np.linalg.svd(np.conj(stack))
     rank = ranks(s, tol).tolist()
     low = min(rank)
     # Row j of conj(vh) is column j of the basis; rows rank.. of each matrix span its null space.
     rows = canonical_phases(np.conj(vh[:, low:]).reshape(-1, d)).reshape(k, d - low, d)
-    return s, [h[r - low :].T for r, h in zip(rank, rows)]
+    return [h[r - low :].T for r, h in zip(rank, rows)]
 
 
 def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -116,7 +116,7 @@ def annihilator(rows: np.ndarray, dim: int, tol: float = DEFAULT_RANK_TOL) -> np
     An empty row set annihilates nothing, so the result is the identity basis.
     The basis columns carry the canonical phase.
     """
-    return null_spaces(rows.reshape(1, len(rows), dim), tol)[1][0]
+    return null_spaces(rows.reshape(1, len(rows), dim), tol)[0]
 
 
 def eigmin_vectors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

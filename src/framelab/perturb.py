@@ -12,8 +12,8 @@ Two explicit perturbations and one empirical sweep:
   random perturbations of a phase retrieval frame stay phase retrieval.
   It draws every trial's perturbation from one seeded generator, a block
   of trials at a time, and certifies the input frame and its trials in
-  stacks, through the driver that ``complement_property`` runs on a single
-  frame.
+  stacks, through the lift and the driver that ``complement_property``
+  runs on a single frame.
 
 Each construction certifies its perturbed frame on the split it broke,
 with the test the walk applies to that split: the scan's rank test, and for
@@ -50,6 +50,7 @@ from .retrieval import (
     _deficient,
     _first_failures,
     _first_subset,
+    _lifted_holds,
     _nr_failure,
     _pr_failure,
     _require_within_cap,
@@ -346,11 +347,12 @@ def stability_sweep(
     least one radius and one trial.  The perturbed frames are built and
     certified in blocks of trials, every radius of a trial in its block,
     each block of at most the batch size in entries (at least one trial).
-    A block's frames form one real stack, which goes through the driver of
-    ``complement_property``: the lift and the scan budget decide the stack
-    at once, and the frames still open go on one by one through the
-    hyperplane table.  Each verdict is the one ``phase_retrieval_certify``
-    gives that perturbed frame, so the counts do not depend on the blocks.
+    A block's frames form one real stack.  The lift decides it in one
+    stacked SVD, and the frames it leaves open go through the driver of
+    ``complement_property``: the scan budget decides them at once, and the
+    frames still open go on one by one through the hyperplane table.  Each
+    verdict is the one ``phase_retrieval_certify`` gives that perturbed
+    frame, so the counts do not depend on the blocks.
     The input frame is certified as row 0 of the first block's stack, after
     the cap, the field, the radii and the trial count are checked.  Each
     block draws its trials' rows of ``x`` at once; the generator fills them
@@ -383,8 +385,10 @@ def stability_sweep(
         _require_finite(stack)
         # The first block also certifies the input frame, as its row 0.
         head = frame.vectors[None] if lo == 0 else stack[:0]
-        failed = [w is not None for w in _first_failures(np.concatenate([head, stack]), tol, _first_subset)]
-        if any(failed[: len(head)]):
+        stack = np.concatenate([head, stack])
+        failed = ~_lifted_holds(stack, tol)
+        failed[failed] = [w is not None for w in _first_failures(stack[failed], tol, _first_subset)]
+        if failed[: len(head)].any():
             raise ValueError(_NOT_PR)
-        failures += np.array(failed[len(head) :]).reshape(len(lams), count).sum(axis=1)
+        failures += failed[len(head) :].reshape(len(lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

@@ -59,28 +59,18 @@ budget are dropped undecided.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
-Norm retrieval first tries the frame's flats on that table, before any
-split is walked.  They are the intersections of covering rows whose
-complement lies in a covering row: 14 for a repeated orthonormal basis of
-R^4, however many copies it holds, while its deficient splits grow
-exponentially.  When every table and flat decision clears its cutoff by
-the table's margin, and each flat's null space is orthogonal to its
-complement's with that margin too, every split passes and the frame holds
-with no split walked; ``_flats_hold`` carries the argument and its
-assumptions.  This test can only answer ``holds``: any other frame is
-walked as before, so every failure and its witness come from the walk.
-
-The lift, the identity test, the table and the flats scale each frame by
-a power of two, exactly, with ``_linalg.scaled``, so that no norm or square
+The lift, the identity test and the table scale each frame by a power of
+two, exactly, with ``_linalg.scaled``, so that no norm or square
 overflows or underflows to zero, and each of their ranks, like the scan's,
 is counted by ``_linalg.ranks``: the singular values above ``tol *
-sigma_max``.  The lift's cutoff, the identity test's bound and band, the
-table's band and its membership test are other rules.
+sigma_max``.  The lift's cutoff, the identity test's bound and band, and
+the table's margin and membership test are other rules.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
-one, and the perturbed frames of a sweep form stacks.  The lift tests
-the whole stack in one stacked SVD.  Each chunk of the scan budget is then
+one, and the perturbed frames of a sweep form stacks.  Each caller first
+runs the lift on its whole stack, in one stacked SVD, and hands the driver
+the frames the lift leaves open.  Each chunk of the scan budget is then
 decided at once for every frame still open, and the frames still open after
 the budget go on frame by frame through the table, from the first split past
 the budget.  Each certifier hands the driver its test of one frame's
@@ -95,6 +85,8 @@ the complement property fails is ``inconclusive``.  The null-space
 criterion of norm retrieval is a real-field result, so a complex frame's
 norm retrieval is decided by the identity test on its Hermitian lift
 alone: it holds when the test passes and is ``inconclusive`` otherwise.
+There no null direction enters the proof, so the test drops its term
+|c|_1 M^2 t sqrt(n) and bounds the residual alone, with its rounding.
 
 The lower-bound functional ``alpha`` is its own computation, and no
 certificate rests on it.  It is estimated by alternating minimization
@@ -203,11 +195,6 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
-def _outside_band(x: np.ndarray, scale: np.ndarray, tol: float) -> bool:
-    """Whether no ratio ``x / scale`` lies in the band (tol / M, M tol], M = ``_TABLE_MARGIN``."""
-    return not np.any((x > tol / _TABLE_MARGIN * scale) & (x <= _TABLE_MARGIN * tol * scale))
-
-
 def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
     """Cut the items into runs [lo, hi) whose sizes sum to at most ``limit``, each run at least one item."""
     ends = np.cumsum(sizes)
@@ -218,8 +205,8 @@ def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
-    """The closures of the independent (d - 1)-subsets of rows, d >= 2, packed as bits, and whether they clear the band.
+def _hyperplanes(v: np.ndarray, tol: float) -> np.ndarray:
+    """The closures of the independent (d - 1)-subsets of rows, d >= 2, packed as bits.
 
     The walk.  A (d - 1)-subset T is a prefix of d - 2 atoms and a last
     atom j after them.  The prefixes are grown one atom at a time, one
@@ -262,20 +249,12 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
     the subset's own atoms always are.  So each closure under the SVD rules
     lies in this table's row of the same T: the table may list extra atoms
     and rows, never miss one.
-
-    The closures clear the band of ``_outside_band`` when every dropped
-    prefix's bound on sigma_min / sigma_max lies at or below tol / M, every
-    T's lower bound on it above M tol, and every membership ratio, bounds
-    and errors included, outside (tol / M, M tol], the subset's own atoms
-    aside.  Then each of these decisions is the one the SVD rules make, so
-    the rows are theirs.  At tol = 0 the band is empty.
     """
     n, d = v.shape
     norms = np.linalg.norm(v, axis=1)
     packed: list[np.ndarray] = []
-    clear = True
     eta = d * d * _EPS
-    low_cut, high_cut = tol / _TABLE_MARGIN * (1 - eta), _TABLE_MARGIN * tol * (1 + eta)
+    high_cut = _TABLE_MARGIN * tol * (1 + eta)
     floor = tol * (1 - eta) - eta
     atoms = np.arange(n)
 
@@ -283,7 +262,6 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
         # A block of nodes with prefixes of k atoms: their projected atoms, last atoms, prefix
         # masks, and per node F^2, the largest atom norm, and the sum of squares, least and
         # product of the pivots.
-        nonlocal clear
         leaf = k == d - 2
         valid = (atoms > last[:, None]) & (atoms <= (n - 1 if leaf else n - d + 1 + k))
         for lo, hi in _blocks(valid.sum(axis=1) * (n * (d - k)), _WALK_ENTRIES):
@@ -294,8 +272,6 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
             f2, top = f2 + a * a, np.maximum(top, a)
             f = np.sqrt(f2)
             alive = (px > 0) & (px + eta * f > floor * top)
-            if tol > 0 and clear:
-                clear = not (~alive & (px + eta * (f + top) > low_cut * top)).any()
             if not alive.all():
                 if not alive.any():
                     continue
@@ -323,26 +299,20 @@ def _hyperplanes(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:
             cross = np.abs(x[:, :1] * y[:, :, 1] - x[:, 1:] * y[:, :, 0])
             allow = px[:, None] * (2 * eta) * (kappa + 1)[:, None] * norms
             high = px[:, None] * np.maximum(f[:, None], norms)
-            if tol > 0 and clear:
-                low = low_cut * px[:, None] * np.maximum(top[:, None], norms)
-                clear = not (sigma <= f * (2 * eta + high_cut)).any() and not (
-                    ~own & (cross + allow > low) & (cross - allow <= high_cut * high)
-                ).any()
             packed.append(np.packbits(own | (cross <= high_cut * high + allow), axis=1, bitorder="little"))
 
     root = np.array([[0.0, 0.0, 0.0, np.inf, 1.0]])
     grow(v[None], np.array([-1]), np.zeros((1, n), dtype=bool), root, 0)
-    return (np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)), clear
+    return np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)
 
 
-def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | None:
-    """The frame's distinct hyperplanes, as boolean rows, with the table's margin, and whether its decisions clear the band.
+def _hyperplane_table(v: np.ndarray, tol: float) -> np.ndarray | None:
+    """The frame's distinct hyperplanes, as boolean rows, with the table's margin.
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
     most C(n, d - 1) of them; ``_hyperplanes`` finds them with no SVD.
     With d = 1 the one hyperplane is the zero space, which holds the zero
-    atoms.  Returns None when the frame does not span with the margin; a
-    frame that does has sigma_d / sigma_1 > M tol, above the band.  The
+    atoms.  Returns None when the frame does not span with the margin.  The
     frame is first scaled by a power of two, so that no atom norm
     overflows.
     """
@@ -352,11 +322,11 @@ def _hyperplane_table(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | No
     n, d = v.shape
     if d == 1:
         norms = np.abs(v[:, 0])
-        return (norms <= _TABLE_MARGIN * tol * norms)[None], _outside_band(norms, norms, tol)
-    packed, clear = _hyperplanes(v, tol)
+        return (norms <= _TABLE_MARGIN * tol * norms)[None]
+    packed = _hyperplanes(v, tol)
     packed = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()).view(np.uint8)
     rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
-    return rows.astype(bool), clear
+    return rows.astype(bool)
 
 
 def _covering(rows: np.ndarray, hyperplanes: np.ndarray) -> np.ndarray:
@@ -425,95 +395,6 @@ def _walk(n: int, intervals: list[tuple[int, int]]) -> Iterator[_Split]:
     yield from visit(1, 0, intervals)
 
 
-def _flats(n: int, rows: set[int]) -> list[int]:
-    """The intersections of ``rows`` whose complement lies in one of them, as bitmasks in increasing order.
-
-    They are found level by level, one more row at a time.  A set whose
-    complement lies in no row is dropped with everything below it, whose
-    complements are larger.
-    """
-    full = (1 << n) - 1
-
-    def fits(mask: int) -> bool:
-        return any(mask | row == full for row in rows)
-
-    found = {row for row in rows if fits(row)}
-    level = found
-    while level:
-        level = {f for f in {a & row for a in level for row in rows} - found if fits(f)}
-        found |= level
-    return sorted(found)
-
-
-def _flats_hold(v: np.ndarray, intervals: list[tuple[int, int]], tol: float, ortho_tol: float) -> bool:
-    """Whether the frame's flats prove that every split the walk would test passes the norm retrieval test.
-
-    ``intervals`` are the covering pairs of the frame's table, built with
-    every decision outside the band.  The test can only answer ``holds``:
-    False sends the frame on to the walk, on the same table.
-
-    The flats.  Take a split {S, S^c} where neither side spans.  The walk
-    rests on S lying in a table row H1 and S^c in a row H2, with
-    H1 | H2 = E, the atoms.  Let F be the intersection of the rows that hold
-    S, the table's closure of S.  Each such row covers E with H2, so it is
-    a covering row, and E minus F lies in S^c, so in the covering row H2.
-    ``_flats`` lists every intersection of covering rows whose complement
-    lies in a covering row, so F is among them.
-
-    Exact argument.  In exact arithmetic F is the closure of S, so V_F and
-    V_S span the same space and null(F) = null(S), while E minus F lies in
-    S^c, so null(S^c) lies in null(E minus F).  For orthonormal bases L and
-    R of null(S) and null(S^c), each entry of L^T R is at most
-    |P_null(S) P_null(S^c)|_2 <= |P_null(F) P_null(E minus F)|_2 =
-    |L_F^T R_(E minus F)|_2.  So when each listed F has that overlap at most
-    ``ortho_tol``, every split passes the scan's max-entry test.  (Exactly,
-    the hyperplanes alone would do: null(F) is spanned by the normals of
-    the hyperplanes through F.  The lower flats are tested as well, so that
-    no overlap is inferred through a sum of nearly dependent normals.)
-
-    Floating point.  The scan, the table and this test each decide
-    numerical ranks, so the argument is applied only when every decision
-    clears its cutoff by the factor M = ``_TABLE_MARGIN``: no
-    (d - 1)-subset's sigma_min / sigma_max and no atom's membership ratio
-    (both bounded, rounding included, by the table's walk), and no
-    singular-value ratio sigma_j / sigma_1 of a listed flat or of its
-    complement, lies in
-    (tol / M, M tol]; the frame's own sigma_d / sigma_1 exceeds M tol, or
-    it would have no table.  Each flat and each complement must have a null
-    space, no row may hold every atom, and each overlap must be at most
-    ``ortho_tol`` / M.  The assumption, which is not a theorem, is that a
-    frame whose every decision clears the band has the rank structure of
-    its table, so that the scan's null spaces of S and S^c lie within the
-    rest of ``ortho_tol`` of those of F and of a superset of E minus F.
-    It also assumes that LAPACK's singular values are those of a matrix
-    within a few hundred eps of the input, relative to its norm, where
-    LAPACK itself promises an unstated modest polynomial in the sizes; the
-    rounding then lies below the band's lower edge tol / M for the default
-    tolerance.  At tol = 0 the band is empty and protects nothing, so no
-    frame is certified here.  ``tests/test_retrieval.py`` checks the
-    verdicts against the reference scan on near-tolerance and
-    near-orthogonal frames.
-    """
-    n = v.shape[0]
-    full = (1 << n) - 1
-    rows = {high for _, high in intervals} | {full ^ low for low, _ in intervals}
-    if not tol > 0 or full in rows:
-        return False
-    flats = _flats(n, rows)
-    sides = [_atoms(f, n) for f in flats] + [_atoms(full ^ f, n) for f in flats]
-    found = _null_spaces(scaled(v)[0], sides, tol)
-    if not all(_outside_band(s, s[0], tol) and basis.shape[1] for s, basis in found):
-        return False
-    # Each overlap's 2-norm is its largest singular value, one stacked SVD per shape of L_F^T R.
-    overlaps: dict[tuple[int, int], list[np.ndarray]] = {}
-    for (_, left), (_, right) in zip(found[: len(flats)], found[len(flats) :]):
-        overlaps.setdefault((left.shape[1], right.shape[1]), []).append(left.T @ right)
-    return all(
-        np.linalg.svd(np.array(stack), compute_uv=False)[:, 0].max() <= ortho_tol / _TABLE_MARGIN
-        for stack in overlaps.values()
-    )
-
-
 def _complement_pairs(n: int) -> Iterator[_Split]:
     """Yield each unordered pair {S, complement} exactly once, in scan order.
 
@@ -554,29 +435,18 @@ def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
         size = min(2 * size, limit)
 
 
-def _table_chunks(
-    v: np.ndarray, tol: float, start: tuple[int, ...], ortho_tol: float | None = None
-) -> Iterator[list[_Split]]:
+def _table_chunks(v: np.ndarray, tol: float, start: tuple[int, ...]) -> Iterator[list[_Split]]:
     """Yield, in scan order and chunk by chunk, a superset of the splits from S = ``start`` on where neither side spans.
 
     The table is built only when the first chunk is asked for; the splits
     come from the walk through its intervals, or from every split when
     ``_hyperplane_table`` refuses.  Either source resumes at ``start`` the
     same way: scan order is tuple order, so the splits kept are those
-    whose S is not below ``start``, and none before it is decided.  Given
-    an ``ortho_tol``, a frame whose flats prove norm retrieval at it
-    (``_flats_hold``) yields nothing.
+    whose S is not below ``start``, and none before it is decided.
     """
     n, d = v.shape
     table = _hyperplane_table(v, tol)
-    if table is None:
-        splits = _complement_pairs(n)
-    else:
-        rows, clear = table
-        intervals = _intervals(rows)
-        if ortho_tol is not None and clear and _flats_hold(v, intervals, tol, ortho_tol):
-            return
-        splits = _walk(n, intervals)
+    splits = _complement_pairs(n) if table is None else _walk(n, _intervals(table))
     yield from _chunks(dropwhile(lambda split: split[0] < start, splits), n, d)
 
 
@@ -743,8 +613,9 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     some singular value of L lies in (lo, hi] times the largest, so that c
     never rests on a nearly dropped direction, or when either tolerance is
     negative.  Otherwise it is certified when, with r the computed residual,
-    M the largest atom norm, D the lift's width, eta = n D eps, t = tol +
-    eta (1 + tol) and rho = 2 (n + D + 8) eps,
+    M the largest atom norm, D the lift's width, eta = n D eps, rho = 2 (n +
+    D + 8) eps, and t = tol + eta (1 + tol) for a real frame and t = 0 for
+    a complex one,
 
         (|c|_1 M^2 (t sqrt(n) + rho) + r + rho (r + sqrt(d)) + (d + 1) eps) (1 + 3 eta + rho) <= ortho_tol.
 
@@ -776,8 +647,8 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     ``ortho_tol`` (|f|^2 + |g|^2) in size whenever |<f, phi_i>| = |<g,
     phi_i>| on every atom.  Such f and g have |f|^2 - |g|^2 = sum_i c_i
     (|<f, phi_i>|^2 - |<g, phi_i>|^2) + f^* E f - g^* E g = f^* E f - g^* E
-    g, at most |E|_F (|f|^2 + |g|^2), and |E|_F lies below the left side of
-    the test, as above.
+    g, at most |E|_F (|f|^2 + |g|^2).  No null direction enters, so the
+    test takes t = 0, and |E|_F lies below its left side, as above.
 
     The frame is first scaled by a power of two (``scaled``), exactly: c
     scales inversely to M^2, so |c|_1 M^2 and E do not change.
@@ -799,35 +670,27 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     mass = float(np.abs(c).sum()) * float(np.linalg.norm(v, axis=1).max()) ** 2
     eta = n * width * _EPS
     rho = 2 * (n + width + 8) * _EPS
-    t = rank_tol + eta * (1 + rank_tol)
+    t = rank_tol + eta * (1 + rank_tol) if v.dtype.kind != "c" else 0.0
     bound = mass * (t * sqrt(n) + rho) + residual + rho * (residual + sqrt(d)) + (d + 1) * _EPS
     return bound * (1 + 3 * eta + rho) <= ortho_tol
 
 
-def _first_failures(
-    vs: np.ndarray,
-    tol: float,
-    fails: Callable[[np.ndarray, list[_Split]], Any],
-    ortho_tol: float | None = None,
-    lift: bool = True,
-) -> list[Any]:
+def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
     ``fails(v, splits)`` gets one frame's splits where neither side spans,
     those of one chunk in scan order, and returns a finding or None; a frame
-    leaves at its first finding.  Frames the lift certifies have no such
-    split; a caller that has already run the lift passes ``lift=False``.
+    leaves at its first finding.  The driver runs no lift: the certifiers
+    run ``_lifted_holds`` first and pass only the frames it leaves open.
     Each chunk of the scan budget is decided at once for every frame still
     open, in blocks of frames that keep one stacked step within the
     batch size.  The frames still open then go on one by one through the
     table from the first split past the budget, so no split of a frame is
-    decided twice, and every frame gets the findings it gets alone.  Norm
-    retrieval passes its ``ortho_tol``: a frame whose flats prove it at the
-    table stage then gets None with no split walked (``_flats_hold``).
+    decided twice, and every frame gets the findings it gets alone.
     """
     k, n, d = vs.shape
     found: list[Any] = [None] * k
-    open_ = ~_lifted_holds(vs, tol) if lift else np.ones(k, dtype=bool)
+    open_ = np.ones(k, dtype=bool)
     scan = _complement_pairs(n)
     chunks = _chunks(islice(scan, _scan_budget(n, d)), n, d)
     while len(live := np.flatnonzero(open_)) and (chunk := next(chunks, None)) is not None:
@@ -843,7 +706,7 @@ def _first_failures(
     if start is None:
         return found
     for i in np.flatnonzero(open_).tolist():
-        for chunk in _table_chunks(vs[i], tol, start[0], ortho_tol):
+        for chunk in _table_chunks(vs[i], tol, start[0]):
             splits = list(compress(chunk, _deficient(vs[i : i + 1], chunk, tol)[0]))
             if splits and (finding := fails(vs[i], splits)) is not None:
                 found[i] = finding
@@ -883,7 +746,7 @@ def complement_property(
     vs = frame.vectors[None]
     if _lifted_holds(vs, tol)[0]:
         return Certificate(HOLDS, _LIFTED, frame.field)
-    subset = _first_failures(vs, tol, _first_subset, lift=False)[0]
+    subset = _first_failures(vs, tol, _first_subset)[0]
     verdict = HOLDS if subset is None else FAILS
     return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
@@ -1043,12 +906,11 @@ def alpha_certify(
     )
 
 
-def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The singular values of each side's rows and their annihilator, one stacked SVD per side size."""
-    found: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _null_spaces(v: np.ndarray, sides: list[tuple[int, ...]], tol: float) -> list[np.ndarray]:
+    """The annihilator of each side's rows, one stacked SVD per side size."""
+    found: dict[int, np.ndarray] = {}
     for members, rows in _stacks(sides):
-        s, bases = null_spaces(v.take(rows, axis=0), tol)
-        found.update(zip(members, zip(s, bases)))
+        found.update(zip(members, null_spaces(v.take(rows, axis=0), tol)))
     return [found[i] for i in range(len(sides))]
 
 
@@ -1064,7 +926,7 @@ def _nr_failure(v: np.ndarray, splits: list[_Split], rank_tol: float, ortho_tol:
     certificate carries S and the two null directions of the largest entry.
     """
     found = _null_spaces(v, [side for split in splits for side in split], rank_tol)
-    for (s, _), (_, left), (_, right) in zip(splits, found[0::2], found[1::2]):
+    for (s, _), left, right in zip(splits, found[0::2], found[1::2]):
         # Rank check and null-space SVD can split an exact tie differently.
         if left.shape[1] == 0 or right.shape[1] == 0:
             continue
@@ -1092,7 +954,8 @@ def norm_retrieval_certify(
     phase retrieval with no split tested; the identity test
     (``_identity_holds``), which certifies a frame whose rank-one
     projections span I closely enough, method ``nr-identity-span``; then
-    the scan budget, the hyperplane table, its flats and the walk.  The
+    the scan budget, the hyperplane table and the walk, so every other
+    ``holds`` rests on the scan's own rank and overlap decisions.  The
     first failure is reported as the subset plus the offending unit null
     directions.
 
@@ -1110,15 +973,13 @@ def norm_retrieval_certify(
         return Certificate(HOLDS, _IDENTITY, frame.field)
     if not real:
         return Certificate(INCONCLUSIVE, "nr-identity-sufficiency", frame.field)
-    found = _first_failures(
-        vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), tol, lift=False
-    )[0]
+    found = _first_failures(vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol))[0]
     return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 
 
 def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol: float = DEFAULT_RANK_TOL,
                           cap: int = DEFAULT_ENUM_CAP) -> Certificate:
-    """Uncalled brute-force pair check, kept only because ``perfbench/tracer.py`` traces it."""
+    """Uncalled brute-force pair check on every deficient split, with no lift, kept only because ``perfbench/tracer.py`` traces it."""
     _require_real(frame, "norm retrieval oracle")
     _require_within_cap(frame, cap, "norm retrieval oracle")
     d, method = frame.dim, "nr-bruteforce-pairs"

@@ -50,7 +50,7 @@ import numpy as np
 
 from framelab import FAILS, HOLDS, AlphaResult, Certificate, Frame
 from framelab._linalg import annihilator, numerical_rank, random_unit, ranks, scaled
-from framelab.retrieval import _TABLE_MARGIN, _outside_band
+from framelab.retrieval import _TABLE_MARGIN
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -285,17 +285,15 @@ def _null_space(rows: np.ndarray, d: int, tol: float) -> np.ndarray:
     return vh[rank:].T
 
 
-def hyperplane_table_reference(v: np.ndarray, tol: float) -> tuple[np.ndarray, bool] | None:
-    """The table of ``_hyperplane_table`` from one SVD per (d - 1)-subset, and whether its decisions clear the band.
+def hyperplane_table_reference(v: np.ndarray, tol: float) -> np.ndarray | None:
+    """The table of ``_hyperplane_table`` from one SVD per (d - 1)-subset.
 
     A subset is independent when its smallest singular value clears
     ``tol * sigma_max``.  An atom lies in its closure when its distance to
     their span is at most ``_TABLE_MARGIN * tol`` times the larger of
     ``sigma_max`` and the atom's norm, so exact zero atoms lie in every
-    hyperplane.  The decisions clear the band when every ratio,
-    sigma_min / sigma_max and the membership ratios of the independent
-    subsets, lies outside ``_outside_band``'s band.  Returns None when the
-    frame does not span at ``_TABLE_MARGIN * tol``.
+    hyperplane.  Returns None when the frame does not span at
+    ``_TABLE_MARGIN * tol``.
     """
     v, _ = scaled(v)
     if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
@@ -304,21 +302,19 @@ def hyperplane_table_reference(v: np.ndarray, tol: float) -> tuple[np.ndarray, b
     r = d - 1
     norms = np.linalg.norm(v, axis=1)
     subsets = combinations(range(n), r)
-    blocks, clear = [], True
+    blocks = []
     while batch := list(islice(subsets, max(1, 4096 // (n * d)))):
         _, s, vh = np.linalg.svd(v[np.array(batch, dtype=np.intp).reshape(len(batch), r)])
         if r:
-            clear &= _outside_band(s[:, -1], s[:, 0], tol)
             independent = ranks(s, tol) == r
             s, vh = s[independent], vh[independent]
         top = s[:, :1] if r else np.zeros((len(vh), 1))
         distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
         scale = np.maximum(top, norms)
-        clear &= _outside_band(distance, scale, tol)
         blocks.append(np.packbits(distance <= _TABLE_MARGIN * tol * scale, axis=1, bitorder="little"))
     packed = np.unique(np.concatenate(blocks).view(np.dtype((np.void, (n + 7) // 8))).ravel()).view(np.uint8)
     rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
-    return rows.astype(bool), clear
+    return rows.astype(bool)
 
 
 def lift_ratio_reference(v: np.ndarray) -> float:

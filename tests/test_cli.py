@@ -117,6 +117,12 @@ def test_certify_pr_complex_holds_on_its_lift(tmp_path, capsys):
     (["random", "--dim", "2", "--n", "3", "--field", "complex"], 3, "inconclusive", "nr-identity-sufficiency"),
     # An orthonormal basis of R^3 has n = 3 < 6, so no lift; the identity test settles it.
     (["onb", "--dim", "3"], 0, "holds", "nr-identity-span"),
+    # Seven generic atoms of C^3 span seven of its nine dimensions, not I.
+    (["random", "--dim", "3", "--n", "7", "--field", "complex"], 3, "inconclusive", "nr-identity-sufficiency"),
+    # Nine generic atoms of C^3 have an injective Hermitian lift, so I lies in the span of their projections,
+    # and the residual alone bounds | ||f||^2 - ||g||^2 |: no rank tolerance term enters the complex proof.
+    *[(["random", "--dim", "3", "--n", "9", "--seed", str(seed), "--field", "complex"], 0, "holds", "nr-identity-span")
+      for seed in range(3)],
 ])
 def test_certify_nr_by_the_identity_test(kind, code, verdict, method, tmp_path, capsys):
     # Complex certify nr used to be refused with exit 2; now it holds or is inconclusive.

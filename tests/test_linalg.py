@@ -49,7 +49,7 @@ def test_stacked_helpers_equal_the_one_matrix_helpers_bit_for_bit(kind, d, n, fa
     sides = np.array([np.sort(rng.choice(n, size, replace=False)) for _ in range(count)], dtype=np.intp)
     stack = v[sides.reshape(count, size)]
     spans = full_column_rank(stack, TOL)
-    _, bases = null_spaces(stack, TOL)
+    bases = null_spaces(stack, TOL)
     assert spans.shape == (count,) and len(bases) == count
     for rows, spanning, basis in zip(stack, spans, bases):
         assert spanning == (numerical_rank(rows, TOL) >= d) == (_rank(rows, TOL) >= d)
@@ -63,7 +63,7 @@ def _null_spaces_phasing_every_row(stack, tol):
     d = stack.shape[2]
     _, s, vh = np.linalg.svd(np.conj(stack))
     rows = canonical_phases(np.conj(vh).reshape(-1, d)).reshape(vh.shape)
-    return s, [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
+    return [h[rank:].T for rank, h in zip(ranks(s, tol).tolist(), rows)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,9 +88,8 @@ def test_null_spaces_phase_no_row_before_the_least_rank_and_keep_their_bytes(kin
         return canonical_phases(rows)
 
     with patch.object(_linalg, "canonical_phases", counting):
-        s, bases = null_spaces(stack, TOL)
-    want_s, want = _null_spaces_phasing_every_row(stack, TOL)
-    assert s.tobytes() == want_s.tobytes()
+        bases = null_spaces(stack, TOL)
+    want = _null_spaces_phasing_every_row(stack, TOL)
     for basis, reference in zip(bases, want, strict=True):
         assert basis.dtype == reference.dtype and basis.shape == reference.shape
         assert basis.tobytes() == reference.tobytes()

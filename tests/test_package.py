@@ -78,6 +78,48 @@ def test_every_private_top_level_name_is_used_elsewhere_in_the_package():
     assert unused == []
 
 
+def _unread_parameters(function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
+    """The parameters that a function's body never reads."""
+    arguments = function.args
+    names = [a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs]
+    names += [a.arg for a in (arguments.vararg, arguments.kwarg) if a is not None]
+    read = {
+        sub.id
+        for statement in function.body
+        for sub in ast.walk(statement)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+    return [name for name in names if name not in read]
+
+
+def _values(tree: ast.AST) -> set[str]:
+    """The names a tree reads other than as the function of a call: those passed or stored as values."""
+    called = {id(sub.func) for sub in ast.walk(tree) if isinstance(sub, ast.Call)}
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(tree)
+        if id(sub) not in called
+        and (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) or isinstance(sub, ast.Attribute))
+    }
+
+
+def test_every_private_top_level_function_reads_its_parameters():
+    # A parameter that nothing reads is left over from a removal, unless the function is passed as a
+    # value: such a callback takes the signature its caller gives it.
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    values = set().union(*(_values(tree) for tree in trees))
+    unread = [
+        (statement.name, name)
+        for tree in trees
+        for statement in tree.body
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and statement.name.startswith("_") and not statement.name.startswith("__")
+        and statement.name not in values
+        for name in _unread_parameters(statement)
+    ]
+    assert unread == []
+
+
 def _sketch() -> str:
     section = README.read_text().split("## Library sketch", 1)[1]
     return section.split("```python\n", 1)[1].split("```", 1)[0]

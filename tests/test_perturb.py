@@ -309,7 +309,8 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
     # The lift settles gen_random(4, 11) with no rank call on either path; this counts the scan's.
-    monkeypatch.setattr("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    for path in ("framelab.retrieval._lifted_holds", "framelab.perturb._lifted_holds"):
+        monkeypatch.setattr(path, lambda vs, tol: np.zeros(len(vs), dtype=bool))
     points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
     swept_calls, swept = len(calls), sum(matrices)
     calls.clear()
@@ -332,7 +333,7 @@ def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):
     assert [p.failures for p in points] == [0, 0, 0]
     monkeypatch.undo()
     # The scan and the table, with the lift refused, give the same counts.
-    monkeypatch.setattr("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    monkeypatch.setattr("framelab.perturb._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed)] == [0, 0, 0]
 
 
@@ -363,9 +364,9 @@ def _certified_stacks(monkeypatch, frame, lambdas, trials: int, seed: int) -> li
 
     def recording_stack(stack, *args, **kwargs):
         stacks.append([rows.tobytes() for rows in stack])
-        return [None] * len(stack)
+        return np.ones(len(stack), dtype=bool)
 
-    monkeypatch.setattr("framelab.perturb._first_failures", recording_stack)
+    monkeypatch.setattr("framelab.perturb._lifted_holds", recording_stack)
     fl.stability_sweep(frame, lambdas, trials, seed)
     return stacks
 

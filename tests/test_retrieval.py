@@ -15,12 +15,9 @@ from framelab._linalg import annihilator
 from framelab.retrieval import (
     _BATCH_ENTRIES,
     _WALK_ENTRIES,
-    _bitmasks,
     _deficient,
     _first_failures,
     _first_subset,
-    _flats,
-    _flats_hold,
     _hyperplane_table,
     _identity_holds,
     _intervals,
@@ -580,7 +577,7 @@ def _without_the_lift():
 
 
 def _without_the_identity():
-    """Make the identity test refuse every frame, so that norm retrieval goes on to the scan, the table and the flats."""
+    """Make the identity test refuse every frame, so that norm retrieval goes on to the scan, the table and the walk."""
     return patch("framelab.retrieval._identity_holds", lambda v, rank_tol, ortho_tol: False)
 
 
@@ -685,16 +682,13 @@ def test_ties_near_the_rank_tolerance_decide_as_the_scan_does(kind, d, n, factor
 
 
 def _assert_the_table_holds_the_reference(v, tol=1e-10):
-    """Each row of the SVD table lies in a row of the table, and a table that clears the band is the SVD table."""
-    table, reference = _hyperplane_table(v, tol), hyperplane_table_reference(v, tol)
-    assert (table is None) == (reference is None)
-    if table is None:
+    """Each row of the SVD table lies in a row of the table."""
+    rows, reference_rows = _hyperplane_table(v, tol), hyperplane_table_reference(v, tol)
+    assert (rows is None) == (reference_rows is None)
+    if rows is None:
         return
-    (rows, clear), (reference_rows, reference_clear) = table, reference
     outside = reference_rows[:, None, :] & ~rows[None, :, :]
     assert (~outside.any(axis=2)).any(axis=1).all()
-    if clear:
-        assert reference_clear and np.array_equal(rows, reference_rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -727,8 +721,8 @@ def test_the_table_of_a_tensor_product_holds_every_row_of_the_svd_table():
     # include many exactly dependent ones.
     product = fl.tensor_product(fl.gen_mercedes(), fl.gen_random(3, 5, seed=1)).product
     _assert_the_table_holds_the_reference(product.vectors)
-    rows, _ = _hyperplane_table(product.vectors, 1e-10)
-    assert np.array_equal(rows, hyperplane_table_reference(product.vectors, 1e-10)[0])
+    rows = _hyperplane_table(product.vectors, 1e-10)
+    assert np.array_equal(rows, hyperplane_table_reference(product.vectors, 1e-10))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -739,7 +733,7 @@ def test_the_walk_holds_a_working_set_bounded_by_its_block_size(field):
     v = fl.gen_random(7, 20, field=field).vectors
     tracemalloc.start()
     try:
-        rows, _ = _hyperplane_table(v, 1e-10)
+        rows = _hyperplane_table(v, 1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -770,9 +764,9 @@ def _assert_nr_matches_the_scan(frame):
     factor=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_nr_through_the_flats_decides_as_the_scan_does(kind, d, n, factor, seed):
+def test_nr_of_a_tie_near_the_rank_tolerance_decides_as_the_scan_does(kind, d, n, factor, seed):
     # The tie generator above, real only, with repeated ONBs, unfiltered: exact frames and noise from far
-    # below to far above the rank tolerance, where the flats' band refuses some frames and not others.
+    # below to far above the rank tolerance, where the table and the scan's rank tests disagree most often.
     rng = np.random.default_rng(seed)
     vectors = _coincident_frame(kind, d, n, rng)
     noise = rng.standard_normal(vectors.shape)
@@ -794,66 +788,26 @@ def test_nr_of_a_nearly_orthogonal_tilt_decides_as_the_scan_does(d, k, rotated, 
     _assert_nr_matches_the_scan(_repeated_onb(d, k).with_vectors(v))
 
 
-def test_flats_of_a_repeated_onb():
-    # Its four hyperplanes e_i^perp, their six lines and four points: the 14 flats whose
-    # complement lies in a hyperplane; the empty intersection's complement spans.
-    n = 12
-    rows = set(_bitmasks(_hyperplane_table(_repeated_onb(4, 3).vectors, 1e-10)[0]))
-    assert len(rows) == 4
-    flats = _flats(n, rows)
-    assert len(flats) == 14 and 0 not in flats
-    assert sorted(bin(f).count("1") for f in flats) == [3] * 4 + [6] * 6 + [9] * 4
+def _subspace_union(d, sizes, seed):
+    """For each (k, m) of ``sizes``, m random atoms in a random k-dimensional subspace of R^d, stacked."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([rng.standard_normal((m, k)) @ np.linalg.qr(rng.standard_normal((d, k)))[0].T for k, m in sizes])
 
 
-def test_nr_on_a_repeated_onb_holds_through_its_flats_without_a_walk(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the walk ran")
-
-    monkeypatch.setattr("framelab.retrieval._walk", refuse)
-    # The identity test would settle this frame before the table.
-    with _without_the_identity(), patch("framelab.retrieval._hyperplane_table", wraps=_hyperplane_table) as table:
-        assert fl.norm_retrieval_certify(_repeated_onb(4, 6)).holds
-    table.assert_called_once()
-
-
-def test_the_flats_leave_a_frame_to_the_walk_unless_every_decision_clears_the_band():
-    # One atom of a repeated ONB moved by 1e-15, 1e-12 and 1e-6 of its norm: the first
-    # clears the band (tol / 1000, 1000 tol], the second lies in it, although its overlaps
-    # stay below ortho_tol / 1000.  The third does not clear it either: the moved atom and a
-    # copy of e_1 span a plane with condition number about 1e6, so the rounding bound on the
-    # distances of the copies of e_2 to that plane reaches into the band, although the SVDs
-    # of this exact frame happen to round to zero.  The broken frame clears the band, but
-    # its overlap is 0.25.  The last frame has no covering pair, so no flat, but two of its
-    # atoms lie 1e-12 apart, which puts one of the table's subsets in the band.
-    frames = []
-    for shift in (1e-15, 1e-12, 1e-6):
-        v = _repeated_onb(3, 3).vectors.copy()
-        v[0, 1] = shift
-        frames.append(_unit_frame(v))
-    frames.append(fl.break_norm_retrieval(_repeated_onb(3, 3), [0, 3, 6], 0.25).perturbed)
-    generic = fl.gen_random(3, 6, seed=0).vectors
-    frames.append(_unit_frame(np.vstack([generic, generic[0] + [0.0, 1e-12, 0.0]])))
-    walked = []
-    for frame in frames:
-        # Without the identity test, which would settle the first and third frames before the table.
-        with _without_the_lift(), _without_the_identity(), patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
-            "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
-        ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
-            cert = fl.norm_retrieval_certify(frame)
-        assert table.call_count == 1
-        walked.append(walk.call_count)
-        assert _nr_decision(cert) == _nr_decision(norm_retrieval_reference(frame))
-    assert walked == [0, 1, 1, 1, 1]
-    clear = [_hyperplane_table(frame.vectors, 1e-10)[1] for frame in frames]
-    assert clear == [True, False, False, True, False]
-
-
-def test_the_flats_need_a_positive_rank_tolerance():
-    # At tol = 0 the band is empty and protects nothing.
-    v = _repeated_onb(3, 3).vectors
-    table, clear = _hyperplane_table(v, 0.0)
-    assert clear and _flats_hold(v, _intervals(table), 1e-10, 1e-8)
-    assert not _flats_hold(v, _intervals(table), 0.0, 1e-8)
+@pytest.mark.parametrize("vectors", [
+    _coincident_frame("coordinate", 3, 6, np.random.default_rng(2)),
+    _subspace_union(3, [(1, 2), (1, 2), (1, 2), (2, 2)], seed=0),
+], ids=["coordinate-plane", "subspace-union"])
+def test_nr_of_a_coordinate_plane_or_subspace_union_frame_holds_through_the_walk(vectors):
+    # Six atoms of R^3, each with one coordinate zeroed, and two atoms on each of three lines and a plane
+    # of R^3.  The lift and the identity test refuse both.  A shortcut through the table's flats once
+    # certified them with no split walked; the walk decides them as the reference scan does.
+    frame = _unit_frame(vectors)
+    with patch("framelab.retrieval._walk", wraps=_walk) as walk:
+        cert = fl.norm_retrieval_certify(frame)
+    walk.assert_called_once()
+    assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-nullspace-orthogonality")
+    assert _nr_decision(cert) == _nr_decision(norm_retrieval_reference(frame))
 
 
 def _identity_test_vectors(source, d, n, noise, added, dropped, rng):
@@ -1025,7 +979,7 @@ def test_a_table_without_covering_pairs_is_walked_once():
     # This frame's table holds all C(22, 6) of its hyperplanes, and no two of
     # them are large enough to cover the atoms, so its walk visits no split.
     frame = fl.gen_random(7, 22)
-    table, _ = _hyperplane_table(frame.vectors, 1e-10)
+    table = _hyperplane_table(frame.vectors, 1e-10)
     assert len(table) == comb(22, 6)
     assert _intervals(table) == []
     with patch("framelab.retrieval._walk", wraps=_walk) as walk:
@@ -1051,7 +1005,7 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
     # The squared norms of these atoms overflow float64 unless the table scales the frame first.
     for frame in (fl.gen_random(3, 5), _two_plane(8, seed=8), _repeated_onb(3, 3)):
         huge = frame.with_vectors(frame.vectors * scale)
-        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10)[0], _hyperplane_table(frame.vectors, 1e-10)[0])
+        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10), _hyperplane_table(frame.vectors, 1e-10))
         for budget in (_scan_budget, lambda n, d: 0):
             with patch("framelab.retrieval._scan_budget", budget):
                 assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
@@ -1096,11 +1050,11 @@ def test_building_the_table_makes_no_rank_decision(monkeypatch):
         raise AssertionError("full_column_rank was called")
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
-    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)[0]) == 3
+    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)) == 3
     # The two planes of four atoms, and the 16 closures of an even and an odd atom.
-    two_plane, _ = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
+    two_plane = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
     assert sorted(two_plane.sum(axis=1).tolist()) == [2] * 16 + [4, 4]
-    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)[0]) == comb(12, 3)
+    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)) == comb(12, 3)
 
 
 def test_without_a_table_every_split_is_checked():
