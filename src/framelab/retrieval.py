@@ -23,13 +23,12 @@ The identity test (``_identity_holds``) runs for norm retrieval after the
 lift and before any split: one least-squares solve on the lift gives real
 c with I close to sum_i c_i phi_i phi_i^*, and then |x|^2 = sum_i c_i
 |<x, phi_i>|^2 up to the residual, so equal magnitudes force equal norms.
-When |c|_1 M^2 t sqrt(n) plus the residual, M the largest atom norm and t
-the rank tolerance plus rounding, is at most ``ortho_tol``, every split the
-walk would test passes its overlap test, and the frame holds with method
+When t |V|_F sum_i |c_i| |phi_i| plus the residual, t the rank tolerance
+plus rounding, is at most ``ortho_tol``, every split the walk would test
+passes its overlap test, and the frame holds with method
 ``nr-identity-span`` and no split visited.  It settles a repeated
-orthonormal basis, a tight frame and a product of tight frames; it can
-only answer ``holds``, and it refuses a frame whose lift has a singular
-value in a band around its solve's cutoff.
+orthonormal basis, a tight frame and a product of tight frames, noisy or
+not, and it can only answer ``holds``.
 
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
@@ -63,8 +62,8 @@ The lift, the identity test and the table scale each frame by a power of
 two, exactly, with ``_linalg.scaled``, so that no norm or square
 overflows or underflows to zero, and each of their ranks, like the scan's,
 is counted by ``_linalg.ranks``: the singular values above ``tol *
-sigma_max``.  The lift's cutoff, the identity test's bound and band, and
-the table's margin and membership test are other rules.
+sigma_max``.  The lift's cutoff, the identity test's bound, and the
+table's margin and membership test are other rules.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
@@ -86,7 +85,8 @@ criterion of norm retrieval is a real-field result, so a complex frame's
 norm retrieval is decided by the identity test on its Hermitian lift
 alone: it holds when the test passes and is ``inconclusive`` otherwise.
 There no null direction enters the proof, so the test drops its term
-|c|_1 M^2 t sqrt(n) and bounds the residual alone, with its rounding.
+t |V|_F sum_i |c_i| |phi_i| and bounds the residual alone, with its
+rounding.
 
 The lower-bound functional ``alpha`` is its own computation, and no
 certificate rests on it.  It is estimated by alternating minimization
@@ -365,11 +365,6 @@ def _intervals(table: np.ndarray) -> list[tuple[int, int]]:
     return intervals
 
 
-def _atoms(mask: int, n: int) -> tuple[int, ...]:
-    """The atoms whose bits are set in ``mask``, in order."""
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
 def _walk(n: int, intervals: list[tuple[int, int]]) -> Iterator[_Split]:
     """Yield the splits {S, complement} in scan order, S in the union of the intervals.
 
@@ -379,20 +374,20 @@ def _walk(n: int, intervals: list[tuple[int, int]]) -> Iterator[_Split]:
     """
     full = (1 << n) - 1
 
-    def visit(mask: int, last: int, alive: list[tuple[int, int]]):
-        # Each interval in ``alive`` holds ``mask`` plus some atoms above ``last``.
+    def visit(s: tuple[int, ...], mask: int, alive: list[tuple[int, int]]):
+        # ``mask`` has the bits of ``s``; each interval in ``alive`` holds s plus some atoms above s[-1].
         if mask != full and any(not low & ~mask for low, _ in alive):
-            yield _atoms(mask, n), _atoms(full ^ mask, n)
-        for j in range(last + 1, n):
+            yield s, tuple(filterfalse(set(s).__contains__, range(n)))
+        for j in range(s[-1] + 1, n):
             bit = 1 << j
             inside = [iv for iv in alive if iv[1] & bit]
             if inside:
-                yield from visit(mask | bit, j, inside)
+                yield from visit(s + (j,), mask | bit, inside)
             alive = [iv for iv in alive if not iv[0] & bit]
             if not alive:
                 return
 
-    yield from visit(1, 0, intervals)
+    yield from visit((0,), 1, intervals)
 
 
 def _complement_pairs(n: int) -> Iterator[_Split]:
@@ -594,8 +589,8 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
 
 
-# Lift singular values in this band, relative to the largest, make the identity test refuse a frame.
-_IDENTITY_BAND = (1e-13, 1e-7)
+# The identity test's solve drops the lift's singular values at most this many times the largest.
+_IDENTITY_CUTOFF = 1e-10
 
 
 def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
@@ -606,42 +601,44 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     Cahill, Casazza, Jasper and Woodland, "Phase retrieval and norm
     retrieval", 2014).  The real coefficients c come from one least-squares
     solve of L^T c = vec(I) on the frame's lift L (``_lift``), symmetric for
-    a real frame and Hermitian for a complex one, with singular values below
-    sqrt(lo hi) times the largest dropped, (lo, hi] = ``_IDENTITY_BAND``.
-    The lift's basis is orthonormal, so the residual E = I - sum_i c_i
-    phi_i phi_i^* has |E|_F = |L^T c - vec(I)|.  A frame is refused when
-    some singular value of L lies in (lo, hi] times the largest, so that c
-    never rests on a nearly dropped direction, or when either tolerance is
-    negative.  Otherwise it is certified when, with r the computed residual,
-    M the largest atom norm, D the lift's width, eta = n D eps, rho = 2 (n +
-    D + 8) eps, and t = tol + eta (1 + tol) for a real frame and t = 0 for
-    a complex one,
+    a real frame and Hermitian for a complex one, with singular values at
+    most ``_IDENTITY_CUTOFF`` times the largest dropped.  The lift's basis
+    is orthonormal, so the residual E = I - sum_i c_i phi_i phi_i^* has
+    |E|_F = |L^T c - vec(I)|.  The proof holds for any real c: it bounds E
+    through the residual it computes and charges every |c_i| in full, so
+    which directions the solve kept never enters it, and the test refuses
+    only negative tolerances.  It can only answer ``holds``, and does when,
+    with r the computed residual, M the largest atom norm, D the lift's
+    width, eta = n D eps, rho = 2 (n + D + 8) eps, and t = tol + eta (1 +
+    tol) for a real frame and t = 0 for a complex one,
 
-        (|c|_1 M^2 (t sqrt(n) + rho) + r + rho (r + sqrt(d)) + (d + 1) eps) (1 + 3 eta + rho) <= ortho_tol.
-
-    The test can only answer ``holds``.
+        (t |V|_F sum_i |c_i| |phi_i| + |c|_1 M^2 rho + r + rho (r + sqrt(d)) + (d + 1) eps) (1 + 3 eta + rho) <= ortho_tol.
 
     Proof, real frame.  Assume, as ``_lifted_holds`` does with p = n D,
     that LAPACK's SVD of an m x d matrix X, m <= n, is exact for a matrix
     within eta |X|_2 of X, and that its singular vectors are within eta of
     unit norm.  A column x that the walk (``_nr_failure``) takes for the
     null space of the rows V_S has a computed singular value at most tol
-    times the largest, or none, so |V_S x| <= t |V_S|_2 |x| <= t sqrt(n) M
-    |x|; likewise a column y for S^c.  Now x^T y = x^T I y = sum_i c_i
-    (phi_i^T x)(phi_i^T y) + x^T E y.  For i in S the first factor is at
-    most t sqrt(n) M |x| and the second at most M |y|; for i in S^c the
-    roles swap.  So |x^T y| <= |x| |y| (|c|_1 M^2 t sqrt(n) + |E|_F).  The
-    exact |E|_F exceeds r by little: the lift's entries are within 4 eps of
-    exact (``_lifted_holds``), so row i is off by at most 4 sqrt(2) eps
+    times the largest, or none, so |V_S x| <= t |V_S|_2 |x| <= t |V|_F |x|;
+    likewise a column y for S^c.  Now x^T y = x^T I y = sum_i c_i (phi_i^T
+    x)(phi_i^T y) + x^T E y.  For i in S, |phi_i^T x| <= |V_S x| and
+    |phi_i^T y| <= |phi_i| |y|; for i in S^c the roles swap.  So |x^T y| <=
+    |x| |y| (t |V|_F sum_i |c_i| |phi_i| + |E|_F).  The exact |E|_F exceeds
+    r by little: the lift's entries are within 4 eps of exact
+    (``_lifted_holds``), so row i is off by at most 4 sqrt(2) eps
     |phi_i|^2; forming L^T c - vec(I) rounds each entry by at most (n + 2)
     eps times that of |L|^T |c| + vec(I), whose norm is at most |c|_1 M^2 +
     sqrt(d); and the norm rounds by (D + 2) eps.  So |E|_F <= r + (rho / 2)
-    (|c|_1 M^2 + r + sqrt(d)), and the other half of rho covers the
-    rounding of |c|_1, of M and of the test itself.  The walk's computed
-    entry of L^T R is within (d + 1) eps |x| |y| of x^T y, and |x| |y| <=
-    (1 + eta)^2 <= 1 + 3 eta.  So every entry the walk would compute, on
-    every split it would test, is at most ``ortho_tol``: the walk's verdict
-    is ``holds``, the one this test gives with no split visited.
+    (|c|_1 M^2 + r + sqrt(d)), and the other half of rho there covers the
+    rounding of |c|_1 and M.  The rho of the last factor covers the rest:
+    |V|_F and sum_i |c_i| |phi_i| are formed from the computed atom norms,
+    so their product with t is within (3 n / 2 + d + 10) eps of exact,
+    relatively, and the test's own sums and products add 7 eps, at most rho
+    in all.  The walk's computed entry of L^T R is within (d + 1) eps |x|
+    |y| of x^T y, and |x| |y| <= (1 + eta)^2 <= 1 + 3 eta.  So every entry
+    the walk would compute, on every split it would test, is at most
+    ``ortho_tol``: the walk's verdict is ``holds``, the one this test gives
+    with no split visited.
 
     Complex frame.  Here ``holds`` means |f|^2 - |g|^2 is at most
     ``ortho_tol`` (|f|^2 + |g|^2) in size whenever |<f, phi_i>| = |<g,
@@ -651,7 +648,7 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     test takes t = 0, and |E|_F lies below its left side, as above.
 
     The frame is first scaled by a power of two (``scaled``), exactly: c
-    scales inversely to M^2, so |c|_1 M^2 and E do not change.
+    scales inversely to M^2, so neither E nor the bound changes.
     """
     n, d = v.shape
     if not (rank_tol >= 0 and ortho_tol >= 0):
@@ -662,16 +659,15 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     a, b, _, _ = _lift_columns(d)
     identity = np.zeros(width)
     identity[: len(a)] = a == b
-    lo, hi = _IDENTITY_BAND
-    c, _, _, s = np.linalg.lstsq(lift.T, identity, rcond=sqrt(lo * hi))
-    if np.any((s > lo * s[0]) & (s <= hi * s[0])):
-        return False
+    c = np.linalg.lstsq(lift.T, identity, rcond=_IDENTITY_CUTOFF)[0]
     residual = float(np.linalg.norm(lift.T @ c - identity))
-    mass = float(np.abs(c).sum()) * float(np.linalg.norm(v, axis=1).max()) ** 2
+    norms, weights = np.linalg.norm(v, axis=1), np.abs(c)
+    mass = float(weights.sum()) * float(norms.max()) ** 2
     eta = n * width * _EPS
     rho = 2 * (n + width + 8) * _EPS
     t = rank_tol + eta * (1 + rank_tol) if v.dtype.kind != "c" else 0.0
-    bound = mass * (t * sqrt(n) + rho) + residual + rho * (residual + sqrt(d)) + (d + 1) * _EPS
+    null = t * sqrt(float(norms @ norms)) * float(weights @ norms)
+    bound = null + mass * rho + residual + rho * (residual + sqrt(d)) + (d + 1) * _EPS
     return bound * (1 + 3 * eta + rho) <= ortho_tol
 
 

@@ -138,6 +138,23 @@ def test_certify_nr_by_the_identity_test(kind, code, verdict, method, tmp_path, 
     assert f"norm retrieval: {verdict}" in stderr
 
 
+def test_certify_nr_holds_on_a_noisy_repeated_complex_onb(tmp_path, capsys):
+    # Three copies of an ONB of C^3, turned by one unitary and moved by 1e-9 noise: the identity
+    # holds up to rounding, whatever lift directions near the solve's cutoff its solve keeps.
+    # Phase retrieval stays open: the lift is far from injective and the complement property holds.
+    rng = np.random.default_rng(0)
+    unitary, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    vectors = np.tile(np.eye(3), (3, 1)) @ unitary.T
+    vectors = vectors + 1e-9 * (rng.standard_normal(vectors.shape) + 1j * rng.standard_normal(vectors.shape))
+    path = tmp_path / "f.json"
+    fl.save_frame(path, fl.Frame(fl.make_atomic([1.0] * 9), vectors))
+    code, stdout, _ = _run(capsys, "certify", "nr", str(path))
+    (cert,) = json.loads(stdout)["certificates"]
+    assert (code, cert["verdict"], cert["method"]) == (0, "holds", "nr-identity-span")
+    code, stdout, _ = _run(capsys, "certify", "pr", str(path))
+    assert (code, json.loads(stdout)["data"]["verdict"]) == (3, "inconclusive")
+
+
 @pytest.mark.parametrize("kind", [["harmonic", "--n", "4"], ["random", "--n", "5"], ["random", "--n", "3"]])
 def test_certify_pr_alpha_restarts_and_seed_change_no_report_byte(kind, tmp_path, capsys):
     path = tmp_path / "c.json"

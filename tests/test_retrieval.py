@@ -800,14 +800,16 @@ def _subspace_union(d, sizes, seed):
 ], ids=["coordinate-plane", "subspace-union"])
 def test_nr_of_a_coordinate_plane_or_subspace_union_frame_holds_through_the_walk(vectors):
     # Six atoms of R^3, each with one coordinate zeroed, and two atoms on each of three lines and a plane
-    # of R^3.  The lift and the identity test refuse both.  A shortcut through the table's flats once
-    # certified them with no split walked; the walk decides them as the reference scan does.
+    # of R^3.  The lift refuses both.  A shortcut through the table's flats once certified them with no
+    # split walked; the walk decides them as the reference scan does.  The identity test runs before
+    # the walk and settles the first frame (bound 1.8e-9), so it is kept out while the walk is checked.
     frame = _unit_frame(vectors)
-    with patch("framelab.retrieval._walk", wraps=_walk) as walk:
+    with _without_the_identity(), patch("framelab.retrieval._walk", wraps=_walk) as walk:
         cert = fl.norm_retrieval_certify(frame)
     walk.assert_called_once()
     assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-nullspace-orthogonality")
     assert _nr_decision(cert) == _nr_decision(norm_retrieval_reference(frame))
+    assert fl.norm_retrieval_certify(frame).verdict == fl.HOLDS
 
 
 def _identity_test_vectors(source, d, n, noise, added, dropped, rng):
@@ -844,6 +846,9 @@ _IDENTITY_SOURCES = ["repeated", "coordinate", "two-plane", "onb", "rotated-onb"
 @example(source="repeated-onb", d=3, n=9, noise=1e-12, added=0, dropped=1, field="real", seed=0)
 @example(source="tensor", d=2, n=1, noise=0.0, added=0, dropped=0, field="real", seed=3)
 @example(source="rotated-onb", d=2, n=6, noise=1e-6, added=1, dropped=0, field="complex", seed=1)
+# Lifts with singular values in (1e-13, 1e-7] times their largest, which the test certifies.
+@example(source="repeated-onb", d=3, n=9, noise=1e-10, added=1, dropped=1, field="real", seed=0)
+@example(source="repeated-onb", d=3, n=9, noise=1e-10, added=0, dropped=0, field="complex", seed=0)
 def test_the_identity_test_certifies_no_frame_the_reference_fails(source, d, n, noise, added, dropped, field, seed):
     # Every frame the identity test certifies holds under the reference scan.  A complex frame has no
     # reference scan: its identity I = sum c_i phi_i phi_i^*, solved again from the reference lift,
@@ -879,22 +884,55 @@ def test_the_identity_test_certifies_repeated_onbs_and_tight_products():
     assert not _identity_holds(np.tile(np.eye(3)[:2], (3, 1)), 1e-10, 0.5)
 
 
-def test_the_identity_band_refuses_a_lift_with_a_singular_value_in_it():
+def _no_split_decided(*args):
+    raise AssertionError("a split was decided")
+
+
+def test_the_identity_test_certifies_a_lift_with_a_singular_value_near_its_cutoff():
     # e_0 tilted by 1e-11 toward e_1, beside e_1, e_0 and e_1: the tilted atom's off-diagonal lift
-    # entry gives the lift a singular value 7e-12 times its largest.  The pass test alone would
-    # certify the frame, which does norm retrieval; the band sends it on to the scan instead.
+    # entry gives the lift a singular value 7e-12 times its largest, below the solve's cutoff.  The
+    # proof bounds E through the residual it computes, whichever directions the solve kept, so the
+    # frame holds with no split decided, as the reference scan says.
     v = np.array([[1.0, 1e-11], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
     assert 1e-13 < s[-1] / s[0] <= 1e-7
-    assert not _identity_holds(v, 1e-10, 1e-8)
-    with patch("framelab.retrieval._IDENTITY_BAND", (1e-10, 1e-10)):
-        assert _identity_holds(v, 1e-10, 1e-8)
     frame = _unit_frame(v)
-    with patch("framelab.retrieval._first_failures", wraps=_first_failures) as scan:
+    with patch("framelab.retrieval._first_failures", _no_split_decided):
         cert = fl.norm_retrieval_certify(frame)
-    scan.assert_called_once()
-    assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-nullspace-orthogonality")
+    assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-identity-span")
     assert norm_retrieval_reference(frame).verdict == fl.HOLDS
+
+
+def _rotated_repeated_onb(d, k, noise, seed=0):
+    """k copies of an ONB of R^d turned by one random orthogonal map, each atom moved by ``noise`` times a normal draw."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    vectors = np.tile(np.eye(d), (k, 1)) @ rotation.T
+    return vectors + noise * rng.standard_normal(vectors.shape), rng
+
+
+def _noisy_onb():
+    # Five copies of an ONB of R^4 with 1e-9 noise: its lift has singular values between 1e-13 and
+    # 1e-7 times its largest, and the walk took seconds on it.
+    return _rotated_repeated_onb(4, 5, 1e-9)[0]
+
+
+def _onb_with_a_long_atom():
+    # Four copies of an ONB of R^5, the last atom dropped and a random atom of norm 2.5 added (n = 20):
+    # with each atom's own norm charged the bound is 2.5e-9; with the largest charged for every atom,
+    # |c|_1 M^2 t sqrt(n), it would be 1.4e-8 and the frame would be walked.
+    vectors, rng = _rotated_repeated_onb(5, 4, 0.0)
+    atom = rng.standard_normal(5)
+    return np.vstack([vectors[:-1], 2.5 * atom / np.linalg.norm(atom)])
+
+
+@pytest.mark.parametrize("build", [_noisy_onb, _onb_with_a_long_atom], ids=["noisy-onb", "long-atom"])
+def test_the_identity_test_settles_a_noisy_repeated_onb_and_a_long_added_atom(build):
+    vectors = build()
+    assert len(vectors) == 20
+    with patch("framelab.retrieval._first_failures", _no_split_decided):
+        cert = fl.norm_retrieval_certify(_unit_frame(vectors))
+    assert (cert.verdict, cert.method) == (fl.HOLDS, "nr-identity-span")
 
 
 @settings(max_examples=100, deadline=None)
@@ -910,14 +948,15 @@ def test_the_identity_band_refuses_a_lift_with_a_singular_value_in_it():
 @example(source="repeated-onb", d=4, n=8, noise=0.0, added=0, dropped=0, seed=0)
 def test_the_identity_verdict_is_invariant_under_orthogonal_maps(source, d, n, noise, added, dropped, seed):
     # In exact arithmetic an orthogonal map moves the lift by an orthogonal map of the symmetric
-    # matrices and fixes I, so c, the residual and M do not change.  Rounding moves the bound and
-    # the singular values by about eps: a draw is kept only when its bound lies outside
-    # (ortho_tol / 4, 4 ortho_tol] and no lift singular value within a factor 10 of a band edge.
+    # matrices and fixes I, so c, the residual and the atom norms do not change.  Rounding moves the
+    # bound and the singular values by about eps: a draw is kept only when its bound lies outside
+    # (ortho_tol / 4, 4 ortho_tol] and no lift singular value lies within a factor 10 of the solve's
+    # cutoff, the only place where rounding can flip whether a direction is kept.
     rng = np.random.default_rng(seed)
     v = _identity_test_vectors(source, d, n, noise, added, dropped, rng)
     s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
     ratios = s / s[0] if s[0] > 0 else s
-    assume(not any(((ratios > edge / 10) & (ratios <= edge * 10)).any() for edge in (1e-13, 1e-7)))
+    assume(not ((ratios > 1e-11) & (ratios <= 1e-9)).any())
     assume(_identity_holds(v, 1e-10, 2.5e-9) == _identity_holds(v, 1e-10, 4e-8))
     verdict = _identity_holds(v, 1e-10, 1e-8)
     orthogonal, _ = np.linalg.qr(rng.standard_normal((v.shape[1], v.shape[1])))

@@ -1,0 +1,101 @@
+"""Print one line per benchmark op, so that two checkouts can be compared with ``diff``.
+
+    PYTHONPATH=src python tools/parity.py --seeds 1 2 3 > change.txt
+    PYTHONPATH=../parent/src python tools/parity.py --seeds 1 2 3 > parent.txt
+    diff parent.txt change.txt
+
+For each workload and seed, the inputs that ``perfbench/mixes.py`` generates
+are written to a temporary directory, and the warm-up op and then every op
+of the cycle run once, in that directory, through the ``framelab.cli.main``
+that ``PYTHONPATH`` resolves: the same script checks any checkout's
+``src``.  A line holds the workload, the seed, the op's key (``warmup`` for
+the warm-up), its exit code (the exception's name when it raises), and the
+sha256 of its stdout, of its stderr and of each file it wrote, by name.
+Which framelab was imported goes to stderr, so the lines of two checkouts
+differ only where their ops do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import framelab
+from framelab import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _mixes():
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # leave nothing behind in perfbench/
+    try:
+        import mixes
+    finally:
+        sys.dont_write_bytecode = saved
+    return mixes
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _files(directory: Path) -> dict[str, tuple[int, str]]:
+    """Each file's modification time and digest, by name, so that a file rewritten with the same bytes counts as written."""
+    return {path.name: (path.stat().st_mtime_ns, _digest(path.read_bytes()))
+            for path in directory.iterdir() if path.is_file()}
+
+
+def _run(argv: tuple[str, ...], directory: Path) -> str:
+    """Run one op in ``directory``; its exit code and the digests of its stdout, stderr and written files."""
+    before = _files(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli.main(list(argv)))
+        except SystemExit as exc:
+            code = str(exc.code)
+        except Exception as exc:  # a raising op is a result to compare, not the end of the run
+            code = type(exc).__name__
+    written = sorted((name, h) for name, (stamp, h) in _files(directory).items() if before.get(name) != (stamp, h))
+    files = " ".join(f"{name}={h}" for name, h in written)
+    return f"{code} out={_digest(out.getvalue().encode())} err={_digest(err.getvalue().encode())} files=[{files}]"
+
+
+def lines(workload: str, seed: int) -> list[str]:
+    """The warm-up op's line, then one line per op of the workload's cycle, in cycle order."""
+    mix = _mixes().build(workload, seed)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        mix.write_inputs(directory)
+        os.chdir(directory)
+        try:
+            ops = [("warmup", mix.warmup)] + [(op.key, op) for op in mix.cycle]
+            return [f"{workload} {seed} {key} {_run(op.argv, directory)}" for key, op in ops]
+        finally:
+            os.chdir(home)
+
+
+def main(argv: list[str] | None = None) -> int:
+    workloads = _mixes().WORKLOADS
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workloads", nargs="+", choices=workloads, default=list(workloads))
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    print(f"framelab from {Path(framelab.__file__).parent}", file=sys.stderr)
+    for workload in args.workloads:
+        for seed in args.seeds:
+            print("\n".join(lines(workload, seed)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
