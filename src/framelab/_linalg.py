@@ -154,14 +154,27 @@ def inv_sqrt_psd(mat: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return w @ evecs.conj().T
 
 
-def random_unit(rng: np.random.Generator, dim: int, complex_: bool) -> np.ndarray:
-    """Draw a unit vector; complex vectors get independent real and imaginary parts."""
-    v = rng.standard_normal(dim)
+def random_units(rng: np.random.Generator, count: int, dim: int, complex_: bool) -> np.ndarray:
+    """Draw ``count`` unit vectors, as rows; complex vectors get independent real and imaginary parts.
+
+    One ``standard_normal`` call fills the rows in order, the real part of
+    each row before its imaginary part, so the stream is that of drawing
+    the vectors one at a time.  Each row is divided by its norm formed as
+    ``np.linalg.norm`` forms one vector's: the square root of the BLAS dot
+    product of its real part with itself, plus that of its imaginary part.
+    ``np.vecdot`` reaches the same dot product, on the same strided parts,
+    so each row equals the one-vector draw bit for bit.  A zero row
+    becomes the first axis.
+    """
     if complex_:
-        v = v + 1j * rng.standard_normal(dim)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        v = np.zeros(dim, dtype=complex if complex_ else float)
-        v[0] = 1.0
-        return v
-    return v / nrm
+        x = rng.standard_normal((count, 2, dim))
+        v = x[:, 0] + 1j * x[:, 1]
+        norms = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    else:
+        v = rng.standard_normal((count, dim))
+        norms = np.sqrt(np.vecdot(v, v))
+    zero = norms == 0.0
+    if zero.any():
+        v[zero] = np.eye(1, dim)
+        norms[zero] = 1.0
+    return v / norms[:, None]

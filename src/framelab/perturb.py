@@ -349,10 +349,11 @@ def stability_sweep(
     each block of at most the batch size in entries (at least one trial).
     A block's frames form one real stack.  The lift decides it in one
     stacked SVD, and the frames it leaves open go through the driver of
-    ``complement_property``: the scan budget decides them at once, and the
-    frames still open go on one by one through the hyperplane table.  Each
-    verdict is the one ``phase_retrieval_certify`` gives that perturbed
-    frame, so the counts do not depend on the blocks.
+    ``complement_property``: the spark stage and then the scan budget
+    decide them at once, and the frames still open go on one by one
+    through the hyperplane table.  Each verdict is the one
+    ``phase_retrieval_certify`` gives that perturbed frame, so the counts
+    do not depend on the blocks.
     The input frame is certified as row 0 of the first block's stack, after
     the cap, the field, the radii and the trial count are checked.  Each
     block draws its trials' rows of ``x`` at once; the generator fills them

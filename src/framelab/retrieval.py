@@ -30,6 +30,14 @@ passes its overlap test, and the frame holds with method
 orthonormal basis, a tight frame and a product of tight frames, noisy or
 not, and it can only answer ``holds``.
 
+The spark stage (``_spark_holds``) runs in the driver, before any split:
+a frame with n >= 2d - 1 atoms whose every d atoms span has a spanning
+side on every split.  One ``det`` call on the C(n, d) d x d minors bounds
+each minor's smallest singular value from below, and when every bound
+clears the scan's rank test with its rounding, the frame holds with no
+split visited and the scan's own method.  It runs when the minors fit in
+``_WALK_ENTRIES`` entries, and it can only answer ``holds``.
+
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
 lexicographic order), so each witness is the lexicographically smallest
@@ -58,23 +66,24 @@ budget are dropped undecided.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
-The lift, the identity test and the table scale each frame by a power of
-two, exactly, with ``_linalg.scaled``, so that no norm or square
-overflows or underflows to zero, and each of their ranks, like the scan's,
-is counted by ``_linalg.ranks``: the singular values above ``tol *
-sigma_max``.  The lift's cutoff, the identity test's bound, and the
-table's margin and membership test are other rules.
+The lift, the identity test, the spark stage and the table scale each
+frame by a power of two, exactly, with ``_linalg.scaled``, so that no norm
+or square overflows or underflows to zero, and each of their ranks, like
+the scan's, is counted by ``_linalg.ranks``: the singular values above
+``tol * sigma_max``.  The lift's cutoff, the identity test's bound, the spark
+stage's bound, and the table's margin and membership test are other rules.
 
 Both properties, and a stability sweep, are decided by one driver over a
 stack of frames with the same atom count; a single frame is the stack of
 one, and the perturbed frames of a sweep form stacks.  Each caller first
 runs the lift on its whole stack, in one stacked SVD, and hands the driver
-the frames the lift leaves open.  Each chunk of the scan budget is then
-decided at once for every frame still open, and the frames still open after
-the budget go on frame by frame through the table, from the first split past
-the budget.  Each certifier hands the driver its test of one frame's
-deficient splits, and a frame leaves at its first failure, so every verdict
-is the one the frame gets alone.
+the frames the lift leaves open.  The spark stage decides the whole stack,
+in blocks of frames.  Each chunk of the scan budget is then decided at once
+for every frame still open, and the frames still open after the budget go
+on frame by frame through the table, from the first split past the budget.
+Each certifier hands the driver its test of one frame's deficient splits,
+and a frame leaves at its first failure, so every verdict is the one the
+frame gets alone.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure.  A complex frame whose
@@ -102,7 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, dropwhile, filterfalse, islice
+from itertools import combinations, compress, dropwhile, filterfalse, islice
 from math import comb, sqrt
 from typing import Any, Callable, Iterator
 
@@ -119,7 +128,7 @@ from ._linalg import (
     inner,
     null_spaces,
     numerical_rank,
-    random_unit,
+    random_units,
     ranks,
     scaled,
 )
@@ -417,6 +426,9 @@ def _scan_budget(n: int, d: int) -> int:
     the certification with a budget of 0 (real d = 4, n = 8 and d = 6,
     n = 12) and 0.68 to 0.98 times it (complex d = 3, n = 7 and d = 4,
     n = 11), so such a frame pays 1.4 to 2 times what it pays with no budget.
+    Frames whose d-subsets all span clearly, with n >= 2d - 1 and their
+    minors within ``_spark_holds``' bound, now hold before the budget: all
+    of those but real d = 6, n = 12, whose C(12, 6) minors exceed it.
     """
     return comb(n, d - 1) // 32 + 16
 
@@ -589,6 +601,96 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
 
 
+@lru_cache(maxsize=None)
+def _d_subsets(n: int, d: int) -> np.ndarray:
+    """The d-subsets of n atoms in lexicographic order, as a read-only (C(n, d), d) index array."""
+    subsets = np.array(list(combinations(range(n), d)), dtype=np.intp).reshape(-1, d)
+    subsets.setflags(write=False)
+    return subsets
+
+
+def _spark_bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For a scaled (k, n, d) stack, lower bounds on sigma_min(V_R) for each d-subset R, (k, C(n, d)), and each |V|_F.
+
+    ``_spark_holds`` states the bound and what it charges.
+    """
+    k, n, d = w.shape
+    subsets = _d_subsets(n, d)
+    squares = np.einsum("knd,knd->kn", w, w.conj()).real
+    frob = np.sqrt(squares.sum(axis=1))
+    det = np.abs(np.linalg.det(w[:, subsets]))
+    spread = (squares[:, subsets].sum(axis=2) / max(d - 1, 1)) ** ((d - 1) / 2)
+    xi = 8 * d**3 * 3.0 ** (d - 1) * _EPS
+    zeta = (d * (3 * d * d + 740) + n) * _EPS + d * xi
+    ratio = np.where(det >= _TINY, det, 0.0) / np.maximum(spread, _TINY)
+    return ratio / (1 + zeta) - xi * frob[:, None], frob
+
+
+def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
+    """For each frame of a (k, n, d) stack, whether its d-subsets prove the complement property.
+
+    A frame with n >= 2d - 1 atoms whose every d atoms span has the
+    complement property, since every split has a side of at least d atoms
+    (Balan, Casazza and Edidin, 2006; Alexeev, Cahill and Mixon, "Full
+    spark frames", 2012).  The stage decides a frame only when n >= 2d - 1,
+    tol >= 0 and its C(n, d) stacked d x d minors hold at most
+    ``_WALK_ENTRIES`` entries; any other frame is not certified.  It
+    certifies a frame when, for every d-subset R, the bound below on
+    sigma_min(V_R) exceeds t |V|_F, t = tol + eta (1 + tol).  A certified
+    frame has no split the scan calls deficient, so the stage can only
+    answer ``holds``, and its verdict is the scan's.
+
+    Proof.  Assume, as ``_lifted_holds`` does with p = n d, that each
+    computed singular value of an m x d matrix X, m <= n, is within eta
+    |X|_2 of the exact one, eta = n d eps.  Every split has a side T of at
+    least d atoms, the larger, which the scan tests whenever the smaller
+    does not span.  T holds a d-subset R, so sigma_d(V_T) >= sigma_min(V_R)
+    (rows added never lower a singular value), and |V_T|_2 <= |V|_F.  So
+    the computed s_d of V_T exceeds (t - eta) |V_T|_2 = tol (1 + eta)
+    |V_T|_2 >= tol s_1: the scan's own rank test calls T spanning, and no
+    split is deficient.
+
+    The bound.  A d x d matrix A has |det A| equal to the product of its
+    singular values, and the d - 1 largest have squares summing to at most
+    |A|_F^2, so sigma_min(A) >= |det A| / (|A|_F^2 / (d - 1))^((d - 1) / 2)
+    (the mean of squares bounds their product; the divisor is 1 when
+    d = 1).  ``np.linalg.det`` factors A by LU with partial pivoting, and
+    the factors are exact for A + E with |E|_F <= xi |A|_F, xi = 8 d^3
+    3^(d - 1) eps: |E| <= gamma_d |L| |U| entrywise (Higham, "Accuracy and
+    Stability of Numerical Algorithms", Theorem 9.3), pivoting bounds |L| by
+    1, or by sqrt 2 where LAPACK's complex pivot is the largest |Re| + |Im|,
+    and the growth by 2^(d - 1), or (1 + sqrt 2)^(d - 1); the constant 8
+    covers complex arithmetic and the rounding of |V|_F.  So sigma_min(A)
+    >= |det(A + E)| / ((1 + xi)^(d - 1) (|A|_F^2 / (d - 1))^((d - 1) / 2))
+    - xi |V|_F.  numpy forms det(A + E) as the exponential of the sum of
+    log |u_ii|.  Each |u_ii| is below 3^(d - 1), as every entry is below 1
+    in modulus after scaling, and a det below the least normal float is
+    taken as 0, so |log det| <= 709 and the sum of |log |u_ii|| is at most
+    2.2 d^2 + 710: the computed det is within d (2.3 d^2 + 720) eps of
+    det(A + E), relatively.  The bound divides by 1 + zeta, zeta = (d (3
+    d^2 + 740) + n) eps + d xi, which covers that error, (1 + xi)^(d - 1),
+    the rounding of the denominator and of |V|_F, and the test's own
+    arithmetic.  A denominator below the least normal float is raised to
+    it, which only lowers the bound.
+
+    Each frame is first scaled by a power of two (``scaled``), exactly, so
+    that no square overflows or underflows.  The minors of a block of
+    frames, at most ``_WALK_ENTRIES`` entries and at least one frame, are
+    gathered through the cached d-subsets and decided by one ``det`` call.
+    """
+    k, n, d = vs.shape
+    held = np.zeros(k, dtype=bool)
+    entries = comb(n, d) * d * d
+    if n < 2 * d - 1 or not tol >= 0 or entries > _WALK_ENTRIES:
+        return held
+    t = tol + n * d * _EPS * (1 + tol)
+    step = _WALK_ENTRIES // entries
+    for lo in range(0, k, step):
+        bounds, frob = _spark_bounds(scaled(vs[lo : lo + step])[0])
+        held[lo : lo + step] = bounds.min(axis=1) > t * frob
+    return held
+
+
 # The identity test's solve drops the lift's singular values at most this many times the largest.
 _IDENTITY_CUTOFF = 1e-10
 
@@ -678,15 +780,18 @@ def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, lis
     those of one chunk in scan order, and returns a finding or None; a frame
     leaves at its first finding.  The driver runs no lift: the certifiers
     run ``_lifted_holds`` first and pass only the frames it leaves open.
-    Each chunk of the scan budget is decided at once for every frame still
-    open, in blocks of frames that keep one stacked step within the
-    batch size.  The frames still open then go on one by one through the
-    table from the first split past the budget, so no split of a frame is
-    decided twice, and every frame gets the findings it gets alone.
+    The driver first runs ``_spark_holds`` on the whole stack: a frame it
+    certifies has no deficient split, so it gets None with no split
+    decided and ``fails`` never called.  Each chunk of the scan budget is
+    then decided at once for every frame still open, in blocks of frames
+    that keep one stacked step within the batch size.  The frames still
+    open then go on one by one through the table from the first split past
+    the budget, so no split of a frame is decided twice, and every frame
+    gets the findings it gets alone.
     """
     k, n, d = vs.shape
     found: list[Any] = [None] * k
-    open_ = np.ones(k, dtype=bool)
+    open_ = ~_spark_holds(vs, tol)
     scan = _complement_pairs(n)
     chunks = _chunks(islice(scan, _scan_budget(n, d)), n, d)
     while len(live := np.flatnonzero(open_)) and (chunk := next(chunks, None)) is not None:
@@ -735,6 +840,9 @@ def complement_property(
     A frame its lift certifies (``_lifted_holds``) holds with method
     ``complement-lifted-map`` and no split visited; any other frame is
     decided on its splits, with method ``complement-subset-enumeration``.
+    Among those, a frame with n >= 2d - 1 whose d-subsets all span with a
+    margin (``_spark_holds``, run by the driver) holds with no split
+    visited, the verdict the splits give it.
     A failing verdict reports the lexicographically smallest violating
     subset: the first split the shared scan yields.
     """
@@ -854,10 +962,10 @@ def alpha_certify(
 
     The restarts run together, in blocks that keep a stacked R step within
     the batch size.  Each block draws its starting vectors in restart order,
-    and each half-step builds R for every restart of the block still
-    running and takes one stacked ``eigh``.  A restart leaves its block at
-    its own stopping test, so every trace equals the one the restart makes
-    alone, value for value.
+    with one call to the generator (``random_units``), and each half-step
+    builds R for every restart of the block still running and takes one
+    stacked ``eigh``.  A restart leaves its block at its own stopping test,
+    so every trace equals the one the restart makes alone, value for value.
     """
     if restarts < 1 or iters < 1:
         raise ValueError("restarts and iters must be at least 1")
@@ -869,7 +977,7 @@ def alpha_certify(
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     traces: list[tuple[float, ...]] = []
     for lo in range(0, restarts, block):
-        f = np.array([random_unit(rng, d, complex_) for _ in range(min(block, restarts - lo))])
+        f = random_units(rng, min(block, restarts - lo), d, complex_)
         ends_f, ends_g = np.empty_like(f), np.empty_like(f)
         vals, g = eigmin_vectors(r_stack(f))
         block_traces = [[val] for val in vals.tolist()]

@@ -26,6 +26,9 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``hyperplane_table_reference`` builds the hyperplane table with one SVD
   per (d - 1)-subset of atoms, where the library walks the subsets with
   Householder reflections and no SVD; its rows lie inside the library's.
+* ``subset_sigma_min_reference`` takes the smallest singular value of each
+  d-subset of atoms from its own SVD, where the library bounds it from below
+  through one stacked determinant.
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
@@ -38,7 +41,8 @@ algorithm, so agreement between the two is meaningful evidence:
   library runs a block of restarts as one stack.  Its R operator
   (``r_matrix_reference``) and canonical phase (``canonical_phase_reference``)
   treat one vector with the scalar arithmetic the stacked library code must
-  match bit for bit.
+  match bit for bit, and so does its draw of each starting vector
+  (``random_unit``), where the library draws a block of them at once.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from framelab import FAILS, HOLDS, AlphaResult, Certificate, Frame
-from framelab._linalg import annihilator, numerical_rank, random_unit, ranks, scaled
+from framelab._linalg import annihilator, numerical_rank, ranks, scaled
 from framelab.retrieval import _TABLE_MARGIN
 
 
@@ -317,6 +321,16 @@ def hyperplane_table_reference(v: np.ndarray, tol: float) -> np.ndarray | None:
     return rows.astype(bool)
 
 
+def subset_sigma_min_reference(v: np.ndarray) -> np.ndarray:
+    """sigma_min of each d-subset of rows, in lexicographic order, one SVD per subset.
+
+    The frame is first scaled as the library scales it, by a power of two.
+    """
+    v, _ = scaled(v)
+    subsets = combinations(range(len(v)), v.shape[1])
+    return np.array([np.linalg.svd(v[list(r)], compute_uv=False)[-1] for r in subsets])
+
+
 def lift_ratio_reference(v: np.ndarray) -> float:
     """sigma_min / sigma_max of the lifted map Q -> (phi_i^T Q phi_i)_i on symmetric d x d matrices.
 
@@ -375,6 +389,19 @@ def r_matrix_reference(frame: Frame, f: np.ndarray) -> np.ndarray:
 def _eigmin_reference(mat: np.ndarray) -> tuple[float, np.ndarray]:
     evals, evecs = np.linalg.eigh(mat)
     return float(evals[0]), canonical_phase_reference(evecs[:, 0])
+
+
+def random_unit(rng: np.random.Generator, dim: int, complex_: bool) -> np.ndarray:
+    """One unit vector from two draws of ``dim`` normal coordinates (one when real), over ``np.linalg.norm``; e_0 for a zero draw."""
+    v = rng.standard_normal(dim)
+    if complex_:
+        v = v + 1j * rng.standard_normal(dim)
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        v = np.zeros(dim, dtype=complex if complex_ else float)
+        v[0] = 1.0
+        return v
+    return v / nrm
 
 
 def alpha_reference(

@@ -3,12 +3,13 @@ from __future__ import annotations
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import _linalg
-from framelab._linalg import canonical_phases, full_column_rank, null_spaces, numerical_rank, ranks
-from oracles import _rank, annihilator_reference
+from framelab._linalg import canonical_phases, full_column_rank, null_spaces, numerical_rank, random_units, ranks
+from oracles import _rank, annihilator_reference, random_unit
 
 TOL = 1e-10
 
@@ -95,3 +96,26 @@ def test_null_spaces_phase_no_row_before_the_least_rank_and_keep_their_bytes(kin
         assert basis.tobytes() == reference.tobytes()
     # One call, on the rows from the stack's least rank on: every null row, and no row before them.
     assert phased == [count * max(basis.shape[1] for basis in bases)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_block_of_unit_draws_equals_the_one_vector_draws_bit_for_bit(complex_):
+    # 2,400 draws per field over d = 1..8: batched reductions (einsum, sum, matmul, norm along an
+    # axis) round differently from the one-vector norm on hundreds of them.
+    for d in range(1, 9):
+        for seed, count in enumerate((1, 2, 16, 281)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = random_units(rng, count, d, complex_)
+            alone = np.array([random_unit(ref, d, complex_) for _ in range(count)])
+            assert block.dtype == alone.dtype and block.tobytes() == alone.tobytes()
+            # The generator is left where the one-vector draws leave it.
+            assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_a_zero_draw_becomes_the_first_axis():
+    class Zeros:
+        def standard_normal(self, shape):
+            return np.zeros(shape)
+
+    assert random_units(Zeros(), 2, 3, True).tolist() == [[1, 0, 0], [1, 0, 0]]
+    assert random_units(Zeros(), 1, 2, False).tolist() == [[1, 0]]

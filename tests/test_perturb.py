@@ -308,8 +308,9 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
         return full_column_rank(stack, *args, **kwargs)
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
-    # The lift settles gen_random(4, 11) with no rank call on either path; this counts the scan's.
-    for path in ("framelab.retrieval._lifted_holds", "framelab.perturb._lifted_holds"):
+    # The lift settles gen_random(4, 11) with no rank call on either path, and so does the spark
+    # stage when the lift is refused; this counts the scan's.
+    for path in ("framelab.retrieval._lifted_holds", "framelab.perturb._lifted_holds", "framelab.retrieval._spark_holds"):
         monkeypatch.setattr(path, lambda vs, tol: np.zeros(len(vs), dtype=bool))
     points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
     swept_calls, swept = len(calls), sum(matrices)

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
-from framelab._linalg import annihilator
+from framelab._linalg import annihilator, scaled
 from framelab.retrieval import (
     _BATCH_ENTRIES,
     _WALK_ENTRIES,
@@ -26,6 +26,8 @@ from framelab.retrieval import (
     _lifted_holds,
     _r_stack,
     _scan_budget,
+    _spark_bounds,
+    _spark_holds,
     _walk,
 )
 from oracles import (
@@ -44,6 +46,7 @@ from oracles import (
     norm_retrieval_reference,
     r_matrix_reference,
     sign_pattern_pr_oracle,
+    subset_sigma_min_reference,
 )
 
 
@@ -576,6 +579,11 @@ def _without_the_lift():
     return patch("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
 
 
+def _without_the_spark():
+    """Make the spark stage refuse every frame, so that frames with n >= 2d - 1 go on to the scan budget and the table."""
+    return patch("framelab.retrieval._spark_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+
+
 def _without_the_identity():
     """Make the identity test refuse every frame, so that norm retrieval goes on to the scan, the table and the walk."""
     return patch("framelab.retrieval._identity_holds", lambda v, rank_tol, ortho_tol: False)
@@ -610,9 +618,10 @@ def _assert_matches_the_scan(frame):
         )
 
     assert library() == reference
-    # The lift settles most frames with n >= d(d + 1)/2 before any split; without it
-    # they reach the table.  With no split checked before the table, every split comes from its walk.
-    with _without_the_lift():
+    # The lift settles most frames with n >= d(d + 1)/2 before any split, and the spark stage most
+    # others with n >= 2d - 1; without them they reach the table.  With no split checked before the
+    # table, every split comes from its walk.
+    with _without_the_lift(), _without_the_spark():
         assert library() == reference
         with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
             assert library() == reference
@@ -750,7 +759,7 @@ def _assert_nr_matches_the_scan(frame):
     """Norm retrieval as the reference scan decides it, also when the identity test or the table stage decides every frame."""
     reference = _nr_decision(norm_retrieval_reference(frame))
     assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
-    with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
         assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
         with _without_the_identity():
             assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
@@ -988,7 +997,7 @@ def test_nr_tries_the_lift_before_the_identity_test(monkeypatch):
 
 def test_certifiers_decide_at_the_cap_from_the_table():
     assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
-    with _without_the_lift():
+    with _without_the_lift(), _without_the_spark():
         assert fl.phase_retrieval_certify(fl.gen_random(3, 24)).holds
     onb = _repeated_onb(4, 6)
     assert fl.norm_retrieval_certify(onb).holds
@@ -1061,8 +1070,9 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
 def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
     # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
     # table must scale such a frame all the same, or every split is scanned.  With no
-    # split checked before it and no lift every frame builds the table; gen_random(3, 5)
-    # would otherwise fit whole in the scan budget, and the lift certify the complex frame.
+    # split checked before it, no lift and no spark stage every frame builds the table;
+    # gen_random(3, 5) would otherwise fit whole in the scan budget, the lift certify the
+    # complex frame, and the spark stage both.
     tiny = fl.gen_random(d, n, seed, field)
     tiny = tiny.with_vectors(tiny.vectors * 1e-310)
     # The stored entries times 2^1030 are normal, and the product is exact.
@@ -1074,7 +1084,7 @@ def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d
         tables.append(_hyperplane_table(*args))
         return tables[-1]
 
-    with _without_the_lift(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
         with patch("framelab.retrieval._hyperplane_table", recording):
             got = certify(tiny)
         assert tables and all(table is not None for table in tables)
@@ -1098,7 +1108,7 @@ def test_building_the_table_makes_no_rank_decision(monkeypatch):
 
 def test_without_a_table_every_split_is_checked():
     frames = [_two_plane(8, seed=8), _repeated_onb(3, 3), fl.gen_random(3, 8, seed=0)]
-    with patch("framelab.retrieval._hyperplane_table", lambda v, tol: None), _without_the_lift():
+    with patch("framelab.retrieval._hyperplane_table", lambda v, tol: None), _without_the_lift(), _without_the_spark():
         for frame in frames:
             assert _deficient_splits(frame) == list(deficient_splits_reference(frame))
 
@@ -1109,7 +1119,8 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     # its atoms lie on the cone x^2 + y^2 = z^2, so the lift has a kernel, and no two
     # of its planes cover the atoms.  The third has its even atoms in the x-y plane and
     # its odd atoms in the y-z plane with z scaled by 1e-8: it spans at the tolerance but
-    # not at 1000 times it, so it has no table and fails in the scan of every split.
+    # not at 1000 times it, so it has no table and fails in the scan of every split.  The
+    # spark stage would certify the cone frame, whose every three atoms span, before the budget.
     blocked = np.random.default_rng(0).standard_normal((12, 3))
     blocked[:6, 2] = 0.0
     blocked[6:, 0] = 0.0
@@ -1128,7 +1139,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
             decided[v.tobytes()].extend(chunk)
         return _deficient(vs, chunk, tol)
 
-    with patch("framelab.retrieval._deficient", recording), patch(
+    with _without_the_spark(), patch("framelab.retrieval._deficient", recording), patch(
         "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
     ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
         found = _first_failures(stack, 1e-10, _first_subset)
@@ -1319,3 +1330,104 @@ def test_the_lift_verdict_is_invariant_under_unitaries_phases_and_reordering(fie
         phases = rng.choice([-1.0, 1.0], size=(n, 1))
     images = [v @ unitary.T, v * phases, v[rng.permutation(n)], (v * phases)[::-1] @ unitary.T]
     assert _lifted_holds(np.stack(images), tol).tolist() == [verdict] * len(images)
+
+
+def _spark_test_vectors(kind, d, n, rng, field):
+    """Generic atoms, generic atoms with one d-subset dependent, or a ``_coincident_frame`` kind, over the field."""
+    if kind in ("generic", "dependent"):
+        vectors = _normal(rng, (n, d), field)
+        if kind == "dependent":
+            subset = rng.choice(n, size=d, replace=False)
+            vectors[subset[-1]] = _normal(rng, (d - 1,), field) @ vectors[subset[:-1]]
+        return vectors
+    vectors = _coincident_frame(kind, d, n, rng)
+    if field == "complex":
+        # A complex multiple of each atom keeps every coincidence.
+        vectors = vectors * _normal(rng, (len(vectors), 1), field)
+    return vectors
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "dependent", "repeated", "coordinate", "two-plane", "onb", "rotated-onb"]),
+    field=st.sampled_from(["real", "complex"]),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 4),
+    noise=st.floats(-4.0, 5.0),
+    tol=st.sampled_from([0.0, 1e-10, 1e-6, 0.1]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(kind="dependent", field="complex", d=4, extra=0, noise=0.0, tol=1e-10, seed=0)
+@example(kind="coordinate", field="real", d=1, extra=2, noise=-4.0, tol=0.0, seed=0)
+def test_the_spark_stage_certifies_only_frames_without_a_deficient_split(kind, field, d, extra, noise, tol, seed):
+    # Noise from 1e-4 to 1e5 times the tolerance (times eps at tol = 0), relative to each atom,
+    # and atom norms spread over 10^-3..10^3, straddle the stage's cutoff on every kind of frame.
+    rng = np.random.default_rng(seed)
+    v = _spark_test_vectors(kind, d, 2 * d - 1 + extra, rng, field)
+    n, d = v.shape  # a two-plane frame has d = 3
+    jitter = _normal(rng, (n, d), field)
+    scale = np.linalg.norm(v, axis=1, keepdims=True)
+    jitter *= 10.0**noise * max(tol, np.finfo(float).eps) * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
+    v = (v + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    frame = _unit_frame(v)
+    held = _spark_holds(v[None], tol)[0]
+    if n >= 2 * d - 1:
+        bounds, _ = _spark_bounds(scaled(v[None])[0])
+        assert (bounds[0] <= subset_sigma_min_reference(v)).all()
+    if held:
+        assert next(deficient_splits_reference(frame, tol), None) is None
+    assert fl.complement_property(frame, tol).witness_subset == complement_property_reference(frame, tol)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("scale", [1.0, 1e-310, 1e150])
+def test_the_spark_stage_keeps_the_scan_verdict_on_zero_atoms_and_extreme_scales(field, scale):
+    for d, n, zero in [(2, 3, None), (3, 6, None), (4, 9, None), (2, 3, 1), (3, 6, 0), (4, 9, 8)]:
+        v = fl.gen_random(d, n, seed=n, field=field).vectors * scale
+        if zero is not None:
+            v[zero] = 0.0
+        frame = _unit_frame(v)
+        # Every d atoms of a generic frame span, and none with the zero atom among them does.
+        assert _spark_holds(v[None], 1e-10)[0] == (zero is None)
+
+        def verdicts():
+            nr = fl.norm_retrieval_certify(frame) if field == "real" else None
+            return fl.complement_property(frame).witness_subset, fl.phase_retrieval_certify(frame).verdict, nr and nr.verdict
+
+        with _without_the_spark():
+            scanned = verdicts()
+        assert verdicts() == scanned
+
+
+def test_a_full_spark_complex_frame_is_decided_with_no_rank_call_and_no_table(monkeypatch):
+    # 11 atoms in C^4: the lift needs 16, and the spark stage settles its 330 minors in one det call.
+    def refuse(*args):
+        raise AssertionError("a split was decided or a table built")
+
+    monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
+    monkeypatch.setattr("framelab.retrieval._hyperplane_table", refuse)
+    frame = fl.gen_random(4, 11, field="complex")
+    cp = fl.complement_property(frame)
+    assert (cp.verdict, cp.method) == (fl.HOLDS, "complement-subset-enumeration")
+    pr = fl.phase_retrieval_certify(frame)
+    assert (pr.verdict, pr.method) == (fl.INCONCLUSIVE, "pr-complement-necessity")
+
+
+def test_the_spark_stage_decides_each_frame_of_a_stack_as_alone_in_bounded_blocks(monkeypatch):
+    # 9 atoms in R^4 take C(9, 4) * 16 = 2016 minor entries per frame, so 16 frames per det call.
+    frames = [fl.gen_random(4, 9, seed=seed).vectors.copy() for seed in range(40)]
+    for v in frames[::3]:
+        v[2] = v[0] - 2 * v[1]  # every 4-subset holding atoms 0, 1 and 2 is dependent
+    stack = np.stack(frames)
+    sizes = []
+    det = np.linalg.det
+
+    def recording(minors):
+        sizes.append(minors.size)
+        return det(minors)
+
+    monkeypatch.setattr(np.linalg, "det", recording)
+    held = _spark_holds(stack, 1e-10)
+    assert len(sizes) == 3 and max(sizes) <= _WALK_ENTRIES
+    assert held.tolist() == [_spark_holds(v[None], 1e-10)[0] for v in frames] == [i % 3 != 0 for i in range(40)]
