@@ -115,7 +115,7 @@ def _scan_split(n: int, ids: tuple[int, ...]) -> _Split:
 
 def _split_is_deficient(frame: Frame, split: _Split, rank_tol: float) -> bool:
     """Whether neither side of the split spans, decided as the scan decides it."""
-    return _deficient(frame.vectors[None], [split], rank_tol)[0][0]
+    return _deficient(frame.vectors, [split], rank_tol)[0]
 
 
 def break_phase_retrieval(
@@ -349,9 +349,9 @@ def stability_sweep(
     each block of at most the batch size in entries (at least one trial).
     A block's frames form one real stack.  The lift decides it in one
     stacked SVD, and the frames it leaves open go through the driver of
-    ``complement_property``: the spark stage and then the scan budget
-    decide them at once, and the frames still open go on one by one
-    through the hyperplane table.  Each verdict is the one
+    ``complement_property``: the spark stage decides them at once, and the
+    frames still open go on one by one, through the scan's n prefix splits
+    and then the hyperplane table.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame, so the counts
     do not depend on the blocks.
     The input frame is certified as row 0 of the first block's stack, after

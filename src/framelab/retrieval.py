@@ -41,28 +41,30 @@ split visited and the scan's own method.  It runs when the minors fit in
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
 lexicographic order), so each witness is the lexicographically smallest
-one.  Visited splits are decided in chunks of 8, 16, 32, ... splits: the
-smaller sides of a chunk, then the larger sides of the splits still open,
-each group of equal-sized sides by one stacked SVD with the per-side cutoff
-of ``numerical_rank``, so every decision is the scan's.  The scan's first
-splits (``_scan_budget``) are visited before the hyperplane table is
-built, so a frame that fails early never builds it.
-After that only candidate splits are visited.  The table holds the frame's
-distinct hyperplanes, the closures of its d - 1 independent atoms: at most
-C(n, d - 1) of them, found with no SVD by a walk over the atom subsets that
-keeps every atom projected onto the complement of the subset's span by
-Householder reflections (``_hyperplanes``), in blocks of bounded size.  A
-split has neither side spanning exactly when S lies in a hyperplane H1 and
-its complement in a hyperplane H2, and then H1 and H2 together hold every
-atom.  So the candidates come from the covering pairs, and only pairs with
-|H1| + |H2| >= n are tested; with no covering pair there is no candidate
-and both properties hold.  The table decides rank with a margin above the
-tolerance, widened by a bound on its rounding: near the cutoff it lists
-extra candidates, which the rank check drops, and never misses one.  Every
-split is visited only when the frame does not span with the margin.  Past
-the scan's first splits, the table's walk and that full scan resume alike:
-each is read from its start, and its splits before the first one past the
-budget are dropped undecided.  The atom count is capped.
+one.  Each frame's splits are read as one stream of chunks
+(``_split_chunks``): first the scan's n prefix splits, the empty split and
+then {0}, {0, 1}, ..., {0..n - 2}, which the scan visits before any other;
+then, past them, only the candidate splits.  A chunk is decided by its
+smaller sides, then the larger sides of the splits still open, each group
+of equal-sized sides by one stacked SVD with the per-side cutoff of
+``numerical_rank``, so every decision is the scan's.  The table is built
+only once the prefixes are decided, so a frame with n < 2d - 1, and a
+product whose left factor fails at a prefix, never builds it.  The table
+holds the frame's distinct hyperplanes, the closures of its d - 1
+independent atoms: at most C(n, d - 1) of them, found with no SVD by a walk
+over the atom subsets that keeps every atom projected onto the complement
+of the subset's span by Householder reflections (``_hyperplanes``), in
+blocks of bounded size.  A split has neither side spanning exactly when S
+lies in a hyperplane H1 and its complement in a hyperplane H2, and then H1
+and H2 together hold every atom.  So the candidates come from the covering
+pairs, and only pairs with |H1| + |H2| >= n are tested; with no covering
+pair there is no candidate and both properties hold.  The table decides
+rank with a margin above the tolerance, widened by a bound on its
+rounding: near the cutoff it lists extra candidates, which the rank check
+drops, and never misses one.  Every split is visited only when the frame
+does not span with the margin: the stream then goes on with the rest of
+the scan.  The table's walk starts from its first split, and those before
+the scan's next one are dropped undecided.  The atom count is capped.
 The reference scan that checks every split, and independent brute-force
 references, live with the tests.
 
@@ -78,12 +80,10 @@ stack of frames with the same atom count; a single frame is the stack of
 one, and the perturbed frames of a sweep form stacks.  Each caller first
 runs the lift on its whole stack, in one stacked SVD, and hands the driver
 the frames the lift leaves open.  The spark stage decides the whole stack,
-in blocks of frames.  Each chunk of the scan budget is then decided at once
-for every frame still open, and the frames still open after the budget go
-on frame by frame through the table, from the first split past the budget.
-Each certifier hands the driver its test of one frame's deficient splits,
-and a frame leaves at its first failure, so every verdict is the one the
-frame gets alone.
+in blocks of frames, and each frame still open is then decided alone from
+its own stream of splits.  Each certifier hands the driver its test of one
+frame's deficient splits, and a frame leaves at its first failure, so
+every verdict is the one the frame gets alone.
 
 Over the complex field the complement property is only necessary: its
 failure certifies a phase retrieval failure.  A complex frame whose
@@ -111,7 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, dropwhile, filterfalse, islice
+from itertools import chain, combinations, compress, dropwhile, filterfalse, islice
 from math import comb, sqrt
 from typing import Any, Callable, Iterator
 
@@ -192,7 +192,7 @@ def _require_real(frame: Frame, what: str) -> None:
 _Split = tuple[tuple[int, ...], tuple[int, ...]]
 # Float entries per batched step: stacks of small matrices are cut to this size.
 _BATCH_ENTRIES = 1 << 12
-# Splits decided together at first; later chunks double, up to the batch size.
+# Splits past the scan's prefixes decided together at first; later chunks double, up to the batch size.
 _FIRST_CHUNK = 8
 # The table's rank decisions are this many times looser than the scan's, so
 # near the cutoff it lists more candidate splits, never fewer; every candidate
@@ -416,23 +416,6 @@ def _complement_pairs(n: int) -> Iterator[_Split]:
         stack.extend([s + (j,) for j in range(n - 1, s[-1], -1)])
 
 
-def _scan_budget(n: int, d: int) -> int:
-    """Splits of the scan checked before the table is built.
-
-    A frame that fails within the budget pays what the scan pays and never
-    builds the table; a frame that holds pays for both.  On frames
-    ``gen_random(d, n, seed=0)`` that hold, timed in-process (best of five,
-    four runs, a 2-vCPU Xeon, numpy 2.4), the budget cost 0.43 to 0.75 times
-    the certification with a budget of 0 (real d = 4, n = 8 and d = 6,
-    n = 12) and 0.68 to 0.98 times it (complex d = 3, n = 7 and d = 4,
-    n = 11), so such a frame pays 1.4 to 2 times what it pays with no budget.
-    Frames whose d-subsets all span clearly, with n >= 2d - 1 and their
-    minors within ``_spark_holds``' bound, now hold before the budget: all
-    of those but real d = 6, n = 12, whose C(12, 6) minors exceed it.
-    """
-    return comb(n, d - 1) // 32 + 16
-
-
 def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
     """Cut splits into lists of ``_FIRST_CHUNK``, then twice as many each time, up to the batch size."""
     limit = max(1, _BATCH_ENTRIES // (n * d))
@@ -442,19 +425,31 @@ def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
         size = min(2 * size, limit)
 
 
-def _table_chunks(v: np.ndarray, tol: float, start: tuple[int, ...]) -> Iterator[list[_Split]]:
-    """Yield, in scan order and chunk by chunk, a superset of the splits from S = ``start`` on where neither side spans.
+def _split_chunks(v: np.ndarray, tol: float) -> Iterator[list[_Split]]:
+    """Yield, in scan order and chunk by chunk, a superset of one frame's splits where neither side spans.
 
-    The table is built only when the first chunk is asked for; the splits
-    come from the walk through its intervals, or from every split when
-    ``_hyperplane_table`` refuses.  Either source resumes at ``start`` the
-    same way: scan order is tuple order, so the splits kept are those
-    whose S is not below ``start``, and none before it is decided.
+    The first chunk is the scan's first n splits: the empty split, then the
+    prefixes {0..k}, which the depth-first scan visits before any other
+    split.  A frame with n < 2d - 1 fails there at the latest, at {0..n -
+    d}, whose sides both hold fewer than d atoms, and so does a product
+    whose left factor fails at a prefix.  The table is built only when the
+    next chunk is asked for; the splits past the head then come from its
+    walk, or from the rest of the scan when ``_hyperplane_table`` refuses.
+    Scan order is tuple order, so the walk resumes past the head by
+    dropping the splits whose S lies below the scan's next one.
     """
     n, d = v.shape
+    scan = _complement_pairs(n)
+    yield list(islice(scan, n))
+    start = next(scan, None)
+    if start is None:
+        return
     table = _hyperplane_table(v, tol)
-    splits = _complement_pairs(n) if table is None else _walk(n, _intervals(table))
-    yield from _chunks(dropwhile(lambda split: split[0] < start, splits), n, d)
+    if table is None:
+        splits = chain([start], scan)
+    else:
+        splits = dropwhile(lambda split: split[0] < start[0], _walk(n, _intervals(table)))
+    yield from _chunks(splits, n, d)
 
 
 def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list[int], np.ndarray]]:
@@ -470,31 +465,25 @@ def _stacks(sides: list[tuple[int, ...]], least: int = 0) -> Iterator[tuple[list
         yield members, np.array([sides[i] for i in members], dtype=np.intp)
 
 
-def _deficient(vs: np.ndarray, chunk: list[_Split], tol: float) -> list[list[bool]]:
-    """For each frame of the (k, n, d) stack and each split of the chunk, whether neither side spans.
+def _deficient(v: np.ndarray, chunk: list[_Split], tol: float) -> list[bool]:
+    """For each split of the chunk, whether neither side of the (n, d) frame spans.
 
-    Returns one list of flags per frame.  Each split is decided
-    as the scan decides it, one stacked SVD per side size: the smaller
-    sides in every frame first (a spanning side settles the split), then
-    the larger side of each split still open in its frame.
+    Each split is decided as the scan decides it, one stacked SVD per side
+    size: the smaller sides first (a spanning side settles the split), then
+    the larger side of each split still open.
     """
-    k, n, d = vs.shape
-    m = len(chunk)
+    d = v.shape[1]
     small = [s if len(s) <= len(c) else c for s, c in chunk]
     big = [c if len(s) <= len(c) else s for s, c in chunk]
-    spans = [False] * (k * m)
+    spans = [False] * len(chunk)
     for members, rows in _stacks(small, d):
-        decided = full_column_rank(vs.take(rows, axis=1).reshape(-1, rows.shape[1], d), tol).tolist()
-        for p, spanning in zip((i * m + j for i in range(k) for j in members), decided):
-            spans[p] = spanning
-    still = [p for p, spanning in enumerate(spans) if not spanning]
-    atoms = vs.reshape(k * n, d)
-    for members, rows in _stacks([big[p % m] for p in still], d):
-        if k > 1:  # atom a of frame f is row f * n + a of the stacked atoms
-            rows += n * np.array([still[q] // m for q in members])[:, None]
-        for q, spanning in zip(members, full_column_rank(atoms.take(rows, axis=0), tol).tolist()):
+        for i, spanning in zip(members, full_column_rank(v.take(rows, axis=0), tol).tolist()):
+            spans[i] = spanning
+    still = [i for i, spanning in enumerate(spans) if not spanning]
+    for members, rows in _stacks([big[i] for i in still], d):
+        for q, spanning in zip(members, full_column_rank(v.take(rows, axis=0), tol).tolist()):
             spans[still[q]] = spanning
-    return [[not spanning for spanning in spans[i * m : (i + 1) * m]] for i in range(k)]
+    return [not spanning for spanning in spans]
 
 
 def _lift_width(d: int, complex_: bool) -> int:
@@ -782,33 +771,15 @@ def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, lis
     run ``_lifted_holds`` first and pass only the frames it leaves open.
     The driver first runs ``_spark_holds`` on the whole stack: a frame it
     certifies has no deficient split, so it gets None with no split
-    decided and ``fails`` never called.  Each chunk of the scan budget is
-    then decided at once for every frame still open, in blocks of frames
-    that keep one stacked step within the batch size.  The frames still
-    open then go on one by one through the table from the first split past
-    the budget, so no split of a frame is decided twice, and every frame
-    gets the findings it gets alone.
+    decided and ``fails`` never called.  Each frame still open is then
+    decided alone from its own chunks (``_split_chunks``): the scan's n
+    prefix splits, then the table's walk past them, so no split of a frame
+    is decided twice, and every frame gets the findings it gets alone.
     """
-    k, n, d = vs.shape
-    found: list[Any] = [None] * k
-    open_ = ~_spark_holds(vs, tol)
-    scan = _complement_pairs(n)
-    chunks = _chunks(islice(scan, _scan_budget(n, d)), n, d)
-    while len(live := np.flatnonzero(open_)) and (chunk := next(chunks, None)) is not None:
-        step = max(1, _BATCH_ENTRIES // (n * d * len(chunk)))
-        for lo in range(0, len(live), step):
-            block = live[lo : lo + step]
-            for i, row in zip(block.tolist(), _deficient(vs[block], chunk, tol)):
-                if any(row):
-                    found[i] = fails(vs[i], list(compress(chunk, row)))
-                    open_[i] = found[i] is None
-    # A frame still open went through the whole budget, which left ``scan`` just past it.
-    start = next(scan, None)
-    if start is None:
-        return found
-    for i in np.flatnonzero(open_).tolist():
-        for chunk in _table_chunks(vs[i], tol, start[0]):
-            splits = list(compress(chunk, _deficient(vs[i : i + 1], chunk, tol)[0]))
+    found: list[Any] = [None] * len(vs)
+    for i in np.flatnonzero(~_spark_holds(vs, tol)).tolist():
+        for chunk in _split_chunks(vs[i], tol):
+            splits = list(compress(chunk, _deficient(vs[i], chunk, tol)))
             if splits and (finding := fails(vs[i], splits)) is not None:
                 found[i] = finding
                 break
@@ -842,8 +813,10 @@ def complement_property(
     decided on its splits, with method ``complement-subset-enumeration``.
     Among those, a frame with n >= 2d - 1 whose d-subsets all span with a
     margin (``_spark_holds``, run by the driver) holds with no split
-    visited, the verdict the splits give it.
-    A failing verdict reports the lexicographically smallest violating
+    visited, the verdict the splits give it.  The others are read from
+    the scan's n prefix splits, then from the hyperplane table's walk, so
+    a frame with n < 2d - 1 is decided before the table is built.  A
+    failing verdict reports the lexicographically smallest violating
     subset: the first split the shared scan yields.
     """
     _require_within_cap(frame, cap, "complement property certification")
@@ -1058,10 +1031,10 @@ def norm_retrieval_certify(
     phase retrieval with no split tested; the identity test
     (``_identity_holds``), which certifies a frame whose rank-one
     projections span I closely enough, method ``nr-identity-span``; then
-    the scan budget, the hyperplane table and the walk, so every other
-    ``holds`` rests on the scan's own rank and overlap decisions.  The
-    first failure is reported as the subset plus the offending unit null
-    directions.
+    the driver's spark stage, the scan's n prefix splits and the walk of
+    the hyperplane table, so every other ``holds`` rests on the scan's own
+    rank and overlap decisions.  The first failure is reported as the
+    subset plus the offending unit null directions.
 
     A complex frame is decided by the identity test on its Hermitian lift
     alone: it holds (``nr-identity-span``) when the test passes, and is

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 import framelab as fl
 from framelab._linalg import full_column_rank
-from framelab.retrieval import _BATCH_ENTRIES
+from framelab.retrieval import _BATCH_ENTRIES, _deficient
 
 
 def _tail_energy(frame: fl.Frame, head: list[int]) -> float:
@@ -277,8 +279,8 @@ def test_stability_sweep_huge_radius_can_break_pr():
     seed=st.integers(0, 2**16),
 )
 def test_stability_sweep_counts_what_each_trial_certifies(d, extra, tol, trials, seed):
-    # All these frames but d = 2, n < 5 have more splits than the scan budget, so the holding ones
-    # go on to the table; the loose tolerances let large radii break some frames, so a stack holds both verdicts.
+    # Every frame here has more splits than the scan's n prefixes, so the holding ones the spark stage leaves
+    # open go on to the table; the loose tolerances let large radii break some frames, so a stack holds both verdicts.
     frame = fl.gen_random(d, 2 * d - 1 + extra, seed=seed)
     lambdas = [0.0, 0.2, 0.5, 1.0, 3.0]
     if fl.complement_property(frame, tol).verdict != fl.HOLDS:
@@ -300,26 +302,32 @@ def test_stability_sweep_counts_what_each_trial_certifies(d, extra, tol, trials,
 )
 def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_trial(monkeypatch, frame, tol, failures):
     lambdas, trials, seed = [0.0, 0.05, 0.2, 0.5], 6, 3
-    calls, matrices = [], []
+    deciding, decided, matrices = [], Counter(), []
+
+    def recording(v, chunk, tol):
+        deciding[:] = [v.tobytes()]
+        return _deficient(v, chunk, tol)
 
     def counting(stack, *args, **kwargs):
-        calls.append(1)
         matrices.append(len(stack))
+        decided[deciding[0], stack.tobytes()] += 1
         return full_column_rank(stack, *args, **kwargs)
 
+    monkeypatch.setattr("framelab.retrieval._deficient", recording)
     monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
     # The lift settles gen_random(4, 11) with no rank call on either path, and so does the spark
     # stage when the lift is refused; this counts the scan's.
     for path in ("framelab.retrieval._lifted_holds", "framelab.perturb._lifted_holds", "framelab.retrieval._spark_holds"):
         monkeypatch.setattr(path, lambda vs, tol: np.zeros(len(vs), dtype=bool))
     points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
-    swept_calls, swept = len(calls), sum(matrices)
-    calls.clear()
+    swept, swept_decided = sum(matrices), decided.copy()
+    decided.clear()
     matrices.clear()
     assert [p.failures for p in points] == _trial_failures(frame, lambdas, trials, seed, tol) == failures
     fl.complement_property(frame, tol)
     assert swept <= sum(matrices)
-    assert swept_calls < len(calls)
+    # Each frame of the sweep decides the same stacks of matrices as when it is certified alone.
+    assert swept_decided == decided
 
 
 def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 import tracemalloc
+from itertools import compress
 from math import comb
 from unittest.mock import patch
 
@@ -15,6 +16,7 @@ from framelab._linalg import annihilator, scaled
 from framelab.retrieval import (
     _BATCH_ENTRIES,
     _WALK_ENTRIES,
+    _chunks,
     _deficient,
     _first_failures,
     _first_subset,
@@ -25,7 +27,6 @@ from framelab.retrieval import (
     _lift_cutoff,
     _lifted_holds,
     _r_stack,
-    _scan_budget,
     _spark_bounds,
     _spark_holds,
     _walk,
@@ -580,7 +581,7 @@ def _without_the_lift():
 
 
 def _without_the_spark():
-    """Make the spark stage refuse every frame, so that frames with n >= 2d - 1 go on to the scan budget and the table."""
+    """Make the spark stage refuse every frame, so that frames with n >= 2d - 1 go on to the scan's prefixes and the table."""
     return patch("framelab.retrieval._spark_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
 
 
@@ -594,6 +595,13 @@ def _deficient_splits(frame, tol=1e-10):
     splits = []
     _first_failures(frame.vectors[None], tol, lambda v, chunk: splits.extend(chunk))
     return splits
+
+
+def _walked_splits(frame, tol=1e-10):
+    """Every split of the table's walk where neither side spans, in walk order, decided chunk by chunk."""
+    v = frame.vectors
+    for chunk in _chunks(_walk(len(v), _intervals(_hyperplane_table(v, tol))), *v.shape):
+        yield from compress(chunk, _deficient(v, chunk, tol))
 
 
 def _complement_holds(stack, tol):
@@ -619,16 +627,16 @@ def _assert_matches_the_scan(frame):
 
     assert library() == reference
     # The lift settles most frames with n >= d(d + 1)/2 before any split, and the spark stage most
-    # others with n >= 2d - 1; without them they reach the table.  With no split checked before the
-    # table, every split comes from its walk.
+    # others with n >= 2d - 1; without them they reach the table past the scan's n prefixes.
     with _without_the_lift(), _without_the_spark():
         assert library() == reference
-        with patch("framelab.retrieval._scan_budget", lambda n, d: 0):
-            assert library() == reference
-            # Nor, for norm retrieval, does the identity test settle repeated ONBs before the table.
-            if real:
-                with _without_the_identity():
-                    assert _decisions(frame, [], None, fl.norm_retrieval_certify(frame))[2:] == reference[2:]
+        # Nor, for norm retrieval, does the identity test settle repeated ONBs before the table.
+        if real:
+            with _without_the_identity():
+                assert _decisions(frame, [], None, fl.norm_retrieval_certify(frame))[2:] == reference[2:]
+    # The table's walk alone, from its first split, finds every deficient split.
+    if _hyperplane_table(frame.vectors, 1e-10) is not None:
+        assert list(_walked_splits(frame)) == reference[0]
 
 
 def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
@@ -759,10 +767,12 @@ def _assert_nr_matches_the_scan(frame):
     """Norm retrieval as the reference scan decides it, also when the identity test or the table stage decides every frame."""
     reference = _nr_decision(norm_retrieval_reference(frame))
     assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
-    with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    with _without_the_lift(), _without_the_spark():
         assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
         with _without_the_identity():
             assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
+    if _hyperplane_table(frame.vectors, 1e-10) is not None:
+        assert list(_walked_splits(frame)) == list(deficient_splits_reference(frame))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1007,13 +1017,17 @@ def test_certifiers_decide_at_the_cap_from_the_table():
     assert cert.witness_subset == tuple(i for i in range(21) if i % 4 != 3)
 
 
-def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
-    # Their tables would hold C(24, 15) and C(16, 8) atom subsets, while the
-    # scan meets the first deficient split within a few dozen.
+def _refuse_the_table(monkeypatch):
     def refuse(v, tol):
         raise AssertionError("the table was built")
 
     monkeypatch.setattr("framelab.retrieval._hyperplane_table", refuse)
+
+
+def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
+    # Their tables would hold C(24, 15) and C(16, 8) atom subsets, while both have
+    # n < 2d - 1 and so fail among the scan's n prefix splits.
+    _refuse_the_table(monkeypatch)
     product = fl.tensor_product(fl.gen_random(3, 4, seed=1), fl.gen_random(3, 4, seed=2)).product
     for frame in (fl.gen_random(16, 24, seed=0), product):
         started = time.perf_counter()
@@ -1021,6 +1035,47 @@ def test_a_frame_that_fails_early_never_builds_the_table(monkeypatch):
         assert time.perf_counter() - started < 1.0
         assert cert.verdict == fl.FAILS
         assert cert.witness_subset == complement_property_reference(frame)
+
+
+def _small_frames(d, n, field):
+    """Three seeded frames of n atoms in d dimensions, one with a zero atom, one with repeated atoms, and the zero frame."""
+    frames = [fl.gen_random(d, n, seed, field) for seed in range(3)]
+    v = frames[0].vectors.copy()
+    v[n // 2] = 0.0
+    repeated = frames[1].vectors.copy()
+    repeated[1:] = repeated[: n - 1]
+    return frames + [_unit_frame(v), _unit_frame(repeated), _unit_frame(np.zeros_like(v))]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_a_frame_with_fewer_than_2d_minus_1_atoms_is_decided_on_the_scan_prefixes(monkeypatch, field, d):
+    # At the prefix {0..n - d} one side holds n - d + 1 < d atoms and the other d - 1, so neither
+    # spans: such a frame fails at the latest there, among the scan's first n splits.
+    _refuse_the_table(monkeypatch)
+    for n in range(d, 2 * d - 1):
+        for frame in _small_frames(d, n, field):
+            cert = fl.complement_property(frame)
+            assert cert.verdict == fl.FAILS
+            assert cert.witness_subset == complement_property_reference(frame)
+            assert len(cert.witness_subset) <= n - d + 1
+
+
+@pytest.mark.parametrize("left, right", [
+    (fl.gen_random(2, 3, seed=0), fl.gen_random(4, 6, seed=10)),
+    (fl.gen_random(3, 4, seed=1), fl.gen_mercedes()),
+    (fl.gen_mercedes(), fl.gen_random(3, 4, seed=1)),
+], ids=["random2x3-random4x6", "random3x4-mercedes", "mercedes-random3x4"])
+def test_a_product_that_fails_at_a_prefix_never_builds_the_table(monkeypatch, left, right):
+    # A left factor that fails at the prefix {0..k} makes the product fail at the prefix of its
+    # first (k + 1) n_2 atoms; Mercedes times random(3, 4) fails at {0..5} as well.  The first product
+    # (n = 18, d = 8) takes about half a millisecond on the prefixes and about 50 through the table.
+    product = fl.tensor_product(left, right).product
+    _refuse_the_table(monkeypatch)
+    cert = fl.complement_property(product)
+    assert cert.verdict == fl.FAILS
+    assert cert.witness_subset == complement_property_reference(product)
+    assert cert.witness_subset == tuple(range(len(cert.witness_subset)))
 
 
 def test_a_table_without_covering_pairs_is_walked_once():
@@ -1036,15 +1091,13 @@ def test_a_table_without_covering_pairs_is_walked_once():
 
 
 def test_a_table_with_many_covering_candidates_decides_through_its_walk():
-    # 18 atoms in R^8: 128,400 hyperplane pairs are tested for covering.  With no
-    # split checked before the table, the first failure comes from its walk.
+    # 18 atoms in R^8: 128,400 hyperplane pairs are tested for covering.  The certifier
+    # meets the prefix {0..8} before it builds the table; read from its start, the
+    # table's walk finds the same first failure.
     product = fl.tensor_product(fl.gen_random(2, 3, seed=0), fl.gen_random(4, 6, seed=10)).product
-    with patch("framelab.retrieval._scan_budget", lambda n, d: 0), patch(
-        "framelab.retrieval._walk", wraps=_walk
-    ) as walk:
-        cert = fl.complement_property(product)
-    walk.assert_called_once()
-    assert cert.witness_subset == tuple(range(9)) == complement_property_reference(product)
+    first, _ = next(_walked_splits(product))
+    assert first == fl.complement_property(product).witness_subset == tuple(range(9))
+    assert first == complement_property_reference(product)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1054,11 +1107,10 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
     for frame in (fl.gen_random(3, 5), _two_plane(8, seed=8), _repeated_onb(3, 3)):
         huge = frame.with_vectors(frame.vectors * scale)
         assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10), _hyperplane_table(frame.vectors, 1e-10))
-        for budget in (_scan_budget, lambda n, d: 0):
-            with patch("framelab.retrieval._scan_budget", budget):
-                assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
-                assert fl.phase_retrieval_certify(huge).verdict == fl.phase_retrieval_certify(frame).verdict
-                assert fl.norm_retrieval_certify(huge).verdict == fl.norm_retrieval_certify(frame).verdict
+        assert list(_walked_splits(huge)) == list(deficient_splits_reference(frame))
+        assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
+        assert fl.phase_retrieval_certify(huge).verdict == fl.phase_retrieval_certify(frame).verdict
+        assert fl.norm_retrieval_certify(huge).verdict == fl.norm_retrieval_certify(frame).verdict
 
 
 @pytest.mark.filterwarnings("error")
@@ -1070,9 +1122,8 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
 def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
     # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
     # table must scale such a frame all the same, or every split is scanned.  With no
-    # split checked before it, no lift and no spark stage every frame builds the table;
-    # gen_random(3, 5) would otherwise fit whole in the scan budget, the lift certify the
-    # complex frame, and the spark stage both.
+    # lift and no spark stage every frame builds the table once its n prefix splits
+    # are decided; the lift would otherwise certify the complex frame, and the spark stage both.
     tiny = fl.gen_random(d, n, seed, field)
     tiny = tiny.with_vectors(tiny.vectors * 1e-310)
     # The stored entries times 2^1030 are normal, and the product is exact.
@@ -1084,12 +1135,16 @@ def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d
         tables.append(_hyperplane_table(*args))
         return tables[-1]
 
-    with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._scan_budget", lambda n, d: 0):
+    with _without_the_lift(), _without_the_spark():
         with patch("framelab.retrieval._hyperplane_table", recording):
             got = certify(tiny)
         assert tables and all(table is not None for table in tables)
         want = certify(normal)
     assert (got.verdict, got.witness_subset) == (want.verdict, want.witness_subset)
+    walked = list(_walked_splits(tiny))
+    assert walked == list(_walked_splits(normal))
+    if n <= 12:  # the reference decides all 2^(n - 1) splits: 2.4 s at n = 18
+        assert walked == list(deficient_splits_reference(normal))
     for a, b in zip(got.witness_vectors or (), want.witness_vectors or (), strict=True):
         assert np.array_equal(a, b)
 
@@ -1114,13 +1169,13 @@ def test_without_a_table_every_split_is_checked():
 
 
 def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
-    # 12 atoms in R^3 leave a scan budget of 18 splits.  The first frame fails at
-    # {0..5} | {6..11}, the 7th split of the scan.  The second holds through the table:
+    # Each frame's stream starts with the scan's 12 prefix splits.  The first frame fails at
+    # {0..5} | {6..11}, the 7th of them, and builds no table.  The second holds through the table:
     # its atoms lie on the cone x^2 + y^2 = z^2, so the lift has a kernel, and no two
     # of its planes cover the atoms.  The third has its even atoms in the x-y plane and
     # its odd atoms in the y-z plane with z scaled by 1e-8: it spans at the tolerance but
     # not at 1000 times it, so it has no table and fails in the scan of every split.  The
-    # spark stage would certify the cone frame, whose every three atoms span, before the budget.
+    # spark stage would certify the cone frame, whose every three atoms span, before any split.
     blocked = np.random.default_rng(0).standard_normal((12, 3))
     blocked[:6, 2] = 0.0
     blocked[6:, 0] = 0.0
@@ -1129,15 +1184,13 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     flat = _two_plane(12, seed=12).vectors * [1.0, 1.0, 1e-8]
     frames = [_unit_frame(blocked), _unit_frame(cone), _unit_frame(flat)]
     stack = np.stack([frame.vectors for frame in frames])
-    assert _scan_budget(12, 3) == 18
     assert not _lifted_holds(stack, 1e-10).any()
     assert [_hyperplane_table(frame.vectors, 1e-10) is None for frame in frames] == [False, False, True]
     decided = {frame.vectors.tobytes(): [] for frame in frames}
 
-    def recording(vs, chunk, tol):
-        for v in vs:
-            decided[v.tobytes()].extend(chunk)
-        return _deficient(vs, chunk, tol)
+    def recording(v, chunk, tol):
+        decided[v.tobytes()].extend(chunk)
+        return _deficient(v, chunk, tol)
 
     with _without_the_spark(), patch("framelab.retrieval._deficient", recording), patch(
         "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
@@ -1146,6 +1199,8 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
         assert table.call_count == 2 and walk.call_count == 1
         assert found == [(0, 1, 2, 3, 4, 5), None, (0, 2, 4, 6, 8, 10)]
         assert found == [complement_property_reference(frame) for frame in frames]
+        # The first frame is decided on the scan's 12 prefix splits alone.
+        assert decided[blocked.tobytes()] == list(complement_pairs(12))[:12]
         # Findings that never stop a frame give every deficient split of each frame,
         # and the third frame has each split of the scan decided once.
         for calls in decided.values():
