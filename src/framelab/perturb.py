@@ -10,8 +10,14 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It draws every trial's perturbation from one seeded generator, a block
-  of trials at a time, and certifies the input frame and its trials in
+  It certifies the input frame once, by its lift, whose margin decides the
+  small radii with no trial drawn: by Weyl's inequality no perturbation
+  that small moves the lift's singular values far enough for a split to
+  fail (Balan, "Stability of phase retrievable frames", 2013).  The
+  smallest singular values of its d-subsets decide, by the same
+  inequality, radii the lift leaves open.  For the
+  radii past them it draws every trial's perturbation from one seeded
+  generator, a block of trials at a time, and certifies the trials in
   stacks, through the lift and the driver that ``complement_property``
   runs on a single frame.
 
@@ -53,6 +59,7 @@ from .retrieval import (
     _lifted_holds,
     _nr_failure,
     _pr_failure,
+    _radius_stage,
     _require_within_cap,
     _Split,
     norm_retrieval_certify,
@@ -344,21 +351,36 @@ def stability_sweep(
     on the ball of radius ``lam`` (Voelker, Gosmann & Stewart, 2017), so
     every radius scales one field per trial.
     The input must be a real frame that does phase retrieval, with at
-    least one radius and one trial.  The perturbed frames are built and
-    certified in blocks of trials, every radius of a trial in its block,
-    each block of at most the batch size in entries (at least one trial).
-    A block's frames form one real stack.  The lift decides it in one
-    stacked SVD, and the frames it leaves open go through the driver of
-    ``complement_property``: the spark stage decides them at once, and the
-    frames still open go on one by one, through the scan's n prefix splits
-    and then the hyperplane table.  Each verdict is the one
+    least one radius and one trial.  The cap, the field, the radii, the
+    trial count and the seed are checked first, in that order, before
+    anything is certified.
+
+    The radius stage (``_radius_stage``).  The input is certified once,
+    by its lift (``_lift_margin``), and when the lift leaves a radius open,
+    by its d-subsets' smallest singular values (``_spark_margin``); a
+    radius either margin decides (``_decided_radii``) gets 0 failures with
+    no trial drawn.  A trial at radius lam builds atom i as fl(v_i + fl(lam g_i)),
+    g_i its computed field, |g_i| <= 1 + (d + 4) eps (a norm of d + 2
+    coordinates and a division); so it moves v_i by at most lam (1 + (d +
+    6) eps) + eps |v_i|, the move ``_decided_radii`` allows for, and no
+    trial at a decided radius has a split the scan calls deficient: each
+    holds, as it would in ``phase_retrieval_certify``, and none is
+    non-finite.  The radii ascend, so the decided radii are a prefix.
+
+    The radii past that prefix are built and certified in blocks of
+    trials, every open radius of a trial in its block, each block of at
+    most the batch size in entries (at least one trial).  A block's frames
+    form one real stack.  The lift decides it in one stacked SVD, and the
+    frames it leaves open go through the driver of ``complement_property``:
+    the spark stage decides them at once, and the frames still open go on
+    one by one, through the scan's n prefix splits and then the hyperplane
+    table.  An input neither margin certifies is row 0 of the first
+    block's driver stack.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame, so the counts
-    do not depend on the blocks.
-    The input frame is certified as row 0 of the first block's stack, after
-    the cap, the field, the radii and the trial count are checked.  Each
-    block draws its trials' rows of ``x`` at once; the generator fills them
-    in order, so a trial's field does not depend on where the blocks are
-    cut.
+    do not depend on the blocks.  Each block draws its trials' rows of
+    ``x`` at once; the generator fills them in order, so a trial's field
+    does not depend on where the blocks are cut, nor on how many radii
+    the margin decided.
     """
     _require_within_cap(frame, cap, "complement property certification")
     if frame.field != "real":
@@ -371,25 +393,31 @@ def stability_sweep(
         raise ValueError("lambdas must hold at least one radius")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    # The seed is refused here, as the generator would refuse it, even when no trial is drawn.
+    seeds = np.random.SeedSequence(seed)
 
     n, d = frame.n_atoms, frame.dim
-    scales = np.array(lams)[:, None, None, None]
-    block = max(1, _BATCH_ENTRIES // (len(lams) * n * d))
-    rng = np.random.default_rng(seed)
+    decided, certified = _radius_stage(frame.vectors, tol, lams)
     failures = np.zeros(len(lams), dtype=int)
-    for lo in range(0, trials, block):
-        count = min(block, trials - lo)
-        # The first d of d + 2 normal coordinates, over the norm of all d + 2, are uniform on the unit d-ball.
-        x = rng.standard_normal((count, n, d + 2))
-        fields = x[..., :d] / np.linalg.norm(x, axis=2, keepdims=True)
-        stack = (frame.vectors + scales * fields).reshape(-1, n, d)
-        _require_finite(stack)
-        # The first block also certifies the input frame, as its row 0.
-        head = frame.vectors[None] if lo == 0 else stack[:0]
-        stack = np.concatenate([head, stack])
-        failed = ~_lifted_holds(stack, tol)
-        failed[failed] = [w is not None for w in _first_failures(stack[failed], tol, _first_subset)]
-        if failed[: len(head)].any():
-            raise ValueError(_NOT_PR)
-        failures += failed[len(head) :].reshape(len(lams), count).sum(axis=1)
+    open_lams = lams[decided:]
+    if open_lams:
+        scales = np.array(open_lams)[:, None, None, None]
+        block = max(1, _BATCH_ENTRIES // (len(open_lams) * n * d))
+        rng = np.random.default_rng(seeds)
+        for lo in range(0, trials, block):
+            count = min(block, trials - lo)
+            # The first d of d + 2 normal coordinates, over the norm of all d + 2, are uniform on the unit d-ball.
+            x = rng.standard_normal((count, n, d + 2))
+            fields = x[..., :d] / np.linalg.norm(x, axis=2, keepdims=True)
+            stack = (frame.vectors + scales * fields).reshape(-1, n, d)
+            _require_finite(stack)
+            failed = ~_lifted_holds(stack, tol)
+            # An input the radius stage does not certify is decided with the first block's open frames, as their row 0.
+            head = frame.vectors[None] if lo == 0 and not certified else stack[:0]
+            if len(head) or failed.any():
+                found = _first_failures(np.concatenate([head, stack[failed]]), tol, _first_subset)
+                if len(head) and found[0] is not None:
+                    raise ValueError(_NOT_PR)
+                failed[failed] = [w is not None for w in found[len(head) :]]
+            failures[decided:] += failed.reshape(len(open_lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

@@ -14,7 +14,13 @@ can have neither side spanning under the scan's rank test, so the
 complement property, and norm retrieval with it for a real frame, hold
 with no split visited; and the lift is injective, so the frame does phase
 retrieval over either field.  ``_lifted_holds`` carries the proof and the
-bound on LAPACK's rounding error that it assumes.
+bound on LAPACK's rounding error that it assumes.  ``_lift_margin``
+extends a certificate to every frame whose lift lies within a stated
+distance of the certified frame's, ``_spark_margin`` does the same from
+the smallest singular values of the frame's d-subsets, as the spark stage
+below argues, and ``_decided_radii``
+turns either into radii of atom moves, which is how ``stability_sweep``
+decides its small radii with no trial drawn (``_radius_stage``).
 The lift can only answer ``holds``, and the atom cap is checked before it.
 Frames it does not certify and frames with n < D go on to the splits,
 save that norm retrieval first tries the identity test.
@@ -112,8 +118,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, compress, dropwhile, filterfalse, islice
-from math import comb, sqrt
-from typing import Any, Callable, Iterator
+from math import comb, hypot, ldexp, sqrt
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -200,8 +206,8 @@ _FIRST_CHUNK = 8
 _TABLE_MARGIN = 1e3
 # Projected entries the hyperplane walk expands at a time, per level of its subset tree.
 _WALK_ENTRIES = 1 << 15
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
@@ -580,14 +586,188 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
 
     Each frame is first scaled by a power of two, which is exact, so that
     its largest entry lies in [1/2, 1) and the squares neither overflow nor
-    underflow.  One stacked SVD decides the whole stack.
+    underflow (``_lift_spectra``).  One stacked SVD decides the whole stack.
     """
     k, n, d = vs.shape
     complex_ = vs.dtype.kind == "c"
     if n < _lift_width(d, complex_) or not tol >= 0:
         return np.zeros(k, dtype=bool)
-    s = np.linalg.svd(_lift(scaled(vs)[0]), compute_uv=False)
+    s = _lift_spectra(vs)[2]
     return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
+
+
+def _lift_spectra(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each frame of a (k, n, d) stack scaled by 2^-e (``scaled``), the exponents e, and its lift's singular values, descending."""
+    w, exponents = scaled(vs)
+    return w, exponents, np.linalg.svd(_lift(w), compute_uv=False)
+
+
+class _Margin(NamedTuple):
+    """A frame v scaled to w = 2^-e v (``scaled``), the exponent e, and a test of which frames near v hold.
+
+    ``covers(norms, b)`` is true only when no frame W whose scaled atoms
+    lie within b_i of w_i, each, exactly, has a split the scan calls
+    deficient; ``norms`` holds each |w_i| as ``_decided_radii`` computes it.
+    """
+
+    w: np.ndarray
+    exponent: int
+    covers: Callable[[list[float], list[float]], bool]
+
+
+def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
+    """For a real (n, d) frame its lift certifies, the frames near it the lift covers (``_Margin``); None for any other frame.
+
+    A frame W has no split the scan calls deficient when the lift of
+    2^-e W lies within m, in spectral norm, of the lift L of w = 2^-e v,
+    both exact.  The certificate of ``_lifted_holds`` thus covers every
+    frame near v, with no SVD of its own.
+
+    Proof.  Let s_1 and s_D be the computed largest and smallest singular
+    values of L, and c t, eta and kappa as in ``_lifted_holds``: c = 2
+    sqrt(n d), t = tol + eta (1 + tol), eta = n D eps, and every computed
+    singular value within kappa sigma_1(L) of the exact one, kappa <= 3.2
+    eta.  So sigma_1(L) <= s_1 / (1 - kappa) <= (1 + 3.3 eta) s_1 and
+    sigma_D(L) >= s_D - 3.3 eta s_1.  Let delta = |L' - L|_2, L' the exact
+    lift of 2^-e W, which is 4^-e that of W, so its singular values keep
+    their ratio.  By Weyl's inequality sigma_D(L') >= s_D - 3.3 eta s_1 -
+    delta and sigma_1(L') <= (1 + 3.3 eta) s_1 + delta.  A split the scan
+    calls deficient in W forces sigma_D(L') <= c t sigma_1(L') (the proof
+    of ``_lifted_holds``), and so delta (1 + c t) >= s_D - c t s_1 - 3.3
+    eta (1 + c t) s_1.  The lift certifies v, so c t < beta < 1 and 3.3
+    eta (1 + c t) < 6.6 eta.  The margin is computed as m = (s_D - (c t +
+    8 eta + 16 eps) s_1) / (1 + c t); the numerator's slack of 1.4 eta +
+    16 eps covers the rounding of c t and then of the numerator, at most
+    3 eps s_1 each.  So delta < m (1 - 4 eps), which allows for the
+    rounding of the division and of 1 + c t, leaves no deficient split.
+    m may be 0 or negative, and then it covers no frame.
+
+    The move.  When the scaled atoms of W lie within b_i of w_i, let f_i =
+    2^-e W_i - w_i.  Row i of the lift is the image of phi_i phi_i^T under
+    an isometry, and (w_i + f_i)(w_i + f_i)^T - w_i w_i^T = w_i f_i^T + f_i
+    w_i^T + f_i f_i^T, so the exact lift of 2^-e W lies within delta =
+    (sum_i (2 |w_i| b_i + b_i^2)^2)^(1/2) of L in Frobenius norm, and so in
+    spectral norm.  ``covers`` computes delta in floats, within (n / 4 + 6)
+    eps of its value, relatively; widened by (n + 16) eps it stays above
+    the exact delta over 1 - 4 eps.  So a computed delta under the computed
+    m gives delta < m (1 - 4 eps), which leaves no deficient split.
+    """
+    n, d = v.shape
+    if n < _lift_width(d, False) or not tol >= 0:
+        return None
+    w, exponents, s = _lift_spectra(v[None])
+    top, low = float(s[0, 0]), float(s[0, -1])
+    if not low > _lift_cutoff(n, d, tol) * top:
+        return None
+    eta = n * _lift_width(d, False) * _EPS
+    ct = 2.0 * sqrt(n * d) * (tol + eta * (1 + tol))
+    margin = (low - (ct + 8 * eta + 16 * _EPS) * top) / (1 + ct)
+    grow = 1 + (n + 16) * _EPS
+
+    def covers(norms: list[float], b: list[float]) -> bool:
+        total = 0.0
+        for a, x in zip(norms, b):
+            total += ((2 * a + x) * x) ** 2
+        return sqrt(total) * grow < margin
+
+    return _Margin(w[0], int(exponents[0]), covers)
+
+
+def _spark_margin(v: np.ndarray, tol: float) -> _Margin | None:
+    """For a real (n, d) frame with n >= 2d - 1 atoms, the frames near it its d-subsets cover (``_Margin``); None for any other.
+
+    A frame with n >= 2d - 1 atoms whose every d atoms span, with room,
+    has no split the scan calls deficient (``_spark_holds``), and moving
+    each atom by at most B moves the smallest singular value of each d x d
+    minor by at most sqrt(d) B.  So the minors' smallest singular values,
+    from one stacked SVD, certify every frame near v.  Frames whose C(n,
+    d) minors hold more than ``_WALK_ENTRIES`` entries, and any frame given
+    tol < 0, get None.
+
+    Proof.  Let t = tol + eta (1 + tol) and eta = n d eps, and assume, as
+    ``_spark_holds`` does, that each computed singular value of an m x d
+    matrix X, m <= n, is within eta |X|_2 of the exact one.  Let s_R be
+    the computed smallest singular value of the minor w_R and F >= |w|_F;
+    then sigma_min(w_R) >= s_R - eta F.  Let the scaled atoms of W lie
+    within b_i of w_i, B = max_i b_i and E = 2^-e W - w.  |E_R|_2 <=
+    |E_R|_F <= sqrt(d) B and |E|_F <= sqrt(n) B, so by Weyl's inequality
+    sigma_min((2^-e W)_R) >= s_R - eta F - sqrt(d) B and |2^-e W|_F <= F +
+    sqrt(n) B.  When every s_R exceeds (t + eta) F + (sqrt(d) + t sqrt(n))
+    B, then sigma_min((2^-e W)_R) > t |2^-e W|_F for every R, and the
+    proof of ``_spark_holds``, whose inequalities keep under scaling,
+    leaves W no split the scan calls deficient.  F is |w|_F from
+    ``math.hypot``, within a few eps of it, widened by (n d + 4) eps;
+    ``covers`` computes the right-hand side in at most eight operations on
+    positive numbers, each within eps, and widens it by 16 eps.
+    """
+    n, d = v.shape
+    if n < 2 * d - 1 or not tol >= 0 or comb(n, d) * d * d > _WALK_ENTRIES:
+        return None
+    w, exponents = scaled(v[None])
+    w = w[0]
+    least = float(np.linalg.svd(w[_d_subsets(n, d)], compute_uv=False)[:, -1].min())
+    eta = n * d * _EPS
+    t = tol + eta * (1 + tol)
+    frob = hypot(*w.ravel().tolist()) * (1 + (n * d + 4) * _EPS)
+    base, reach, widen = (t + eta) * frob, sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
+
+    def covers(norms: list[float], b: list[float]) -> bool:
+        return least > (base + reach * max(b)) * widen
+
+    return _Margin(w, int(exponents[0]), covers)
+
+
+def _decided_radii(margin: _Margin, lams: list[float]) -> int:
+    """How many of the ascending radii, from the first, a margin (``_lift_margin``, ``_spark_margin``) decides.
+
+    A radius lam is decided when no frame W whose atom i lies within lam
+    (1 + (d + 6) eps) + eps |v_i| of v_i, for each i, has a split the scan
+    calls deficient; that is how far a trial of ``stability_sweep`` moves
+    an atom.  Proof.  Let w = 2^-e v, with e from the margin, and b_i =
+    2^-e lam (1 + (d + 6) eps) + eps |w_i|, which bounds how far atom i of
+    2^-e W lies from w_i; the margin's ``covers`` decides the radius from
+    the b_i.  Each b_i grows with lam, and so does what ``covers`` tests,
+    so the decided radii are a prefix.
+
+    Only radii with 2^-e lam < 2 are decided, and none when e > 1021, so
+    every frame a decided radius covers is finite.  That rule drops no
+    radius either margin decides.  2^-e lam >= 2 gives b_i >= 2, so the
+    lift's delta >= 4 sqrt(n), while m < s_D <= |L|_F / sqrt(D) < sqrt(2
+    n), up to rounding, as each scaled atom has |w_i|^2 < d; and the
+    d-subsets' bound exceeds 2 sqrt(d), while each s_R <= |w_R|_F /
+    sqrt(d) < sqrt(d), up to rounding.
+    """
+    w, exponent, covers = margin
+    d = w.shape[1]
+    norms = [hypot(*row) for row in w.tolist()]
+    stretch = 1 + (d + 6) * _EPS
+    decided = 0
+    for lam in lams:
+        if exponent > 1021 or not lam < ldexp(2.0, exponent):
+            break
+        step = (ldexp(lam, -exponent) + _TINY) * stretch
+        if not covers(norms, [step + _EPS * a for a in norms]):
+            break
+        decided += 1
+    return decided
+
+
+def _radius_stage(v: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bool]:
+    """How many of the ascending radii, from the first, the real frame's margins decide, and whether they certify it.
+
+    The lift's margin is tried first, and the d-subsets' margin
+    (``_spark_margin``) only on the radii the lift leaves open; a radius
+    either decides is decided (``_decided_radii``), and as each decides a
+    prefix, so do both.  The frame is
+    certified when its lift certifies it, or when the d-subsets' margin
+    decides a radius, since a margin that covers the frames near v covers
+    v.
+    """
+    lifted = _lift_margin(v, tol)
+    decided = 0 if lifted is None else _decided_radii(lifted, lams)
+    if decided < len(lams) and (spark := _spark_margin(v, tol)) is not None:
+        decided += _decided_radii(spark, lams[decided:])
+    return decided, lifted is not None or decided > 0
 
 
 @lru_cache(maxsize=None)

@@ -32,6 +32,15 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
+* ``lift_radius_reference`` evaluates the sweep's radius-stage inequality
+  in 60-digit arithmetic, from the singular values of the column-by-column
+  lift, where the library computes it in floats with allowances for its
+  own rounding.
+* ``spark_radius_reference`` checks the d-subsets' radius inequality
+  exactly, as a positive definite test of each minor's Gram matrix by its
+  leading minors in rationals, where the library takes each minor's
+  smallest singular value from a stacked SVD in floats with allowances
+  for its rounding.
 * ``hermitian_lift_reference`` builds the lifted map Q -> (phi_i^* Q phi_i)_i
   on Hermitian matrices column by column from an explicit orthonormal
   basis of them, where the library writes the complex lift's rows from
@@ -47,6 +56,9 @@ algorithm, so agreement between the two is meaningful evidence:
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import combinations, islice
 from typing import Iterator
 
@@ -331,8 +343,8 @@ def subset_sigma_min_reference(v: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.svd(v[list(r)], compute_uv=False)[-1] for r in subsets])
 
 
-def lift_ratio_reference(v: np.ndarray) -> float:
-    """sigma_min / sigma_max of the lifted map Q -> (phi_i^T Q phi_i)_i on symmetric d x d matrices.
+def _lift_singular_values(v: np.ndarray) -> np.ndarray:
+    """The singular values of the lifted map Q -> (phi_i^T Q phi_i)_i on symmetric d x d matrices, descending.
 
     Column k of the map's matrix is A(E_k) for the orthonormal basis E_aa,
     (E_ab + E_ba) / sqrt(2) (a < b) of the symmetric matrices, each entry
@@ -345,8 +357,97 @@ def lift_ratio_reference(v: np.ndarray) -> float:
             e = np.zeros((d, d))
             e[a, b] = e[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
             columns.append(np.einsum("ia,ab,ib->i", v, e, v))
-    s = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
+    return np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
+
+
+def lift_ratio_reference(v: np.ndarray) -> float:
+    """sigma_min / sigma_max of the lifted map Q -> (phi_i^T Q phi_i)_i on symmetric d x d matrices."""
+    s = _lift_singular_values(v)
     return float(s[-1] / s[0])
+
+
+def lift_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
+    """Whether the radius stage's inequality holds at ``lam`` for the real frame v, in 60-digit arithmetic.
+
+    The frame is scaled to w = 2^-e v, its largest entry in [1/2, 1).  Its
+    lift's computed singular values are each within kappa sigma_1 of the
+    exact ones, kappa = 3.2 eta, eta = n D eps (the assumption of
+    ``_lifted_holds``), so the exact sigma_1 <= s_1 / (1 - kappa) and
+    sigma_D >= s_D - kappa sigma_1.  A trial at radius lam moves w_i by at
+    most b_i = 2^-e lam (1 + (d + 6) eps) + eps |w_i|, and its lift by
+    delta = (sum_i (2 |w_i| b_i + b_i^2)^2)^(1/2).  True when sigma_D -
+    delta > 2 sqrt(n d) t (sigma_1 + delta), t = tol + eta (1 + tol): then
+    no trial at lam has a split the scan calls deficient.
+    """
+    n, d = v.shape
+    e = math.frexp(float(np.abs(v).max()))[1]
+    w = np.ldexp(v, -e)
+    s = _lift_singular_values(w)
+    with localcontext() as ctx:
+        # Decimal(float) is exact, and each operation rounds to 60 digits.
+        ctx.prec = 60
+        eps = Decimal(2) ** -52
+        eta = n * (d * (d + 1) // 2) * eps
+        kappa = Decimal("3.2") * eta
+        top = Decimal(float(s[0])) / (1 - kappa)
+        low = Decimal(float(s[-1])) - kappa * top
+        t = Decimal(tol) + eta * (1 + Decimal(tol))
+        reach = Decimal(lam) * Decimal(2) ** -e * (1 + (d + 6) * eps)
+        total = Decimal(0)
+        for row in w.tolist():
+            a = sum(Decimal(x) ** 2 for x in row).sqrt()
+            b = reach + eps * a
+            total += ((2 * a + b) * b) ** 2
+        delta = total.sqrt()
+        return low - delta > 2 * Decimal(n * d).sqrt() * t * (top + delta)
+
+
+def _exact_det(rows: list[list[Fraction]]) -> Fraction:
+    """The determinant of a square matrix of rationals, by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _exact_det([row[:j] + row[j + 1 :] for row in rows[1:]]) for j in range(len(rows))
+    )
+
+
+def spark_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
+    """Whether the d-subsets' radius inequality holds at ``lam`` for the real frame v, exactly.
+
+    The frame is scaled to w = 2^-e v, its largest entry in [1/2, 1).  A
+    trial at radius lam moves w_i by at most b_i = 2^-e lam (1 + (d + 6)
+    eps) + eps |w_i|, and B = max_i b_i.  True when every d-subset R has
+    sigma_min(w_R) > c = sqrt(d) B + t (|w|_F + sqrt(n) B), t = tol + n d
+    eps (1 + tol): then no trial at lam has a split the scan calls
+    deficient.  c is rounded up at 60 digits, and sigma_min(w_R) > c is
+    decided exactly: w_R^T w_R - c^2 I is positive definite, which holds
+    when its leading principal minors are all positive (Sylvester's
+    criterion).
+    """
+    n, d = v.shape
+    e = math.frexp(float(np.abs(v).max()))[1]
+    w = np.ldexp(v, -e)
+    exact = [[Fraction(x) for x in row] for row in w.tolist()]
+    squares = [sum(x * x for x in row) for row in exact]
+    with localcontext() as ctx:
+        # Decimal(float) is exact, and each operation rounds to 60 digits.
+        ctx.prec = 60
+
+        def decimal(q: Fraction) -> Decimal:
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        eps = Decimal(2) ** -52
+        t = Decimal(tol) + n * d * eps * (1 + Decimal(tol))
+        reach = Decimal(lam) * Decimal(2) ** -e * (1 + (d + 6) * eps)
+        most = max(reach + eps * decimal(q).sqrt() for q in squares)
+        frob = decimal(sum(squares)).sqrt()
+        c = (Decimal(d).sqrt() * most + t * (frob + Decimal(n).sqrt() * most)) * (1 + Decimal(10) ** -50)
+    floor = Fraction(c) ** 2
+    for r in combinations(range(n), d):
+        gram = [[sum(exact[i][a] * exact[i][b] for i in r) - (floor if a == b else 0) for b in range(d)] for a in range(d)]
+        if not all(_exact_det([row[:k] for row in gram[:k]]) > 0 for k in range(1, d + 1)):
+            return False
+    return True
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:

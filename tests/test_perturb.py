@@ -1,15 +1,24 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
 from framelab._linalg import full_column_rank
-from framelab.retrieval import _BATCH_ENTRIES, _deficient
+from framelab.retrieval import _BATCH_ENTRIES, _EPS, _decided_radii, _deficient, _lift_margin, _spark_margin
+from oracles import (
+    complement_property_reference,
+    lift_radius_reference,
+    lift_ratio_reference,
+    spark_radius_reference,
+    subset_sigma_min_reference,
+)
 
 
 def _tail_energy(frame: fl.Frame, head: list[int]) -> float:
@@ -237,6 +246,11 @@ def test_break_nr_l2_distance_scales_with_epsilon():
     assert large.l2_distance == pytest.approx(4.0 * small.l2_distance, rel=1e-9)
 
 
+def _without_the_radius():
+    """Make the input's margins decide nothing in the sweep, so that every radius builds its trials and the input goes through the driver."""
+    return patch("framelab.perturb._radius_stage", lambda v, tol, lams: (0, False))
+
+
 def _trial_frames(frame: fl.Frame, lambdas, trials: int, seed: int) -> list[list[fl.Frame]]:
     """A sweep's perturbed frames, radius by radius, each trial built alone from its slice of one draw."""
     n, d = frame.n_atoms, frame.dim
@@ -319,7 +333,8 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
     # stage when the lift is refused; this counts the scan's.
     for path in ("framelab.retrieval._lifted_holds", "framelab.perturb._lifted_holds", "framelab.retrieval._spark_holds"):
         monkeypatch.setattr(path, lambda vs, tol: np.zeros(len(vs), dtype=bool))
-    points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
+    with _without_the_radius():
+        points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
     swept, swept_decided = sum(matrices), decided.copy()
     decided.clear()
     matrices.clear()
@@ -346,6 +361,141 @@ def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed)] == [0, 0, 0]
 
 
+def _decided_bound(margin) -> float:
+    """The largest radius a margin of the input decides, by bisection on the radius stage; 0 when it decides none."""
+    lo, hi = 0.0, math.ldexp(2.0, margin.exponent)
+    if not _decided_radii(margin, [lo]):
+        return lo
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if _decided_radii(margin, [mid]) else (lo, mid)
+    return lo
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.integers(0, 4),
+    kind=st.sampled_from(["generic", "near-degenerate", "spread"]),
+    gap=st.sampled_from([None, 1e-12, 1e-10, 1e-8]),
+    tol=st.sampled_from([0.0, 1e-10, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_every_trial_of_a_radius_the_lift_decides_holds(d, extra, kind, gap, tol, seed):
+    # Radii at the decided bound and 1e-6 either side of it.  A tol set a relative gap under the input's own lift
+    # ratio leaves a margin of a few hundred eps and up, where the allowances for rounding move the bound.
+    n = d * (d + 1) // 2 + extra
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, d))
+    if kind == "near-degenerate":
+        v[-1] = v[0] + 1e-6 * rng.standard_normal(d)
+    elif kind == "spread":
+        v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    if gap is not None:
+        tol = lift_ratio_reference(v) * (1 - gap) / (2 * math.sqrt(n * d)) - 8 * n * (d * (d + 1) // 2) * _EPS
+    lifted = _lift_margin(v, tol)
+    assume(lifted is not None)
+    bound = _decided_bound(lifted)
+    probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
+    decided = probes[: _decided_radii(lifted, probes)]
+    for lam in decided:
+        assert lift_radius_reference(v, tol, lam)
+    frame = fl.Frame(fl.make_atomic(np.ones(n)), v)
+    for row in _trial_frames(frame, decided, 2, seed):
+        assert all(complement_property_reference(trial, tol) is None for trial in row)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    extra=st.integers(0, 4),
+    kind=st.sampled_from(["generic", "near-degenerate", "spread"]),
+    gap=st.sampled_from([None, 1e-12, 1e-10, 1e-8]),
+    tol=st.sampled_from([0.0, 1e-10, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap, tol, seed):
+    # As for the lift, from n = 2d - 1 atoms: radii at the decided bound and 1e-6 either side of it.  A tol set a
+    # relative gap under the input's least d-subset sigma_min over |V|_F leaves a margin where the allowances for
+    # rounding move the bound.
+    n = 2 * d - 1 + extra
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, d))
+    if kind == "near-degenerate":
+        v[-1] = v[0] + 1e-6 * rng.standard_normal(d)
+    elif kind == "spread":
+        v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    if gap is not None:
+        w = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+        tol = max(0.0, float(subset_sigma_min_reference(v).min() / np.linalg.norm(w)) * (1 - gap) - 2 * n * d * _EPS)
+    margin = _spark_margin(v, tol)
+    assert margin is not None
+    bound = _decided_bound(margin)
+    probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
+    decided = probes[: _decided_radii(margin, probes)]
+    for lam in decided:
+        assert spark_radius_reference(v, tol, lam)
+    frame = fl.Frame(fl.make_atomic(np.ones(n)), v)
+    for row in _trial_frames(frame, decided, 2, seed):
+        assert all(complement_property_reference(trial, tol) is None for trial in row)
+
+
+def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
+    # Each pair of Mercedes atoms has sigma_min = sqrt(2)/2, which a move of at most lam per atom keeps above 0
+    # while sqrt(2) lam is below it: the radii up to just under the breaking radius 0.5 are decided, and 0.5 is not.
+    margin = _spark_margin(fl.gen_mercedes().vectors, 1e-10)
+    assert _decided_radii(margin, [0.01, 0.1, 0.3, 0.45, 0.499, 0.5]) == 5
+    assert 0.499 < _decided_bound(margin) < 0.5
+
+
+def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(monkeypatch):
+    # gen_random(2, 4, seed=19): its lift's margin decides 1e-4 and 1e-3, and its d-subsets' margin decides 1e-2.
+    frame, lambdas = fl.gen_random(2, 4, seed=19), [1e-4, 1e-3, 1e-2]
+    assert _decided_radii(_lift_margin(frame.vectors, 1e-10), lambdas) == 2
+    assert _decided_radii(_spark_margin(frame.vectors, 1e-10), lambdas) == 3
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn or certified")
+
+    for path in ("framelab.perturb._lifted_holds", "framelab.perturb._first_failures", "numpy.random.default_rng"):
+        monkeypatch.setattr(path, refuse)
+    assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials=50, seed=1)] == [0, 0, 0]
+
+
+def test_the_lift_decides_mercedes_only_below_its_breaking_radius():
+    # Mercedes breaks at radius 0.5, where each atom comes within 0.5 of one of two lines.  Its margin decides
+    # the radii through 0.2 and stops before 0.3.
+    lifted = _lift_margin(fl.gen_mercedes().vectors, 1e-10)
+    assert _decided_radii(lifted, [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]) == 4
+    assert 0.2 < _decided_bound(lifted) < 0.3
+
+
+@pytest.mark.parametrize(
+    "frame, lambdas", [(fl.gen_mercedes(), [0.01, 0.05, 0.1, 0.2]), (fl.gen_random(2, 4, seed=1), [1e-4, 1e-3, 1e-2])]
+)
+def test_a_decided_sweep_makes_one_svd_and_draws_no_trial(monkeypatch, frame, lambdas):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn or certified")
+
+    monkeypatch.setattr("numpy.linalg.svd", counting)
+    for path in ("framelab.perturb._lifted_holds", "framelab.retrieval.full_column_rank", "numpy.random.default_rng"):
+        monkeypatch.setattr(path, refuse)
+    points = fl.stability_sweep(frame, lambdas, trials=50, seed=1)
+    assert [p.failures for p in points] == [0] * len(lambdas)
+    assert shapes == [(1, frame.n_atoms, 3)]
+    # A negative seed is still refused, before the input is certified.
+    shapes.clear()
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        fl.stability_sweep(frame, lambdas, trials=50, seed=-1)
+    assert shapes == []
+
+
 def test_stability_sweep_steps_stay_within_the_batch_size(monkeypatch):
     frame, lambdas, trials = fl.gen_mercedes(), [0.0, 0.3, 0.5, 1.0], 400
     sizes = []
@@ -368,7 +518,7 @@ def test_stability_sweep_is_deterministic():
 
 
 def _certified_stacks(monkeypatch, frame, lambdas, trials: int, seed: int) -> list[list[bytes]]:
-    """The bytes of every frame the sweep certifies, stack by stack, each stand-in verdict holding."""
+    """The bytes of every perturbed frame the sweep builds, stack by stack, each stand-in lift verdict holding."""
     stacks = []
 
     def recording_stack(stack, *args, **kwargs):
@@ -383,10 +533,10 @@ def _certified_stacks(monkeypatch, frame, lambdas, trials: int, seed: int) -> li
 def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
     frame = fl.gen_random(2, 5, seed=3)
     lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
-    # The input frame is row 0 of the one stack, and each trial's frames are byte for byte those it builds alone.
-    expected = [frame.vectors.tobytes()]
-    expected += [trial.vectors.tobytes() for row in _trial_frames(frame, lambdas, trials, seed) for trial in row]
-    assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [expected]
+    # The trials form one stack, and each trial's frames are byte for byte those it builds alone.
+    expected = [trial.vectors.tobytes() for row in _trial_frames(frame, lambdas, trials, seed) for trial in row]
+    with _without_the_radius():
+        assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [expected]
 
 
 def test_stability_sweep_blocks_build_each_trial_as_it_builds_alone(monkeypatch):
@@ -396,15 +546,16 @@ def test_stability_sweep_blocks_build_each_trial_as_it_builds_alone(monkeypatch)
     lambdas, trials, seed = [0.01, 0.1, 0.3], 4, 7
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 200)
     rows = _trial_frames(frame, lambdas, trials, seed)
-    first = [frame.vectors.tobytes()] + [row[t].vectors.tobytes() for row in rows for t in range(3)]
+    first = [row[t].vectors.tobytes() for row in rows for t in range(3)]
     second = [row[3].vectors.tobytes() for row in rows]
-    assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [first, second]
+    with _without_the_radius():
+        assert _certified_stacks(monkeypatch, frame, lambdas, trials, seed) == [first, second]
 
 
 def _frames_by_radius(stacks: list[list[bytes]], n_lams: int) -> list[list[bytes]]:
-    """Each radius's certified frames in trial order, gathered from every block's stack, the input frame left out."""
+    """Each radius's certified frames in trial order, gathered from every block's stack."""
     rows: list[list[bytes]] = [[] for _ in range(n_lams)]
-    for stack in [stacks[0][1:], *stacks[1:]]:
+    for stack in stacks:
         count = len(stack) // n_lams
         for k in range(n_lams):
             rows[k] += stack[k * count : (k + 1) * count]
@@ -418,14 +569,14 @@ def test_stability_sweep_blocks_change_no_trial(monkeypatch, per_block):
 
     def run():
         counts = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed, tol)]
-        with pytest.MonkeyPatch.context() as patch:
+        # At the default tolerance the d-subsets' margin decides 0.3; without it every radius is built.
+        with pytest.MonkeyPatch.context() as patch, _without_the_radius():
             return counts, _certified_stacks(patch, frame, lambdas, trials, seed)
 
     whole_counts, whole = run()
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", per_block * len(lambdas) * frame.vectors.size)
     counts, blocked = run()
     assert len(whole) == 1 and len(blocked) == -(-trials // per_block)
-    assert blocked[0][0] == whole[0][0] == frame.vectors.tobytes()
     assert _frames_by_radius(blocked, len(lambdas)) == _frames_by_radius(whole, len(lambdas))
     assert counts == whole_counts and sum(counts) > 0
 
@@ -436,7 +587,7 @@ def test_stability_sweep_draws_uniformly_on_the_ball(monkeypatch, d):
     frame, lam = fl.gen_random(d, 20, seed=d), 0.5
     stacks = _certified_stacks(monkeypatch, frame, [lam], 1000, seed=11)
     rows = np.concatenate([np.frombuffer(b"".join(stack), dtype=float) for stack in stacks]).reshape(-1, 20, d)
-    radii = np.linalg.norm(rows[1:] - frame.vectors, axis=2).ravel() / lam
+    radii = np.linalg.norm(rows - frame.vectors, axis=2).ravel() / lam
     assert radii.size == 20_000 and radii.max() < 1.0
     for r in (0.3, 0.6, 0.9):
         assert abs(np.mean(radii <= r) - r**d) < 0.02
@@ -509,6 +660,8 @@ def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
         return [() if rows[0, 0] > frame.vectors[0, 0] else None for rows in stack]
 
     monkeypatch.setattr("framelab.perturb._first_failures", by_rows)
+    # The d-subsets' margin decides 0.01 and certifies the input; without it every radius is built.
+    monkeypatch.setattr("framelab.perturb._radius_stage", lambda v, tol, lams: (0, False))
     whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
     # The first stack also holds the input frame, in row 0.
     assert stacks == [(34, 5, 3)] and 0 < sum(whole) < 33
