@@ -319,9 +319,10 @@ def _tensor(args: argparse.Namespace, frames: list[Frame], watch: _Stopwatch) ->
 
 
 # Built once per process: ``main`` runs many times in one process, and parsing
-# reads the parser without changing it.
+# reads the parsers without changing them.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's parser by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -329,8 +330,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a frame file")
+    def add(name: str, parent: argparse.ArgumentParser, help: str) -> argparse.ArgumentParser:
+        commands[name] = sub.add_parser(name, parents=[parent], help=help)
+        return commands[name]
+
+    p_gen = add("gen", common, help="generate a frame file")
     p_gen.add_argument("kind", choices=list(_GENERATORS))
     p_gen.add_argument("--dim", type=int, default=3)
     p_gen.add_argument("--n", type=int, default=4)
@@ -341,25 +347,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", required=True)
     p_gen.set_defaults(compute=_gen, inputs=())
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="frame bounds, eta, Bessel check")
+    p_bounds = add("bounds", common, help="frame bounds, eta, Bessel check")
     p_bounds.add_argument("file")
     p_bounds.set_defaults(compute=_bounds, inputs=("file",))
 
-    p_cert = sub.add_parser("certify", parents=[capped], help="certify phase or norm retrieval; complex nr holds when I lies in the span of the frame's rank-one projections, and is otherwise inconclusive (exit 3)")
+    p_cert = add("certify", capped, help="certify phase or norm retrieval; complex nr holds when I lies in the span of the frame's rank-one projections, and is otherwise inconclusive (exit 3)")
     p_cert.add_argument("property", choices=["pr", "nr"])
     p_cert.add_argument("file")
     p_cert.add_argument("--tol", type=float, default=None, help="pr: rank tolerance, overriding FRAMELAB_TOL; nr: orthogonality tolerance (default 1e-8), while FRAMELAB_TOL still sets the rank tolerance")
     p_cert.add_argument("--alpha-restarts", type=int, default=4, help="accepted and ignored, but must be at least 1 for pr: certify estimates no alpha (see the alpha command); a complex frame holds when its lifted Hermitian map certifies it, fails when the complement property fails, and is otherwise inconclusive (exit 3)")
     p_cert.set_defaults(compute=_certify, inputs=("file",))
 
-    p_alpha = sub.add_parser("alpha", parents=[common], help="alternating minimization lower-bound functional")
+    p_alpha = add("alpha", common, help="alternating minimization lower-bound functional")
     p_alpha.add_argument("file")
     p_alpha.add_argument("--restarts", type=int, default=8)
     p_alpha.add_argument("--iters", type=int, default=100)
     p_alpha.add_argument("--seed", type=int, default=0)
     p_alpha.set_defaults(compute=_alpha, inputs=("file",))
 
-    p_pert = sub.add_parser("perturb", parents=[capped], help="retrieval-breaking perturbations")
+    p_pert = add("perturb", capped, help="retrieval-breaking perturbations")
     p_pert.add_argument("construction", choices=["break-pr", "break-nr"])
     p_pert.add_argument("file")
     p_pert.add_argument("--head", default=None, help="comma-separated head atom ids (break-pr)")
@@ -368,26 +374,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pert.add_argument("-o", "--output", required=True)
     p_pert.set_defaults(compute=_perturb, inputs=("file",))
 
-    p_sweep = sub.add_parser("sweep", parents=[capped], help="phase retrieval stability sweep")
+    p_sweep = add("sweep", capped, help="phase retrieval stability sweep")
     p_sweep.add_argument("file")
     p_sweep.add_argument("--lambdas", required=True, help="comma-separated ascending radii")
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.set_defaults(compute=_sweep, inputs=("file",))
 
-    p_tensor = sub.add_parser("tensor", parents=[capped], help="tensor product of two frame files")
+    p_tensor = add("tensor", capped, help="tensor product of two frame files")
     p_tensor.add_argument("left")
     p_tensor.add_argument("right")
     p_tensor.add_argument("-o", "--output", required=True)
     p_tensor.add_argument("--check", choices=["pr", "nr"], default=None)
     p_tensor.set_defaults(compute=_tensor, inputs=("left", "right"))
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the command it names.
+
+    That parser gets the same words the top-level parser would hand it, and
+    what it leaves over is refused by the top-level parser with the text of
+    its own ``parse_args``.  An ``argv`` that names no command, such as
+    ``-h`` or an unknown word, is parsed by the top-level parser.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     command = " ".join(["framelab"] + argv)
     watch = _Stopwatch(args.timings)
     try:

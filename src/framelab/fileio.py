@@ -2,9 +2,15 @@
 
 A frame file records the field, the dimension, one atom record per frame
 vector (weight, coordinates, optional label) and an optional provenance
-block.  Complex coordinates are stored as ``[re, im]`` pairs.  Loading
-checks every atom with plain type tests, then builds the row array in one
-call.
+block.  Complex coordinates are stored as ``[re, im]`` pairs.
+
+Loading is one pass: the file is read with one ``open``, and its bytes
+are decoded, parsed and hashed once each.  Every atom is then checked
+with plain type tests, in file order.  The weights go to the measure space
+as one list, where one vector test checks them all, and the coordinates
+become the row array in one call.  No ``Atom`` record is built, and
+writing a frame reads its weights and labels directly, so none is built
+there either.
 
 Canonical bytes are ``json.dumps(obj, indent=2, allow_nan=False)`` plus a
 newline: two-space indentation, ASCII escapes and shortest round-trip
@@ -61,10 +67,10 @@ def _number(value: Any) -> float:
 
 def frame_to_doc(frame: Frame, provenance: dict | None = None) -> dict:
     atoms = []
-    for atom, row in zip(frame.space.atoms, frame.vectors):
-        entry: dict[str, Any] = {"weight": atom.weight, "vector": vector_to_json(row)}
-        if atom.label is not None:
-            entry["label"] = atom.label
+    for weight, label, row in zip(frame.space.weights.tolist(), frame.space.labels, frame.vectors):
+        entry: dict[str, Any] = {"weight": weight, "vector": vector_to_json(row)}
+        if label is not None:
+            entry["label"] = label
         atoms.append(entry)
     doc: dict[str, Any] = {"field": frame.field, "dim": frame.dim, "atoms": atoms}
     if provenance is not None:
@@ -91,10 +97,13 @@ def doc_to_frame(doc: dict) -> Frame:
     for k, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "weight" not in entry or "vector" not in entry:
             raise ValueError(f"atom {k}: each atom needs 'weight' and 'vector'")
-        try:
-            weights.append(_number(entry["weight"]))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"atom {k}: weight must be a number, got {entry['weight']!r}") from exc
+        weight = entry["weight"]
+        if type(weight) is not float:
+            try:
+                weight = _number(weight)
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"atom {k}: weight must be a number, got {weight!r}") from exc
+        weights.append(weight)
         label = entry.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f"atom {k}: label must be a string, got {label!r}")
@@ -205,15 +214,26 @@ def _digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    # Unbuffered: the one read takes the whole file, so a buffer would only be copied out of.
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read()
+
+
 def _read_json(path: str | Path) -> tuple[Any, str]:
-    """Parse one JSON file; return the document and the digest of the bytes parsed.
+    """Parse one UTF-8 JSON file; return the document and the digest of the bytes parsed.
 
     Hashing the bytes that were parsed, rather than reading the file again,
-    keeps a report's digest tied to the content it was computed from.
+    keeps a report's digest tied to the content it was computed from.  A
+    file that is not UTF-8 or not JSON is refused with its path named.
     """
-    raw = Path(path).read_bytes()
+    raw = _read_bytes(path)
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8: {exc}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     return doc, _digest(raw)
@@ -238,7 +258,7 @@ def load_provenance(path: str | Path) -> dict | None:
 
 
 def file_digest(path: str | Path) -> str:
-    return _digest(Path(path).read_bytes())
+    return _digest(_read_bytes(path))
 
 
 def certificate_to_dict(cert: Certificate) -> dict:

@@ -56,7 +56,7 @@ __all__ = [
 
 def _require_finite(vectors: np.ndarray) -> None:
     """Refuse frame vectors holding NaN or Inf entries."""
-    if not np.all(np.isfinite(vectors)):
+    if not np.isfinite(vectors).all():
         raise ValueError("frame vectors must be finite (no NaN or Inf entries)")
 
 

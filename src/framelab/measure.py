@@ -4,11 +4,15 @@ Every measure space here is a finite list of atoms with strictly positive
 weights.  The quantity ``eta`` (the smallest weight) is the discrete stand-in
 for the infimum of positive subset measures and feeds the Bessel bound
 ``max_x ||F(x)|| <= sqrt(B / eta)`` checked in :mod:`framelab.frames`.
+
+A space holds its weights as one read-only float array, checked by one
+vector test, and its labels as a tuple.  Atom ``k`` is the pair at position
+``k``; the ``Atom`` records are built only when ``atoms`` is read, so
+loading and certifying a frame builds none.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -35,51 +39,59 @@ class Atom:
 
 @dataclass(frozen=True, eq=False)
 class MeasureSpace:
-    """An ordered, non-empty tuple of atoms with cached weight vector."""
-
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("a measure space needs at least one atom")
-        for k, atom in enumerate(self.atoms):
-            if atom.index != k:
-                raise ValueError(f"atom at position {k} has index {atom.index}; indices must be 0,1,2,...")
-        w = np.array([a.weight for a in self.atoms], dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "_weights", w)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def total_mass(self) -> float:
-        return float(self._weights.sum())
-
-    @property
-    def eta(self) -> float:
-        """Smallest atom weight: the minimum measure of a non-null subset."""
-        return float(self._weights.min())
-
-
-def make_atomic(weights: Iterable[float], labels: Sequence[str | None] | None = None) -> MeasureSpace:
-    """Build a measure space from positive weights and optional labels.
+    """A non-empty, ordered list of atoms: a read-only weight array and a label tuple.
 
     ``weights`` is any iterable of numbers, such as a list, a generator or
     a numpy array; ``labels``, when given, must be as long as ``weights``.
     Atom ``k`` is ``Atom(k, float(weights[k]), labels[k])`` (the ``float``
-    puts a numpy weight into an error message as a plain number), and the
-    space is the ``MeasureSpace`` of those atoms, so every check and its
-    error is theirs, raised for the first atom that fails it.
+    puts a numpy weight into an error message as a plain number).  When the
+    vector test of the weights fails, those atoms are built one at a time,
+    in order, so the error raised is the first failing atom's own.
     """
-    if labels is not None and len(labels) != len(weights):
-        raise ValueError("labels and weights must have the same length")
-    names = itertools.repeat(None) if labels is None else labels
-    return MeasureSpace(tuple(Atom(k, float(w), label) for k, (w, label) in enumerate(zip(weights, names))))
+
+    weights: np.ndarray
+    labels: tuple[str | None, ...] | None = None
+
+    def __post_init__(self) -> None:
+        weights, labels = self.weights, self.labels
+        if not isinstance(weights, np.ndarray):
+            weights = list(weights)
+        if labels is not None and len(labels) != len(weights):
+            raise ValueError("labels and weights must have the same length")
+        if len(weights) == 0:
+            raise ValueError("a measure space needs at least one atom")
+        try:
+            w = np.array(weights, dtype=float)
+            checked = w.ndim == 1 and bool(((w > 0.0) & (w < math.inf)).all())
+        except (TypeError, ValueError, OverflowError):
+            checked = False
+        if not checked:
+            w = np.array([Atom(k, float(x)).weight for k, x in enumerate(weights)])
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "labels", (None,) * len(w) if labels is None else tuple(labels))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        """The ``Atom`` at each position, built on every read."""
+        return tuple(Atom(k, w, label) for k, (w, label) in enumerate(zip(self.weights.tolist(), self.labels)))
+
+    @property
+    def total_mass(self) -> float:
+        return float(self.weights.sum())
+
+    @property
+    def eta(self) -> float:
+        """Smallest atom weight: the minimum measure of a non-null subset."""
+        return float(self.weights.min())
+
+
+def make_atomic(weights: Iterable[float], labels: Sequence[str | None] | None = None) -> MeasureSpace:
+    """Build a measure space from positive weights and optional labels: ``MeasureSpace(weights, labels)``."""
+    return MeasureSpace(weights, labels)
 
 
 def quadrature_discretize(

@@ -66,9 +66,9 @@ def tensor_product(left: Frame, right: Frame) -> TensorFrame:
     if left.field != right.field:
         raise ValueError(f"field mismatch: {left.field} vs {right.field}")
     labels = [
-        None if a.label is None or b.label is None else f"({a.label},{b.label})"
-        for a in left.space.atoms
-        for b in right.space.atoms
+        None if a is None or b is None else f"({a},{b})"
+        for a in left.space.labels
+        for b in right.space.labels
     ]
     space = make_atomic(np.outer(left.weights, right.weights).ravel(), labels)
     vectors = np.einsum("ia,jb->ijab", left.vectors, right.vectors).reshape(

@@ -518,6 +518,25 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in stderr
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "pr", "bad.json"],
+    ["tensor", "m.json", "bad.json", "-o", "t.json"],
+])
+def test_a_file_that_is_not_utf8_names_itself(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, "gen", "mercedes", "-o", "m.json")
+    (tmp_path / "bad.json").write_bytes(b"\xff{}")
+    code, stdout, stderr = _run(capsys, *argv)
+    message = f"bad.json: not valid UTF-8: {_NOT_UTF8}"
+    assert code == 2
+    assert stdout == fl.dumps_canonical({"command": shlex.join(["framelab", *argv]), "error": message})
+    assert stderr == f"error: {message}\n"
+    assert not (tmp_path / "t.json").exists()
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -608,6 +627,24 @@ def test_each_malformed_atom_gets_its_own_error_report(field, atoms, message, tm
     assert stderr == f"error: {message}\n"
 
 
+def test_loading_and_certifying_a_frame_builds_no_atom(tmp_path, capsys, monkeypatch):
+    frame = fl.gen_random(3, 7, 4)
+    path = tmp_path / "f.json"
+    fl.save_frame(path, fl.Frame(fl.make_atomic(frame.weights, ["a", None, "c", "d", None, "f", "g"]), frame.vectors))
+    doc = json.loads(path.read_text())
+    reference = tuple(fl.Atom(k, entry["weight"], entry.get("label")) for k, entry in enumerate(doc["atoms"]))
+
+    def no_atom(*args, **kwargs):
+        raise AssertionError("an Atom was built")
+
+    monkeypatch.setattr("framelab.measure.Atom", no_atom)
+    code, stdout, _ = _run(capsys, "certify", "nr", str(path))
+    assert code == 0 and json.loads(stdout)["data"]["verdict"] == "holds"
+    space = fl.doc_to_frame(doc).space
+    monkeypatch.undo()
+    assert space.atoms == reference
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bounds_and_alpha_refuse_a_frame_whose_operators_overflow(tmp_path, capsys):
     # Squares of these entries overflow float64; the lift scales each frame by a power of two first.
@@ -694,6 +731,48 @@ def test_main_builds_its_parser_once_and_keeps_no_state(tmp_path, capsys, monkey
     assert progs.count("framelab") == 1
     assert json.loads(first)["tolerances"]["rank_tol"] == 1e-6
     assert json.loads(second)["tolerances"]["rank_tol"] == fl.DEFAULT_RANK_TOL
+
+
+def _outcome(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of ``main(argv)``, a parser's exit included, with timing figures masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    stdout = out.getvalue()
+    if '"timings_ms"' in stdout:
+        report = json.loads(stdout)
+        report["timings_ms"] = list(report["timings_ms"])
+        stdout = json.dumps(report)
+    return code, stdout, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["certify"],
+    ["certify", "-h"],
+    ["certify", "pr", "F", "--bogus"],
+    ["certify", "pr", "F", "extra"],
+    ["--timings", "certify", "pr", "F"],
+    ["sweep", "F", "--lambdas"],
+    ["certify", "pr", "F", "--t"],  # ambiguous: --timings or --tol
+    ["certify", "pr", "F", "--ti"],  # an abbreviation of --timings
+    ["certify", "xx", "F"],
+    ["certify", "pr", "--", "F"],
+    ["tensor", "F", "F", "-o", "t.json", "--check"],
+])
+def test_each_command_parses_as_the_top_level_parser_would_parse_it(argv, tmp_path, monkeypatch):
+    # main hands a command's words straight to that command's parser; the top-level
+    # parser's parse_args hands it the same words, and both must exit, print and report alike.
+    monkeypatch.chdir(tmp_path)
+    assert _outcome(["gen", "mercedes", "-o", "F"])[0] == 0
+    direct = _outcome(argv)
+    monkeypatch.setattr(cli, "_parse", lambda words: cli._build_parser()[0].parse_args(words))
+    assert _outcome(argv) == direct
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -38,10 +38,11 @@ def test_make_atomic_rejects_empty():
 def test_make_atomic_builds_the_atoms_and_weights_of_the_checked_constructors():
     weights, labels = [0.5, 2, np.float64(1.5)], ["a", None, "c"]
     space = fl.make_atomic(weights, labels)
-    reference = fl.MeasureSpace(tuple(fl.Atom(k, w, label) for k, (w, label) in enumerate(zip(weights, labels))))
-    assert space.atoms == reference.atoms
+    reference = tuple(fl.Atom(k, w, label) for k, (w, label) in enumerate(zip(weights, labels)))
+    assert space.atoms == reference
     assert all(type(a.weight) is float for a in space.atoms)
-    assert space.weights.tobytes() == reference.weights.tobytes()
+    assert space.weights.tobytes() == np.array([a.weight for a in reference]).tobytes()
+    assert space.labels == ("a", None, "c")
     assert not space.weights.flags.writeable
 
 
@@ -52,10 +53,10 @@ def test_make_atomic_builds_the_atoms_and_weights_of_the_checked_constructors():
 ])
 def test_make_atomic_takes_a_generator_or_an_array_of_weights(weights):
     space = fl.make_atomic(weights)
-    reference = fl.MeasureSpace(tuple(fl.Atom(k, w) for k, w in enumerate([0.5, 2.0, 1.5])))
-    assert space.atoms == reference.atoms
+    reference = tuple(fl.Atom(k, w) for k, w in enumerate([0.5, 2.0, 1.5]))
+    assert space.atoms == reference
     assert all(type(a.weight) is float for a in space.atoms)
-    assert space.weights.tobytes() == reference.weights.tobytes()
+    assert space.weights.tobytes() == np.array([a.weight for a in reference]).tobytes()
     assert not space.weights.flags.writeable
 
 

@@ -8,13 +8,29 @@ from pathlib import Path
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity.py"
 
 
-def test_parity_prints_one_stable_line_per_op_and_the_warm_up():
+def _parity():
     spec = importlib.util.spec_from_file_location("parity", PARITY)
     parity = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(parity)
+    return parity
+
+
+def test_parity_prints_one_stable_line_per_op_and_the_warm_up():
+    parity = _parity()
     first = parity.lines("nr-real", 1)
     cycle = parity._mixes().build("nr-real", 1).cycle
     assert [line.split()[:3] for line in first] == [["nr-real", "1", key] for key in ["warmup"] + [op.key for op in cycle]]
     assert parity.lines("nr-real", 1) == first
     # The break-nr ops write their broken frames, and each written file is named with its digest.
     assert any("files=[broken-" in line for line in first)
+
+
+def test_parity_prints_one_stable_line_per_error_command():
+    parity = _parity()
+    first = parity.error_lines()
+    assert len(first) == len(parity.ERROR_ARGVS)
+    assert parity.error_lines() == first
+    codes = [line.split()[3] for line in first]
+    # The frame is written, help exits 0, and every usage error and malformed file exits 2.
+    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 6)
+    assert "files=[m.json=" in first[0]

@@ -11,6 +11,13 @@ that ``PYTHONPATH`` resolves: the same script checks any checkout's
 ``src``.  A line holds the workload, the seed, the op's key (``warmup`` for
 the warm-up), its exit code (the exception's name when it raises), and the
 sha256 of its stdout, of its stderr and of each file it wrote, by name.
+
+A fixed block of command lines that the benchmark never runs follows, one
+line each, printed once per call: usage errors, help, and input files that
+are not UTF-8 or not a JSON object, so that their exit codes and bytes are
+compared too.  Its lines start with ``errors -`` and the command line's
+words, joined by commas in brackets.
+
 Which framelab was imported goes to stderr, so the lines of two checkouts
 differ only where their ops do.
 """
@@ -30,6 +37,28 @@ import framelab
 from framelab import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Run in order in one directory: the first line writes the frame ``m.json``
+# that the others name; ``latin1.json`` is not UTF-8 and ``list.json`` holds
+# a JSON list.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
+# ``--timings``) but is left out: its report holds wall-clock times.
+ERROR_ARGVS = (
+    ("gen", "mercedes", "-o", "m.json"),
+    (),
+    ("-h",),
+    ("bogus",),
+    ("certify",),
+    ("certify", "-h"),
+    ("certify", "pr", "m.json", "--bogus"),
+    ("certify", "pr", "m.json", "extra"),
+    ("--timings", "certify", "pr", "m.json"),
+    ("sweep", "m.json", "--lambdas"),
+    ("certify", "pr", "m.json", "--t"),
+    ("certify", "xx", "m.json"),
+    ("certify", "pr", "latin1.json"),
+    ("tensor", "m.json", "latin1.json", "-o", "t.json"),
+    ("certify", "nr", "list.json"),
+)
 
 
 def _mixes():
@@ -69,19 +98,33 @@ def _run(argv: tuple[str, ...], directory: Path) -> str:
     return f"{code} out={_digest(out.getvalue().encode())} err={_digest(err.getvalue().encode())} files=[{files}]"
 
 
+@contextlib.contextmanager
+def _fresh_directory():
+    """Work in a new temporary directory, and go back and remove it afterwards."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield Path(tmp)
+        finally:
+            os.chdir(home)
+
+
 def lines(workload: str, seed: int) -> list[str]:
     """The warm-up op's line, then one line per op of the workload's cycle, in cycle order."""
     mix = _mixes().build(workload, seed)
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp)
+    with _fresh_directory() as directory:
         mix.write_inputs(directory)
-        os.chdir(directory)
-        try:
-            ops = [("warmup", mix.warmup)] + [(op.key, op) for op in mix.cycle]
-            return [f"{workload} {seed} {key} {_run(op.argv, directory)}" for key, op in ops]
-        finally:
-            os.chdir(home)
+        ops = [("warmup", mix.warmup)] + [(op.key, op) for op in mix.cycle]
+        return [f"{workload} {seed} {key} {_run(op.argv, directory)}" for key, op in ops]
+
+
+def error_lines() -> list[str]:
+    """One line per command line of ``ERROR_ARGVS``, run in order."""
+    with _fresh_directory() as directory:
+        (directory / "latin1.json").write_bytes("{\"field\": \"réel\"}".encode("latin-1"))
+        (directory / "list.json").write_text("[1, 2]\n")
+        return [f"errors - [{','.join(argv)}] {_run(argv, directory)}" for argv in ERROR_ARGVS]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -94,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             print("\n".join(lines(workload, seed)), flush=True)
+    print("\n".join(error_lines()), flush=True)
     return 0
 
 
