@@ -120,11 +120,6 @@ def _scan_split(n: int, ids: tuple[int, ...]) -> _Split:
     return (ids, rest) if ids[0] == 0 else (rest, ids)
 
 
-def _split_is_deficient(frame: Frame, split: _Split, rank_tol: float) -> bool:
-    """Whether neither side of the split spans, decided as the scan decides it."""
-    return _deficient(frame.vectors, [split], rank_tol)[0]
-
-
 def break_phase_retrieval(
     frame: Frame,
     head: Sequence[int],
@@ -192,7 +187,7 @@ def break_phase_retrieval(
     # (head, tail) is the split the construction breaks; every split is walked only when it does not fail.
     _require_within_cap(perturbed, cap, "complement property certification")
     split = _scan_split(n, head_ids)
-    if _split_is_deficient(perturbed, split, rank_tol):
+    if _deficient(perturbed.vectors, [split], rank_tol)[0]:
         certificate = _pr_failure(perturbed, split[0], rank_tol)
     else:
         certificate = phase_retrieval_certify(perturbed, rank_tol, cap)
@@ -311,7 +306,7 @@ def break_norm_retrieval(
     # (subset, complement) is the split the construction breaks; every split is walked only when it does not fail.
     split = _scan_split(n, subset_ids)
     certificate = None
-    if _split_is_deficient(perturbed, split, rank_tol):
+    if _deficient(perturbed.vectors, [split], rank_tol)[0]:
         certificate = _nr_failure(perturbed.vectors, [split], rank_tol, ortho_tol)
     if certificate is None:
         certificate = norm_retrieval_certify(perturbed, ortho_tol, rank_tol, cap)
@@ -374,8 +369,8 @@ def stability_sweep(
     frames it leaves open go through the driver of ``complement_property``:
     the spark stage decides them at once, and the frames still open go on
     one by one, through the scan's n prefix splits and then the hyperplane
-    table.  An input neither margin certifies is row 0 of the first
-    block's driver stack.  Each verdict is the one
+    table.  An input neither margin certifies is decided alone, by the
+    same driver, before any trial is drawn.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame, so the counts
     do not depend on the blocks.  Each block draws its trials' rows of
     ``x`` at once; the generator fills them in order, so a trial's field
@@ -398,6 +393,8 @@ def stability_sweep(
 
     n, d = frame.n_atoms, frame.dim
     decided, certified = _radius_stage(frame.vectors, tol, lams)
+    if not certified and _first_failures(frame.vectors[None], tol, _first_subset)[0] is not None:
+        raise ValueError(_NOT_PR)
     failures = np.zeros(len(lams), dtype=int)
     open_lams = lams[decided:]
     if open_lams:
@@ -412,12 +409,7 @@ def stability_sweep(
             stack = (frame.vectors + scales * fields).reshape(-1, n, d)
             _require_finite(stack)
             failed = ~_lifted_holds(stack, tol)
-            # An input the radius stage does not certify is decided with the first block's open frames, as their row 0.
-            head = frame.vectors[None] if lo == 0 and not certified else stack[:0]
-            if len(head) or failed.any():
-                found = _first_failures(np.concatenate([head, stack[failed]]), tol, _first_subset)
-                if len(head) and found[0] is not None:
-                    raise ValueError(_NOT_PR)
-                failed[failed] = [w is not None for w in found[len(head) :]]
+            if failed.any():
+                failed[failed] = [w is not None for w in _first_failures(stack[failed], tol, _first_subset)]
             failures[decided:] += failed.reshape(len(open_lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

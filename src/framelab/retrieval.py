@@ -9,18 +9,21 @@ a spanning side satisfies both conditions.
 A frame with n >= D atoms is first tested on its lift, the n x D matrix
 of the map Q -> (phi_i^* Q phi_i)_i: on symmetric d x d matrices, D =
 d(d + 1)/2, for a real frame, and on Hermitian ones, D = d^2, for a complex
-frame.  When the lift's singular values clear a stated cutoff, no split
-can have neither side spanning under the scan's rank test, so the
+frame.  One stacked SVD gives each lift its margin (``_lift_margins``):
+how far its smallest singular value clears the lift's one cutoff
+(``_lift_cutoff``) times its largest.  When the margin is positive, no
+split can have neither side spanning under the scan's rank test, so the
 complement property, and norm retrieval with it for a real frame, hold
 with no split visited; and the lift is injective, so the frame does phase
-retrieval over either field.  ``_lifted_holds`` carries the proof and the
-bound on LAPACK's rounding error that it assumes.  ``_lift_margin``
-extends a certificate to every frame whose lift lies within a stated
-distance of the certified frame's, ``_spark_margin`` does the same from
-the smallest singular values of the frame's d-subsets, as the spark stage
-below argues, and ``_decided_radii``
-turns either into radii of atom moves, which is how ``stability_sweep``
-decides its small radii with no trial drawn (``_radius_stage``).
+retrieval over either field.  ``_lifted_holds`` carries the two steps of
+the proof and the bound on LAPACK's rounding error that it assumes, and
+``_lift_margins`` the rest.  ``_lift_margin`` extends a certificate to
+every frame whose lift lies within the margin of the certified frame's,
+``_spark_margin`` does the same from the smallest singular values of the
+frame's d-subsets, as the spark stage below argues, and
+``_decided_radii`` turns either into radii of atom moves, which is how
+``stability_sweep`` decides its small radii with no trial drawn
+(``_radius_stage``).
 The lift can only answer ``holds``, and the atom cap is checked before it.
 Frames it does not certify and frames with n < D go on to the splits,
 save that norm retrieval first tries the identity test.
@@ -198,8 +201,6 @@ def _require_real(frame: Frame, what: str) -> None:
 _Split = tuple[tuple[int, ...], tuple[int, ...]]
 # Float entries per batched step: stacks of small matrices are cut to this size.
 _BATCH_ENTRIES = 1 << 12
-# Splits past the scan's prefixes decided together at first; later chunks double, up to the batch size.
-_FIRST_CHUNK = 8
 # The table's rank decisions are this many times looser than the scan's, so
 # near the cutoff it lists more candidate splits, never fewer; every candidate
 # is then decided with ``numerical_rank``'s cutoff, as the scan decides it.
@@ -423,9 +424,9 @@ def _complement_pairs(n: int) -> Iterator[_Split]:
 
 
 def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
-    """Cut splits into lists of ``_FIRST_CHUNK``, then twice as many each time, up to the batch size."""
+    """Cut splits into lists of one split, then twice as many each time, up to the batch size."""
     limit = max(1, _BATCH_ENTRIES // (n * d))
-    size = min(_FIRST_CHUNK, limit)
+    size = 1
     while chunk := list(islice(splits, size)):
         yield chunk
         size = min(2 * size, limit)
@@ -498,8 +499,12 @@ def _lift_width(d: int, complex_: bool) -> int:
 
 
 def _lift_cutoff(n: int, d: int, tol: float, complex_: bool = False) -> float:
-    """The cutoff beta of ``_lifted_holds``: ``2 sqrt(n d) (tol + 8 n D eps)`` with D = ``_lift_width(d, complex_)``."""
-    return 2.0 * sqrt(n * d) * (tol + 8 * n * _lift_width(d, complex_) * np.finfo(float).eps)
+    """The lift's one threshold on s_D / s_1: ``c t + 8 eta + 16 eps``, c = 2 sqrt(n d), t = tol + eta (1 + tol), eta = n D eps.
+
+    D is ``_lift_width(d, complex_)``; ``_lift_margins`` states why the cutoff suffices.
+    """
+    eta = n * _lift_width(d, complex_) * _EPS
+    return 2.0 * sqrt(n * d) * (tol + eta * (1 + tol)) + 8 * eta + 16 * _EPS
 
 
 @lru_cache(maxsize=None)
@@ -530,6 +535,50 @@ def _lift(vs: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, -z.imag[:, :, off]], axis=2)
 
 
+def _lift_margins(vs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each frame of a (k, n, d) stack scaled to w = 2^-e v (``scaled``), the exponents e, and the margin m of each lift.
+
+    m = (s_D - cutoff s_1) / (1 + cutoff), with s_1 and s_D the computed
+    largest and smallest singular values of the lift L of w (``_lift``),
+    from one stacked SVD, and cutoff = ``_lift_cutoff(n, d, tol,
+    complex_)``, the lift's one threshold; m = -inf when n < D or tol < 0.
+    A frame W has no split the scan calls deficient when the exact lift of
+    2^-e W lies within m (1 - 4 eps), in spectral norm, of the exact L.
+    With W = v that is the test of ``_lifted_holds``, m > 0, for either
+    field, and ``_lift_margin`` extends it to the real frames near v.
+
+    Proof.  Let c t, eta and kappa be as in ``_lifted_holds``: c = 2
+    sqrt(n d), t = tol + eta (1 + tol), eta = n D eps, and every computed
+    singular value within kappa sigma_1(L) of the exact one, kappa <= 3.2
+    eta (its second step).  So sigma_1(L) <= s_1 / (1 - kappa) <= (1 + 3.3
+    eta) s_1 and sigma_D(L) >= s_D - 3.3 eta s_1.  Let delta = |L' - L|_2,
+    L' the exact lift of 2^-e W, which is 4^-e that of W, so its singular
+    values keep their ratio.  By Weyl's inequality sigma_D(L') >= s_D -
+    3.3 eta s_1 - delta and sigma_1(L') <= (1 + 3.3 eta) s_1 + delta.  A
+    split the scan calls deficient in W forces sigma_D(L') <= c t
+    sigma_1(L') (the first step of ``_lifted_holds``), and so delta (1 + c
+    t) >= s_D - c t s_1 - 3.3 eta (1 + c t) s_1.  A positive m needs s_D >
+    cutoff s_1, and s_D <= s_1, so c t < cutoff < 1 and 3.3 eta (1 + c t)
+    < 6.6 eta.  The cutoff exceeds c t + 6.6 eta by 1.4 eta + 16 eps, which
+    covers the rounding of c t and then of the numerator, at most 3 eps
+    s_1 each.  So delta < m (1 - 4 eps), which allows for the rounding of
+    the division and of 1 + cutoff, itself above 1 + c t, leaves no
+    deficient split.  A zero or negative m covers no frame, not even v.
+
+    Each frame is first scaled by a power of two, which is exact, so that
+    its largest entry lies in [1/2, 1) and the squares neither overflow nor
+    underflow.
+    """
+    k, n, d = vs.shape
+    complex_ = vs.dtype.kind == "c"
+    w, exponents = scaled(vs)
+    if n < _lift_width(d, complex_) or not tol >= 0:
+        return w, exponents, np.full(k, -np.inf)
+    s = np.linalg.svd(_lift(w), compute_uv=False)
+    cutoff = _lift_cutoff(n, d, tol, complex_)
+    return w, exponents, (s[:, -1] - cutoff * s[:, 0]) / (1 + cutoff)
+
+
 def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     """For each frame of a (k, n, d) stack, whether its lift proves the complement property and phase retrieval.
 
@@ -538,68 +587,53 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     ``|q| = |Q|_F``.  For a real frame Q runs over the symmetric d x d
     matrices, D = d(d + 1)/2; for a complex frame over the Hermitian ones,
     D = d^2, a real space with the inner product tr(P Q).  A frame is
-    certified when n >= D and ``sigma_min(L) > beta sigma_max(L)`` with
-    ``beta = _lift_cutoff(n, d, tol, complex_)``; frames with n < D, or
-    any frame given tol < 0, are not.  A certified frame has no split the
-    scan calls deficient, so the lift can only answer ``holds``.  Its
-    exact L has sigma_min(L) > 0 as well, by the bound below, so the frame
-    does phase retrieval: |<x, phi_i>| = |<y, phi_i>| on every atom puts
-    x x^* - y y^* in the kernel of A, so x x^* = y y^*, and x is y times a
-    unimodular number (Bandeira, Cahill, Mixon and Nelson, "Saving phase",
-    2014).
+    certified when its lift's margin (``_lift_margins``) is positive: when
+    n >= D, tol >= 0 and the computed singular values have s_D > cutoff
+    s_1, cutoff = ``_lift_cutoff(n, d, tol, complex_)``.  The margin's
+    proof, at zero move and from the two steps below, leaves a certified
+    frame no split the scan calls deficient, so the lift can only answer
+    ``holds``.  Its exact L has sigma_min(L) >= s_D - 3.3 eta s_1 > 0 as
+    well, by the second step, so the frame does phase retrieval: |<x,
+    phi_i>| = |<y, phi_i>| on every atom puts x x^* - y y^* in the kernel
+    of A, so x x^* = y y^*, and x is y times a unimodular number
+    (Bandeira, Cahill, Mixon and Nelson, "Saving phase", 2014).
 
-    Proof.  Let M be the largest atom norm and eta = n D eps.  Assume that
-    each computed singular value of an m x c matrix X, real or complex, is
-    within eta |X|_2 of the exact one, for m <= n and c <= D.  This is an
-    assumption, not a theorem: LAPACK bounds that error by p(m, c) eps |X|_2
-    for a "modest polynomial" p it does not state, and the proof takes
-    p = n D.  Take a split (S, S^c) the scan calls deficient.  A side of
-    fewer than d atoms has a unit u with V_S u = 0; a larger one was
-    computed with s_d <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with
-    t = tol + eta (1 + tol), and |V_S|_2 <= |V|_F <= sqrt(n) M.  So there
-    are unit u and w with |V_S u| and |V_{S^c} w| both at most
-    t sqrt(n) M.  Put p = conj(u) and q = c conj(w), with |c| = 1 chosen so
-    that q^* p is real (c = 1 for a real frame), and Q = p q^* + q p^*,
-    which is Hermitian.  Entry i of V_S u is phi_i^T u, whose size is
-    |phi_i^* p|, and likewise for w and q.  Then A(Q)_i =
-    2 Re((phi_i^* p)(q^* phi_i)), whose size is at most 2 M |phi_i^T u| on
-    S and 2 M |phi_i^T w| on S^c, so |A(Q)| <= 2 sqrt(2) t sqrt(n) M^2,
-    while |Q|_F^2 = 2 + 2 Re((q^* p)^2) = 2 + 2 |q^* p|^2 >= 2.  Hence
-    sigma_min(L) <= 2 t sqrt(n) M^2, as n >= D.  And sigma_max(L) >=
-    |A(I)| / |I|_F >= M^2 / sqrt(d), so sigma_min(L) / sigma_max(L) <=
-    2 sqrt(n d) t.
-    The computed test sees L plus the rounding of its entries and then
-    LAPACK's error.  Each entry is computed within 4 eps of its exact
-    value relative to |phi_a|^2 on a column with a = b and to
-    sqrt(2) |phi_a| |phi_b| on one with a < b.  Along row i these bounds
-    have squares summing to at most 2 |phi_i|^4, so the rounding is at
-    most 4 sqrt(2) eps sqrt(n) M^2 <= 4 sqrt(2) eps sqrt(n d) sigma_max(L)
-    <= 2 eta sigma_max(L), since sqrt(n d) <= n and D >= 3 when d >= 2;
-    at d = 1 the one column, |phi|^2, is within 2 eps of it, and the
-    rounding is at most 2 eps sqrt(n) M^2 <= 2 eta sigma_max(L) again.  So
-    each computed singular value is within kappa sigma_max(L) of the exact
-    one, kappa <= 3.2 eta.  A passing test gives sigma_min(L) /
-    sigma_max(L) > beta (1 - kappa) - kappa.  It can pass only when
-    beta < 1, so tol < 1/2, and then the rounding term 8 eta of beta makes
-    beta (1 - kappa) - kappa exceed 2 sqrt(n d) t, with room for the
-    rounding of beta itself: no deficient split exists.
+    First step: a deficient split bounds the lift's ratio.  Let M be the
+    largest atom norm and eta = n D eps.  Assume that each computed
+    singular value of an m x c matrix X, real or complex, is within eta
+    |X|_2 of the exact one, for m <= n and c <= D.  This is an assumption,
+    not a theorem: LAPACK bounds that error by p(m, c) eps |X|_2 for a
+    "modest polynomial" p it does not state, and the proof takes p = n D.
+    Take a split (S, S^c) the scan calls deficient.  A side of fewer than
+    d atoms has a unit u with V_S u = 0; a larger one was computed with s_d
+    <= tol s_1, so exactly sigma_d(V_S) <= t |V_S|_2 with t = tol + eta (1
+    + tol), and |V_S|_2 <= |V|_F <= sqrt(n) M.  So there are unit u and w
+    with |V_S u| and |V_{S^c} w| both at most t sqrt(n) M.  Put p = conj(u)
+    and q = c conj(w), with |c| = 1 chosen so that q^* p is real (c = 1
+    for a real frame), and Q = p q^* + q p^*, which is Hermitian.  Entry i
+    of V_S u is phi_i^T u, whose size is |phi_i^* p|, and likewise for w
+    and q.  Then A(Q)_i = 2 Re((phi_i^* p)(q^* phi_i)), whose size is at
+    most 2 M |phi_i^T u| on S and 2 M |phi_i^T w| on S^c, so |A(Q)| <= 2
+    sqrt(2) t sqrt(n) M^2, while |Q|_F^2 = 2 + 2 Re((q^* p)^2) = 2 + 2
+    |q^* p|^2 >= 2.  Hence sigma_min(L) <= 2 t sqrt(n) M^2, as n >= D.
+    And sigma_max(L) >= |A(I)| / |I|_F >= M^2 / sqrt(d), so sigma_min(L) /
+    sigma_max(L) <= 2 sqrt(n d) t = c t.
 
-    Each frame is first scaled by a power of two, which is exact, so that
-    its largest entry lies in [1/2, 1) and the squares neither overflow nor
-    underflow (``_lift_spectra``).  One stacked SVD decides the whole stack.
+    Second step: rounding.  The computed test sees L plus the rounding of
+    its entries and then LAPACK's error.  Each entry is computed within 4
+    eps of its exact value relative to |phi_a|^2 on a column with a = b and
+    to sqrt(2) |phi_a| |phi_b| on one with a < b.  Along row i these bounds
+    have squares summing to at most 2 |phi_i|^4, so the rounding is at most
+    4 sqrt(2) eps sqrt(n) M^2 <= 4 sqrt(2) eps sqrt(n d) sigma_max(L) <= 2
+    eta sigma_max(L), since sqrt(n d) <= n and D >= 3 when d >= 2; at d = 1
+    the one column, |phi|^2, is within 2 eps of it, and the rounding is at
+    most 2 eps sqrt(n) M^2 <= 2 eta sigma_max(L) again.  So each computed
+    singular value is within kappa sigma_max(L) of the exact one, kappa <=
+    3.2 eta.
+
+    One stacked SVD decides the whole stack.
     """
-    k, n, d = vs.shape
-    complex_ = vs.dtype.kind == "c"
-    if n < _lift_width(d, complex_) or not tol >= 0:
-        return np.zeros(k, dtype=bool)
-    s = _lift_spectra(vs)[2]
-    return s[:, -1] > _lift_cutoff(n, d, tol, complex_) * s[:, 0]
-
-
-def _lift_spectra(vs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each frame of a (k, n, d) stack scaled by 2^-e (``scaled``), the exponents e, and its lift's singular values, descending."""
-    w, exponents = scaled(vs)
-    return w, exponents, np.linalg.svd(_lift(w), compute_uv=False)
+    return _lift_margins(vs, tol)[2] > 0
 
 
 class _Margin(NamedTuple):
@@ -618,29 +652,11 @@ class _Margin(NamedTuple):
 def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
     """For a real (n, d) frame its lift certifies, the frames near it the lift covers (``_Margin``); None for any other frame.
 
-    A frame W has no split the scan calls deficient when the lift of
-    2^-e W lies within m, in spectral norm, of the lift L of w = 2^-e v,
-    both exact.  The certificate of ``_lifted_holds`` thus covers every
-    frame near v, with no SVD of its own.
-
-    Proof.  Let s_1 and s_D be the computed largest and smallest singular
-    values of L, and c t, eta and kappa as in ``_lifted_holds``: c = 2
-    sqrt(n d), t = tol + eta (1 + tol), eta = n D eps, and every computed
-    singular value within kappa sigma_1(L) of the exact one, kappa <= 3.2
-    eta.  So sigma_1(L) <= s_1 / (1 - kappa) <= (1 + 3.3 eta) s_1 and
-    sigma_D(L) >= s_D - 3.3 eta s_1.  Let delta = |L' - L|_2, L' the exact
-    lift of 2^-e W, which is 4^-e that of W, so its singular values keep
-    their ratio.  By Weyl's inequality sigma_D(L') >= s_D - 3.3 eta s_1 -
-    delta and sigma_1(L') <= (1 + 3.3 eta) s_1 + delta.  A split the scan
-    calls deficient in W forces sigma_D(L') <= c t sigma_1(L') (the proof
-    of ``_lifted_holds``), and so delta (1 + c t) >= s_D - c t s_1 - 3.3
-    eta (1 + c t) s_1.  The lift certifies v, so c t < beta < 1 and 3.3
-    eta (1 + c t) < 6.6 eta.  The margin is computed as m = (s_D - (c t +
-    8 eta + 16 eps) s_1) / (1 + c t); the numerator's slack of 1.4 eta +
-    16 eps covers the rounding of c t and then of the numerator, at most
-    3 eps s_1 each.  So delta < m (1 - 4 eps), which allows for the
-    rounding of the division and of 1 + c t, leaves no deficient split.
-    m may be 0 or negative, and then it covers no frame.
+    A frame W has no split the scan calls deficient when the exact lift of
+    2^-e W lies within m (1 - 4 eps), in spectral norm, of the exact lift
+    L of w = 2^-e v, m the margin of ``_lift_margins``.  The certificate of
+    ``_lifted_holds``, a positive m, thus covers every frame near v, with
+    no SVD of its own.
 
     The move.  When the scaled atoms of W lie within b_i of w_i, let f_i =
     2^-e W_i - w_i.  Row i of the lift is the image of phi_i phi_i^T under
@@ -652,17 +668,11 @@ def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
     the exact delta over 1 - 4 eps.  So a computed delta under the computed
     m gives delta < m (1 - 4 eps), which leaves no deficient split.
     """
-    n, d = v.shape
-    if n < _lift_width(d, False) or not tol >= 0:
+    w, exponents, margins = _lift_margins(v[None], tol)
+    margin = float(margins[0])
+    if not margin > 0:
         return None
-    w, exponents, s = _lift_spectra(v[None])
-    top, low = float(s[0, 0]), float(s[0, -1])
-    if not low > _lift_cutoff(n, d, tol) * top:
-        return None
-    eta = n * _lift_width(d, False) * _EPS
-    ct = 2.0 * sqrt(n * d) * (tol + eta * (1 + tol))
-    margin = (low - (ct + 8 * eta + 16 * _EPS) * top) / (1 + ct)
-    grow = 1 + (n + 16) * _EPS
+    grow = 1 + (len(v) + 16) * _EPS
 
     def covers(norms: list[float], b: list[float]) -> bool:
         total = 0.0
@@ -1131,26 +1141,20 @@ def alpha_certify(
     traces: list[tuple[float, ...]] = []
     for lo in range(0, restarts, block):
         f = random_units(rng, min(block, restarts - lo), d, complex_)
-        ends_f, ends_g = np.empty_like(f), np.empty_like(f)
         vals, g = eigmin_vectors(r_stack(f))
         block_traces = [[val] for val in vals.tolist()]
-        rows = list(range(len(f)))  # the restart of each row of f and g
+        rows = np.arange(len(f))  # the restarts still running
         for _ in range(iters):
-            half, f = eigmin_vectors(r_stack(g))
-            vals, g = eigmin_vectors(r_stack(f))
+            half, f[rows] = eigmin_vectors(r_stack(g[rows]))
+            vals, g[rows] = eigmin_vectors(r_stack(f[rows]))
             going = []
-            for i, a, b in zip(rows, half.tolist(), vals.tolist()):
+            for i, a, b in zip(rows.tolist(), half.tolist(), vals.tolist()):
                 going.append(not block_traces[i][-1] - b < tol)
                 block_traces[i] += a, b
-            if not all(going):
-                # Rows still going are written again when they stop.
-                ends_f[rows], ends_g[rows] = f, g
-                rows = list(compress(rows, going))
-                f, g = f[going], g[going]
-                if not rows:
-                    break
-        ends_f[rows], ends_g[rows] = f, g
-        for trace, end_f, end_g in zip(block_traces, ends_f, ends_g):
+            rows = rows[going]
+            if not len(rows):
+                break
+        for trace, end_f, end_g in zip(block_traces, f, g):
             traces.append(tuple(trace))
             if best is None or trace[-1] < best[0]:
                 best = (trace[-1], end_f, end_g)

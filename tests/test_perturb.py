@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from unittest.mock import patch
 
@@ -105,7 +106,7 @@ def test_break_pr_self_check_rejects_a_perturbed_frame_that_still_retrieves(monk
     # Only when the constructed split does not fail is every split walked, here by a stand-in that holds.
     frame = fl.gen_deficient_plus_tail(3, 2, 3, seed=1)
     holds = fl.Certificate(verdict=fl.HOLDS, method="stub", field="real")
-    monkeypatch.setattr("framelab.perturb._split_is_deficient", lambda *a, **k: False)
+    monkeypatch.setattr("framelab.perturb._deficient", lambda *a, **k: [False])
     monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", lambda *a, **k: holds)
     with pytest.raises(fl.FramelabError, match="still does phase retrieval"):
         fl.break_phase_retrieval(frame, [0, 1, 2], 0.4)
@@ -606,6 +607,27 @@ def test_stability_sweep_validates_input():
             fl.stability_sweep(frame, lambdas, trials=3)
 
 
+def test_stability_sweep_refuses_an_input_that_fails_before_any_trial_is_drawn(monkeypatch):
+    # Even atoms in the x-y plane and odd atoms in the y-z plane: the even/odd split is deficient, so neither
+    # margin certifies the input.  It is refused alone, before the generator is made: scaled so that its trials
+    # at this radius would overflow, it still gets the phase retrieval message, with no warning.
+    v = np.random.default_rng(0).standard_normal((6, 3))
+    v[0::2, 2] = 0.0
+    v[1::2, 0] = 0.0
+    assert complement_property_reference(fl.Frame(fl.make_atomic(np.ones(6)), v), 1e-10) == (0, 2, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr("numpy.random.default_rng", refuse)
+    for rows, lambdas in ((v, [0.1]), (v * (1.5e308 / np.abs(v).max()), [1.7e308])):
+        frame = fl.Frame(fl.make_atomic(np.ones(6)), rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="needs a phase retrieval frame"):
+                fl.stability_sweep(frame, lambdas, trials=20)
+
+
 def test_stability_sweep_refuses_a_complex_frame_without_alpha(monkeypatch):
     def no_alpha(*args, **kwargs):
         raise AssertionError("alpha_certify ran")
@@ -663,18 +685,18 @@ def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
     # The d-subsets' margin decides 0.01 and certifies the input; without it every radius is built.
     monkeypatch.setattr("framelab.perturb._radius_stage", lambda v, tol, lams: (0, False))
     whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
-    # The first stack also holds the input frame, in row 0.
-    assert stacks == [(34, 5, 3)] and 0 < sum(whole) < 33
+    # The input frame is its own one-frame stack, ahead of the trials.
+    assert stacks == [(1, 5, 3), (33, 5, 3)] and 0 < sum(whole) < 33
     # A trial takes 45 entries, so a block of 200 holds four trials: 12 frames, then 12, then 9.
     stacks.clear()
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 200)
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
-    assert stacks == [(13, 5, 3), (12, 5, 3), (9, 5, 3)]
+    assert stacks == [(1, 5, 3), (12, 5, 3), (12, 5, 3), (9, 5, 3)]
     # A block holds at least one trial, whatever the batch size.
     stacks.clear()
     monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 1)
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)] == whole
-    assert stacks == [(4, 5, 3)] + [(3, 5, 3)] * 10
+    assert stacks == [(1, 5, 3)] + [(3, 5, 3)] * 11
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
@@ -784,7 +806,7 @@ def test_a_split_that_does_not_fail_falls_back_to_the_full_certifier(monkeypatch
         build, certify = fl.break_phase_retrieval, fl.phase_retrieval_certify
         frame, ids, eps = fl.gen_deficient_plus_tail(3, 2, 3, seed=1), [1, 2], 10.0
     direct = build(frame, ids, eps).certificate
-    monkeypatch.setattr("framelab.perturb._split_is_deficient", lambda *a, **k: False)
+    monkeypatch.setattr("framelab.perturb._deficient", lambda *a, **k: [False])
     result = build(frame, ids, eps)
     cert = certify(result.perturbed)
     assert result.certificate.verdict == cert.verdict == fl.FAILS

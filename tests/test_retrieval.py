@@ -25,6 +25,7 @@ from framelab.retrieval import (
     _intervals,
     _lift,
     _lift_cutoff,
+    _lift_margin,
     _lifted_holds,
     _r_stack,
     _spark_bounds,
@@ -1326,6 +1327,59 @@ def test_the_lift_refuses_complex_frames_short_frames_and_negative_tolerances():
     for scale in (1e200, 1e-200, 1e-310):
         assert _lifted_holds(fl.gen_random(2, 3, seed=0).vectors[None] * scale, 1e-10)[0]
         assert _lifted_holds(fl.gen_random(2, 4, seed=0, field="complex").vectors[None] * scale, 1e-10)[0]
+
+
+def _lift_spectrum(v: np.ndarray) -> np.ndarray:
+    """The singular values of the lift of v scaled by a power of two, as the lift computes them."""
+    return np.linalg.svd(_lift(scaled(v[None])[0])[0], compute_uv=False)
+
+
+def _cutoff_tol(s: np.ndarray, n: int, d: int, width: int) -> float:
+    """The tol at which the lift's cutoff equals the ratio s_D / s_1, up to rounding."""
+    eps = np.finfo(float).eps
+    c, eta = 2 * np.sqrt(n * d), n * width * eps
+    return float((s[-1] / s[0] - 8 * eta - 16 * eps - c * eta) / (c * (1 + eta)))
+
+
+@pytest.mark.parametrize(
+    "field, n, pr_method, near",
+    [("real", 4, "pr-complement-equivalence", 0.050710), ("complex", 5, "pr-lifted-hermitian", 0.041531)],
+)
+def test_a_ratio_just_above_the_lift_cutoff_is_certified_by_the_lift(field, n, pr_method, near):
+    # Between the cutoff and 2 sqrt(n d) (tol + 8 n D eps), about (7c - 8) eta above it in s_D / s_1, lies a band
+    # of ratios that threshold refuses.  At a tol halfway across it, from the frame's own computed singular
+    # values, the lift certifies the frame, which has no deficient split.
+    frame = fl.gen_random(2, n, seed=1, field=field)
+    width = 4 if field == "complex" else 3
+    s = _lift_spectrum(frame.vectors)
+    refused = s[-1] / s[0] / (2 * np.sqrt(2 * n)) - 8 * n * width * np.finfo(float).eps
+    tol = (refused + _cutoff_tol(s, n, 2, width)) / 2
+    assert tol == pytest.approx(near, abs=1e-6)
+    assert not s[-1] > 2 * np.sqrt(2 * n) * (tol + 8 * n * width * np.finfo(float).eps) * s[0]
+    assert s[-1] > _lift_cutoff(n, 2, tol, field == "complex") * s[0]
+    assert _lifted_holds(frame.vectors[None], tol)[0]
+    assert complement_property_reference(frame, tol) is None
+    cp = fl.complement_property(frame, tol)
+    assert (cp.verdict, cp.method) == (fl.HOLDS, "complement-lifted-map")
+    pr = fl.phase_retrieval_certify(frame, tol)
+    assert (pr.verdict, pr.method) == (fl.HOLDS, pr_method)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    extra=st.integers(-1, 3),
+    gap=st.sampled_from([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_lift_margin_exists_exactly_when_the_lift_certifies(d, extra, gap, seed):
+    # A tol a relative gap either side of where the cutoff meets the frame's computed ratio; with n < D, or
+    # a ratio under the rounding terms, which makes the tol negative, neither certifies.
+    width = d * (d + 1) // 2
+    n = max(1, width + extra)
+    v = np.random.default_rng(seed).standard_normal((n, d))
+    tol = _cutoff_tol(_lift_spectrum(v), n, d, width) * (1 + gap)
+    assert (_lift_margin(v, tol) is not None) == _lifted_holds(v[None], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, seed", [(1, 1, 0), (1, 3, 1), (2, 4, 2), (2, 7, 3), (3, 9, 4), (3, 12, 5), (4, 16, 6)])

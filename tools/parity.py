@@ -13,10 +13,10 @@ the warm-up), its exit code (the exception's name when it raises), and the
 sha256 of its stdout, of its stderr and of each file it wrote, by name.
 
 A fixed block of command lines that the benchmark never runs follows, one
-line each, printed once per call: usage errors, help, and input files that
-are not UTF-8 or not a JSON object, so that their exit codes and bytes are
-compared too.  Its lines start with ``errors -`` and the command line's
-words, joined by commas in brackets.
+line each, printed once per call: usage errors, help, input files that are
+not UTF-8 or not a JSON object, and the sweep paths no workload takes, so
+that their exit codes and bytes are compared too.  Its lines start with
+``errors -`` and the command line's words, joined by commas in brackets.
 
 Which framelab was imported goes to stderr, so the lines of two checkouts
 differ only where their ops do.
@@ -41,7 +41,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Run in order in one directory: the first line writes the frame ``m.json``
 # that the others name; ``latin1.json`` is not UTF-8 and ``list.json`` holds
 # a JSON list.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
-# ``--timings``) but is left out: its report holds wall-clock times.
+# ``--timings``) but is left out: its report holds wall-clock times.  The
+# two sweeps take the paths of an input that no margin certifies: r35.json
+# has n < d(d + 1)/2 and no decided radius, so its trials are drawn and it
+# exits 0; dt.json does not do phase retrieval, so it exits 2.
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -58,6 +61,10 @@ ERROR_ARGVS = (
     ("certify", "pr", "latin1.json"),
     ("tensor", "m.json", "latin1.json", "-o", "t.json"),
     ("certify", "nr", "list.json"),
+    ("gen", "random", "--dim", "3", "--n", "5", "--seed", "1", "-o", "r35.json"),
+    ("sweep", "r35.json", "--lambdas", "1,2", "--trials", "5"),
+    ("gen", "deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "1", "-o", "dt.json"),
+    ("sweep", "dt.json", "--lambdas", "0.1"),
 )
 
 
