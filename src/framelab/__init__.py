@@ -1,7 +1,8 @@
 """Frames over finite atomic measure spaces.
 
-Tools for building weighted frames, certifying phase and norm retrieval by
-subset enumeration, constructing retrieval-breaking perturbations of
+Tools for building weighted frames, certifying phase and norm retrieval
+exactly, by lifted-map, identity and d-subset tests and then a walk over
+the index splits, constructing retrieval-breaking perturbations of
 arbitrarily small energy, and forming tensor products.
 
 Each module lists its public names in its own ``__all__``; the package

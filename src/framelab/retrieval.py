@@ -70,12 +70,12 @@ pairs, and only pairs with |H1| + |H2| >= n are tested; with no covering
 pair there is no candidate and both properties hold.  The table decides
 rank with a margin above the tolerance, widened by a bound on its
 rounding: near the cutoff it lists extra candidates, which the rank check
-drops, and never misses one.  Every split is visited only when the frame
-does not span with the margin: the stream then goes on with the rest of
-the scan.  The table's walk starts from its first split, and those before
-the scan's next one are dropped undecided.  The atom count is capped.
-The reference scan that checks every split, and independent brute-force
-references, live with the tests.
+drops, and never misses one.  Past the prefixes one walk (``_walk``)
+reads the table's covering pairs as intervals of subsets; a frame that
+does not span with the margin, every frame once ``_TABLE_MARGIN`` tol >=
+1, has no table, and its walk takes the one interval that holds every
+split.  The atom count is capped.  The reference scan that checks every
+split, and independent brute-force references, live with the tests.
 
 The lift, the identity test, the spark stage and the table scale each
 frame by a power of two, exactly, with ``_linalg.scaled``, so that no norm
@@ -120,7 +120,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, compress, dropwhile, filterfalse, islice
+from itertools import combinations, compress, dropwhile, filterfalse, islice
 from math import comb, hypot, ldexp, sqrt
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -382,45 +382,43 @@ def _intervals(table: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _walk(n: int, intervals: list[tuple[int, int]]) -> Iterator[_Split]:
-    """Yield the splits {S, complement} in scan order, S in the union of the intervals.
+    """An iterator over the splits {S, complement} in scan order, S in the union of the intervals.
 
-    Each interval [low, high] is a pair of bitmasks holding atom 0; S never
-    holds every atom.  The walk enters only subtrees that hold some S, so it
-    makes no rank call.
+    Each interval [low, high] is a pair of bitmasks with atom 0 in high; S
+    holds atom 0 and never every atom.  The walk enters only subtrees that
+    hold some S, so it makes no rank call.  A subtree where some interval
+    has no atom of low, and every atom of high, above the root's last atom
+    holds every extension of its root, and is read by the plain scan loop:
+    from the root for (1, 2^n - 1), the interval that holds every split.
     """
+    atoms = range(n)
     full = (1 << n) - 1
 
-    def visit(s: tuple[int, ...], mask: int, alive: list[tuple[int, int]]):
-        # ``mask`` has the bits of ``s``; each interval in ``alive`` holds s plus some atoms above s[-1].
-        if mask != full and any(not low & ~mask for low, _ in alive):
-            yield s, tuple(filterfalse(set(s).__contains__, range(n)))
+    def visit(s: tuple[int, ...], mask: int, alive: list[tuple[int, int, int]]):
+        # ``mask`` has the bits of ``s``; each interval (reach, low, high) in ``alive`` holds s plus some
+        # atoms above s[-1], and the first has the least reach, one past its last atom in low or not in high.
+        if alive[0][0] <= s[-1] + 1:
+            stack = [s]
+            while stack:
+                s = stack.pop()
+                if len(s) < n:
+                    yield s, tuple(filterfalse(set(s).__contains__, atoms))
+                stack.extend([s + (j,) for j in range(n - 1, s[-1], -1)])
+            return
+        if mask != full and any(not low & ~mask for _, low, _ in alive):
+            yield s, tuple(filterfalse(set(s).__contains__, atoms))
         for j in range(s[-1] + 1, n):
             bit = 1 << j
-            inside = [iv for iv in alive if iv[1] & bit]
+            inside = [iv for iv in alive if iv[2] & bit]
             if inside:
                 yield from visit(s + (j,), mask | bit, inside)
-            alive = [iv for iv in alive if not iv[0] & bit]
+            alive = [iv for iv in alive if not iv[1] & bit]
             if not alive:
                 return
 
-    yield from visit((0,), 1, intervals)
-
-
-def _complement_pairs(n: int) -> Iterator[_Split]:
-    """Yield each unordered pair {S, complement} exactly once, in scan order.
-
-    The empty/full pair comes first; after that the representatives are the
-    subsets containing index 0, in lexicographic order, so the first failure
-    reported by a scan is the lexicographically smallest witness.
-    """
-    atoms = range(n)
-    yield (), tuple(atoms)
-    stack: list[tuple[int, ...]] = [(0,)]
-    while stack:
-        s = stack.pop()
-        if len(s) < n:
-            yield s, tuple(filterfalse(set(s).__contains__, atoms))
-        stack.extend([s + (j,) for j in range(n - 1, s[-1], -1)])
+    if not intervals:
+        return iter(())
+    return visit((0,), 1, sorted(((low | full & ~high).bit_length(), low, high) for low, high in intervals))
 
 
 def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
@@ -435,27 +433,24 @@ def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
 def _split_chunks(v: np.ndarray, tol: float) -> Iterator[list[_Split]]:
     """Yield, in scan order and chunk by chunk, a superset of one frame's splits where neither side spans.
 
-    The first chunk is the scan's first n splits: the empty split, then the
-    prefixes {0..k}, which the depth-first scan visits before any other
-    split.  A frame with n < 2d - 1 fails there at the latest, at {0..n -
-    d}, whose sides both hold fewer than d atoms, and so does a product
-    whose left factor fails at a prefix.  The table is built only when the
-    next chunk is asked for; the splits past the head then come from its
-    walk, or from the rest of the scan when ``_hyperplane_table`` refuses.
-    Scan order is tuple order, so the walk resumes past the head by
-    dropping the splits whose S lies below the scan's next one.
+    The first chunk is the scan's n prefix splits: the empty split, then
+    {0..k - 1} for k = 1..n - 1, which the scan visits before any other
+    split, and which are all its splits when n <= 2.  A frame with n < 2d -
+    1 fails there at the latest, at {0..n - d}, whose sides both hold fewer
+    than d atoms, and so does a product whose left factor fails at a
+    prefix.  The table is built only when the next chunk is asked for; the
+    rest come from the walk of its intervals, or of (1, 2^n - 1), which
+    holds every split, when ``_hyperplane_table`` refuses.  The walk's
+    prefix splits come first, and are dropped.
     """
     n, d = v.shape
-    scan = _complement_pairs(n)
-    yield list(islice(scan, n))
-    start = next(scan, None)
-    if start is None:
+    atoms = tuple(range(n))
+    yield [(atoms[:k], atoms[k:]) for k in range(n)]
+    if n <= 2:
         return
     table = _hyperplane_table(v, tol)
-    if table is None:
-        splits = chain([start], scan)
-    else:
-        splits = dropwhile(lambda split: split[0] < start[0], _walk(n, _intervals(table)))
+    intervals = [(1, (1 << n) - 1)] if table is None else _intervals(table)
+    splits = dropwhile(lambda split: split[0][-1] == len(split[0]) - 1, _walk(n, intervals))
     yield from _chunks(splits, n, d)
 
 
@@ -963,8 +958,8 @@ def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, lis
     certifies has no deficient split, so it gets None with no split
     decided and ``fails`` never called.  Each frame still open is then
     decided alone from its own chunks (``_split_chunks``): the scan's n
-    prefix splits, then the table's walk past them, so no split of a frame
-    is decided twice, and every frame gets the findings it gets alone.
+    prefix splits, then the walk past them, so no split of a frame is
+    decided twice, and every frame gets the findings it gets alone.
     """
     found: list[Any] = [None] * len(vs)
     for i in np.flatnonzero(~_spark_holds(vs, tol)).tolist():
@@ -1004,7 +999,7 @@ def complement_property(
     Among those, a frame with n >= 2d - 1 whose d-subsets all span with a
     margin (``_spark_holds``, run by the driver) holds with no split
     visited, the verdict the splits give it.  The others are read from
-    the scan's n prefix splits, then from the hyperplane table's walk, so
+    the scan's n prefix splits, then from the walk (``_split_chunks``), so
     a frame with n < 2d - 1 is decided before the table is built.  A
     failing verdict reports the lexicographically smallest violating
     subset: the first split the shared scan yields.
@@ -1104,11 +1099,14 @@ def r_operator(frame: Frame, f: np.ndarray) -> np.ndarray:
     return _r_stack(frame)(f[None])[0]
 
 
+# A restart of ``alpha_certify`` stops after a full step that lowers its value by less than this.
+_ALPHA_STOP = 1e-12
+
+
 def alpha_certify(
     frame: Frame,
     restarts: int = 8,
     iters: int = 100,
-    tol: float = 1e-12,
     seed: int = 0,
 ) -> AlphaResult:
     """Estimate ``alpha = min over unit f, g of <R(f) g, g>`` by alternating minimization.
@@ -1116,8 +1114,8 @@ def alpha_certify(
     Each half-step replaces one argument with the smallest eigenvector of
     the R operator built from the other, so the objective is monotone
     nonincreasing along every trace.  A restart stops after the first full
-    step that lowers its value by less than ``tol``, or after ``iters``
-    steps.  The returned alpha is the best value over all restarts, the
+    step that lowers its value by less than ``_ALPHA_STOP``, or after
+    ``iters`` steps.  The returned alpha is the best value over all restarts, the
     first in restart order on a tie; zero pinpoints a flat direction.  Over
     R a positive alpha is numerical evidence for phase retrieval.  Over C
     it is not: alpha vanishes exactly when the complement property fails,
@@ -1149,7 +1147,7 @@ def alpha_certify(
             vals, g[rows] = eigmin_vectors(r_stack(f[rows]))
             going = []
             for i, a, b in zip(rows.tolist(), half.tolist(), vals.tolist()):
-                going.append(not block_traces[i][-1] - b < tol)
+                going.append(not block_traces[i][-1] - b < _ALPHA_STOP)
                 block_traces[i] += a, b
             rows = rows[going]
             if not len(rows):

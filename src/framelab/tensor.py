@@ -104,7 +104,6 @@ def tensor_pr_check(
 
 def tensor_nr_check(
     tensor: TensorFrame,
-    tol: float = DEFAULT_ORTHO_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> TensorNRReport:
@@ -114,7 +113,8 @@ def tensor_nr_check(
     within 1e-8 of 1) and the right factor norm retrieval.  The product
     must then be norm retrieval, and conversely a norm retrieval product
     forces both factors to be norm retrieval, so ``consistent`` demands all
-    three certificates hold.
+    three certificates hold.  Each is certified at the orthogonality
+    tolerance ``DEFAULT_ORTHO_TOL``.
     """
     left, right = tensor.left, tensor.right
     if left.field != "real" or right.field != "real":
@@ -124,12 +124,12 @@ def tensor_nr_check(
         raise ValueError(
             f"left factor must be Parseval; its bounds are ({lb.lower}, {lb.upper})"
         )
-    right_nr = norm_retrieval_certify(right, tol, rank_tol, cap)
+    right_nr = norm_retrieval_certify(right, DEFAULT_ORTHO_TOL, rank_tol, cap)
     if right_nr.verdict != HOLDS:
         raise ValueError("right factor must do norm retrieval")
-    product_nr = norm_retrieval_certify(tensor.product, tol, rank_tol, cap)
+    product_nr = norm_retrieval_certify(tensor.product, DEFAULT_ORTHO_TOL, rank_tol, cap)
     # Converse direction: a norm retrieval product needs norm retrieval factors.
-    left_nr = norm_retrieval_certify(left, tol, rank_tol, cap)
+    left_nr = norm_retrieval_certify(left, DEFAULT_ORTHO_TOL, rank_tol, cap)
     consistent = product_nr.verdict == HOLDS and left_nr.verdict == HOLDS and right_nr.verdict == HOLDS
     return TensorNRReport(
         left_nr=left_nr,

@@ -33,6 +33,7 @@ def test_parity_prints_one_stable_line_per_error_command():
     codes = [line.split()[3] for line in first]
     # The frame is written, help exits 0, and every usage error and malformed file exits 2.  Then two frames are
     # written and swept: one with no decided radius exits 0, one that does not do phase retrieval exits 2.
-    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 10) + ["0", "0", "0", "2"]
+    # Last, two frames the table refuses are certified: r35.json holds (0), and dt3.json is written (0) and fails (1).
+    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 13) + ["0", "0", "0", "2", "0", "0", "1"]
     assert "files=[m.json=" in first[0]
-    assert "files=[r35.json=" in first[-4] and "files=[dt.json=" in first[-2]
+    assert "files=[r35.json=" in first[-7] and "files=[dt.json=" in first[-5] and "files=[dt3.json=" in first[-2]

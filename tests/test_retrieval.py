@@ -653,6 +653,35 @@ def test_hyperplane_table_reproduces_the_subset_scan(real_corpus):
         _assert_matches_the_scan(frame)
 
 
+def _walk_reference(n, intervals):
+    """The splits of the scan whose S holds atom 0, is not every atom, and lies in some interval [low, high]."""
+    def held(s):
+        mask = sum(1 << i for i in s)
+        return any(not low & ~mask and not mask & ~high for low, high in intervals)
+
+    return [(s, c) for s, c in complement_pairs(n) if s[:1] == (0,) and c and held(s)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_walk_yields_the_splits_its_intervals_hold(n):
+    # Random intervals with atom 0 in high, the one interval that holds every split, no interval, and
+    # intervals that constrain no atom from a cut on, so that the walk reads whole subtrees with the
+    # plain scan loop from the middle of a walk as well as from its root.
+    rng = np.random.default_rng(n)
+    full = (1 << n) - 1
+    families = [[], [(1, full)]]
+    for count in (1, 2, 5, 12):
+        for cut in (n, int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))):
+            free = full >> cut << cut
+            intervals = []
+            for _ in range(count):
+                high = int(rng.integers(1 << n)) | 1 | free
+                intervals.append((int(rng.integers(1 << n)) & high & ~free, high))
+            families.append(intervals)
+    for intervals in families:
+        assert list(_walk(n, intervals)) == _walk_reference(n, intervals)
+
+
 def _coincident_frame(kind, d, n, rng):
     """A frame with exact rank coincidences: repeated atoms, coordinate-plane atoms, two planes or a repeated ONB.
 
@@ -1175,8 +1204,9 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     # its atoms lie on the cone x^2 + y^2 = z^2, so the lift has a kernel, and no two
     # of its planes cover the atoms.  The third has its even atoms in the x-y plane and
     # its odd atoms in the y-z plane with z scaled by 1e-8: it spans at the tolerance but
-    # not at 1000 times it, so it has no table and fails in the scan of every split.  The
-    # spark stage would certify the cone frame, whose every three atoms span, before any split.
+    # not at 1000 times it, so it has no table and fails in the walk of the one interval that holds
+    # every split.  The spark stage would certify the cone frame, whose every three atoms span,
+    # before any split.
     blocked = np.random.default_rng(0).standard_normal((12, 3))
     blocked[:6, 2] = 0.0
     blocked[6:, 0] = 0.0
@@ -1197,7 +1227,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
         "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
     ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
         found = _first_failures(stack, 1e-10, _first_subset)
-        assert table.call_count == 2 and walk.call_count == 1
+        assert table.call_count == 2 and walk.call_count == 2
         assert found == [(0, 1, 2, 3, 4, 5), None, (0, 2, 4, 6, 8, 10)]
         assert found == [complement_property_reference(frame) for frame in frames]
         # The first frame is decided on the scan's 12 prefix splits alone.

@@ -14,8 +14,9 @@ sha256 of its stdout, of its stderr and of each file it wrote, by name.
 
 A fixed block of command lines that the benchmark never runs follows, one
 line each, printed once per call: usage errors, help, input files that are
-not UTF-8 or not a JSON object, and the sweep paths no workload takes, so
-that their exit codes and bytes are compared too.  Its lines start with
+not UTF-8 or not a JSON object, the sweep paths no workload takes, and
+certifications of frames the hyperplane table refuses, so that their exit
+codes and bytes are compared too.  Its lines start with
 ``errors -`` and the command line's words, joined by commas in brackets.
 
 Which framelab was imported goes to stderr, so the lines of two checkouts
@@ -44,7 +45,10 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # ``--timings``) but is left out: its report holds wall-clock times.  The
 # two sweeps take the paths of an input that no margin certifies: r35.json
 # has n < d(d + 1)/2 and no decided radius, so its trials are drawn and it
-# exits 0; dt.json does not do phase retrieval, so it exits 2.
+# exits 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01
+# the table refuses every frame, which is then walked over the one interval
+# that holds every split: r35.json holds after all 16 splits and exits 0, and
+# dt3.json fails past the scan's prefixes and exits 1.
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -65,6 +69,9 @@ ERROR_ARGVS = (
     ("sweep", "r35.json", "--lambdas", "1,2", "--trials", "5"),
     ("gen", "deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "1", "-o", "dt.json"),
     ("sweep", "dt.json", "--lambdas", "0.1"),
+    ("certify", "pr", "r35.json", "--tol", "0.01"),
+    ("gen", "deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "3", "--seed", "0", "-o", "dt3.json"),
+    ("certify", "pr", "dt3.json", "--tol", "0.01"),
 )
 
 
