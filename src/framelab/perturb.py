@@ -14,8 +14,8 @@ Two explicit perturbations and one empirical sweep:
   small radii with no trial drawn: by Weyl's inequality no perturbation
   that small moves the lift's singular values far enough for a split to
   fail (Balan, "Stability of phase retrievable frames", 2013).  The
-  smallest singular values of its d-subsets decide, by the same
-  inequality, radii the lift leaves open.  For the
+  determinant bounds of the spark stage on its d-subsets decide, by the
+  same inequality, radii the lift leaves open.  For the
   radii past them it draws every trial's perturbation from one seeded
   generator, a block of trials at a time, and certifies the trials in
   stacks, through the lift and the driver that ``complement_property``
@@ -352,7 +352,7 @@ def stability_sweep(
 
     The radius stage (``_radius_stage``).  The input is certified once,
     by its lift (``_lift_margin``), and when the lift leaves a radius open,
-    by its d-subsets' smallest singular values (``_spark_margin``); a
+    by the spark stage's bounds on its d-subsets (``_spark_margin``); a
     radius either margin decides (``_decided_radii``) gets 0 failures with
     no trial drawn.  A trial at radius lam builds atom i as fl(v_i + fl(lam g_i)),
     g_i its computed field, |g_i| <= 1 + (d + 4) eps (a norm of d + 2

@@ -19,11 +19,10 @@ retrieval over either field.  ``_lifted_holds`` carries the two steps of
 the proof and the bound on LAPACK's rounding error that it assumes, and
 ``_lift_margins`` the rest.  ``_lift_margin`` extends a certificate to
 every frame whose lift lies within the margin of the certified frame's,
-``_spark_margin`` does the same from the smallest singular values of the
-frame's d-subsets, as the spark stage below argues, and
-``_decided_radii`` turns either into radii of atom moves, which is how
-``stability_sweep`` decides its small radii with no trial drawn
-(``_radius_stage``).
+``_spark_margin`` does the same from the determinant bounds that certify
+the frame in the spark stage below, and ``_decided_radii`` turns either
+into radii of atom moves, which is how ``stability_sweep`` decides its
+small radii with no trial drawn (``_radius_stage``).
 The lift can only answer ``holds``, and the atom cap is checked before it.
 Frames it does not certify and frames with n < D go on to the splits,
 save that norm retrieval first tries the identity test.
@@ -42,10 +41,10 @@ not, and it can only answer ``holds``.
 The spark stage (``_spark_holds``) runs in the driver, before any split:
 a frame with n >= 2d - 1 atoms whose every d atoms span has a spanning
 side on every split.  One ``det`` call on the C(n, d) d x d minors bounds
-each minor's smallest singular value from below, and when every bound
-clears the scan's rank test with its rounding, the frame holds with no
-split visited and the scan's own method.  It runs when the minors fit in
-``_WALK_ENTRIES`` entries, and it can only answer ``holds``.
+each minor's smallest singular value from below (``_spark_least``), and
+when every bound clears the scan's rank test with its rounding, the frame
+holds with no split visited and the scan's own method.  It runs when the
+minors fit in ``_WALK_ENTRIES`` entries, and it can only answer ``holds``.
 
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
@@ -679,47 +678,34 @@ def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
 
 
 def _spark_margin(v: np.ndarray, tol: float) -> _Margin | None:
-    """For a real (n, d) frame with n >= 2d - 1 atoms, the frames near it its d-subsets cover (``_Margin``); None for any other.
+    """For an (n, d) frame the spark stage certifies, the frames near it the same bounds cover (``_Margin``); None for any other frame.
 
-    A frame with n >= 2d - 1 atoms whose every d atoms span, with room,
-    has no split the scan calls deficient (``_spark_holds``), and moving
-    each atom by at most B moves the smallest singular value of each d x d
-    minor by at most sqrt(d) B.  So the minors' smallest singular values,
-    from one stacked SVD, certify every frame near v.  Frames whose C(n,
-    d) minors hold more than ``_WALK_ENTRIES`` entries, and any frame given
-    tol < 0, get None.
-
-    Proof.  Let t = tol + eta (1 + tol) and eta = n d eps, and assume, as
-    ``_spark_holds`` does, that each computed singular value of an m x d
-    matrix X, m <= n, is within eta |X|_2 of the exact one.  Let s_R be
-    the computed smallest singular value of the minor w_R and F >= |w|_F;
-    then sigma_min(w_R) >= s_R - eta F.  Let the scaled atoms of W lie
-    within b_i of w_i, B = max_i b_i and E = 2^-e W - w.  |E_R|_2 <=
-    |E_R|_F <= sqrt(d) B and |E|_F <= sqrt(n) B, so by Weyl's inequality
-    sigma_min((2^-e W)_R) >= s_R - eta F - sqrt(d) B and |2^-e W|_F <= F +
-    sqrt(n) B.  When every s_R exceeds (t + eta) F + (sqrt(d) + t sqrt(n))
-    B, then sigma_min((2^-e W)_R) > t |2^-e W|_F for every R, and the
-    proof of ``_spark_holds``, whose inequalities keep under scaling,
-    leaves W no split the scan calls deficient.  F is |w|_F from
-    ``math.hypot``, within a few eps of it, widened by (n d + 4) eps;
-    ``covers`` computes the right-hand side in at most eight operations on
-    positive numbers, each within eps, and widens it by 16 eps.
+    Proof.  Let beta_R be the stage's computed bound on sigma_min(w_R),
+    least the least of them (``_spark_least``), F the computed |w|_F and t
+    the stage's threshold.  The stage's proof gives sigma_min(w_R) >= beta_R
+    (1 + (n + 12) eps) when beta_R > 0, and F (1 + (n + d + 4) eps / 2) >=
+    |w|_F.  Let the scaled atoms of W lie within b_i of w_i, B = max_i b_i,
+    c = sqrt(d) + t sqrt(n) and E = 2^-e W - w.  ``covers`` computes (t F +
+    c B)(1 + 16 eps) in at most eight operations on positive numbers, each
+    within eps, so least above it gives sigma_min(w_R) > (t F + c B)(1 + (n
+    + 21) eps) >= t |w|_F + c B for every R.  |E_R|_2 <= |E_R|_F <= sqrt(d)
+    B and |E|_F <= sqrt(n) B, so by Weyl's inequality sigma_min((2^-e W)_R)
+    >= sigma_min(w_R) - sqrt(d) B > t (|w|_F + sqrt(n) B) >= t |2^-e W|_F
+    for every R, which is all the proof of ``_spark_holds`` asks of a frame,
+    and its inequalities keep under scaling: W has no split the scan calls
+    deficient.
     """
     n, d = v.shape
-    if n < 2 * d - 1 or not tol >= 0 or comb(n, d) * d * d > _WALK_ENTRIES:
+    t = tol + n * d * _EPS * (1 + tol)
+    if (spark := _spark_least(v[None], tol)) is None or not spark[2][0] > t * spark[3][0]:
         return None
-    w, exponents = scaled(v[None])
-    w = w[0]
-    least = float(np.linalg.svd(w[_d_subsets(n, d)], compute_uv=False)[:, -1].min())
-    eta = n * d * _EPS
-    t = tol + eta * (1 + tol)
-    frob = hypot(*w.ravel().tolist()) * (1 + (n * d + 4) * _EPS)
-    base, reach, widen = (t + eta) * frob, sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
+    (w,), (exponent,), (least,), (frob,) = spark
+    base, reach, widen = t * float(frob), sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
 
     def covers(norms: list[float], b: list[float]) -> bool:
         return least > (base + reach * max(b)) * widen
 
-    return _Margin(w, int(exponents[0]), covers)
+    return _Margin(w, int(exponent), covers)
 
 
 def _decided_radii(margin: _Margin, lams: list[float]) -> int:
@@ -761,18 +747,17 @@ def _radius_stage(v: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bo
     """How many of the ascending radii, from the first, the real frame's margins decide, and whether they certify it.
 
     The lift's margin is tried first, and the d-subsets' margin
-    (``_spark_margin``) only on the radii the lift leaves open; a radius
-    either decides is decided (``_decided_radii``), and as each decides a
-    prefix, so do both.  The frame is
-    certified when its lift certifies it, or when the d-subsets' margin
-    decides a radius, since a margin that covers the frames near v covers
-    v.
+    (``_spark_margin``) on the radii the lift leaves open; a radius either
+    decides is decided (``_decided_radii``), and as each decides a prefix,
+    so do both.  A margin exists only for a frame its stage certifies, so
+    the frame is certified when either does.
     """
     lifted = _lift_margin(v, tol)
     decided = 0 if lifted is None else _decided_radii(lifted, lams)
-    if decided < len(lams) and (spark := _spark_margin(v, tol)) is not None:
+    spark = _spark_margin(v, tol) if decided < len(lams) else None
+    if spark is not None:
         decided += _decided_radii(spark, lams[decided:])
-    return decided, lifted is not None or decided > 0
+    return decided, lifted is not None or spark is not None
 
 
 @lru_cache(maxsize=None)
@@ -800,15 +785,35 @@ def _spark_bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ratio / (1 + zeta) - xi * frob[:, None], frob
 
 
+def _spark_least(vs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each frame of a (k, n, d) stack scaled to w = 2^-e v (``scaled``), the exponents e, its least ``_spark_bounds`` bound and |w|_F.
+
+    None, which certifies nothing, when n < 2d - 1, tol < 0 or a frame's
+    C(n, d) d x d minors hold more than ``_WALK_ENTRIES`` entries.  A block
+    of at most that many entries, at least one frame, is bounded by one
+    ``det`` call.
+    """
+    k, n, d = vs.shape
+    entries = comb(n, d) * d * d
+    if n < 2 * d - 1 or not tol >= 0 or entries > _WALK_ENTRIES:
+        return None
+    w, exponents = scaled(vs)
+    least, frob = np.empty(k), np.empty(k)
+    step = _WALK_ENTRIES // entries
+    for lo in range(0, k, step):
+        bounds, frob[lo : lo + step] = _spark_bounds(w[lo : lo + step])
+        least[lo : lo + step] = bounds.min(axis=1)
+    return w, exponents, least, frob
+
+
 def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     """For each frame of a (k, n, d) stack, whether its d-subsets prove the complement property.
 
     A frame with n >= 2d - 1 atoms whose every d atoms span has the
     complement property, since every split has a side of at least d atoms
     (Balan, Casazza and Edidin, 2006; Alexeev, Cahill and Mixon, "Full
-    spark frames", 2012).  The stage decides a frame only when n >= 2d - 1,
-    tol >= 0 and its C(n, d) stacked d x d minors hold at most
-    ``_WALK_ENTRIES`` entries; any other frame is not certified.  It
+    spark frames", 2012).  The stage decides a frame only when
+    ``_spark_least`` bounds it; any other frame is not certified.  It
     certifies a frame when, for every d-subset R, the bound below on
     sigma_min(V_R) exceeds t |V|_F, t = tol + eta (1 + tol).  A certified
     frame has no split the scan calls deficient, so the stage can only
@@ -842,27 +847,21 @@ def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     taken as 0, so |log det| <= 709 and the sum of |log |u_ii|| is at most
     2.2 d^2 + 710: the computed det is within d (2.3 d^2 + 720) eps of
     det(A + E), relatively.  The bound divides by 1 + zeta, zeta = (d (3
-    d^2 + 740) + n) eps + d xi, which covers that error, (1 + xi)^(d - 1),
-    the rounding of the denominator and of |V|_F, and the test's own
-    arithmetic.  A denominator below the least normal float is raised to
-    it, which only lowers the bound.
+    d^2 + 740) + n) eps + d xi, which covers that error, (1 + xi)^(d - 1)
+    and the rounding of the denominator and of the subtraction, with (n +
+    12) eps to spare: a positive computed bound beta_R has sigma_min(V_R)
+    >= beta_R (1 + (n + 12) eps).  The computed |V|_F is within (n + d + 4)
+    eps / 2 of it, relatively, so beta_R above the computed t |V|_F gives
+    sigma_min(V_R) > t |V|_F.  A denominator below the least normal float is
+    raised to it, which only lowers the bound.
 
     Each frame is first scaled by a power of two (``scaled``), exactly, so
-    that no square overflows or underflows.  The minors of a block of
-    frames, at most ``_WALK_ENTRIES`` entries and at least one frame, are
-    gathered through the cached d-subsets and decided by one ``det`` call.
+    that no square overflows or underflows.
     """
     k, n, d = vs.shape
-    held = np.zeros(k, dtype=bool)
-    entries = comb(n, d) * d * d
-    if n < 2 * d - 1 or not tol >= 0 or entries > _WALK_ENTRIES:
-        return held
-    t = tol + n * d * _EPS * (1 + tol)
-    step = _WALK_ENTRIES // entries
-    for lo in range(0, k, step):
-        bounds, frob = _spark_bounds(scaled(vs[lo : lo + step])[0])
-        held[lo : lo + step] = bounds.min(axis=1) > t * frob
-    return held
+    if (spark := _spark_least(vs, tol)) is None:
+        return np.zeros(k, dtype=bool)
+    return spark[2] > (tol + n * d * _EPS * (1 + tol)) * spark[3]
 
 
 # The identity test's solve drops the lift's singular values at most this many times the largest.

@@ -38,9 +38,9 @@ algorithm, so agreement between the two is meaningful evidence:
   own rounding.
 * ``spark_radius_reference`` checks the d-subsets' radius inequality
   exactly, as a positive definite test of each minor's Gram matrix by its
-  leading minors in rationals, where the library takes each minor's
-  smallest singular value from a stacked SVD in floats with allowances
-  for its rounding.
+  leading minors in rationals, where the library bounds each minor's
+  smallest singular value from below through the spark stage's stacked
+  determinant, in floats with allowances for its rounding.
 * ``hermitian_lift_reference`` builds the lifted map Q -> (phi_i^* Q phi_i)_i
   on Hermitian matrices column by column from an explicit orthonormal
   basis of them, where the library writes the complex lift's rows from

@@ -31,9 +31,12 @@ def test_parity_prints_one_stable_line_per_error_command():
     assert len(first) == len(parity.ERROR_ARGVS)
     assert parity.error_lines() == first
     codes = [line.split()[3] for line in first]
-    # The frame is written, help exits 0, and every usage error and malformed file exits 2.  Then two frames are
-    # written and swept: one with no decided radius exits 0, one that does not do phase retrieval exits 2.
-    # Last, two frames the table refuses are certified: r35.json holds (0), and dt3.json is written (0) and fails (1).
-    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 13) + ["0", "0", "0", "2", "0", "0", "1"]
+    # The frame is written, help exits 0, and every usage error and malformed file exits 2.  Then r35.json is
+    # written, and m.json and r35.json are swept past the radii their margins decide (0, 0, 0).  Then two frames
+    # no margin certifies are swept: mm.json, written, holds and exits 0, and dt.json, written, does not do phase
+    # retrieval and exits 2.  Last, two frames the table refuses are certified: r35.json holds (0), and dt3.json
+    # is written (0) and fails (1).
+    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 17) + ["0"] * 7 + ["2", "0", "0", "1"]
     assert "files=[m.json=" in first[0]
-    assert "files=[r35.json=" in first[-7] and "files=[dt.json=" in first[-5] and "files=[dt3.json=" in first[-2]
+    assert "files=[r35.json=" in first[-11] and "files=[mm.json=" in first[-7]
+    assert "files=[dt.json=" in first[-5] and "files=[dt3.json=" in first[-2]

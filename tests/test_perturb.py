@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import framelab as fl
 from framelab._linalg import full_column_rank
-from framelab.retrieval import _BATCH_ENTRIES, _EPS, _decided_radii, _deficient, _lift_margin, _spark_margin
+from framelab.retrieval import _BATCH_ENTRIES, _EPS, _decided_radii, _deficient, _lift_margin, _spark_least, _spark_margin
 from oracles import (
     complement_property_reference,
     lift_radius_reference,
     lift_ratio_reference,
     spark_radius_reference,
-    subset_sigma_min_reference,
 )
 
 
@@ -416,8 +415,8 @@ def test_every_trial_of_a_radius_the_lift_decides_holds(d, extra, kind, gap, tol
 )
 def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap, tol, seed):
     # As for the lift, from n = 2d - 1 atoms: radii at the decided bound and 1e-6 either side of it.  A tol set a
-    # relative gap under the input's least d-subset sigma_min over |V|_F leaves a margin where the allowances for
-    # rounding move the bound.
+    # relative gap under the input's least d-subset bound over |V|_F, as the spark stage computes both, leaves a
+    # margin where the allowances for rounding move the bound.
     n = 2 * d - 1 + extra
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
@@ -426,10 +425,10 @@ def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap,
     elif kind == "spread":
         v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     if gap is not None:
-        w = np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
-        tol = max(0.0, float(subset_sigma_min_reference(v).min() / np.linalg.norm(w)) * (1 - gap) - 2 * n * d * _EPS)
+        _, _, least, frob = _spark_least(v[None], 0.0)
+        tol = max(0.0, float(least[0] / frob[0]) * (1 - gap) - 2 * n * d * _EPS)
     margin = _spark_margin(v, tol)
-    assert margin is not None
+    assume(margin is not None)
     bound = _decided_bound(margin)
     probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
     decided = probes[: _decided_radii(margin, probes)]
@@ -441,11 +440,12 @@ def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap,
 
 
 def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
-    # Each pair of Mercedes atoms has sigma_min = sqrt(2)/2, which a move of at most lam per atom keeps above 0
-    # while sqrt(2) lam is below it: the radii up to just under the breaking radius 0.5 are decided, and 0.5 is not.
+    # Each pair of Mercedes atoms has the determinant bound |det| / |A|_F = sin(2 pi / 3) / sqrt(2), under its
+    # sigma_min = sqrt(2)/2, and a move of at most lam per atom moves a pair by at most sqrt(2) lam: the radii up
+    # to just under sqrt(3)/4 are decided, and 0.434 is not, below the breaking radius 0.5.
     margin = _spark_margin(fl.gen_mercedes().vectors, 1e-10)
-    assert _decided_radii(margin, [0.01, 0.1, 0.3, 0.45, 0.499, 0.5]) == 5
-    assert 0.499 < _decided_bound(margin) < 0.5
+    assert _decided_radii(margin, [0.01, 0.1, 0.3, 0.43, 0.434, 0.5]) == 4
+    assert 0.43 < _decided_bound(margin) < math.sqrt(3) / 4 < 0.5
 
 
 def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(monkeypatch):

@@ -30,6 +30,8 @@ from framelab.retrieval import (
     _r_stack,
     _spark_bounds,
     _spark_holds,
+    _spark_least,
+    _spark_margin,
     _walk,
 )
 from oracles import (
@@ -1570,3 +1572,33 @@ def test_the_spark_stage_decides_each_frame_of_a_stack_as_alone_in_bounded_block
     held = _spark_holds(stack, 1e-10)
     assert len(sizes) == 3 and max(sizes) <= _WALK_ENTRIES
     assert held.tolist() == [_spark_holds(v[None], 1e-10)[0] for v in frames] == [i % 3 != 0 for i in range(40)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["generic", "dependent"]),
+    field=st.sampled_from(["real", "complex"]),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 3),
+    gap=st.sampled_from([-1e-6, 0.0, 1e-6]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_the_spark_margin_exists_exactly_when_the_spark_stage_certifies(kind, field, d, extra, gap, seed):
+    # A tol a relative gap either side of where the stage's threshold t |V|_F, t = tol + n d eps (1 + tol), meets
+    # the frame's least bound; a dependent d-subset, or the zero frame of one atom, puts that edge below 0, where
+    # neither certifies.
+    n = 2 * d - 1 + extra
+    v = _spark_test_vectors(kind, d, n, np.random.default_rng(seed), field)
+    _, _, least, frob = _spark_least(v[None], 0.0)
+    eta = n * d * np.finfo(float).eps
+    tol = float((least[0] / frob[0] - eta) / (1 + eta)) * (1 + gap) if frob[0] else -1.0
+    assert (_spark_margin(v, tol) is not None) == _spark_holds(v[None], tol)[0]
+
+
+@pytest.mark.parametrize("d, n, tol", [(2, 5, -1e-10), (3, 5, float("nan")), (3, 4, 1e-10), (2, 2, 0.0), (6, 12, 1e-10)])
+def test_the_spark_margin_is_none_where_the_spark_stage_decides_nothing(d, n, tol):
+    # A negative or NaN tol, n < 2d - 1, and C(12, 6) * 36 = 33,264 minor entries past the walk's 32,768: the
+    # kernel bounds no minor, so neither the stage nor the margin certifies this generic frame.
+    v = fl.gen_random(d, n, seed=n).vectors
+    assert _spark_least(v[None], tol) is None
+    assert _spark_margin(v, tol) is None and not _spark_holds(v[None], tol)[0]

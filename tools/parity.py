@@ -43,9 +43,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # that the others name; ``latin1.json`` is not UTF-8 and ``list.json`` holds
 # a JSON list.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
 # ``--timings``) but is left out: its report holds wall-clock times.  The
-# two sweeps take the paths of an input that no margin certifies: r35.json
-# has n < d(d + 1)/2 and no decided radius, so its trials are drawn and it
-# exits 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01
+# three sweeps after r35.json is written have radii past the d-subsets'
+# margin, which decides the first two of m.json's three radii, the first of
+# r35.json's two and none of 1,2, so the rest draw their trials; all exit 0.
+# The next two take the paths of an input that no margin certifies: mm.json,
+# Mercedes with itself, has n < d(d + 1)/2 and dependent 4-subsets but does
+# phase retrieval, so it is decided alone, its trials are drawn and it exits
+# 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01
 # the table refuses every frame, which is then walked over the one interval
 # that holds every split: r35.json holds after all 16 splits and exits 0, and
 # dt3.json fails past the scan's prefixes and exits 1.
@@ -66,7 +70,11 @@ ERROR_ARGVS = (
     ("tensor", "m.json", "latin1.json", "-o", "t.json"),
     ("certify", "nr", "list.json"),
     ("gen", "random", "--dim", "3", "--n", "5", "--seed", "1", "-o", "r35.json"),
+    ("sweep", "m.json", "--lambdas", "0.01,0.3,0.45", "--trials", "20"),
+    ("sweep", "r35.json", "--lambdas", "0.005,0.012", "--trials", "20"),
     ("sweep", "r35.json", "--lambdas", "1,2", "--trials", "5"),
+    ("tensor", "m.json", "m.json", "-o", "mm.json"),
+    ("sweep", "mm.json", "--lambdas", "0.001", "--trials", "2"),
     ("gen", "deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "1", "-o", "dt.json"),
     ("sweep", "dt.json", "--lambdas", "0.1"),
     ("certify", "pr", "r35.json", "--tol", "0.01"),
