@@ -677,9 +677,10 @@ def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
     return _Margin(w[0], int(exponents[0]), covers)
 
 
-def _spark_margin(v: np.ndarray, tol: float) -> _Margin | None:
+def _spark_margin(v: np.ndarray, tol: float, lifted: _Margin | None = None) -> _Margin | None:
     """For an (n, d) frame the spark stage certifies, the frames near it the same bounds cover (``_Margin``); None for any other frame.
 
+    ``lifted``, v's lift margin when the caller has one, lends its scaled w and exponent e.
     Proof.  Let beta_R be the stage's computed bound on sigma_min(w_R),
     least the least of them (``_spark_least``), F the computed |w|_F and t
     the stage's threshold.  The stage's proof gives sigma_min(w_R) >= beta_R
@@ -696,10 +697,11 @@ def _spark_margin(v: np.ndarray, tol: float) -> _Margin | None:
     deficient.
     """
     n, d = v.shape
+    (w,), (exponent,) = scaled(v[None]) if lifted is None else ([lifted.w], [lifted.exponent])
     t = tol + n * d * _EPS * (1 + tol)
-    if (spark := _spark_least(v[None], tol)) is None or not spark[2][0] > t * spark[3][0]:
+    if (spark := _spark_least(w[None], tol)) is None or not spark[0][0] > t * spark[1][0]:
         return None
-    (w,), (exponent,), (least,), (frob,) = spark
+    (least,), (frob,) = spark
     base, reach, widen = t * float(frob), sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
 
     def covers(norms: list[float], b: list[float]) -> bool:
@@ -754,7 +756,7 @@ def _radius_stage(v: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bo
     """
     lifted = _lift_margin(v, tol)
     decided = 0 if lifted is None else _decided_radii(lifted, lams)
-    spark = _spark_margin(v, tol) if decided < len(lams) else None
+    spark = _spark_margin(v, tol, lifted) if decided < len(lams) else None
     if spark is not None:
         decided += _decided_radii(spark, lams[decided:])
     return decided, lifted is not None or spark is not None
@@ -777,33 +779,31 @@ def _spark_bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     subsets = _d_subsets(n, d)
     squares = np.einsum("knd,knd->kn", w, w.conj()).real
     frob = np.sqrt(squares.sum(axis=1))
-    det = np.abs(np.linalg.det(w[:, subsets]))
-    spread = (squares[:, subsets].sum(axis=2) / max(d - 1, 1)) ** ((d - 1) / 2)
+    det = np.abs(np.linalg.det(w.take(subsets, axis=1)))
+    spread = (squares.take(subsets, axis=1).sum(axis=2) / max(d - 1, 1)) ** ((d - 1) / 2)
     xi = 8 * d**3 * 3.0 ** (d - 1) * _EPS
     zeta = (d * (3 * d * d + 740) + n) * _EPS + d * xi
     ratio = np.where(det >= _TINY, det, 0.0) / np.maximum(spread, _TINY)
     return ratio / (1 + zeta) - xi * frob[:, None], frob
 
 
-def _spark_least(vs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Each frame of a (k, n, d) stack scaled to w = 2^-e v (``scaled``), the exponents e, its least ``_spark_bounds`` bound and |w|_F.
+def _spark_least(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each frame of a scaled (k, n, d) stack (``scaled``): its least ``_spark_bounds`` bound and |w|_F.
 
     None, which certifies nothing, when n < 2d - 1, tol < 0 or a frame's
     C(n, d) d x d minors hold more than ``_WALK_ENTRIES`` entries.  A block
     of at most that many entries, at least one frame, is bounded by one
     ``det`` call.
     """
-    k, n, d = vs.shape
+    k, n, d = w.shape
     entries = comb(n, d) * d * d
     if n < 2 * d - 1 or not tol >= 0 or entries > _WALK_ENTRIES:
         return None
-    w, exponents = scaled(vs)
-    least, frob = np.empty(k), np.empty(k)
-    step = _WALK_ENTRIES // entries
-    for lo in range(0, k, step):
-        bounds, frob[lo : lo + step] = _spark_bounds(w[lo : lo + step])
-        least[lo : lo + step] = bounds.min(axis=1)
-    return w, exponents, least, frob
+    if k > (step := _WALK_ENTRIES // entries):
+        blocks = [_spark_least(w[lo : lo + step], tol) for lo in range(0, k, step)]
+        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+    bounds, frob = _spark_bounds(w)
+    return bounds.min(axis=1), frob
 
 
 def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
@@ -859,9 +859,9 @@ def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     that no square overflows or underflows.
     """
     k, n, d = vs.shape
-    if (spark := _spark_least(vs, tol)) is None:
+    if (spark := _spark_least(scaled(vs)[0], tol)) is None:
         return np.zeros(k, dtype=bool)
-    return spark[2] > (tol + n * d * _EPS * (1 + tol)) * spark[3]
+    return spark[0] > (tol + n * d * _EPS * (1 + tol)) * spark[1]
 
 
 # The identity test's solve drops the lift's singular values at most this many times the largest.

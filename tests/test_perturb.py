@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import framelab as fl
-from framelab._linalg import full_column_rank
+from framelab._linalg import full_column_rank, scaled
 from framelab.retrieval import _BATCH_ENTRIES, _EPS, _decided_radii, _deficient, _lift_margin, _spark_least, _spark_margin
 from oracles import (
     complement_property_reference,
@@ -425,7 +425,7 @@ def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap,
     elif kind == "spread":
         v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     if gap is not None:
-        _, _, least, frob = _spark_least(v[None], 0.0)
+        least, frob = _spark_least(scaled(v[None])[0], 0.0)
         tol = max(0.0, float(least[0] / frob[0]) * (1 - gap) - 2 * n * d * _EPS)
     margin = _spark_margin(v, tol)
     assume(margin is not None)
@@ -451,8 +451,13 @@ def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
 def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(monkeypatch):
     # gen_random(2, 4, seed=19): its lift's margin decides 1e-4 and 1e-3, and its d-subsets' margin decides 1e-2.
     frame, lambdas = fl.gen_random(2, 4, seed=19), [1e-4, 1e-3, 1e-2]
-    assert _decided_radii(_lift_margin(frame.vectors, 1e-10), lambdas) == 2
+    lifted = _lift_margin(frame.vectors, 1e-10)
+    assert _decided_radii(lifted, lambdas) == 2
     assert _decided_radii(_spark_margin(frame.vectors, 1e-10), lambdas) == 3
+    # The lift's scaled frame, lent to the d-subsets' margin, is the one it would scale itself.
+    alone, lent = _spark_margin(frame.vectors, 1e-10), _spark_margin(frame.vectors, 1e-10, lifted)
+    assert (alone.w == lent.w).all() and alone.exponent == lent.exponent
+    assert _decided_radii(lent, lambdas) == 3
 
     def refuse(*args, **kwargs):
         raise AssertionError("a trial was drawn or certified")

@@ -1589,7 +1589,7 @@ def test_the_spark_margin_exists_exactly_when_the_spark_stage_certifies(kind, fi
     # neither certifies.
     n = 2 * d - 1 + extra
     v = _spark_test_vectors(kind, d, n, np.random.default_rng(seed), field)
-    _, _, least, frob = _spark_least(v[None], 0.0)
+    least, frob = _spark_least(scaled(v[None])[0], 0.0)
     eta = n * d * np.finfo(float).eps
     tol = float((least[0] / frob[0] - eta) / (1 + eta)) * (1 + gap) if frob[0] else -1.0
     assert (_spark_margin(v, tol) is not None) == _spark_holds(v[None], tol)[0]
@@ -1600,5 +1600,5 @@ def test_the_spark_margin_is_none_where_the_spark_stage_decides_nothing(d, n, to
     # A negative or NaN tol, n < 2d - 1, and C(12, 6) * 36 = 33,264 minor entries past the walk's 32,768: the
     # kernel bounds no minor, so neither the stage nor the margin certifies this generic frame.
     v = fl.gen_random(d, n, seed=n).vectors
-    assert _spark_least(v[None], tol) is None
+    assert _spark_least(scaled(v[None])[0], tol) is None
     assert _spark_margin(v, tol) is None and not _spark_holds(v[None], tol)[0]
