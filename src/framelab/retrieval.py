@@ -40,11 +40,13 @@ not, and it can only answer ``holds``.
 
 The spark stage (``_spark_holds``) runs in the driver, before any split:
 a frame with n >= 2d - 1 atoms whose every d atoms span has a spanning
-side on every split.  One ``det`` call on the C(n, d) d x d minors bounds
-each minor's smallest singular value from below (``_spark_least``), and
-when every bound clears the scan's rank test with its rounding, the frame
-holds with no split visited and the scan's own method.  It runs when the
-minors fit in ``_WALK_ENTRIES`` entries, and it can only answer ``holds``.
+side on every split.  The C(n, d) d x d minors, each a Laplace expansion
+of the shared smaller minors in IEEE arithmetic with no LAPACK
+(``_minors``), bound each minor's smallest singular value from below
+(``_spark_least``), and when every bound clears the scan's rank test with
+its rounding, the frame holds with no split visited and the scan's own
+method.  It runs when the minors fit in ``_WALK_ENTRIES`` entries, and it
+can only answer ``holds``.
 
 Both are decided on the splits where neither side spans, visited in scan
 order (the empty set first, then the subsets holding atom 0 in
@@ -71,10 +73,11 @@ rank with a margin above the tolerance, widened by a bound on its
 rounding: near the cutoff it lists extra candidates, which the rank check
 drops, and never misses one.  Past the prefixes one walk (``_walk``)
 reads the table's covering pairs as intervals of subsets; a frame that
-does not span with the margin, every frame once ``_TABLE_MARGIN`` tol >=
-1, has no table, and its walk takes the one interval that holds every
-split.  The atom count is capped.  The reference scan that checks every
-split, and independent brute-force references, live with the tests.
+does not span with the margin, and every frame at tol > 1e-2, where the
+margin would fall below its floor (``_table_margin``), has no table, and
+its walk takes the one interval that holds every split.  The atom count
+is capped.  The reference scan that checks every split, and independent
+brute-force references, live with the tests.
 
 The lift, the identity test, the spark stage and the table scale each
 frame by a power of two, exactly, with ``_linalg.scaled``, so that no norm
@@ -119,7 +122,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, dropwhile, filterfalse, islice
+from itertools import accumulate, compress, dropwhile, filterfalse, islice
 from math import comb, hypot, ldexp, sqrt
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -203,7 +206,11 @@ _BATCH_ENTRIES = 1 << 12
 # The table's rank decisions are this many times looser than the scan's, so
 # near the cutoff it lists more candidate splits, never fewer; every candidate
 # is then decided with ``numerical_rank``'s cutoff, as the scan decides it.
+# At a large tol the margin shrinks (``_table_margin``), down to its floor.
 _TABLE_MARGIN = 1e3
+_TABLE_MARGIN_FLOOR = 10.0
+# The largest margin times tol: the table's closures hold atoms within this share of their scale.
+_TABLE_REACH = 0.1
 # Projected entries the hyperplane walk expands at a time, per level of its subset tree.
 _WALK_ENTRIES = 1 << 15
 _EPS = float(np.finfo(float).eps)
@@ -220,7 +227,25 @@ def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _hyperplanes(v: np.ndarray, tol: float) -> np.ndarray:
+def _table_margin(tol: float) -> float | None:
+    """The table's margin M at ``tol``: ``_TABLE_MARGIN``, or less so that M tol is at most ``_TABLE_REACH``.
+
+    None, so that no table is built, when that M is below
+    ``_TABLE_MARGIN_FLOOR``, that is for tol > 1e-2, or when tol is NaN.
+    The walk reads only the splits of the table's covering pairs, so the
+    table must be looser than the scan: a margin of 1.5 missed a deficient
+    split that the scan finds on one of 200 frames with rank ties near tol
+    = 1e-10..1e-3, while margins of 2 and 4 missed none.  Past the reach,
+    closures grow to hold most atoms: on 16 atoms in two planes of R^3 at
+    tol = 1e-3, M tol = 0.5 gave 198 intervals and a slower walk than no
+    table, and M tol = 0.1 gave 6.
+    """
+    if not _TABLE_MARGIN_FLOOR * tol <= _TABLE_REACH:
+        return None
+    return _TABLE_MARGIN if _TABLE_MARGIN * tol <= _TABLE_REACH else _TABLE_REACH / tol
+
+
+def _hyperplanes(v: np.ndarray, tol: float, margin: float) -> np.ndarray:
     """The closures of the independent (d - 1)-subsets of rows, d >= 2, packed as bits.
 
     The walk.  A (d - 1)-subset T is a prefix of d - 2 atoms and a last
@@ -239,7 +264,7 @@ def _hyperplanes(v: np.ndarray, tol: float) -> np.ndarray:
     subset T (``hyperplane_table_reference`` in the tests): T is
     independent when sigma_min(T) > tol sigma_max(T), and atom i lies in
     its closure when its distance is at most M tol max(sigma_max(T),
-    |v_i|), M = ``_TABLE_MARGIN``.  Assume that the computed pivots and
+    |v_i|), M = ``margin``.  Assume that the computed pivots and
     points are exact for atoms each moved by at most eta |a|, eta = d^2
     eps, which is the backward error bound of d - 2 Householder
     reflections in dimension d with its unstated constant taken as 2, and
@@ -269,7 +294,7 @@ def _hyperplanes(v: np.ndarray, tol: float) -> np.ndarray:
     norms = np.linalg.norm(v, axis=1)
     packed: list[np.ndarray] = []
     eta = d * d * _EPS
-    high_cut = _TABLE_MARGIN * tol * (1 + eta)
+    high_cut = margin * tol * (1 + eta)
     floor = tol * (1 - eta) - eta
     atoms = np.arange(n)
 
@@ -322,23 +347,25 @@ def _hyperplanes(v: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _hyperplane_table(v: np.ndarray, tol: float) -> np.ndarray | None:
-    """The frame's distinct hyperplanes, as boolean rows, with the table's margin.
+    """The frame's distinct hyperplanes, as boolean rows, with the table's margin (``_table_margin``).
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
     most C(n, d - 1) of them; ``_hyperplanes`` finds them with no SVD.
     With d = 1 the one hyperplane is the zero space, which holds the zero
-    atoms.  Returns None when the frame does not span with the margin.  The
-    frame is first scaled by a power of two, so that no atom norm
-    overflows.
+    atoms.  Returns None when tol has no margin or the frame does not span
+    with it.  The frame is first scaled by a power of two, so that no atom
+    norm overflows.
     """
+    if (margin := _table_margin(tol)) is None:
+        return None
     v, _ = scaled(v)
-    if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
+    if numerical_rank(v, margin * tol) < v.shape[1]:
         return None
     n, d = v.shape
     if d == 1:
         norms = np.abs(v[:, 0])
-        return (norms <= _TABLE_MARGIN * tol * norms)[None]
-    packed = _hyperplanes(v, tol)
+        return (norms <= margin * tol * norms)[None]
+    packed = _hyperplanes(v, tol, margin)
     packed = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()).view(np.uint8)
     rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
     return rows.astype(bool)
@@ -763,11 +790,68 @@ def _radius_stage(v: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bo
 
 
 @lru_cache(maxsize=None)
-def _d_subsets(n: int, d: int) -> np.ndarray:
-    """The d-subsets of n atoms in lexicographic order, as a read-only (C(n, d), d) index array."""
-    subsets = np.array(list(combinations(range(n), d)), dtype=np.intp).reshape(-1, d)
-    subsets.setflags(write=False)
-    return subsets
+def _minor_plan(n: int, d: int) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The d-subsets of n atoms, and the gathers that expand every d x d minor from smaller ones, read-only.
+
+    Level k holds the minor of every k-subset of the atoms, in the order of
+    ``combinations``, on the last k coordinates; level 1 is the last
+    coordinate of each atom.  Each level-k minor is expanded along its first
+    column: its term i is the entry of its i-th atom times the level k - 1
+    minor of its other atoms, and the terms are summed with alternating
+    signs.  For k = 2..d the plan holds two (k, C(n, k)) index arrays, term
+    i in row i: into a frame's entries, flattened, and into level k - 1.
+    Level d holds one minor per d-subset.  The d-subsets come first, as a
+    (d, C(n, d)) index array: atom j of each in row j.
+
+    The k-subsets led by atom h are h and a (k - 1)-subset of the atoms
+    after it, which are the last C(n - 1 - h, k - 1) rows of level k - 1,
+    so each level's rows come from the row counts of the level below, with
+    no loop over subsets.  Dropping atom i >= 1 of such a row drops atom i -
+    1 of its tail, and the row led by h with that tail sits as far from the
+    first row led by h as the tail sits from the first tail after h.
+    """
+    # Level k - 1: its subsets, atom j of each in row j; where each subset less its i-th atom sits in the
+    # level below, in row i; and per leading atom h, its first row less the first row led by an atom after h
+    # in the level below.
+    rows, less, shift = np.arange(n)[None], np.zeros((1, n), dtype=np.intp), np.arange(n)
+    levels = []
+    for k in range(2, d + 1):
+        counts = [comb(n - 1 - h, k - 1) for h in range(n - k + 1)]
+        ends = list(accumulate(counts))
+        first = np.repeat(np.arange(n - k + 1), counts)
+        shifts = [end - rows.shape[1] for end in ends]
+        tail = np.arange(ends[-1]) - np.repeat(shifts, counts)
+        rows = np.concatenate(([first], rows[:, tail]))
+        less = np.concatenate(([tail], less[:, tail] + shift[first]))
+        shift = np.array(shifts)
+        levels.append((rows * d + (d - k), less))
+    for index in (rows, *(index for level in levels for index in level)):
+        index.setflags(write=False)
+    return rows, tuple(levels)
+
+
+# A minor's bound divides by at least this: past it the expansion's underflow is negligible.
+_SPREAD_FLOOR = 2.0**-400
+
+
+def _minors(w: np.ndarray) -> np.ndarray:
+    """The d x d minor of each d-subset of atoms of each frame of a (k, n, d) stack, (k, C(n, d)), lexicographically.
+
+    Level by level, as ``_minor_plan`` lays them out, by numpy gathers,
+    products and sums alone: no LAPACK or BLAS routine, so the floats do
+    not depend on the BLAS kernel.  ``_spark_holds`` bounds their rounding.
+    """
+    k, n, d = w.shape
+    entries, minors = w.reshape(k, -1), w[:, :, d - 1]
+    for left, right in _minor_plan(n, d)[1]:
+        terms = entries.take(left, axis=1) * minors.take(right, axis=1)
+        minors = terms[:, 0] - terms[:, 1]
+        for j in range(2, len(left)):
+            if j % 2:
+                minors -= terms[:, j]
+            else:
+                minors += terms[:, j]
+    return minors
 
 
 def _spark_bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -776,15 +860,13 @@ def _spark_bounds(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_spark_holds`` states the bound and what it charges.
     """
     k, n, d = w.shape
-    subsets = _d_subsets(n, d)
     squares = np.einsum("knd,knd->kn", w, w.conj()).real
     frob = np.sqrt(squares.sum(axis=1))
-    det = np.abs(np.linalg.det(w.take(subsets, axis=1)))
-    spread = (squares.take(subsets, axis=1).sum(axis=2) / max(d - 1, 1)) ** ((d - 1) / 2)
-    xi = 8 * d**3 * 3.0 ** (d - 1) * _EPS
-    zeta = (d * (3 * d * d + 740) + n) * _EPS + d * xi
-    ratio = np.where(det >= _TINY, det, 0.0) / np.maximum(spread, _TINY)
-    return ratio / (1 + zeta) - xi * frob[:, None], frob
+    power = (d - 1) / 2
+    spread = squares.take(_minor_plan(n, d)[0], axis=1).sum(axis=1) ** power
+    scale = (d - 1) ** power / (1 + (n + 32 + (d - 1) * (2 * d + 1)) * _EPS)
+    xi = ((d - 1) * (d + 4) // 2 + 1) * (d - 1) ** power * _EPS
+    return np.abs(_minors(w)) / np.maximum(spread, _SPREAD_FLOOR) * scale - xi * frob[:, None], frob
 
 
 def _spark_least(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -793,7 +875,7 @@ def _spark_least(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | N
     None, which certifies nothing, when n < 2d - 1, tol < 0 or a frame's
     C(n, d) d x d minors hold more than ``_WALK_ENTRIES`` entries.  A block
     of at most that many entries, at least one frame, is bounded by one
-    ``det`` call.
+    ``_spark_bounds`` call.
     """
     k, n, d = w.shape
     entries = comb(n, d) * d * d
@@ -806,8 +888,8 @@ def _spark_least(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | N
     return bounds.min(axis=1), frob
 
 
-def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
-    """For each frame of a (k, n, d) stack, whether its d-subsets prove the complement property.
+def _spark_holds(w: np.ndarray, tol: float) -> np.ndarray:
+    """For each frame of a scaled (k, n, d) stack (``scaled``), whether its d-subsets prove the complement property.
 
     A frame with n >= 2d - 1 atoms whose every d atoms span has the
     complement property, since every split has a side of at least d atoms
@@ -817,49 +899,58 @@ def _spark_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     certifies a frame when, for every d-subset R, the bound below on
     sigma_min(V_R) exceeds t |V|_F, t = tol + eta (1 + tol).  A certified
     frame has no split the scan calls deficient, so the stage can only
-    answer ``holds``, and its verdict is the scan's.
+    answer ``holds``, and its verdict is the scan's.  The scaling by a
+    power of two, exact, keeps every inequality below.
 
     Proof.  Assume, as ``_lifted_holds`` does with p = n d, that each
     computed singular value of an m x d matrix X, m <= n, is within eta
-    |X|_2 of the exact one, eta = n d eps.  Every split has a side T of at
-    least d atoms, the larger, which the scan tests whenever the smaller
-    does not span.  T holds a d-subset R, so sigma_d(V_T) >= sigma_min(V_R)
-    (rows added never lower a singular value), and |V_T|_2 <= |V|_F.  So
-    the computed s_d of V_T exceeds (t - eta) |V_T|_2 = tol (1 + eta)
-    |V_T|_2 >= tol s_1: the scan's own rank test calls T spanning, and no
-    split is deficient.
+    |X|_2 of the exact one, eta = n d eps: that is the scan's own SVD.
+    Every split has a side T of at least d atoms, the larger, which the
+    scan tests whenever the smaller does not span.  T holds a d-subset R,
+    so sigma_d(V_T) >= sigma_min(V_R) (rows added never lower a singular
+    value), and |V_T|_2 <= |V|_F.  So the computed s_d of V_T exceeds (t -
+    eta) |V_T|_2 = tol (1 + eta) |V_T|_2 >= tol s_1: the scan's own rank
+    test calls T spanning, and no split is deficient.
 
-    The bound.  A d x d matrix A has |det A| equal to the product of its
-    singular values, and the d - 1 largest have squares summing to at most
-    |A|_F^2, so sigma_min(A) >= |det A| / (|A|_F^2 / (d - 1))^((d - 1) / 2)
-    (the mean of squares bounds their product; the divisor is 1 when
-    d = 1).  ``np.linalg.det`` factors A by LU with partial pivoting, and
-    the factors are exact for A + E with |E|_F <= xi |A|_F, xi = 8 d^3
-    3^(d - 1) eps: |E| <= gamma_d |L| |U| entrywise (Higham, "Accuracy and
-    Stability of Numerical Algorithms", Theorem 9.3), pivoting bounds |L| by
-    1, or by sqrt 2 where LAPACK's complex pivot is the largest |Re| + |Im|,
-    and the growth by 2^(d - 1), or (1 + sqrt 2)^(d - 1); the constant 8
-    covers complex arithmetic and the rounding of |V|_F.  So sigma_min(A)
-    >= |det(A + E)| / ((1 + xi)^(d - 1) (|A|_F^2 / (d - 1))^((d - 1) / 2))
-    - xi |V|_F.  numpy forms det(A + E) as the exponential of the sum of
-    log |u_ii|.  Each |u_ii| is below 3^(d - 1), as every entry is below 1
-    in modulus after scaling, and a det below the least normal float is
-    taken as 0, so |log det| <= 709 and the sum of |log |u_ii|| is at most
-    2.2 d^2 + 710: the computed det is within d (2.3 d^2 + 720) eps of
-    det(A + E), relatively.  The bound divides by 1 + zeta, zeta = (d (3
-    d^2 + 740) + n) eps + d xi, which covers that error, (1 + xi)^(d - 1)
-    and the rounding of the denominator and of the subtraction, with (n +
-    12) eps to spare: a positive computed bound beta_R has sigma_min(V_R)
-    >= beta_R (1 + (n + 12) eps).  The computed |V|_F is within (n + d + 4)
-    eps / 2 of it, relatively, so beta_R above the computed t |V|_F gives
-    sigma_min(V_R) > t |V|_F.  A denominator below the least normal float is
-    raised to it, which only lowers the bound.
+    The bound, which assumes IEEE arithmetic alone.  A d x d matrix A has
+    |det A| equal to the product of its singular values, and the d - 1
+    largest have squares summing to at most S = |A|_F^2, so sigma_min(A) >=
+    |det A| (d - 1)^p / S^p, p = (d - 1) / 2 (the mean of squares bounds
+    their product; the factor is 1 when d = 1).  The minors m of every R
+    come from ``_minor_plan``'s Laplace expansion (``_minors``), with no
+    LAPACK.  Every computed sum and product is within eps of exact,
+    relatively, a complex product within 2 eps (Higham, "Accuracy and
+    Stability of Numerical Algorithms", Lemma 3.5).  A level-k term passes
+    one product and at most k - 1 sums, so the computed minor is sum_j a_j
+    m'_j (1 + theta_j) with |theta_j| <= gamma_(k + 1), gamma_i = i eps /
+    (1 - i eps), the a_j the entries of its first column and the m'_j the
+    computed level k - 1 minors.  The |a_j| perm(|A'_j|) sum to perm(|A|),
+    the permanent of the moduli, so by induction the computed m^ has |m^ -
+    m| <= gamma_N perm(|A|), N = (d - 1)(d + 4) / 2; and perm(|A|) <=
+    prod_i |a_i|_1 <= d^(d / 2) prod_i |a_i|_2 <= S^(d / 2), a_i the rows.  Underflow adds less than 2^-1058 to m^, as every
+    entry is below 1 in modulus.  So sigma_min(A) >= |m^| (d - 1)^p / S^p -
+    gamma_N (d - 1)^p S^(1 / 2) - 2^-1058 (d - 1)^p / S^p.
 
-    Each frame is first scaled by a power of two (``scaled``), exactly, so
-    that no square overflows or underflows.
+    The kernel (``_spark_bounds``) computes beta_R = |m^| / max(S^p,
+    2^-400) c - xi |V|_F, with c = (d - 1)^p / (1 + zeta), zeta = (n + 32 +
+    (d - 1)(2d + 1)) eps, and xi = (N + 1)(d - 1)^p eps.  S is summed from
+    the squared atom norms, within gamma_(2d + 1) of exact relatively once
+    S^p >= 2^-400, which underflow cannot then reach, so S^p is within
+    (p (2d + 1) + 2) eps of its computed value; below that floor the exact
+    S^p is below 2^-400 (1 + eps) as well, and the floor only lowers the
+    bound.  |V|_F is at least 1/2 after scaling, unless the frame is zero
+    and every term is zero.  So xi |V|_F covers gamma_N (d - 1)^p S^(1 / 2)
+    and the underflow term, and zeta covers the rounding of S^p, |m^|, c,
+    the division, the product and the subtraction, with (n + 12) eps to
+    spare: a positive computed bound beta_R has sigma_min(V_R) >= beta_R
+    (1 + (n + 12) eps).  The computed |V|_F is within (n + d + 4) eps / 2
+    of it, relatively, so beta_R above the computed t |V|_F gives
+    sigma_min(V_R) > t |V|_F.  Below the floor S < 2^-160, and the
+    computed bound is under S^(1 / 2) (d - 1)^p < 2^-74, far below t |V|_F,
+    so the floor decides no frame.
     """
-    k, n, d = vs.shape
-    if (spark := _spark_least(scaled(vs)[0], tol)) is None:
+    k, n, d = w.shape
+    if (spark := _spark_least(w, tol)) is None:
         return np.zeros(k, dtype=bool)
     return spark[0] > (tol + n * d * _EPS * (1 + tol)) * spark[1]
 
@@ -946,22 +1037,25 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     return bound * (1 + 3 * eta + rho) <= ortho_tol
 
 
-def _first_failures(vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]) -> list[Any]:
+def _first_failures(
+    vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any], w: np.ndarray | None = None
+) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
     ``fails(v, splits)`` gets one frame's splits where neither side spans,
     those of one chunk in scan order, and returns a finding or None; a frame
     leaves at its first finding.  The driver runs no lift: the certifiers
-    run ``_lifted_holds`` first and pass only the frames it leaves open.
-    The driver first runs ``_spark_holds`` on the whole stack: a frame it
-    certifies has no deficient split, so it gets None with no split
-    decided and ``fails`` never called.  Each frame still open is then
-    decided alone from its own chunks (``_split_chunks``): the scan's n
-    prefix splits, then the walk past them, so no split of a frame is
-    decided twice, and every frame gets the findings it gets alone.
+    run it first and pass only the frames it leaves open, with the stack it
+    scaled as ``w`` when they have it; the driver scales the stack itself
+    otherwise.  The driver first runs ``_spark_holds`` on the whole scaled
+    stack: a frame it certifies has no deficient split, so it gets None
+    with no split decided and ``fails`` never called.  Each frame still
+    open is then decided alone from its own chunks (``_split_chunks``): the
+    scan's n prefix splits, then the walk past them, so no split of a frame
+    is decided twice, and every frame gets the findings it gets alone.
     """
     found: list[Any] = [None] * len(vs)
-    for i in np.flatnonzero(~_spark_holds(vs, tol)).tolist():
+    for i in np.flatnonzero(~_spark_holds(scaled(vs)[0] if w is None else w, tol)).tolist():
         for chunk in _split_chunks(vs[i], tol):
             splits = list(compress(chunk, _deficient(vs[i], chunk, tol)))
             if splits and (finding := fails(vs[i], splits)) is not None:
@@ -1005,9 +1099,10 @@ def complement_property(
     """
     _require_within_cap(frame, cap, "complement property certification")
     vs = frame.vectors[None]
-    if _lifted_holds(vs, tol)[0]:
+    w, _, margins = _lift_margins(vs, tol)
+    if margins[0] > 0:
         return Certificate(HOLDS, _LIFTED, frame.field)
-    subset = _first_failures(vs, tol, _first_subset)[0]
+    subset = _first_failures(vs, tol, _first_subset, w)[0]
     verdict = HOLDS if subset is None else FAILS
     return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
@@ -1225,13 +1320,13 @@ def norm_retrieval_certify(
     _require_within_cap(frame, cap, "norm retrieval certification")
     real, vs = frame.field == "real", frame.vectors[None]
     # The lift first: generic frames pass it, and would fail the identity test at the cost of a second SVD.
-    if real and _lifted_holds(vs, rank_tol)[0]:
+    if real and (lifted := _lift_margins(vs, rank_tol))[2][0] > 0:
         return Certificate(HOLDS, _NR_METHOD, frame.field)
     if _identity_holds(frame.vectors, rank_tol, tol):
         return Certificate(HOLDS, _IDENTITY, frame.field)
     if not real:
         return Certificate(INCONCLUSIVE, "nr-identity-sufficiency", frame.field)
-    found = _first_failures(vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol))[0]
+    found = _first_failures(vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), lifted[0])[0]
     return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 
 

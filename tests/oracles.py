@@ -28,7 +28,9 @@ algorithm, so agreement between the two is meaningful evidence:
   Householder reflections and no SVD; its rows lie inside the library's.
 * ``subset_sigma_min_reference`` takes the smallest singular value of each
   d-subset of atoms from its own SVD, where the library bounds it from below
-  through one stacked determinant.
+  through its minor, expanded from smaller minors in floats.
+* ``minors_reference`` computes every d x d minor exactly, in rationals,
+  where the library expands them in floats.
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
@@ -39,8 +41,8 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``spark_radius_reference`` checks the d-subsets' radius inequality
   exactly, as a positive definite test of each minor's Gram matrix by its
   leading minors in rationals, where the library bounds each minor's
-  smallest singular value from below through the spark stage's stacked
-  determinant, in floats with allowances for its rounding.
+  smallest singular value from below through the spark stage's expanded
+  minors, in floats with allowances for their rounding.
 * ``hermitian_lift_reference`` builds the lifted map Q -> (phi_i^* Q phi_i)_i
   on Hermitian matrices column by column from an explicit orthonormal
   basis of them, where the library writes the complex lift's rows from
@@ -66,7 +68,7 @@ import numpy as np
 
 from framelab import FAILS, HOLDS, AlphaResult, Certificate, Frame
 from framelab._linalg import annihilator, numerical_rank, ranks, scaled
-from framelab.retrieval import _TABLE_MARGIN
+from framelab.retrieval import _table_margin
 
 
 def sign_pattern_pr_oracle(frame: Frame, rank_tol: float = 1e-10, col_tol: float = 1e-8) -> str:
@@ -306,13 +308,15 @@ def hyperplane_table_reference(v: np.ndarray, tol: float) -> np.ndarray | None:
 
     A subset is independent when its smallest singular value clears
     ``tol * sigma_max``.  An atom lies in its closure when its distance to
-    their span is at most ``_TABLE_MARGIN * tol`` times the larger of
-    ``sigma_max`` and the atom's norm, so exact zero atoms lie in every
-    hyperplane.  Returns None when the frame does not span at
-    ``_TABLE_MARGIN * tol``.
+    their span is at most ``M * tol`` times the larger of ``sigma_max`` and
+    the atom's norm, M the table's margin (``_table_margin``), so exact zero
+    atoms lie in every hyperplane.  Returns None when tol has no margin or
+    the frame does not span at ``M * tol``.
     """
+    if (margin := _table_margin(tol)) is None:
+        return None
     v, _ = scaled(v)
-    if numerical_rank(v, _TABLE_MARGIN * tol) < v.shape[1]:
+    if numerical_rank(v, margin * tol) < v.shape[1]:
         return None
     n, d = v.shape
     r = d - 1
@@ -327,7 +331,7 @@ def hyperplane_table_reference(v: np.ndarray, tol: float) -> np.ndarray | None:
         top = s[:, :1] if r else np.zeros((len(vh), 1))
         distance = np.linalg.norm(vh[:, r:].conj() @ v.T, axis=1)
         scale = np.maximum(top, norms)
-        blocks.append(np.packbits(distance <= _TABLE_MARGIN * tol * scale, axis=1, bitorder="little"))
+        blocks.append(np.packbits(distance <= margin * tol * scale, axis=1, bitorder="little"))
     packed = np.unique(np.concatenate(blocks).view(np.dtype((np.void, (n + 7) // 8))).ravel()).view(np.uint8)
     rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
     return rows.astype(bool)
@@ -409,6 +413,65 @@ def _exact_det(rows: list[list[Fraction]]) -> Fraction:
     return sum(
         (-1) ** j * rows[0][j] * _exact_det([row[:j] + row[j + 1 :] for row in rows[1:]]) for j in range(len(rows))
     )
+
+
+class _Gaussian:
+    """An exact complex rational re + im i, with the field operations an elimination needs."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re, self.im = re, im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __neg__(self) -> _Gaussian:
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, other: _Gaussian) -> _Gaussian:
+        return _Gaussian(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other: _Gaussian) -> _Gaussian:
+        return _Gaussian(self.re * other.re - self.im * other.im, self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other: _Gaussian) -> _Gaussian:
+        norm = other.re * other.re + other.im * other.im
+        return _Gaussian((self.re * other.re + self.im * other.im) / norm, (self.im * other.re - self.re * other.im) / norm)
+
+
+def _eliminated_det(rows: list[list]) -> Fraction | _Gaussian:
+    """The determinant of a square matrix over an exact field, by Gaussian elimination.
+
+    It takes O(d^3) field operations, where ``_exact_det``'s cofactor
+    expansion takes d! terms: too many for the d = 6 minors of a test draw.
+    """
+    rows = [list(row) for row in rows]
+    det, sign = None, 1
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return rows[c][c] - rows[c][c]
+        if pivot != c:
+            rows[c], rows[pivot], sign = rows[pivot], rows[c], -sign
+        det = rows[c][c] if det is None else det * rows[c][c]
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] / rows[c][c]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return det if sign > 0 else -det
+
+
+def minors_reference(v: np.ndarray) -> list[Fraction | _Gaussian]:
+    """The d x d minor of each d-subset of rows, in lexicographic order, exactly: rationals, or complex rationals.
+
+    Every float is a dyadic rational, so the minors of the frame's entries
+    are computed with no rounding at all.
+    """
+    def exact(x):
+        return _Gaussian(Fraction(x.real), Fraction(x.imag)) if np.iscomplexobj(v) else Fraction(x)
+
+    rows = [[exact(x) for x in row] for row in v.tolist()]
+    return [_eliminated_det([rows[i] for i in r]) for r in combinations(range(len(v)), v.shape[1])]
 
 
 def spark_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-from itertools import compress
+from fractions import Fraction
+from itertools import combinations, compress, permutations
 from math import comb
 from unittest.mock import patch
 
@@ -26,12 +27,15 @@ from framelab.retrieval import (
     _lift,
     _lift_cutoff,
     _lift_margin,
+    _lift_margins,
     _lifted_holds,
+    _minors,
     _r_stack,
     _spark_bounds,
     _spark_holds,
     _spark_least,
     _spark_margin,
+    _table_margin,
     _walk,
 )
 from oracles import (
@@ -44,6 +48,7 @@ from oracles import (
     hermitian_basis,
     hermitian_lift_reference,
     hyperplane_table_reference,
+    minors_reference,
     lift_ratio_reference,
     near_riesz_oracle,
     norm_retrieval_oracle,
@@ -217,9 +222,9 @@ def test_pr_decides_the_lift_once_per_frame(field, d, n, monkeypatch):
 
     def counting(vs, tol):
         calls.append(len(vs))
-        return _lifted_holds(vs, tol)
+        return _lift_margins(vs, tol)
 
-    monkeypatch.setattr("framelab.retrieval._lifted_holds", counting)
+    monkeypatch.setattr("framelab.retrieval._lift_margins", counting)
     fl.phase_retrieval_certify(fl.gen_random(d, n, seed=1, field=field))
     assert calls == [1]
 
@@ -579,8 +584,8 @@ def _decisions(frame, splits, cp_witness, nr):
 
 
 def _without_the_lift():
-    """Make the lifted test refuse every frame, so the scan and the table decide them all."""
-    return patch("framelab.retrieval._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    """Make the lift refuse every frame, so the scan and the table decide them all."""
+    return patch("framelab.retrieval._lift_margins", lambda vs, tol: (*scaled(vs), np.full(len(vs), -np.inf)))
 
 
 def _without_the_spark():
@@ -1200,6 +1205,30 @@ def test_without_a_table_every_split_is_checked():
             assert _deficient_splits(frame) == list(deficient_splits_reference(frame))
 
 
+@pytest.mark.parametrize("tol, margin", [(0.0, 1e3), (1e-4, 1e3), (1e-3, 100.0), (1e-2, 10.0), (0.05, None)])
+def test_a_large_tol_shrinks_the_table_margin_down_to_its_floor(tol, margin):
+    # 16 atoms in two planes of R^3.  Up to tol = 1e-4 the table keeps its margin of 1000; up to 1e-2 the
+    # margin keeps M tol = 0.1, so the frame still spans with it and the walk reads the table's intervals;
+    # past 1e-2 the margin would fall below its floor of 10, and the walk takes the one interval that holds
+    # every split.  The even atoms fail the complement property at every tol, by either route.
+    frame = _two_plane(16, seed=0)
+    assert _table_margin(tol) == (None if margin is None else pytest.approx(margin))
+    walked = []
+
+    def recording(n, intervals):
+        walked.append(intervals)
+        return _walk(n, intervals)
+
+    with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._walk", recording):
+        witness = fl.complement_property(frame, tol).witness_subset
+    if margin is None:
+        assert walked == [[(1, 2**16 - 1)]] and _hyperplane_table(frame.vectors, tol) is None
+        assert _table_margin(float("nan")) is None
+        return
+    assert len(walked) == 1 and (1, 2**16 - 1) not in walked[0]
+    assert witness == complement_property_reference(frame, tol) == tuple(range(0, 16, 2))
+
+
 def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     # Each frame's stream starts with the scan's 12 prefix splits.  The first frame fails at
     # {0..5} | {6..11}, the 7th of them, and builds no table.  The second holds through the table:
@@ -1511,13 +1540,62 @@ def test_the_spark_stage_certifies_only_frames_without_a_deficient_split(kind, f
     jitter *= 10.0**noise * max(tol, np.finfo(float).eps) * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
     v = (v + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     frame = _unit_frame(v)
-    held = _spark_holds(v[None], tol)[0]
+    held = _spark_holds(scaled(v[None])[0], tol)[0]
     if n >= 2 * d - 1:
         bounds, _ = _spark_bounds(scaled(v[None])[0])
         assert (bounds[0] <= subset_sigma_min_reference(v)).all()
     if held:
         assert next(deficient_splits_reference(frame, tol), None) is None
     assert fl.complement_property(frame, tol).witness_subset == complement_property_reference(frame, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["real", "complex"]),
+    d=st.integers(1, 6),
+    extra=st.integers(0, 2),
+    zeros=st.integers(0, 2),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(field="complex", d=6, extra=2, zeros=0, seed=0)
+@example(field="real", d=6, extra=2, zeros=1, seed=1)
+def test_the_expanded_minors_lie_within_their_stated_error_of_the_exact_minors(field, d, extra, zeros, seed):
+    # Entries with small integer mantissas, each times its own power of two in 2^-60..2^60, and some zero atoms.
+    # Each computed minor m^ must lie within gamma_N perm(|A|) + 2^-1058 of the exact minor m, N = (d - 1)(d + 4)/2,
+    # the error ``_spark_holds`` states for the expansion; its permanent is taken in floats and widened by 1e-12.
+    rng = np.random.default_rng(seed)
+    n = d + extra
+
+    def dyadic():
+        return np.ldexp(rng.integers(-15, 16, size=(n, d)).astype(float), rng.integers(-60, 61, size=(n, d)))
+
+    v = dyadic() + 1j * dyadic() if field == "complex" else dyadic()
+    v[rng.choice(n, size=min(zeros, n), replace=False)] = 0.0
+    w = scaled(v[None])[0]
+    terms = (d - 1) * (d + 4) // 2
+    gamma = terms * np.finfo(float).eps / (1 - terms * np.finfo(float).eps)
+    orders = np.array(list(permutations(range(d))))
+    for r, got, want in zip(combinations(range(n), d), _minors(w)[0].tolist(), minors_reference(w[0]), strict=True):
+        moduli = np.abs(w[0, list(r)])
+        allowed = Fraction(gamma * float(moduli[np.arange(d), orders].prod(axis=1).sum()) * (1 + 1e-12)) + Fraction(2) ** -1058
+        if field == "complex":
+            assert (Fraction(got.real) - want.re) ** 2 + (Fraction(got.imag) - want.im) ** 2 <= allowed**2
+        else:
+            assert abs(Fraction(got) - want) <= allowed
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["generic", "dependent"])
+@pytest.mark.parametrize("d, n", [(5, 9), (5, 13), (6, 11)])
+def test_the_spark_bounds_lie_below_every_minor_at_d_5_and_6(field, kind, d, n):
+    # The smallest and largest n the stage takes at d = 5, and the one n at d = 6.  Every bound lies below its
+    # minor's sigma_min; a generic frame is certified, and one dependent d-subset stops the stage.
+    v = _spark_test_vectors(kind, d, n, np.random.default_rng(d * n), field)
+    bounds, _ = _spark_bounds(scaled(v[None])[0])
+    assert (bounds[0] <= subset_sigma_min_reference(v)).all()
+    assert _spark_holds(scaled(v[None])[0], 1e-10)[0] == (kind == "generic")
+    frame = _unit_frame(v)
+    assert fl.complement_property(frame).witness_subset == complement_property_reference(frame)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1530,7 +1608,7 @@ def test_the_spark_stage_keeps_the_scan_verdict_on_zero_atoms_and_extreme_scales
             v[zero] = 0.0
         frame = _unit_frame(v)
         # Every d atoms of a generic frame span, and none with the zero atom among them does.
-        assert _spark_holds(v[None], 1e-10)[0] == (zero is None)
+        assert _spark_holds(scaled(v[None])[0], 1e-10)[0] == (zero is None)
 
         def verdicts():
             nr = fl.norm_retrieval_certify(frame) if field == "real" else None
@@ -1542,7 +1620,7 @@ def test_the_spark_stage_keeps_the_scan_verdict_on_zero_atoms_and_extreme_scales
 
 
 def test_a_full_spark_complex_frame_is_decided_with_no_rank_call_and_no_table(monkeypatch):
-    # 11 atoms in C^4: the lift needs 16, and the spark stage settles its 330 minors in one det call.
+    # 11 atoms in C^4: the lift needs 16, and the spark stage settles its 330 minors in one expansion.
     def refuse(*args):
         raise AssertionError("a split was decided or a table built")
 
@@ -1556,22 +1634,21 @@ def test_a_full_spark_complex_frame_is_decided_with_no_rank_call_and_no_table(mo
 
 
 def test_the_spark_stage_decides_each_frame_of_a_stack_as_alone_in_bounded_blocks(monkeypatch):
-    # 9 atoms in R^4 take C(9, 4) * 16 = 2016 minor entries per frame, so 16 frames per det call.
+    # 9 atoms in R^4 take C(9, 4) * 16 = 2016 minor entries per frame, so 16 frames per kernel call.
     frames = [fl.gen_random(4, 9, seed=seed).vectors.copy() for seed in range(40)]
     for v in frames[::3]:
         v[2] = v[0] - 2 * v[1]  # every 4-subset holding atoms 0, 1 and 2 is dependent
-    stack = np.stack(frames)
+    stack = scaled(np.stack(frames))[0]
     sizes = []
-    det = np.linalg.det
 
-    def recording(minors):
-        sizes.append(minors.size)
-        return det(minors)
+    def recording(w):
+        sizes.append(len(w) * comb(9, 4) * 16)
+        return _spark_bounds(w)
 
-    monkeypatch.setattr(np.linalg, "det", recording)
+    monkeypatch.setattr("framelab.retrieval._spark_bounds", recording)
     held = _spark_holds(stack, 1e-10)
     assert len(sizes) == 3 and max(sizes) <= _WALK_ENTRIES
-    assert held.tolist() == [_spark_holds(v[None], 1e-10)[0] for v in frames] == [i % 3 != 0 for i in range(40)]
+    assert held.tolist() == [_spark_holds(w[None], 1e-10)[0] for w in stack] == [i % 3 != 0 for i in range(40)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1592,7 +1669,7 @@ def test_the_spark_margin_exists_exactly_when_the_spark_stage_certifies(kind, fi
     least, frob = _spark_least(scaled(v[None])[0], 0.0)
     eta = n * d * np.finfo(float).eps
     tol = float((least[0] / frob[0] - eta) / (1 + eta)) * (1 + gap) if frob[0] else -1.0
-    assert (_spark_margin(v, tol) is not None) == _spark_holds(v[None], tol)[0]
+    assert (_spark_margin(v, tol) is not None) == _spark_holds(scaled(v[None])[0], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, tol", [(2, 5, -1e-10), (3, 5, float("nan")), (3, 4, 1e-10), (2, 2, 0.0), (6, 12, 1e-10)])
@@ -1601,4 +1678,4 @@ def test_the_spark_margin_is_none_where_the_spark_stage_decides_nothing(d, n, to
     # kernel bounds no minor, so neither the stage nor the margin certifies this generic frame.
     v = fl.gen_random(d, n, seed=n).vectors
     assert _spark_least(scaled(v[None])[0], tol) is None
-    assert _spark_margin(v, tol) is None and not _spark_holds(v[None], tol)[0]
+    assert _spark_margin(v, tol) is None and not _spark_holds(scaled(v[None])[0], tol)[0]

@@ -14,8 +14,9 @@ sha256 of its stdout, of its stderr and of each file it wrote, by name.
 
 A fixed block of command lines that the benchmark never runs follows, one
 line each, printed once per call: usage errors, help, input files that are
-not UTF-8 or not a JSON object, the sweep paths no workload takes, and
-certifications of frames the hyperplane table refuses, so that their exit
+not UTF-8 or not a JSON object, the sweep paths no workload takes,
+certifications at large tolerances and of a frame the hyperplane table
+refuses, and spark-stage certifications at d = 5 and 6, so that their exit
 codes and bytes are compared too.  Its lines start with
 ``errors -`` and the command line's words, joined by commas in brackets.
 
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -40,8 +42,9 @@ from framelab import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Run in order in one directory: the first line writes the frame ``m.json``
-# that the others name; ``latin1.json`` is not UTF-8 and ``list.json`` holds
-# a JSON list.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
+# that the others name; ``latin1.json`` is not UTF-8, ``list.json`` holds
+# a JSON list, and ``flat.json`` holds eight atoms in two planes of R^3, their
+# last coordinate scaled by 1e-8.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
 # ``--timings``) but is left out: its report holds wall-clock times.  The
 # three sweeps after r35.json is written have radii past the d-subsets'
 # margin, which decides the first two of m.json's three radii, the first of
@@ -49,10 +52,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # The next two take the paths of an input that no margin certifies: mm.json,
 # Mercedes with itself, has n < d(d + 1)/2 and dependent 4-subsets but does
 # phase retrieval, so it is decided alone, its trials are drawn and it exits
-# 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01
-# the table refuses every frame, which is then walked over the one interval
-# that holds every split: r35.json holds after all 16 splits and exits 0, and
-# dt3.json fails past the scan's prefixes and exits 1.
+# 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01 the
+# table's margin falls to 10: r35.json holds through its table and exits 0,
+# and dt3.json fails past the scan's prefixes and exits 1; at --tol 0.001,
+# with a margin of 100, dt3.json holds through its table and exits 0.
+# flat.json spans at the tolerance but not with the table's margin, so it
+# has no table, and it fails in the walk of the one interval that holds every
+# split: exit 1.  Last, the spark stage certifies the complement property of
+# random frames at d = 5, n = 9 and d = 6, n = 11: the real ones hold (0),
+# and the complex ones are inconclusive (3).
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -80,7 +88,19 @@ ERROR_ARGVS = (
     ("certify", "pr", "r35.json", "--tol", "0.01"),
     ("gen", "deficient-tail", "--dim", "3", "--head-dim", "2", "--tail-len", "3", "--seed", "0", "-o", "dt3.json"),
     ("certify", "pr", "dt3.json", "--tol", "0.01"),
+    ("certify", "pr", "dt3.json", "--tol", "0.001"),
+    ("certify", "pr", "flat.json"),
+    ("gen", "random", "--dim", "5", "--n", "9", "--seed", "1", "-o", "r59.json"),
+    ("certify", "pr", "r59.json"),
+    ("gen", "random", "--dim", "5", "--n", "9", "--seed", "1", "--field", "complex", "-o", "c59.json"),
+    ("certify", "pr", "c59.json"),
+    ("gen", "random", "--dim", "6", "--n", "11", "--seed", "1", "-o", "r611.json"),
+    ("certify", "pr", "r611.json"),
+    ("gen", "random", "--dim", "6", "--n", "11", "--seed", "1", "--field", "complex", "-o", "c611.json"),
+    ("certify", "pr", "c611.json"),
 )
+# Two planes of R^3, x-y and y-z, four atoms each; the last coordinate is then scaled by 1e-8.
+FLAT_ATOMS = ((1, 2, 0), (0, 1, 3), (3, -1, 0), (0, -2, 1), (-1, 1, 0), (0, 3, -1), (2, 1, 0), (0, 1, 1))
 
 
 def _mixes():
@@ -146,6 +166,8 @@ def error_lines() -> list[str]:
     with _fresh_directory() as directory:
         (directory / "latin1.json").write_bytes("{\"field\": \"réel\"}".encode("latin-1"))
         (directory / "list.json").write_text("[1, 2]\n")
+        atoms = [{"weight": 1.0, "vector": [float(x), float(y), z * 1e-8]} for x, y, z in FLAT_ATOMS]
+        (directory / "flat.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
         return [f"errors - [{','.join(argv)}] {_run(argv, directory)}" for argv in ERROR_ARGVS]
 
 
