@@ -204,8 +204,8 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return _operator(frame.vectors, frame.weights)
 
 
-def _scaled_bounds(frame: Frame) -> tuple[float, float, int]:
-    """The extreme eigenvalues of the frame operator of the ``scaled`` frame, and its exponent e.
+def _scaled_bounds(frame: Frame) -> tuple[float, float, int, np.ndarray]:
+    """The extreme eigenvalues of the frame operator of the ``scaled`` frame, its exponent e, and its vectors.
 
     The frame's vectors are the scaled ones times 2^e, so its frame operator
     is 4^e times the scaled frame's, whose entries neither underflow nor
@@ -213,7 +213,7 @@ def _scaled_bounds(frame: Frame) -> tuple[float, float, int]:
     """
     vectors, e = scaled(frame.vectors)
     evals = np.linalg.eigvalsh(_operator(vectors, frame.weights))
-    return max(float(evals[0]), 0.0), max(float(evals[-1]), 0.0), int(e)
+    return max(float(evals[0]), 0.0), max(float(evals[-1]), 0.0), int(e), vectors
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:
@@ -224,7 +224,7 @@ def frame_bounds(frame: Frame) -> FrameBounds:
     bounds underflow to zero is judged by their ratio.  ValueError if a
     bound overflows.
     """
-    lower, upper, e = _scaled_bounds(frame)
+    lower, upper, e, _ = _scaled_bounds(frame)
     with np.errstate(over="ignore"):
         bounds = np.ldexp([lower, upper], 2 * e)
     if not np.isfinite(bounds).all():
@@ -246,11 +246,11 @@ def bessel_norm_bound_check(frame: Frame, tol: float = DEFAULT_MATCH_TOL) -> Bes
     ``tol`` is relative to the frame's largest entry and a frame whose
     sides underflow is still checked.
     """
-    _, upper, e = _scaled_bounds(frame)
+    _, upper, e, vectors = _scaled_bounds(frame)
     # B / eta = (b / m) 2^(2 half + odd) for the mantissas b and m, so the bound is sqrt((b / m) 2^odd) 2^half.
     (b, b_exp), (m, m_exp) = np.frexp(upper), np.frexp(frame.space.eta)
     half, odd = divmod(int(b_exp - m_exp), 2)
-    norm = np.linalg.norm(scaled(frame.vectors)[0], axis=1).max()
+    norm = np.linalg.norm(vectors, axis=1).max()
     with np.errstate(over="ignore"):
         bound = np.ldexp(np.sqrt(np.ldexp(b / m, odd)), half)
         report = np.ldexp([bound, norm], e)

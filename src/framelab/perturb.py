@@ -45,6 +45,7 @@ from ._linalg import (
     DEFAULT_RANK_TOL,
     annihilator,
     inner,
+    scaled,
 )
 from .errors import FramelabError
 from .frames import Frame, FrameBounds, _require_finite, frame_bounds, magnitudes
@@ -56,7 +57,7 @@ from .retrieval import (
     _deficient,
     _first_failures,
     _first_subset,
-    _lifted_holds,
+    _lift_margins,
     _nr_failure,
     _pr_failure,
     _radius_stage,
@@ -350,7 +351,8 @@ def stability_sweep(
     trial count and the seed are checked first, in that order, before
     anything is certified.
 
-    The radius stage (``_radius_stage``).  The input is certified once,
+    The radius stage (``_radius_stage``).  The input is scaled once
+    (``scaled``), and every stage reads that copy.  It is certified once,
     by its lift (``_lift_margin``), and when the lift leaves a radius open,
     by the spark stage's bounds on its d-subsets (``_spark_margin``); a
     radius either margin decides (``_decided_radii``) gets 0 failures with
@@ -365,8 +367,9 @@ def stability_sweep(
     The radii past that prefix are built and certified in blocks of
     trials, every open radius of a trial in its block, each block of at
     most the batch size in entries (at least one trial).  A block's frames
-    form one real stack.  The lift decides it in one stacked SVD, and the
-    frames it leaves open go through the driver of ``complement_property``:
+    form one real stack, scaled once.  The lift decides it in one stacked
+    SVD, and the frames it leaves open, with their scaled copies, go
+    through the driver of ``complement_property``:
     the spark stage decides them at once, and the frames still open go on
     one by one, through the scan's n prefix splits and then the hyperplane
     table.  An input neither margin certifies is decided alone, by the
@@ -392,8 +395,10 @@ def stability_sweep(
     seeds = np.random.SeedSequence(seed)
 
     n, d = frame.n_atoms, frame.dim
-    decided, certified = _radius_stage(frame.vectors, tol, lams)
-    if not certified and _first_failures(frame.vectors[None], tol, _first_subset)[0] is not None:
+    vs = frame.vectors[None]
+    w, exponents = scaled(vs)
+    decided, certified = _radius_stage(w, exponents, tol, lams)
+    if not certified and _first_failures(vs, w, tol, _first_subset)[0] is not None:
         raise ValueError(_NOT_PR)
     failures = np.zeros(len(lams), dtype=int)
     open_lams = lams[decided:]
@@ -408,8 +413,10 @@ def stability_sweep(
             fields = x[..., :d] / np.linalg.norm(x, axis=2, keepdims=True)
             stack = (frame.vectors + scales * fields).reshape(-1, n, d)
             _require_finite(stack)
-            failed = ~_lifted_holds(stack, tol)
+            w, _ = scaled(stack)
+            failed = ~(_lift_margins(w, tol) > 0)
             if failed.any():
-                failed[failed] = [w is not None for w in _first_failures(stack[failed], tol, _first_subset)]
+                found = _first_failures(stack[failed], w[failed], tol, _first_subset)
+                failed[failed] = [subset is not None for subset in found]
             failures[decided:] += failed.reshape(len(open_lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

@@ -15,10 +15,10 @@ how far its smallest singular value clears the lift's one cutoff
 split can have neither side spanning under the scan's rank test, so the
 complement property, and norm retrieval with it for a real frame, hold
 with no split visited; and the lift is injective, so the frame does phase
-retrieval over either field.  ``_lifted_holds`` carries the two steps of
-the proof and the bound on LAPACK's rounding error that it assumes, and
-``_lift_margins`` the rest.  ``_lift_margin`` extends a certificate to
-every frame whose lift lies within the margin of the certified frame's,
+retrieval over either field.  ``_lift_margins`` carries the proof and the
+bound on LAPACK's rounding error that it assumes.  ``_lift_margin``
+extends a certificate to every frame whose lift lies within the margin of
+the certified frame's,
 ``_spark_margin`` does the same from the determinant bounds that certify
 the frame in the spark stage below, and ``_decided_radii`` turns either
 into radii of atom moves, which is how ``stability_sweep`` decides its
@@ -79,9 +79,11 @@ its walk takes the one interval that holds every split.  The atom count
 is capped.  The reference scan that checks every split, and independent
 brute-force references, live with the tests.
 
-The lift, the identity test, the spark stage and the table scale each
-frame by a power of two, exactly, with ``_linalg.scaled``, so that no norm
-or square overflows or underflows to zero, and each of their ranks, like
+Each certification scales its frame, or stack, once, where it enters: a
+power of two, exact, with ``_linalg.scaled``, so that no norm or square
+overflows or underflows to zero.  The lift, the identity test, the spark
+stage and the table all read that scaled copy, and none scales again; the
+scan and the witnesses read the frame itself.  Each of their ranks, like
 the scan's, is counted by ``_linalg.ranks``: the singular values above
 ``tol * sigma_max``.  The lift's cutoff, the identity test's bound, the spark
 stage's bound, and the table's margin and membership test are other rules.
@@ -346,26 +348,25 @@ def _hyperplanes(v: np.ndarray, tol: float, margin: float) -> np.ndarray:
     return np.concatenate(packed) if packed else np.zeros((0, (n + 7) // 8), dtype=np.uint8)
 
 
-def _hyperplane_table(v: np.ndarray, tol: float) -> np.ndarray | None:
-    """The frame's distinct hyperplanes, as boolean rows, with the table's margin (``_table_margin``).
+def _hyperplane_table(w: np.ndarray, tol: float) -> np.ndarray | None:
+    """The scaled frame's (``scaled``) distinct hyperplanes, as boolean rows, with the table's margin (``_table_margin``).
 
     A hyperplane is the closure of d - 1 independent atoms, so there are at
     most C(n, d - 1) of them; ``_hyperplanes`` finds them with no SVD.
     With d = 1 the one hyperplane is the zero space, which holds the zero
     atoms.  Returns None when tol has no margin or the frame does not span
-    with it.  The frame is first scaled by a power of two, so that no atom
-    norm overflows.
+    with it.  The frame's scaling by a power of two keeps every atom norm
+    finite.
     """
     if (margin := _table_margin(tol)) is None:
         return None
-    v, _ = scaled(v)
-    if numerical_rank(v, margin * tol) < v.shape[1]:
+    if numerical_rank(w, margin * tol) < w.shape[1]:
         return None
-    n, d = v.shape
+    n, d = w.shape
     if d == 1:
-        norms = np.abs(v[:, 0])
+        norms = np.abs(w[:, 0])
         return (norms <= margin * tol * norms)[None]
-    packed = _hyperplanes(v, tol, margin)
+    packed = _hyperplanes(w, tol, margin)
     packed = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel()).view(np.uint8)
     rows = np.unpackbits(packed.reshape(-1, (n + 7) // 8), axis=1, count=n, bitorder="little")
     return rows.astype(bool)
@@ -456,8 +457,8 @@ def _chunks(splits: Iterator[_Split], n: int, d: int) -> Iterator[list[_Split]]:
         size = min(2 * size, limit)
 
 
-def _split_chunks(v: np.ndarray, tol: float) -> Iterator[list[_Split]]:
-    """Yield, in scan order and chunk by chunk, a superset of one frame's splits where neither side spans.
+def _split_chunks(w: np.ndarray, tol: float) -> Iterator[list[_Split]]:
+    """Yield, in scan order and chunk by chunk, a superset of one scaled frame's splits where neither side spans.
 
     The first chunk is the scan's n prefix splits: the empty split, then
     {0..k - 1} for k = 1..n - 1, which the scan visits before any other
@@ -469,12 +470,12 @@ def _split_chunks(v: np.ndarray, tol: float) -> Iterator[list[_Split]]:
     holds every split, when ``_hyperplane_table`` refuses.  The walk's
     prefix splits come first, and are dropped.
     """
-    n, d = v.shape
+    n, d = w.shape
     atoms = tuple(range(n))
     yield [(atoms[:k], atoms[k:]) for k in range(n)]
     if n <= 2:
         return
-    table = _hyperplane_table(v, tol)
+    table = _hyperplane_table(w, tol)
     intervals = [(1, (1 << n) - 1)] if table is None else _intervals(table)
     splits = dropwhile(lambda split: split[0][-1] == len(split[0]) - 1, _walk(n, intervals))
     yield from _chunks(splits, n, d)
@@ -556,68 +557,30 @@ def _lift(vs: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, -z.imag[:, :, off]], axis=2)
 
 
-def _lift_margins(vs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each frame of a (k, n, d) stack scaled to w = 2^-e v (``scaled``), the exponents e, and the margin m of each lift.
-
-    m = (s_D - cutoff s_1) / (1 + cutoff), with s_1 and s_D the computed
-    largest and smallest singular values of the lift L of w (``_lift``),
-    from one stacked SVD, and cutoff = ``_lift_cutoff(n, d, tol,
-    complex_)``, the lift's one threshold; m = -inf when n < D or tol < 0.
-    A frame W has no split the scan calls deficient when the exact lift of
-    2^-e W lies within m (1 - 4 eps), in spectral norm, of the exact L.
-    With W = v that is the test of ``_lifted_holds``, m > 0, for either
-    field, and ``_lift_margin`` extends it to the real frames near v.
-
-    Proof.  Let c t, eta and kappa be as in ``_lifted_holds``: c = 2
-    sqrt(n d), t = tol + eta (1 + tol), eta = n D eps, and every computed
-    singular value within kappa sigma_1(L) of the exact one, kappa <= 3.2
-    eta (its second step).  So sigma_1(L) <= s_1 / (1 - kappa) <= (1 + 3.3
-    eta) s_1 and sigma_D(L) >= s_D - 3.3 eta s_1.  Let delta = |L' - L|_2,
-    L' the exact lift of 2^-e W, which is 4^-e that of W, so its singular
-    values keep their ratio.  By Weyl's inequality sigma_D(L') >= s_D -
-    3.3 eta s_1 - delta and sigma_1(L') <= (1 + 3.3 eta) s_1 + delta.  A
-    split the scan calls deficient in W forces sigma_D(L') <= c t
-    sigma_1(L') (the first step of ``_lifted_holds``), and so delta (1 + c
-    t) >= s_D - c t s_1 - 3.3 eta (1 + c t) s_1.  A positive m needs s_D >
-    cutoff s_1, and s_D <= s_1, so c t < cutoff < 1 and 3.3 eta (1 + c t)
-    < 6.6 eta.  The cutoff exceeds c t + 6.6 eta by 1.4 eta + 16 eps, which
-    covers the rounding of c t and then of the numerator, at most 3 eps
-    s_1 each.  So delta < m (1 - 4 eps), which allows for the rounding of
-    the division and of 1 + cutoff, itself above 1 + c t, leaves no
-    deficient split.  A zero or negative m covers no frame, not even v.
-
-    Each frame is first scaled by a power of two, which is exact, so that
-    its largest entry lies in [1/2, 1) and the squares neither overflow nor
-    underflow.
-    """
-    k, n, d = vs.shape
-    complex_ = vs.dtype.kind == "c"
-    w, exponents = scaled(vs)
-    if n < _lift_width(d, complex_) or not tol >= 0:
-        return w, exponents, np.full(k, -np.inf)
-    s = np.linalg.svd(_lift(w), compute_uv=False)
-    cutoff = _lift_cutoff(n, d, tol, complex_)
-    return w, exponents, (s[:, -1] - cutoff * s[:, 0]) / (1 + cutoff)
-
-
-def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
-    """For each frame of a (k, n, d) stack, whether its lift proves the complement property and phase retrieval.
+def _lift_margins(w: np.ndarray, tol: float) -> np.ndarray:
+    """The margin m of the lift of each frame of a scaled (k, n, d) stack (``scaled``), w = 2^-e v.
 
     The lift L is the n x D matrix of the map A(Q) = (phi_i^* Q phi_i)_i
     written in an orthonormal basis (``_lift``), so ``|L q| = |A(Q)|`` and
     ``|q| = |Q|_F``.  For a real frame Q runs over the symmetric d x d
     matrices, D = d(d + 1)/2; for a complex frame over the Hermitian ones,
-    D = d^2, a real space with the inner product tr(P Q).  A frame is
-    certified when its lift's margin (``_lift_margins``) is positive: when
-    n >= D, tol >= 0 and the computed singular values have s_D > cutoff
-    s_1, cutoff = ``_lift_cutoff(n, d, tol, complex_)``.  The margin's
-    proof, at zero move and from the two steps below, leaves a certified
-    frame no split the scan calls deficient, so the lift can only answer
-    ``holds``.  Its exact L has sigma_min(L) >= s_D - 3.3 eta s_1 > 0 as
-    well, by the second step, so the frame does phase retrieval: |<x,
-    phi_i>| = |<y, phi_i>| on every atom puts x x^* - y y^* in the kernel
-    of A, so x x^* = y y^*, and x is y times a unimodular number
-    (Bandeira, Cahill, Mixon and Nelson, "Saving phase", 2014).
+    D = d^2, a real space with the inner product tr(P Q).  m = (s_D -
+    cutoff s_1) / (1 + cutoff), with s_1 and s_D the computed largest and
+    smallest singular values of the lift L of w, from one stacked SVD, and
+    cutoff = ``_lift_cutoff(n, d, tol, complex_)``, the lift's one
+    threshold; m = -inf when n < D or tol < 0.  A frame W has no split the
+    scan calls deficient when the exact lift of 2^-e W lies within m (1 - 4
+    eps), in spectral norm, of the exact L.
+
+    The certificate.  With W = v that is the test m > 0, for either field:
+    a frame with a positive margin has no split the scan calls deficient,
+    so the lift can only answer ``holds``.  Its exact L has sigma_min(L) >=
+    s_D - 3.3 eta s_1 > 0 as well, by the second step below, so the frame
+    does phase retrieval: |<x, phi_i>| = |<y, phi_i>| on every atom puts x
+    x^* - y y^* in the kernel of A, so x x^* = y y^*, and x is y times a
+    unimodular number (Bandeira, Cahill, Mixon and Nelson, "Saving phase",
+    2014).  ``_lift_margin`` extends the certificate to the real frames
+    near v.
 
     First step: a deficient split bounds the lift's ratio.  Let M be the
     largest atom norm and eta = n D eps.  Assume that each computed
@@ -652,9 +615,32 @@ def _lifted_holds(vs: np.ndarray, tol: float) -> np.ndarray:
     singular value is within kappa sigma_max(L) of the exact one, kappa <=
     3.2 eta.
 
-    One stacked SVD decides the whole stack.
+    Proof of the margin.  By the second step sigma_1(L) <= s_1 / (1 -
+    kappa) <= (1 + 3.3 eta) s_1 and sigma_D(L) >= s_D - 3.3 eta s_1.  Let
+    delta = |L' - L|_2, L' the exact lift of 2^-e W, which is 4^-e that of
+    W, so its singular values keep their ratio.  By Weyl's inequality
+    sigma_D(L') >= s_D - 3.3 eta s_1 - delta and sigma_1(L') <= (1 + 3.3
+    eta) s_1 + delta.  A split the scan calls deficient in W forces
+    sigma_D(L') <= c t sigma_1(L') (the first step), and so delta (1 + c t)
+    >= s_D - c t s_1 - 3.3 eta (1 + c t) s_1.  A positive m needs s_D >
+    cutoff s_1, and s_D <= s_1, so c t < cutoff < 1 and 3.3 eta (1 + c t)
+    < 6.6 eta.  The cutoff exceeds c t + 6.6 eta by 1.4 eta + 16 eps, which
+    covers the rounding of c t and then of the numerator, at most 3 eps s_1
+    each.  So delta < m (1 - 4 eps), which allows for the rounding of the
+    division and of 1 + cutoff, itself above 1 + c t, leaves no deficient
+    split.  A zero or negative m covers no frame, not even v.
+
+    The scaling puts each frame's largest entry in [1/2, 1), so that the
+    squares neither overflow nor underflow, and it is exact, so every
+    inequality above keeps.  One stacked SVD decides the whole stack.
     """
-    return _lift_margins(vs, tol)[2] > 0
+    k, n, d = w.shape
+    complex_ = w.dtype.kind == "c"
+    if n < _lift_width(d, complex_) or not tol >= 0:
+        return np.full(k, -np.inf)
+    s = np.linalg.svd(_lift(w), compute_uv=False)
+    cutoff = _lift_cutoff(n, d, tol, complex_)
+    return (s[:, -1] - cutoff * s[:, 0]) / (1 + cutoff)
 
 
 class _Margin(NamedTuple):
@@ -670,14 +656,15 @@ class _Margin(NamedTuple):
     covers: Callable[[list[float], list[float]], bool]
 
 
-def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
-    """For a real (n, d) frame its lift certifies, the frames near it the lift covers (``_Margin``); None for any other frame.
+def _lift_margin(w: np.ndarray, exponents: np.ndarray, tol: float) -> _Margin | None:
+    """For a real frame its lift certifies, the frames near it the lift covers (``_Margin``); None for any other frame.
 
-    A frame W has no split the scan calls deficient when the exact lift of
-    2^-e W lies within m (1 - 4 eps), in spectral norm, of the exact lift
-    L of w = 2^-e v, m the margin of ``_lift_margins``.  The certificate of
-    ``_lifted_holds``, a positive m, thus covers every frame near v, with
-    no SVD of its own.
+    The frame v comes scaled, as the (1, n, d) stack w = 2^-e v and its
+    exponents (``scaled``).  A frame W has no split the scan calls deficient
+    when the exact lift of 2^-e W lies within m (1 - 4 eps), in spectral
+    norm, of the exact lift L of w, m the margin of ``_lift_margins``.  Its
+    certificate, a positive m, thus covers every frame near v, with no SVD
+    of its own.
 
     The move.  When the scaled atoms of W lie within b_i of w_i, let f_i =
     2^-e W_i - w_i.  Row i of the lift is the image of phi_i phi_i^T under
@@ -689,11 +676,10 @@ def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
     the exact delta over 1 - 4 eps.  So a computed delta under the computed
     m gives delta < m (1 - 4 eps), which leaves no deficient split.
     """
-    w, exponents, margins = _lift_margins(v[None], tol)
-    margin = float(margins[0])
+    margin = float(_lift_margins(w, tol)[0])
     if not margin > 0:
         return None
-    grow = 1 + (len(v) + 16) * _EPS
+    grow = 1 + (w.shape[1] + 16) * _EPS
 
     def covers(norms: list[float], b: list[float]) -> bool:
         total = 0.0
@@ -704,10 +690,12 @@ def _lift_margin(v: np.ndarray, tol: float) -> _Margin | None:
     return _Margin(w[0], int(exponents[0]), covers)
 
 
-def _spark_margin(v: np.ndarray, tol: float, lifted: _Margin | None = None) -> _Margin | None:
-    """For an (n, d) frame the spark stage certifies, the frames near it the same bounds cover (``_Margin``); None for any other frame.
+def _spark_margin(w: np.ndarray, exponents: np.ndarray, tol: float) -> _Margin | None:
+    """For a frame the spark stage certifies, the frames near it the same bounds cover (``_Margin``); None for any other frame.
 
-    ``lifted``, v's lift margin when the caller has one, lends its scaled w and exponent e.
+    The frame v comes scaled, as the (1, n, d) stack w = 2^-e v and its
+    exponents (``scaled``).
+
     Proof.  Let beta_R be the stage's computed bound on sigma_min(w_R),
     least the least of them (``_spark_least``), F the computed |w|_F and t
     the stage's threshold.  The stage's proof gives sigma_min(w_R) >= beta_R
@@ -723,10 +711,9 @@ def _spark_margin(v: np.ndarray, tol: float, lifted: _Margin | None = None) -> _
     and its inequalities keep under scaling: W has no split the scan calls
     deficient.
     """
-    n, d = v.shape
-    (w,), (exponent,) = scaled(v[None]) if lifted is None else ([lifted.w], [lifted.exponent])
-    t = tol + n * d * _EPS * (1 + tol)
-    if (spark := _spark_least(w[None], tol)) is None or not spark[0][0] > t * spark[1][0]:
+    _, n, d = w.shape
+    t = _spark_cutoff(n, d, tol)
+    if (spark := _spark_least(w, tol)) is None or not spark[0][0] > t * spark[1][0]:
         return None
     (least,), (frob,) = spark
     base, reach, widen = t * float(frob), sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
@@ -734,7 +721,7 @@ def _spark_margin(v: np.ndarray, tol: float, lifted: _Margin | None = None) -> _
     def covers(norms: list[float], b: list[float]) -> bool:
         return least > (base + reach * max(b)) * widen
 
-    return _Margin(w, int(exponent), covers)
+    return _Margin(w[0], int(exponents[0]), covers)
 
 
 def _decided_radii(margin: _Margin, lams: list[float]) -> int:
@@ -772,18 +759,20 @@ def _decided_radii(margin: _Margin, lams: list[float]) -> int:
     return decided
 
 
-def _radius_stage(v: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bool]:
+def _radius_stage(w: np.ndarray, exponents: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bool]:
     """How many of the ascending radii, from the first, the real frame's margins decide, and whether they certify it.
 
-    The lift's margin is tried first, and the d-subsets' margin
-    (``_spark_margin``) on the radii the lift leaves open; a radius either
-    decides is decided (``_decided_radii``), and as each decides a prefix,
-    so do both.  A margin exists only for a frame its stage certifies, so
-    the frame is certified when either does.
+    The frame comes scaled, as a (1, n, d) stack and its exponents
+    (``scaled``), and both margins read that copy.  The lift's margin is
+    tried first, and the d-subsets' margin (``_spark_margin``) on the radii
+    the lift leaves open; a radius either decides is decided
+    (``_decided_radii``), and as each decides a prefix, so do both.  A
+    margin exists only for a frame its stage certifies, so the frame is
+    certified when either does.
     """
-    lifted = _lift_margin(v, tol)
+    lifted = _lift_margin(w, exponents, tol)
     decided = 0 if lifted is None else _decided_radii(lifted, lams)
-    spark = _spark_margin(v, tol, lifted) if decided < len(lams) else None
+    spark = _spark_margin(w, exponents, tol) if decided < len(lams) else None
     if spark is not None:
         decided += _decided_radii(spark, lams[decided:])
     return decided, lifted is not None or spark is not None
@@ -888,6 +877,14 @@ def _spark_least(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | N
     return bounds.min(axis=1), frob
 
 
+def _spark_cutoff(n: int, d: int, tol: float) -> float:
+    """The spark stage's one threshold t = tol + eta (1 + tol), eta = n d eps, on each bound over |V|_F.
+
+    ``_spark_holds`` states why it suffices.
+    """
+    return tol + n * d * _EPS * (1 + tol)
+
+
 def _spark_holds(w: np.ndarray, tol: float) -> np.ndarray:
     """For each frame of a scaled (k, n, d) stack (``scaled``), whether its d-subsets prove the complement property.
 
@@ -897,12 +894,13 @@ def _spark_holds(w: np.ndarray, tol: float) -> np.ndarray:
     spark frames", 2012).  The stage decides a frame only when
     ``_spark_least`` bounds it; any other frame is not certified.  It
     certifies a frame when, for every d-subset R, the bound below on
-    sigma_min(V_R) exceeds t |V|_F, t = tol + eta (1 + tol).  A certified
-    frame has no split the scan calls deficient, so the stage can only
-    answer ``holds``, and its verdict is the scan's.  The scaling by a
-    power of two, exact, keeps every inequality below.
+    sigma_min(V_R) exceeds t |V|_F, t = tol + eta (1 + tol)
+    (``_spark_cutoff``).  A certified frame has no split the scan calls
+    deficient, so the stage can only answer ``holds``, and its verdict is
+    the scan's.  The scaling by a power of two, exact, keeps every
+    inequality below.
 
-    Proof.  Assume, as ``_lifted_holds`` does with p = n d, that each
+    Proof.  Assume, as ``_lift_margins`` does with p = n d, that each
     computed singular value of an m x d matrix X, m <= n, is within eta
     |X|_2 of the exact one, eta = n d eps: that is the scan's own SVD.
     Every split has a side T of at least d atoms, the larger, which the
@@ -952,14 +950,14 @@ def _spark_holds(w: np.ndarray, tol: float) -> np.ndarray:
     k, n, d = w.shape
     if (spark := _spark_least(w, tol)) is None:
         return np.zeros(k, dtype=bool)
-    return spark[0] > (tol + n * d * _EPS * (1 + tol)) * spark[1]
+    return spark[0] > _spark_cutoff(n, d, tol) * spark[1]
 
 
 # The identity test's solve drops the lift's singular values at most this many times the largest.
 _IDENTITY_CUTOFF = 1e-10
 
 
-def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
+def _identity_holds(w: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     """Whether I = sum_i c_i phi_i phi_i^*, up to a small residual, proves norm retrieval at ``ortho_tol``.
 
     If I = sum_i c_i phi_i phi_i^* exactly, then |x|^2 = sum_i c_i
@@ -980,7 +978,7 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
 
         (t |V|_F sum_i |c_i| |phi_i| + |c|_1 M^2 rho + r + rho (r + sqrt(d)) + (d + 1) eps) (1 + 3 eta + rho) <= ortho_tol.
 
-    Proof, real frame.  Assume, as ``_lifted_holds`` does with p = n D,
+    Proof, real frame.  Assume, as ``_lift_margins`` does with p = n D,
     that LAPACK's SVD of an m x d matrix X, m <= n, is exact for a matrix
     within eta |X|_2 of X, and that its singular vectors are within eta of
     unit norm.  A column x that the walk (``_nr_failure``) takes for the
@@ -991,7 +989,7 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     |phi_i^T y| <= |phi_i| |y|; for i in S^c the roles swap.  So |x^T y| <=
     |x| |y| (t |V|_F sum_i |c_i| |phi_i| + |E|_F).  The exact |E|_F exceeds
     r by little: the lift's entries are within 4 eps of exact
-    (``_lifted_holds``), so row i is off by at most 4 sqrt(2) eps
+    (``_lift_margins``), so row i is off by at most 4 sqrt(2) eps
     |phi_i|^2; forming L^T c - vec(I) rounds each entry by at most (n + 2)
     eps times that of |L|^T |c| + vec(I), whose norm is at most |c|_1 M^2 +
     sqrt(d); and the norm rounds by (D + 2) eps.  So |E|_F <= r + (rho / 2)
@@ -1013,50 +1011,51 @@ def _identity_holds(v: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
     g, at most |E|_F (|f|^2 + |g|^2).  No null direction enters, so the
     test takes t = 0, and |E|_F lies below its left side, as above.
 
-    The frame is first scaled by a power of two (``scaled``), exactly: c
+    The frame comes scaled by a power of two (``scaled``), exactly: c
     scales inversely to M^2, so neither E nor the bound changes.
     """
-    n, d = v.shape
+    n, d = w.shape
     if not (rank_tol >= 0 and ortho_tol >= 0):
         return False
-    v, _ = scaled(v)
-    lift = _lift(v[None])[0]
+    lift = _lift(w[None])[0]
     width = lift.shape[1]
     a, b, _, _ = _lift_columns(d)
     identity = np.zeros(width)
     identity[: len(a)] = a == b
     c = np.linalg.lstsq(lift.T, identity, rcond=_IDENTITY_CUTOFF)[0]
     residual = float(np.linalg.norm(lift.T @ c - identity))
-    norms, weights = np.linalg.norm(v, axis=1), np.abs(c)
+    norms, weights = np.linalg.norm(w, axis=1), np.abs(c)
     mass = float(weights.sum()) * float(norms.max()) ** 2
     eta = n * width * _EPS
     rho = 2 * (n + width + 8) * _EPS
-    t = rank_tol + eta * (1 + rank_tol) if v.dtype.kind != "c" else 0.0
+    t = rank_tol + eta * (1 + rank_tol) if w.dtype.kind != "c" else 0.0
     null = t * sqrt(float(norms @ norms)) * float(weights @ norms)
     bound = null + mass * rho + residual + rho * (residual + sqrt(d)) + (d + 1) * _EPS
     return bound * (1 + 3 * eta + rho) <= ortho_tol
 
 
 def _first_failures(
-    vs: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any], w: np.ndarray | None = None
+    vs: np.ndarray, w: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]
 ) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
-    ``fails(v, splits)`` gets one frame's splits where neither side spans,
-    those of one chunk in scan order, and returns a finding or None; a frame
-    leaves at its first finding.  The driver runs no lift: the certifiers
-    run it first and pass only the frames it leaves open, with the stack it
-    scaled as ``w`` when they have it; the driver scales the stack itself
-    otherwise.  The driver first runs ``_spark_holds`` on the whole scaled
-    stack: a frame it certifies has no deficient split, so it gets None
-    with no split decided and ``fails`` never called.  Each frame still
-    open is then decided alone from its own chunks (``_split_chunks``): the
-    scan's n prefix splits, then the walk past them, so no split of a frame
-    is decided twice, and every frame gets the findings it gets alone.
+    ``w`` is the stack as its caller scaled it (``scaled``), frame by
+    frame.  ``fails(v, splits)`` gets one frame's splits where neither side
+    spans, those of one chunk in scan order, and returns a finding or None;
+    a frame leaves at its first finding.  The driver runs no lift: the
+    certifiers run it first and pass only the frames it leaves open, with
+    their scaled copies.  The driver first runs ``_spark_holds`` on the
+    whole scaled stack: a frame it certifies has no deficient split, so it
+    gets None with no split decided and ``fails`` never called.  Each frame
+    still open is then decided alone from its own chunks (``_split_chunks``,
+    whose table reads the scaled frame): the scan's n prefix splits, then
+    the walk past them, so no split of a frame is decided twice, and every
+    frame gets the findings it gets alone.  The scan and ``fails`` read the
+    frame itself, as it was given.
     """
     found: list[Any] = [None] * len(vs)
-    for i in np.flatnonzero(~_spark_holds(scaled(vs)[0] if w is None else w, tol)).tolist():
-        for chunk in _split_chunks(vs[i], tol):
+    for i in np.flatnonzero(~_spark_holds(w, tol)).tolist():
+        for chunk in _split_chunks(w[i], tol):
             splits = list(compress(chunk, _deficient(vs[i], chunk, tol)))
             if splits and (finding := fails(vs[i], splits)) is not None:
                 found[i] = finding
@@ -1086,7 +1085,7 @@ def complement_property(
 ) -> Certificate:
     """Decide whether every index subset or its complement spans the space.
 
-    A frame its lift certifies (``_lifted_holds``) holds with method
+    A frame its lift certifies (``_lift_margins``) holds with method
     ``complement-lifted-map`` and no split visited; any other frame is
     decided on its splits, with method ``complement-subset-enumeration``.
     Among those, a frame with n >= 2d - 1 whose d-subsets all span with a
@@ -1099,10 +1098,10 @@ def complement_property(
     """
     _require_within_cap(frame, cap, "complement property certification")
     vs = frame.vectors[None]
-    w, _, margins = _lift_margins(vs, tol)
-    if margins[0] > 0:
+    w, _ = scaled(vs)
+    if _lift_margins(w, tol)[0] > 0:
         return Certificate(HOLDS, _LIFTED, frame.field)
-    subset = _first_failures(vs, tol, _first_subset, w)[0]
+    subset = _first_failures(vs, w, tol, _first_subset)[0]
     verdict = HOLDS if subset is None else FAILS
     return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
@@ -1143,7 +1142,7 @@ def phase_retrieval_certify(
 
     Real frames get a definite verdict via the complement property, which
     asks that every split of the atoms leaves at least one side spanning.
-    A complex frame holds when its lift certifies it (``_lifted_holds``,
+    A complex frame holds when its lift certifies it (``_lift_margins``,
     method ``pr-lifted-hermitian``); otherwise it fails when the complement
     property fails, with the same witness pair construction, which is
     field-agnostic, and is ``inconclusive`` when that property holds, since
@@ -1303,7 +1302,7 @@ def norm_retrieval_certify(
     to the annihilator of the complement's rows.  A split where either side
     spans holds vacuously, so only the splits where neither side spans are
     tested, in scan order.  The stages run in this order, after the atom
-    cap: the lift (``_lifted_holds``), which certifies a frame that does
+    cap: the lift (``_lift_margins``), which certifies a frame that does
     phase retrieval with no split tested; the identity test
     (``_identity_holds``), which certifies a frame whose rank-one
     projections span I closely enough, method ``nr-identity-span``; then
@@ -1319,14 +1318,15 @@ def norm_retrieval_certify(
     """
     _require_within_cap(frame, cap, "norm retrieval certification")
     real, vs = frame.field == "real", frame.vectors[None]
+    w, _ = scaled(vs)
     # The lift first: generic frames pass it, and would fail the identity test at the cost of a second SVD.
-    if real and (lifted := _lift_margins(vs, rank_tol))[2][0] > 0:
+    if real and _lift_margins(w, rank_tol)[0] > 0:
         return Certificate(HOLDS, _NR_METHOD, frame.field)
-    if _identity_holds(frame.vectors, rank_tol, tol):
+    if _identity_holds(w[0], rank_tol, tol):
         return Certificate(HOLDS, _IDENTITY, frame.field)
     if not real:
         return Certificate(INCONCLUSIVE, "nr-identity-sufficiency", frame.field)
-    found = _first_failures(vs, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), lifted[0])[0]
+    found = _first_failures(vs, w, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol))[0]
     return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 
 
@@ -1348,7 +1348,8 @@ def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol
                         return Certificate(FAILS, method, frame.field, witness_subset=s, witness_vectors=(f, g))
         return None
 
-    found = _first_failures(frame.vectors[None], rank_tol, unequal_pair)[0]
+    vs = frame.vectors[None]
+    found = _first_failures(vs, scaled(vs)[0], rank_tol, unequal_pair)[0]
     return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
 
 

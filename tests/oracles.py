@@ -376,7 +376,7 @@ def lift_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
     The frame is scaled to w = 2^-e v, its largest entry in [1/2, 1).  Its
     lift's computed singular values are each within kappa sigma_1 of the
     exact ones, kappa = 3.2 eta, eta = n D eps (the assumption of
-    ``_lifted_holds``), so the exact sigma_1 <= s_1 / (1 - kappa) and
+    ``_lift_margins``), so the exact sigma_1 <= s_1 / (1 - kappa) and
     sigma_D >= s_D - kappa sigma_1.  A trial at radius lam moves w_i by at
     most b_i = 2^-e lam (1 + (d + 6) eps) + eps |w_i|, and its lift by
     delta = (sum_i (2 |w_i| b_i + b_i^2)^2)^(1/2).  True when sigma_D -

@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 import framelab as fl
 from framelab._linalg import full_column_rank, scaled
-from framelab.retrieval import _BATCH_ENTRIES, _EPS, _decided_radii, _deficient, _lift_margin, _spark_least, _spark_margin
+from framelab.retrieval import (
+    _BATCH_ENTRIES,
+    _EPS,
+    _decided_radii,
+    _deficient,
+    _first_failures,
+    _lift_margin,
+    _spark_least,
+    _spark_margin,
+)
 from oracles import (
     complement_property_reference,
     lift_radius_reference,
@@ -248,7 +257,7 @@ def test_break_nr_l2_distance_scales_with_epsilon():
 
 def _without_the_radius():
     """Make the input's margins decide nothing in the sweep, so that every radius builds its trials and the input goes through the driver."""
-    return patch("framelab.perturb._radius_stage", lambda v, tol, lams: (0, False))
+    return patch("framelab.perturb._radius_stage", lambda w, exponents, tol, lams: (0, False))
 
 
 def _trial_frames(frame: fl.Frame, lambdas, trials: int, seed: int) -> list[list[fl.Frame]]:
@@ -331,9 +340,9 @@ def test_stability_sweep_decides_no_more_matrices_than_one_certification_per_tri
     monkeypatch.setattr("framelab.retrieval.full_column_rank", counting)
     # The lift settles gen_random(4, 11) with no rank call on either path, and so does the spark
     # stage when the lift is refused; this counts the scan's.
-    monkeypatch.setattr("framelab.retrieval._lift_margins", lambda vs, tol: (*scaled(vs), np.full(len(vs), -np.inf)))
-    for path in ("framelab.perturb._lifted_holds", "framelab.retrieval._spark_holds"):
-        monkeypatch.setattr(path, lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    for path in ("framelab.retrieval._lift_margins", "framelab.perturb._lift_margins"):
+        monkeypatch.setattr(path, lambda w, tol: np.full(len(w), -np.inf))
+    monkeypatch.setattr("framelab.retrieval._spark_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
     with _without_the_radius():
         points = fl.stability_sweep(frame, lambdas, trials, seed, tol)
     swept, swept_decided = sum(matrices), decided.copy()
@@ -358,7 +367,7 @@ def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):
     assert [p.failures for p in points] == [0, 0, 0]
     monkeypatch.undo()
     # The scan and the table, with the lift refused, give the same counts.
-    monkeypatch.setattr("framelab.perturb._lifted_holds", lambda vs, tol: np.zeros(len(vs), dtype=bool))
+    monkeypatch.setattr("framelab.perturb._lift_margins", lambda w, tol: np.full(len(w), -np.inf))
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed)] == [0, 0, 0]
 
 
@@ -393,7 +402,7 @@ def test_every_trial_of_a_radius_the_lift_decides_holds(d, extra, kind, gap, tol
         v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     if gap is not None:
         tol = lift_ratio_reference(v) * (1 - gap) / (2 * math.sqrt(n * d)) - 8 * n * (d * (d + 1) // 2) * _EPS
-    lifted = _lift_margin(v, tol)
+    lifted = _lift_margin(*scaled(v[None]), tol)
     assume(lifted is not None)
     bound = _decided_bound(lifted)
     probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
@@ -428,7 +437,7 @@ def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap,
     if gap is not None:
         least, frob = _spark_least(scaled(v[None])[0], 0.0)
         tol = max(0.0, float(least[0] / frob[0]) * (1 - gap) - 2 * n * d * _EPS)
-    margin = _spark_margin(v, tol)
+    margin = _spark_margin(*scaled(v[None]), tol)
     assume(margin is not None)
     bound = _decided_bound(margin)
     probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
@@ -444,7 +453,7 @@ def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
     # Each pair of Mercedes atoms has the determinant bound |det| / |A|_F = sin(2 pi / 3) / sqrt(2), under its
     # sigma_min = sqrt(2)/2, and a move of at most lam per atom moves a pair by at most sqrt(2) lam: the radii up
     # to just under sqrt(3)/4 are decided, and 0.434 is not, below the breaking radius 0.5.
-    margin = _spark_margin(fl.gen_mercedes().vectors, 1e-10)
+    margin = _spark_margin(*scaled(fl.gen_mercedes().vectors[None]), 1e-10)
     assert _decided_radii(margin, [0.01, 0.1, 0.3, 0.43, 0.434, 0.5]) == 4
     assert 0.43 < _decided_bound(margin) < math.sqrt(3) / 4 < 0.5
 
@@ -452,26 +461,49 @@ def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
 def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(monkeypatch):
     # gen_random(2, 4, seed=19): its lift's margin decides 1e-4 and 1e-3, and its d-subsets' margin decides 1e-2.
     frame, lambdas = fl.gen_random(2, 4, seed=19), [1e-4, 1e-3, 1e-2]
-    lifted = _lift_margin(frame.vectors, 1e-10)
-    assert _decided_radii(lifted, lambdas) == 2
-    assert _decided_radii(_spark_margin(frame.vectors, 1e-10), lambdas) == 3
-    # The lift's scaled frame, lent to the d-subsets' margin, is the one it would scale itself.
-    alone, lent = _spark_margin(frame.vectors, 1e-10), _spark_margin(frame.vectors, 1e-10, lifted)
-    assert (alone.w == lent.w).all() and alone.exponent == lent.exponent
-    assert _decided_radii(lent, lambdas) == 3
+    w, exponents = scaled(frame.vectors[None])
+    assert _decided_radii(_lift_margin(w, exponents, 1e-10), lambdas) == 2
+    assert _decided_radii(_spark_margin(w, exponents, 1e-10), lambdas) == 3
 
     def refuse(*args, **kwargs):
         raise AssertionError("a trial was drawn or certified")
 
-    for path in ("framelab.perturb._lifted_holds", "framelab.perturb._first_failures", "numpy.random.default_rng"):
+    for path in ("framelab.perturb._lift_margins", "framelab.perturb._first_failures", "numpy.random.default_rng"):
         monkeypatch.setattr(path, refuse)
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials=50, seed=1)] == [0, 0, 0]
+
+
+def test_a_sweep_scales_its_input_once_and_each_block_of_trials_once(monkeypatch):
+    # gen_random(3, 5, seed=1) has n < d(d + 1)/2, so the lift decides no trial, and no margin decides radii 1 and
+    # 2: at a batch of 60 entries each block holds two trials, and every frame of every block reaches the driver.
+    frame = fl.gen_random(3, 5, seed=1)
+    shapes, reached = [], []
+
+    def counting(stack):
+        shapes.append(stack.shape)
+        return scaled(stack)
+
+    def recording(vs, w, *args):
+        reached.append(len(vs))
+        return _first_failures(vs, w, *args)
+
+    for path in ("framelab.retrieval.scaled", "framelab.perturb.scaled"):
+        monkeypatch.setattr(path, counting)
+    monkeypatch.setattr("framelab.perturb._first_failures", recording)
+    monkeypatch.setattr("framelab.perturb._BATCH_ENTRIES", 60)
+    fl.stability_sweep(frame, [1.0, 2.0], trials=5, seed=1)
+    assert reached == [4, 4, 2]
+    assert shapes == [(1, 5, 3), (4, 5, 3), (4, 5, 3), (2, 5, 3)]
+    # A sweep its margins decide scales its input alone.
+    shapes.clear()
+    fl.stability_sweep(fl.gen_random(2, 4, seed=1), [1e-4, 1e-3, 1e-2], trials=50, seed=1)
+    assert shapes == [(1, 4, 2)]
 
 
 def test_the_lift_decides_mercedes_only_below_its_breaking_radius():
     # Mercedes breaks at radius 0.5, where each atom comes within 0.5 of one of two lines.  Its margin decides
     # the radii through 0.2 and stops before 0.3.
-    lifted = _lift_margin(fl.gen_mercedes().vectors, 1e-10)
+    lifted = _lift_margin(*scaled(fl.gen_mercedes().vectors[None]), 1e-10)
     assert _decided_radii(lifted, [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]) == 4
     assert 0.2 < _decided_bound(lifted) < 0.3
 
@@ -491,7 +523,7 @@ def test_a_decided_sweep_makes_one_svd_and_draws_no_trial(monkeypatch, frame, la
         raise AssertionError("a trial was drawn or certified")
 
     monkeypatch.setattr("numpy.linalg.svd", counting)
-    for path in ("framelab.perturb._lifted_holds", "framelab.retrieval.full_column_rank", "numpy.random.default_rng"):
+    for path in ("framelab.perturb._lift_margins", "framelab.retrieval.full_column_rank", "numpy.random.default_rng"):
         monkeypatch.setattr(path, refuse)
     points = fl.stability_sweep(frame, lambdas, trials=50, seed=1)
     assert [p.failures for p in points] == [0] * len(lambdas)
@@ -528,13 +560,15 @@ def _certified_stacks(monkeypatch, frame, lambdas, trials: int, seed: int) -> li
     """The bytes of every perturbed frame the sweep builds, stack by stack, each stand-in lift verdict holding."""
     stacks = []
 
-    def recording_stack(stack, *args, **kwargs):
+    def recording_stack(stack):
         stacks.append([rows.tobytes() for rows in stack])
-        return np.ones(len(stack), dtype=bool)
+        return scaled(stack)
 
-    monkeypatch.setattr("framelab.perturb._lifted_holds", recording_stack)
+    monkeypatch.setattr("framelab.perturb.scaled", recording_stack)
+    monkeypatch.setattr("framelab.perturb._lift_margins", lambda w, tol: np.ones(len(w)))
     fl.stability_sweep(frame, lambdas, trials, seed)
-    return stacks
+    # The sweep scales its input first, and then each block of trials once.
+    return stacks[1:]
 
 
 def test_stability_sweep_scales_one_direction_field_per_trial(monkeypatch):
@@ -689,7 +723,7 @@ def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
 
     monkeypatch.setattr("framelab.perturb._first_failures", by_rows)
     # The d-subsets' margin decides 0.01 and certifies the input; without it every radius is built.
-    monkeypatch.setattr("framelab.perturb._radius_stage", lambda v, tol, lams: (0, False))
+    monkeypatch.setattr("framelab.perturb._radius_stage", lambda w, exponents, tol, lams: (0, False))
     whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
     # The input frame is its own one-frame stack, ahead of the trials.
     assert stacks == [(1, 5, 3), (33, 5, 3)] and 0 < sum(whole) < 33

@@ -28,7 +28,6 @@ from framelab.retrieval import (
     _lift_cutoff,
     _lift_margin,
     _lift_margins,
-    _lifted_holds,
     _minors,
     _r_stack,
     _spark_bounds,
@@ -127,7 +126,7 @@ def test_complement_property_witness_is_genuine():
 def test_complement_property_cap():
     frame = fl.gen_random(2, 26, seed=0)
     # The lift would certify this frame, but the cap is checked first.
-    assert _lifted_holds(frame.vectors[None], 1e-10)[0]
+    assert _lift_certifies(frame.vectors[None], 1e-10)[0]
     with pytest.raises(fl.EnumerationCapExceeded, match=r"refuses for n = 26 > cap = 24"):
         fl.complement_property(frame)
     cert = fl.complement_property(fl.gen_random(2, 5, seed=0), cap=30)
@@ -200,7 +199,7 @@ def test_pr_complex_holds_on_its_hermitian_lift(monkeypatch):
 ])
 def test_pr_complex_stays_inconclusive_without_alpha(frame, monkeypatch):
     monkeypatch.setattr("framelab.retrieval.alpha_certify", _no_alpha)
-    assert not _lifted_holds(frame.vectors[None], 1e-10)[0]
+    assert not _lift_certifies(frame.vectors[None], 1e-10)[0]
     cp = fl.complement_property(frame)
     assert cp.holds and cp.method == "complement-subset-enumeration"
     cert = fl.phase_retrieval_certify(frame)
@@ -227,6 +226,31 @@ def test_pr_decides_the_lift_once_per_frame(field, d, n, monkeypatch):
     monkeypatch.setattr("framelab.retrieval._lift_margins", counting)
     fl.phase_retrieval_certify(fl.gen_random(d, n, seed=1, field=field))
     assert calls == [1]
+
+
+def test_each_certification_scales_its_frame_once(monkeypatch):
+    # The entry point scales the frame, and every stage reads that copy: the two-plane frame goes past the lift
+    # and the spark stage to its table, the repeated ONB past the lift to the identity test, and the complex
+    # harmonic frame to the identity test alone.
+    shapes = []
+
+    def counting(stack):
+        shapes.append(stack.shape)
+        return scaled(stack)
+
+    monkeypatch.setattr("framelab.retrieval.scaled", counting)
+    two_plane = _two_plane(8, seed=8)
+    with patch("framelab.retrieval._hyperplane_table", wraps=_hyperplane_table) as table:
+        assert not fl.complement_property(two_plane).holds
+    table.assert_called_once()
+    assert shapes == [(1, 8, 3)]
+    for frame in (_repeated_onb(3, 3), fl.gen_harmonic(2, 4, "complex")):
+        shapes.clear()
+        cert = fl.norm_retrieval_certify(frame)
+        assert (cert.verdict, cert.method, shapes) == (fl.HOLDS, "nr-identity-span", [(1, frame.n_atoms, frame.dim)])
+    # The kept brute-force oracle scales its frame once too, for the driver.
+    shapes.clear()
+    assert fl.retrieval.norm_retrieval_oracle(two_plane).holds and shapes == [(1, 8, 3)]
 
 
 def test_pr_complex_fails_via_complement_necessity():
@@ -585,7 +609,7 @@ def _decisions(frame, splits, cp_witness, nr):
 
 def _without_the_lift():
     """Make the lift refuse every frame, so the scan and the table decide them all."""
-    return patch("framelab.retrieval._lift_margins", lambda vs, tol: (*scaled(vs), np.full(len(vs), -np.inf)))
+    return patch("framelab.retrieval._lift_margins", lambda w, tol: np.full(len(w), -np.inf))
 
 
 def _without_the_spark():
@@ -601,19 +625,25 @@ def _without_the_identity():
 def _deficient_splits(frame, tol=1e-10):
     """Every split of the frame where neither side spans, in the order the driver finds them."""
     splits = []
-    _first_failures(frame.vectors[None], tol, lambda v, chunk: splits.extend(chunk))
+    vs = frame.vectors[None]
+    _first_failures(vs, scaled(vs)[0], tol, lambda v, chunk: splits.extend(chunk))
     return splits
 
 
 def _walked_splits(frame, tol=1e-10):
     """Every split of the table's walk where neither side spans, in walk order, decided chunk by chunk."""
     v = frame.vectors
-    for chunk in _chunks(_walk(len(v), _intervals(_hyperplane_table(v, tol))), *v.shape):
+    for chunk in _chunks(_walk(len(v), _intervals(_hyperplane_table(scaled(v)[0], tol))), *v.shape):
         yield from compress(chunk, _deficient(v, chunk, tol))
 
 
 def _complement_holds(stack, tol):
-    return [subset is None for subset in _first_failures(stack, tol, _first_subset)]
+    return [subset is None for subset in _first_failures(stack, scaled(stack)[0], tol, _first_subset)]
+
+
+def _lift_certifies(vs, tol):
+    """Whether the lift certifies each frame of the stack, as the certifiers test it: a positive margin once scaled."""
+    return _lift_margins(scaled(vs)[0], tol) > 0
 
 
 def _assert_matches_the_scan(frame):
@@ -643,7 +673,7 @@ def _assert_matches_the_scan(frame):
             with _without_the_identity():
                 assert _decisions(frame, [], None, fl.norm_retrieval_certify(frame))[2:] == reference[2:]
     # The table's walk alone, from its first split, finds every deficient split.
-    if _hyperplane_table(frame.vectors, 1e-10) is not None:
+    if _hyperplane_table(scaled(frame.vectors)[0], 1e-10) is not None:
         assert list(_walked_splits(frame)) == reference[0]
 
 
@@ -737,7 +767,7 @@ def test_ties_near_the_rank_tolerance_decide_as_the_scan_does(kind, d, n, factor
 
 def _assert_the_table_holds_the_reference(v, tol=1e-10):
     """Each row of the SVD table lies in a row of the table."""
-    rows, reference_rows = _hyperplane_table(v, tol), hyperplane_table_reference(v, tol)
+    rows, reference_rows = _hyperplane_table(scaled(v)[0], tol), hyperplane_table_reference(v, tol)
     assert (rows is None) == (reference_rows is None)
     if rows is None:
         return
@@ -775,7 +805,7 @@ def test_the_table_of_a_tensor_product_holds_every_row_of_the_svd_table():
     # include many exactly dependent ones.
     product = fl.tensor_product(fl.gen_mercedes(), fl.gen_random(3, 5, seed=1)).product
     _assert_the_table_holds_the_reference(product.vectors)
-    rows = _hyperplane_table(product.vectors, 1e-10)
+    rows = _hyperplane_table(scaled(product.vectors)[0], 1e-10)
     assert np.array_equal(rows, hyperplane_table_reference(product.vectors, 1e-10))
 
 
@@ -787,7 +817,7 @@ def test_the_walk_holds_a_working_set_bounded_by_its_block_size(field):
     v = fl.gen_random(7, 20, field=field).vectors
     tracemalloc.start()
     try:
-        rows = _hyperplane_table(v, 1e-10)
+        rows = _hyperplane_table(scaled(v)[0], 1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -808,7 +838,7 @@ def _assert_nr_matches_the_scan(frame):
         assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
         with _without_the_identity():
             assert _nr_decision(fl.norm_retrieval_certify(frame)) == reference
-    if _hyperplane_table(frame.vectors, 1e-10) is not None:
+    if _hyperplane_table(scaled(frame.vectors)[0], 1e-10) is not None:
         assert list(_walked_splits(frame)) == list(deficient_splits_reference(frame))
 
 
@@ -914,7 +944,7 @@ def test_the_identity_test_certifies_no_frame_the_reference_fails(source, d, n, 
     if field == "complex":
         unitary, _ = np.linalg.qr(_normal(rng, (vectors.shape[1],) * 2, "complex"))
         vectors = (vectors * np.exp(2j * np.pi * rng.uniform(size=(len(vectors), 1)))) @ unitary.T
-    if not _identity_holds(vectors, 1e-10, 1e-8):
+    if not _identity_holds(scaled(vectors)[0], 1e-10, 1e-8):
         return
     frame = fl.Frame(fl.make_atomic(rng.uniform(0.5, 2.0, size=len(vectors))), vectors)
     if field == "real":
@@ -931,13 +961,14 @@ def test_the_identity_test_certifies_repeated_onbs_and_tight_products():
     # The frames the test exists for: a repeated ONB has c_i = 1 / k, so |c|_1 M^2 = d, and
     # a product of tight frames is tight.
     for frame in (_repeated_onb(3, 5), _repeated_onb(4, 6), fl.tensor_product(fl.gen_harmonic(3, 5), fl.gen_onb(3)).product):
-        assert _identity_holds(frame.vectors, 1e-10, 1e-8)
-        assert _identity_holds(frame.vectors * 1e-300, 1e-10, 1e-8) and _identity_holds(frame.vectors * 1e300, 1e-10, 1e-8)
+        assert _identity_holds(scaled(frame.vectors)[0], 1e-10, 1e-8)
+        tiny, huge = scaled(frame.vectors * 1e-300)[0], scaled(frame.vectors * 1e300)[0]
+        assert _identity_holds(tiny, 1e-10, 1e-8) and _identity_holds(huge, 1e-10, 1e-8)
     # The bound for a repeated ONB of R^4 is about d t sqrt(n) = 2e-9 at n = 24.
-    assert not _identity_holds(_repeated_onb(4, 6).vectors, 1e-10, 1e-9)
+    assert not _identity_holds(scaled(_repeated_onb(4, 6).vectors)[0], 1e-10, 1e-9)
     assert not _identity_holds(np.eye(2), -1.0, 1e-8) and not _identity_holds(np.eye(2), 1e-10, -1.0)
     # A frame that does not span leaves I - sum c_i phi_i phi_i^* of norm at least 1.
-    assert not _identity_holds(np.tile(np.eye(3)[:2], (3, 1)), 1e-10, 0.5)
+    assert not _identity_holds(scaled(np.tile(np.eye(3)[:2], (3, 1)))[0], 1e-10, 0.5)
 
 
 def _no_split_decided(*args):
@@ -1013,11 +1044,12 @@ def test_the_identity_verdict_is_invariant_under_orthogonal_maps(source, d, n, n
     s = np.linalg.svd(_lift(v[None])[0], compute_uv=False)
     ratios = s / s[0] if s[0] > 0 else s
     assume(not ((ratios > 1e-11) & (ratios <= 1e-9)).any())
-    assume(_identity_holds(v, 1e-10, 2.5e-9) == _identity_holds(v, 1e-10, 4e-8))
-    verdict = _identity_holds(v, 1e-10, 1e-8)
+    w = scaled(v)[0]
+    assume(_identity_holds(w, 1e-10, 2.5e-9) == _identity_holds(w, 1e-10, 4e-8))
+    verdict = _identity_holds(w, 1e-10, 1e-8)
     orthogonal, _ = np.linalg.qr(rng.standard_normal((v.shape[1], v.shape[1])))
     images = [v @ orthogonal.T, -v, (v @ orthogonal.T)[::-1]]
-    assert [_identity_holds(image, 1e-10, 1e-8) for image in images] == [verdict] * 3
+    assert [_identity_holds(scaled(image)[0], 1e-10, 1e-8) for image in images] == [verdict] * 3
     if source == "repeated-onb" and noise == 0.0 and not added and not dropped:
         assert verdict
 
@@ -1119,7 +1151,7 @@ def test_a_table_without_covering_pairs_is_walked_once():
     # This frame's table holds all C(22, 6) of its hyperplanes, and no two of
     # them are large enough to cover the atoms, so its walk visits no split.
     frame = fl.gen_random(7, 22)
-    table = _hyperplane_table(frame.vectors, 1e-10)
+    table = _hyperplane_table(scaled(frame.vectors)[0], 1e-10)
     assert len(table) == comb(22, 6)
     assert _intervals(table) == []
     with patch("framelab.retrieval._walk", wraps=_walk) as walk:
@@ -1140,10 +1172,10 @@ def test_a_table_with_many_covering_candidates_decides_through_its_walk():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
-    # The squared norms of these atoms overflow float64 unless the table scales the frame first.
+    # The squared norms of these atoms overflow float64 unless the frame is scaled before its table.
     for frame in (fl.gen_random(3, 5), _two_plane(8, seed=8), _repeated_onb(3, 3)):
         huge = frame.with_vectors(frame.vectors * scale)
-        assert np.array_equal(_hyperplane_table(huge.vectors, 1e-10), _hyperplane_table(frame.vectors, 1e-10))
+        assert np.array_equal(_hyperplane_table(scaled(huge.vectors)[0], 1e-10), _hyperplane_table(scaled(frame.vectors)[0], 1e-10))
         assert list(_walked_splits(huge)) == list(deficient_splits_reference(frame))
         assert fl.complement_property(huge).witness_subset == fl.complement_property(frame).witness_subset
         assert fl.phase_retrieval_certify(huge).verdict == fl.phase_retrieval_certify(frame).verdict
@@ -1157,15 +1189,15 @@ def test_a_huge_frame_gets_the_table_and_the_verdicts_of_the_frame(scale):
     ("complex", 3, 18, 1, fl.phase_retrieval_certify),
 ])
 def test_a_subnormal_frame_gets_the_table_and_the_verdicts_of_the_frame(field, d, n, seed, certify):
-    # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: the
-    # table must scale such a frame all the same, or every split is scanned.  With no
+    # The largest entry lies below 2.2e-308, where the factor 2^-e overflows: such a
+    # frame must be scaled for its table all the same, or every split is scanned.  With no
     # lift and no spark stage every frame builds the table once its n prefix splits
     # are decided; the lift would otherwise certify the complex frame, and the spark stage both.
     tiny = fl.gen_random(d, n, seed, field)
     tiny = tiny.with_vectors(tiny.vectors * 1e-310)
     # The stored entries times 2^1030 are normal, and the product is exact.
     normal = tiny.with_vectors(tiny.vectors * 2.0**515 * 2.0**515)
-    assert _lifted_holds(tiny.vectors[None], 1e-10)[0] == _lifted_holds(normal.vectors[None], 1e-10)[0]
+    assert _lift_certifies(tiny.vectors[None], 1e-10)[0] == _lift_certifies(normal.vectors[None], 1e-10)[0]
     tables = []
 
     def recording(*args):
@@ -1191,11 +1223,11 @@ def test_building_the_table_makes_no_rank_decision(monkeypatch):
         raise AssertionError("full_column_rank was called")
 
     monkeypatch.setattr("framelab.retrieval.full_column_rank", refuse)
-    assert len(_hyperplane_table(_repeated_onb(3, 3).vectors, 1e-10)) == 3
+    assert len(_hyperplane_table(scaled(_repeated_onb(3, 3).vectors)[0], 1e-10)) == 3
     # The two planes of four atoms, and the 16 closures of an even and an odd atom.
-    two_plane = _hyperplane_table(_two_plane(8, seed=8).vectors, 1e-10)
+    two_plane = _hyperplane_table(scaled(_two_plane(8, seed=8).vectors)[0], 1e-10)
     assert sorted(two_plane.sum(axis=1).tolist()) == [2] * 16 + [4, 4]
-    assert len(_hyperplane_table(fl.gen_random(4, 12).vectors, 1e-10)) == comb(12, 3)
+    assert len(_hyperplane_table(scaled(fl.gen_random(4, 12).vectors)[0], 1e-10)) == comb(12, 3)
 
 
 def test_without_a_table_every_split_is_checked():
@@ -1222,7 +1254,7 @@ def test_a_large_tol_shrinks_the_table_margin_down_to_its_floor(tol, margin):
     with _without_the_lift(), _without_the_spark(), patch("framelab.retrieval._walk", recording):
         witness = fl.complement_property(frame, tol).witness_subset
     if margin is None:
-        assert walked == [[(1, 2**16 - 1)]] and _hyperplane_table(frame.vectors, tol) is None
+        assert walked == [[(1, 2**16 - 1)]] and _hyperplane_table(scaled(frame.vectors)[0], tol) is None
         assert _table_margin(float("nan")) is None
         return
     assert len(walked) == 1 and (1, 2**16 - 1) not in walked[0]
@@ -1246,8 +1278,8 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     flat = _two_plane(12, seed=12).vectors * [1.0, 1.0, 1e-8]
     frames = [_unit_frame(blocked), _unit_frame(cone), _unit_frame(flat)]
     stack = np.stack([frame.vectors for frame in frames])
-    assert not _lifted_holds(stack, 1e-10).any()
-    assert [_hyperplane_table(frame.vectors, 1e-10) is None for frame in frames] == [False, False, True]
+    assert not _lift_certifies(stack, 1e-10).any()
+    assert [_hyperplane_table(scaled(frame.vectors)[0], 1e-10) is None for frame in frames] == [False, False, True]
     decided = {frame.vectors.tobytes(): [] for frame in frames}
 
     def recording(v, chunk, tol):
@@ -1257,7 +1289,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     with _without_the_spark(), patch("framelab.retrieval._deficient", recording), patch(
         "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
     ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
-        found = _first_failures(stack, 1e-10, _first_subset)
+        found = _first_failures(stack, scaled(stack)[0], 1e-10, _first_subset)
         assert table.call_count == 2 and walk.call_count == 2
         assert found == [(0, 1, 2, 3, 4, 5), None, (0, 2, 4, 6, 8, 10)]
         assert found == [complement_property_reference(frame) for frame in frames]
@@ -1268,7 +1300,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
         for calls in decided.values():
             calls.clear()
         splits = {key: [] for key in decided}
-        _first_failures(stack, 1e-10, lambda v, chunk: splits[v.tobytes()].extend(chunk))
+        _first_failures(stack, scaled(stack)[0], 1e-10, lambda v, chunk: splits[v.tobytes()].extend(chunk))
     for frame in frames:
         assert splits[frame.vectors.tobytes()] == list(deficient_splits_reference(frame))
     assert decided[flat.tobytes()] == list(complement_pairs(12))
@@ -1339,9 +1371,9 @@ def _assert_the_lift_certifies_only_frames_without_a_deficient_split(field, n, d
         jitter *= 10.0**noise * max(tol, np.finfo(float).eps) * np.where(scale > 0, scale, 1.0) / np.linalg.norm(jitter, axis=1, keepdims=True)
         frames.append(_unit_frame((vectors + jitter) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))))
     stack = np.stack([frame.vectors for frame in frames])
-    lifted = _lifted_holds(stack, tol)
+    lifted = _lift_certifies(stack, tol)
     for frame, certified in zip(frames, lifted):
-        assert certified == _lifted_holds(frame.vectors[None], tol)[0]
+        assert certified == _lift_certifies(frame.vectors[None], tol)[0]
         if certified:
             assert next(deficient_splits_reference(frame, tol), None) is None
     per_frame = [fl.complement_property(frame, tol).holds for frame in frames]
@@ -1359,7 +1391,7 @@ def test_a_frame_the_scan_fails_is_not_lifted_even_near_the_cutoff():
     assert fl.complement_property(frame, tol).witness_subset == (0, 2)
     # In a stack with a frame the lift certifies, each keeps its own verdict.
     stack = np.stack([frame.vectors, fl.gen_random(2, 3, seed=0).vectors])
-    assert _lifted_holds(stack, tol).tolist() == [False, True]
+    assert _lift_certifies(stack, tol).tolist() == [False, True]
     assert _complement_holds(stack, tol) == [False, True]
 
 
@@ -1368,26 +1400,26 @@ def test_the_lift_agrees_with_the_reference_lift():
         v = fl.gen_random(d, n, seed=d).vectors
         # The cutoff is 2 sqrt(n d) times tol, plus a rounding term far below 1% of it.
         at_ratio = lift_ratio_reference(v) / (2 * np.sqrt(n * d))
-        assert _lifted_holds(v[None], 0.99 * at_ratio)[0]
-        assert not _lifted_holds(v[None], 1.01 * at_ratio)[0]
+        assert _lift_certifies(v[None], 0.99 * at_ratio)[0]
+        assert not _lift_certifies(v[None], 1.01 * at_ratio)[0]
 
 
 def test_the_lift_refuses_complex_frames_short_frames_and_negative_tolerances():
     # A complex frame needs n >= d^2 atoms, a real one n >= d(d + 1)/2.
-    assert not _lifted_holds(fl.gen_random(3, 8, seed=0, field="complex").vectors[None], 1e-10)[0]
-    assert _lifted_holds(fl.gen_random(3, 9, seed=0, field="complex").vectors[None], 1e-10)[0]
-    assert _lifted_holds(fl.gen_random(2, 6, seed=0, field="complex").vectors[None], 1e-10)[0]
-    assert not _lifted_holds(fl.gen_random(3, 5, seed=0).vectors[None], 1e-10)[0]
+    assert not _lift_certifies(fl.gen_random(3, 8, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert _lift_certifies(fl.gen_random(3, 9, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert _lift_certifies(fl.gen_random(2, 6, seed=0, field="complex").vectors[None], 1e-10)[0]
+    assert not _lift_certifies(fl.gen_random(3, 5, seed=0).vectors[None], 1e-10)[0]
     # The scan finds the split of the two zero atoms deficient, while with tol < 0
     # the lift's cutoff would be negative.
     zeros = np.vstack([np.zeros((2, 2)), [[1.0, 2.0]]])
-    assert not _lifted_holds(zeros[None], -1.0)[0]
-    assert not _lifted_holds(np.zeros((1, 3, 2)), 1e-10)[0]
-    assert not _lifted_holds(np.zeros((1, 4, 2), dtype=complex), 1e-10)[0]
+    assert not _lift_certifies(zeros[None], -1.0)[0]
+    assert not _lift_certifies(np.zeros((1, 3, 2)), 1e-10)[0]
+    assert not _lift_certifies(np.zeros((1, 4, 2), dtype=complex), 1e-10)[0]
     # Entries whose squares overflow or underflow are scaled first.
     for scale in (1e200, 1e-200, 1e-310):
-        assert _lifted_holds(fl.gen_random(2, 3, seed=0).vectors[None] * scale, 1e-10)[0]
-        assert _lifted_holds(fl.gen_random(2, 4, seed=0, field="complex").vectors[None] * scale, 1e-10)[0]
+        assert _lift_certifies(fl.gen_random(2, 3, seed=0).vectors[None] * scale, 1e-10)[0]
+        assert _lift_certifies(fl.gen_random(2, 4, seed=0, field="complex").vectors[None] * scale, 1e-10)[0]
 
 
 def _lift_spectrum(v: np.ndarray) -> np.ndarray:
@@ -1418,7 +1450,7 @@ def test_a_ratio_just_above_the_lift_cutoff_is_certified_by_the_lift(field, n, p
     assert tol == pytest.approx(near, abs=1e-6)
     assert not s[-1] > 2 * np.sqrt(2 * n) * (tol + 8 * n * width * np.finfo(float).eps) * s[0]
     assert s[-1] > _lift_cutoff(n, 2, tol, field == "complex") * s[0]
-    assert _lifted_holds(frame.vectors[None], tol)[0]
+    assert _lift_certifies(frame.vectors[None], tol)[0]
     assert complement_property_reference(frame, tol) is None
     cp = fl.complement_property(frame, tol)
     assert (cp.verdict, cp.method) == (fl.HOLDS, "complement-lifted-map")
@@ -1440,7 +1472,7 @@ def test_the_lift_margin_exists_exactly_when_the_lift_certifies(d, extra, gap, s
     n = max(1, width + extra)
     v = np.random.default_rng(seed).standard_normal((n, d))
     tol = _cutoff_tol(_lift_spectrum(v), n, d, width) * (1 + gap)
-    assert (_lift_margin(v, tol) is not None) == _lifted_holds(v[None], tol)[0]
+    assert (_lift_margin(*scaled(v[None]), tol) is not None) == _lift_certifies(v[None], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, seed", [(1, 1, 0), (1, 3, 1), (2, 4, 2), (2, 7, 3), (3, 9, 4), (3, 12, 5), (4, 16, 6)])
@@ -1470,8 +1502,8 @@ def test_the_hermitian_lift_agrees_with_the_reference_lift():
         v = fl.gen_random(d, n, seed=d, field="complex").vectors
         s = np.linalg.svd(hermitian_lift_reference(v), compute_uv=False)
         at_ratio = s[-1] / s[0] / (2 * np.sqrt(n * d))
-        assert _lifted_holds(v[None], 0.99 * at_ratio)[0]
-        assert not _lifted_holds(v[None], 1.01 * at_ratio)[0]
+        assert _lift_certifies(v[None], 0.99 * at_ratio)[0]
+        assert not _lift_certifies(v[None], 1.01 * at_ratio)[0]
 
 
 @settings(max_examples=80, deadline=None)
@@ -1491,7 +1523,7 @@ def test_the_lift_verdict_is_invariant_under_unitaries_phases_and_reordering(fie
     # Rounding moves the ratio by about eps; keep clear of the cutoff by far more.
     ratio, cutoff = (s[-1] / s[0] if s[0] > 0 else 0.0), _lift_cutoff(n, d, tol, field == "complex")
     assume(not cutoff / 1e3 < ratio < cutoff * 1e3)
-    verdict = _lifted_holds(v[None], tol)[0]
+    verdict = _lift_certifies(v[None], tol)[0]
     assert verdict == (ratio > cutoff)
     unitary, _ = np.linalg.qr(_normal(rng, (d, d), field))
     if field == "complex":
@@ -1499,7 +1531,7 @@ def test_the_lift_verdict_is_invariant_under_unitaries_phases_and_reordering(fie
     else:
         phases = rng.choice([-1.0, 1.0], size=(n, 1))
     images = [v @ unitary.T, v * phases, v[rng.permutation(n)], (v * phases)[::-1] @ unitary.T]
-    assert _lifted_holds(np.stack(images), tol).tolist() == [verdict] * len(images)
+    assert _lift_certifies(np.stack(images), tol).tolist() == [verdict] * len(images)
 
 
 def _spark_test_vectors(kind, d, n, rng, field):
@@ -1669,7 +1701,7 @@ def test_the_spark_margin_exists_exactly_when_the_spark_stage_certifies(kind, fi
     least, frob = _spark_least(scaled(v[None])[0], 0.0)
     eta = n * d * np.finfo(float).eps
     tol = float((least[0] / frob[0] - eta) / (1 + eta)) * (1 + gap) if frob[0] else -1.0
-    assert (_spark_margin(v, tol) is not None) == _spark_holds(scaled(v[None])[0], tol)[0]
+    assert (_spark_margin(*scaled(v[None]), tol) is not None) == _spark_holds(scaled(v[None])[0], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, tol", [(2, 5, -1e-10), (3, 5, float("nan")), (3, 4, 1e-10), (2, 2, 0.0), (6, 12, 1e-10)])
@@ -1678,4 +1710,4 @@ def test_the_spark_margin_is_none_where_the_spark_stage_decides_nothing(d, n, to
     # kernel bounds no minor, so neither the stage nor the margin certifies this generic frame.
     v = fl.gen_random(d, n, seed=n).vectors
     assert _spark_least(scaled(v[None])[0], tol) is None
-    assert _spark_margin(v, tol) is None and not _spark_holds(scaled(v[None])[0], tol)[0]
+    assert _spark_margin(*scaled(v[None]), tol) is None and not _spark_holds(scaled(v[None])[0], tol)[0]

@@ -16,8 +16,9 @@ A fixed block of command lines that the benchmark never runs follows, one
 line each, printed once per call: usage errors, help, input files that are
 not UTF-8 or not a JSON object, the sweep paths no workload takes,
 certifications at large tolerances and of a frame the hyperplane table
-refuses, and spark-stage certifications at d = 5 and 6, so that their exit
-codes and bytes are compared too.  Its lines start with
+refuses, spark-stage certifications at d = 5 and 6, norm retrieval of
+complex frames, and a repeated orthonormal basis scaled by 1e-300, so that
+their exit codes and bytes are compared too.  Its lines start with
 ``errors -`` and the command line's words, joined by commas in brackets.
 
 Which framelab was imported goes to stderr, so the lines of two checkouts
@@ -58,9 +59,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # with a margin of 100, dt3.json holds through its table and exits 0.
 # flat.json spans at the tolerance but not with the table's margin, so it
 # has no table, and it fails in the walk of the one interval that holds every
-# split: exit 1.  Last, the spark stage certifies the complement property of
+# split: exit 1.  Then the spark stage certifies the complement property of
 # random frames at d = 5, n = 9 and d = 6, n = 11: the real ones hold (0),
-# and the complex ones are inconclusive (3).
+# and the complex ones are inconclusive (3).  Then norm retrieval of complex
+# frames, decided by the identity test on their one scaled copy: the
+# harmonic frame of 4 atoms in C^2 holds (0), and c59.json is inconclusive
+# (3).  Last, ``tiny.json`` holds the ONB of R^3 twice, scaled by 1e-300,
+# so that every stage must read the scaled copy: it fails phase retrieval
+# (1), holds norm retrieval by the identity test (0), and its bounds are
+# reported (0).
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -98,9 +105,17 @@ ERROR_ARGVS = (
     ("certify", "pr", "r611.json"),
     ("gen", "random", "--dim", "6", "--n", "11", "--seed", "1", "--field", "complex", "-o", "c611.json"),
     ("certify", "pr", "c611.json"),
+    ("gen", "harmonic", "--dim", "2", "--n", "4", "--field", "complex", "-o", "h24.json"),
+    ("certify", "nr", "h24.json"),
+    ("certify", "nr", "c59.json"),
+    ("certify", "pr", "tiny.json"),
+    ("certify", "nr", "tiny.json"),
+    ("bounds", "tiny.json"),
 )
 # Two planes of R^3, x-y and y-z, four atoms each; the last coordinate is then scaled by 1e-8.
 FLAT_ATOMS = ((1, 2, 0), (0, 1, 3), (3, -1, 0), (0, -2, 1), (-1, 1, 0), (0, 3, -1), (2, 1, 0), (0, 1, 1))
+# The ONB of R^3 twice, scaled by 1e-300.
+TINY_ATOMS = tuple(tuple(1e-300 * (i == j) for j in range(3)) for i in (0, 1, 2, 0, 1, 2))
 
 
 def _mixes():
@@ -168,6 +183,8 @@ def error_lines() -> list[str]:
         (directory / "list.json").write_text("[1, 2]\n")
         atoms = [{"weight": 1.0, "vector": [float(x), float(y), z * 1e-8]} for x, y, z in FLAT_ATOMS]
         (directory / "flat.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
+        atoms = [{"weight": 1.0, "vector": list(vector)} for vector in TINY_ATOMS]
+        (directory / "tiny.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
         return [f"errors - [{','.join(argv)}] {_run(argv, directory)}" for argv in ERROR_ARGVS]
 
 
