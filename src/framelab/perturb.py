@@ -10,12 +10,13 @@ Two explicit perturbations and one empirical sweep:
   non-orthogonal while moving the frame by at most ``epsilon``.
 * ``stability_sweep`` probes the positive side: below a sup-norm radius,
   random perturbations of a phase retrieval frame stay phase retrieval.
-  It certifies the input frame once, by its lift, whose margin decides the
-  small radii with no trial drawn: by Weyl's inequality no perturbation
-  that small moves the lift's singular values far enough for a split to
-  fail (Balan, "Stability of phase retrievable frames", 2013).  The
-  determinant bounds of the spark stage on its d-subsets decide, by the
-  same inequality, radii the lift leaves open.  For the
+  It certifies the input frame once, by its lift, and its certificate's
+  reach, the largest move of each atom it covers, decides the small radii
+  with no trial drawn: by Weyl's inequality no perturbation that small
+  moves the lift's singular values far enough for a split to fail (Balan,
+  "Stability of phase retrievable frames", 2013).  The determinant bounds
+  of the spark stage on its d-subsets give a second reach, by the same
+  inequality, for radii the lift leaves open.  For the
   radii past them it draws every trial's perturbation from one seeded
   generator, a block of trials at a time, and certifies the trials in
   stacks, through the lift and the driver that ``complement_property``
@@ -353,15 +354,16 @@ def stability_sweep(
 
     The radius stage (``_radius_stage``).  The input is scaled once
     (``scaled``), and every stage reads that copy.  It is certified once,
-    by its lift (``_lift_margin``), and when the lift leaves a radius open,
-    by the spark stage's bounds on its d-subsets (``_spark_margin``); a
-    radius either margin decides (``_decided_radii``) gets 0 failures with
-    no trial drawn.  A trial at radius lam builds atom i as fl(v_i + fl(lam g_i)),
-    g_i its computed field, |g_i| <= 1 + (d + 4) eps (a norm of d + 2
-    coordinates and a division); so it moves v_i by at most lam (1 + (d +
-    6) eps) + eps |v_i|, the move ``_decided_radii`` allows for, and no
-    trial at a decided radius has a split the scan calls deficient: each
-    holds, as it would in ``phase_retrieval_certify``, and none is
+    by its lift (``_lift_reach``), and when the lift's reach leaves a radius
+    open, by the spark stage's bounds on its d-subsets (``_spark_reach``);
+    each certificate comes with its reach, the largest move of each scaled
+    atom it covers, and a radius whose move is under the larger reach gets
+    0 failures with no trial drawn.  A trial at radius lam builds atom i as
+    fl(v_i + fl(lam g_i)), g_i its computed field, |g_i| <= 1 + (d + 4) eps
+    (a norm of d + 2 coordinates and a division); so it moves v_i by at most
+    lam (1 + (d + 6) eps) + eps |v_i|, the move ``_radius_moves`` bounds,
+    and no trial at a decided radius has a split the scan calls deficient:
+    each holds, as it would in ``phase_retrieval_certify``, and none is
     non-finite.  The radii ascend, so the decided radii are a prefix.
 
     The radii past that prefix are built and certified in blocks of
@@ -372,13 +374,13 @@ def stability_sweep(
     through the driver of ``complement_property``:
     the spark stage decides them at once, and the frames still open go on
     one by one, through the scan's n prefix splits and then the hyperplane
-    table.  An input neither margin certifies is decided alone, by the
+    table.  An input neither stage certifies is decided alone, by the
     same driver, before any trial is drawn.  Each verdict is the one
     ``phase_retrieval_certify`` gives that perturbed frame, so the counts
     do not depend on the blocks.  Each block draws its trials' rows of
     ``x`` at once; the generator fills them in order, so a trial's field
     does not depend on where the blocks are cut, nor on how many radii
-    the margin decided.
+    the reaches decided.
     """
     _require_within_cap(frame, cap, "complement property certification")
     if frame.field != "real":

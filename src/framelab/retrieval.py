@@ -16,13 +16,15 @@ split can have neither side spanning under the scan's rank test, so the
 complement property, and norm retrieval with it for a real frame, hold
 with no split visited; and the lift is injective, so the frame does phase
 retrieval over either field.  ``_lift_margins`` carries the proof and the
-bound on LAPACK's rounding error that it assumes.  ``_lift_margin``
-extends a certificate to every frame whose lift lies within the margin of
-the certified frame's,
-``_spark_margin`` does the same from the determinant bounds that certify
-the frame in the spark stage below, and ``_decided_radii`` turns either
-into radii of atom moves, which is how ``stability_sweep`` decides its
-small radii with no trial drawn (``_radius_stage``).
+bound on LAPACK's rounding error that it assumes.  A certificate also
+covers the frames near the certified one: its reach is one number, the
+largest move of each scaled atom that it still covers, by Weyl's
+inequality.  ``_lift_reach`` solves for it from the lift's margin, and
+``_spark_reach`` from the determinant bounds that certify the frame in
+the spark stage below.  ``stability_sweep`` decides a radius with no trial
+drawn when the radius's move stays under the larger reach
+(``_radius_stage``): Mercedes' lift reaches 0.2247 and its d-subsets
+0.4330, below its breaking radius 0.5.
 The lift can only answer ``holds``, and the atom cap is checked before it.
 Frames it does not certify and frames with n < D go on to the splits,
 save that norm retrieval first tries the identity test.
@@ -125,8 +127,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, dropwhile, filterfalse, islice
-from math import comb, hypot, ldexp, sqrt
-from typing import Any, Callable, Iterator, NamedTuple
+from math import comb, fsum, inf, ldexp, sqrt
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -579,7 +581,7 @@ def _lift_margins(w: np.ndarray, tol: float) -> np.ndarray:
     does phase retrieval: |<x, phi_i>| = |<y, phi_i>| on every atom puts x
     x^* - y y^* in the kernel of A, so x x^* = y y^*, and x is y times a
     unimodular number (Bandeira, Cahill, Mixon and Nelson, "Saving phase",
-    2014).  ``_lift_margin`` extends the certificate to the real frames
+    2014).  ``_lift_reach`` extends the certificate to the real frames
     near v.
 
     First step: a deficient split bounds the lift's ratio.  Let M be the
@@ -643,139 +645,114 @@ def _lift_margins(w: np.ndarray, tol: float) -> np.ndarray:
     return (s[:, -1] - cutoff * s[:, 0]) / (1 + cutoff)
 
 
-class _Margin(NamedTuple):
-    """A frame v scaled to w = 2^-e v (``scaled``), the exponent e, and a test of which frames near v hold.
+def _lift_reach(w: np.ndarray, tol: float) -> float | None:
+    """The lift's reach for the real frame v of a scaled (1, n, d) stack w = 2^-e v (``scaled``); None when the lift does not certify v.
 
-    ``covers(norms, b)`` is true only when no frame W whose scaled atoms
-    lie within b_i of w_i, each, exactly, has a split the scan calls
-    deficient; ``norms`` holds each |w_i| as ``_decided_radii`` computes it.
-    """
+    The reach R: no frame W whose scaled atoms 2^-e W_i each lie within B
+    < R of w_i, exactly, has a split the scan calls deficient.  That holds
+    when the exact lift of 2^-e W lies within M = m (1 - 4 eps), in
+    spectral norm, of the exact lift L of w, m the margin of
+    ``_lift_margins``, whose certificate is a positive m.
 
-    w: np.ndarray
-    exponent: int
-    covers: Callable[[list[float], list[float]], bool]
+    The move.  Let f_i = 2^-e W_i - w_i, |f_i| <= B.  Row i of the lift is
+    the image of phi_i phi_i^T under an isometry, and (w_i + f_i)(w_i +
+    f_i)^T - w_i w_i^T = w_i f_i^T + f_i w_i^T + f_i f_i^T, of Frobenius
+    norm at most 2 |w_i| B + B^2.  By Minkowski's inequality the lift moves,
+    in Frobenius norm and so in spectral norm, by at most (sum_i (2 |w_i| B
+    + B^2)^2)^(1/2) <= 2 F B + sqrt(n) B^2, F = |w|_F: below M for every B
+    under the positive root of sqrt(n) B^2 + 2 F B = M, which is M / (F +
+    (F^2 + sqrt(n) M)^(1/2)), written so that nothing cancels.
 
-
-def _lift_margin(w: np.ndarray, exponents: np.ndarray, tol: float) -> _Margin | None:
-    """For a real frame its lift certifies, the frames near it the lift covers (``_Margin``); None for any other frame.
-
-    The frame v comes scaled, as the (1, n, d) stack w = 2^-e v and its
-    exponents (``scaled``).  A frame W has no split the scan calls deficient
-    when the exact lift of 2^-e W lies within m (1 - 4 eps), in spectral
-    norm, of the exact lift L of w, m the margin of ``_lift_margins``.  Its
-    certificate, a positive m, thus covers every frame near v, with no SVD
-    of its own.
-
-    The move.  When the scaled atoms of W lie within b_i of w_i, let f_i =
-    2^-e W_i - w_i.  Row i of the lift is the image of phi_i phi_i^T under
-    an isometry, and (w_i + f_i)(w_i + f_i)^T - w_i w_i^T = w_i f_i^T + f_i
-    w_i^T + f_i f_i^T, so the exact lift of 2^-e W lies within delta =
-    (sum_i (2 |w_i| b_i + b_i^2)^2)^(1/2) of L in Frobenius norm, and so in
-    spectral norm.  ``covers`` computes delta in floats, within (n / 4 + 6)
-    eps of its value, relatively; widened by (n + 16) eps it stays above
-    the exact delta over 1 - 4 eps.  So a computed delta under the computed
-    m gives delta < m (1 - 4 eps), which leaves no deficient split.
+    Rounding.  The root rises with M and falls with F, and shrinking M or
+    growing F by a factor 1 + x shrinks it by at most that factor.  The
+    computed F is within 2 eps of |w|_F, relatively: ``fsum`` rounds the
+    sum of the squares once, and a square underflows by less than 2^-1074
+    on a sum of at least 1/4.  The root's seven operations on positive
+    numbers are within 3 eps of it.  R is the computed root over 1 + 16
+    eps, which covers those, the 4 eps of M, the division and the eps of
+    the move it is compared with (``_radius_moves``).
     """
     margin = float(_lift_margins(w, tol)[0])
     if not margin > 0:
         return None
-    grow = 1 + (w.shape[1] + 16) * _EPS
-
-    def covers(norms: list[float], b: list[float]) -> bool:
-        total = 0.0
-        for a, x in zip(norms, b):
-            total += ((2 * a + x) * x) ** 2
-        return sqrt(total) * grow < margin
-
-    return _Margin(w[0], int(exponents[0]), covers)
+    frob = sqrt(fsum(x * x for x in w.ravel().tolist()))
+    return margin / (frob + sqrt(frob * frob + sqrt(w.shape[1]) * margin)) / (1 + 16 * _EPS)
 
 
-def _spark_margin(w: np.ndarray, exponents: np.ndarray, tol: float) -> _Margin | None:
-    """For a frame the spark stage certifies, the frames near it the same bounds cover (``_Margin``); None for any other frame.
+def _spark_reach(w: np.ndarray, tol: float) -> float | None:
+    """The d-subsets' reach for the frame v of a scaled (1, n, d) stack w = 2^-e v (``scaled``); None when the spark stage does not certify v.
 
-    The frame v comes scaled, as the (1, n, d) stack w = 2^-e v and its
-    exponents (``scaled``).
+    The reach R: no frame W whose scaled atoms 2^-e W_i each lie within B
+    < R of w_i, exactly, has a split the scan calls deficient.  It is
+    (least / (1 + 16 eps) - t F) / c, c = sqrt(d) + t sqrt(n), computed and
+    then divided by 1 + 8 eps, with least the least of the stage's computed
+    bounds beta_R on sigma_min(w_R) (``_spark_least``), F the computed
+    |w|_F and t the stage's threshold (``_spark_cutoff``).  A certified
+    frame may have R <= 0, which decides no radius.
 
-    Proof.  Let beta_R be the stage's computed bound on sigma_min(w_R),
-    least the least of them (``_spark_least``), F the computed |w|_F and t
-    the stage's threshold.  The stage's proof gives sigma_min(w_R) >= beta_R
-    (1 + (n + 12) eps) when beta_R > 0, and F (1 + (n + d + 4) eps / 2) >=
-    |w|_F.  Let the scaled atoms of W lie within b_i of w_i, B = max_i b_i,
-    c = sqrt(d) + t sqrt(n) and E = 2^-e W - w.  ``covers`` computes (t F +
-    c B)(1 + 16 eps) in at most eight operations on positive numbers, each
-    within eps, so least above it gives sigma_min(w_R) > (t F + c B)(1 + (n
-    + 21) eps) >= t |w|_F + c B for every R.  |E_R|_2 <= |E_R|_F <= sqrt(d)
-    B and |E|_F <= sqrt(n) B, so by Weyl's inequality sigma_min((2^-e W)_R)
-    >= sigma_min(w_R) - sqrt(d) B > t (|w|_F + sqrt(n) B) >= t |2^-e W|_F
-    for every R, which is all the proof of ``_spark_holds`` asks of a frame,
-    and its inequalities keep under scaling: W has no split the scan calls
-    deficient.
+    Proof.  The stage's proof gives sigma_min(w_R) >= least (1 + (n + 12)
+    eps), as least > t F >= 0, and |w|_F <= F (1 + (n + d + 4) eps / 2).
+    The computed c is within 3 eps / 2 of c, and each other operation on R
+    within eps / 2.  So when the computed move (``_radius_moves``), at least
+    B (1 - eps), is under R, c B < fl(least / (1 + 16 eps)) - fl(t F), and
+    hence (t F + c B)(1 + 14 eps) < least.  So sigma_min(w_R) > (t F + c
+    B)(1 + (n + 26) eps) >= t |w|_F + c B for every R, as d <= n.  With E =
+    2^-e W - w, |E_R|_2 <= |E_R|_F <= sqrt(d) B and |E|_F <= sqrt(n) B, so by
+    Weyl's inequality sigma_min((2^-e W)_R) >= sigma_min(w_R) - sqrt(d) B >
+    t (|w|_F + sqrt(n) B) >= t |2^-e W|_F for every R, which is all the
+    proof of ``_spark_holds`` asks of a frame, and its inequalities keep
+    under scaling: W has no split the scan calls deficient.
     """
     _, n, d = w.shape
     t = _spark_cutoff(n, d, tol)
     if (spark := _spark_least(w, tol)) is None or not spark[0][0] > t * spark[1][0]:
         return None
-    (least,), (frob,) = spark
-    base, reach, widen = t * float(frob), sqrt(d) + t * sqrt(n), 1 + 16 * _EPS
-
-    def covers(norms: list[float], b: list[float]) -> bool:
-        return least > (base + reach * max(b)) * widen
-
-    return _Margin(w[0], int(exponents[0]), covers)
+    least, frob = float(spark[0][0]), float(spark[1][0])
+    return (least / (1 + 16 * _EPS) - t * frob) / (sqrt(d) + t * sqrt(n)) / (1 + 8 * _EPS)
 
 
-def _decided_radii(margin: _Margin, lams: list[float]) -> int:
-    """How many of the ascending radii, from the first, a margin (``_lift_margin``, ``_spark_margin``) decides.
+def _radius_moves(d: int, exponent: int, lams: list[float]) -> list[float]:
+    """For each ascending radius, how far a trial moves a scaled atom, computed to be compared with a reach; inf where none is decided.
 
-    A radius lam is decided when no frame W whose atom i lies within lam
-    (1 + (d + 6) eps) + eps |v_i| of v_i, for each i, has a split the scan
-    calls deficient; that is how far a trial of ``stability_sweep`` moves
-    an atom.  Proof.  Let w = 2^-e v, with e from the margin, and b_i =
-    2^-e lam (1 + (d + 6) eps) + eps |w_i|, which bounds how far atom i of
-    2^-e W lies from w_i; the margin's ``covers`` decides the radius from
-    the b_i.  Each b_i grows with lam, and so does what ``covers`` tests,
-    so the decided radii are a prefix.
+    A trial of ``stability_sweep`` at radius lam moves atom i of v by at
+    most lam (1 + (d + 6) eps) + eps |v_i|, so atom i of w = 2^-e v by at
+    most 2^-e lam (1 + (d + 6) eps) + eps |w_i|, and |w_i| < sqrt(d), as
+    every scaled entry is below 1.  The move is (2^-e lam + tiny)(1 + (d +
+    6) eps) + eps sqrt(d), computed; tiny covers the rounding of 2^-e lam
+    below the normal range, and the computed move is at least that bound
+    times 1 - eps.  It grows with lam, so the radii a reach decides are
+    a prefix.
 
     Only radii with 2^-e lam < 2 are decided, and none when e > 1021, so
     every frame a decided radius covers is finite.  That rule drops no
-    radius either margin decides.  2^-e lam >= 2 gives b_i >= 2, so the
-    lift's delta >= 4 sqrt(n), while m < s_D <= |L|_F / sqrt(D) < sqrt(2
-    n), up to rounding, as each scaled atom has |w_i|^2 < d; and the
-    d-subsets' bound exceeds 2 sqrt(d), while each s_R <= |w_R|_F /
-    sqrt(d) < sqrt(d), up to rounding.
+    radius a reach decides: the lift's reach has sqrt(n) R^2 < m < s_D <=
+    |L|_F / sqrt(D) < sqrt(2 n), as each scaled atom has |w_i|^2 < d, so R
+    < 2; and the d-subsets' reach is under least / sqrt(d), while each
+    sigma_min(w_R) <= |w_R|_F / sqrt(d) < sqrt(d), so R < 1, up to rounding.
     """
-    w, exponent, covers = margin
-    d = w.shape[1]
-    norms = [hypot(*row) for row in w.tolist()]
-    stretch = 1 + (d + 6) * _EPS
-    decided = 0
-    for lam in lams:
-        if exponent > 1021 or not lam < ldexp(2.0, exponent):
-            break
-        step = (ldexp(lam, -exponent) + _TINY) * stretch
-        if not covers(norms, [step + _EPS * a for a in norms]):
-            break
-        decided += 1
-    return decided
+    if exponent > 1021:
+        return [inf] * len(lams)
+    stretch, slack, limit = 1 + (d + 6) * _EPS, _EPS * sqrt(d), ldexp(2.0, exponent)
+    return [(ldexp(lam, -exponent) + _TINY) * stretch + slack if lam < limit else inf for lam in lams]
 
 
 def _radius_stage(w: np.ndarray, exponents: np.ndarray, tol: float, lams: list[float]) -> tuple[int, bool]:
-    """How many of the ascending radii, from the first, the real frame's margins decide, and whether they certify it.
+    """How many of the ascending radii, from the first, the real frame's reaches decide, and whether they certify it.
 
     The frame comes scaled, as a (1, n, d) stack and its exponents
-    (``scaled``), and both margins read that copy.  The lift's margin is
-    tried first, and the d-subsets' margin (``_spark_margin``) on the radii
-    the lift leaves open; a radius either decides is decided
-    (``_decided_radii``), and as each decides a prefix, so do both.  A
-    margin exists only for a frame its stage certifies, so the frame is
-    certified when either does.
+    (``scaled``), and both reaches read that copy.  A radius is decided
+    when its move (``_radius_moves``) is below the larger of the lift's
+    reach (``_lift_reach``) and the d-subsets' (``_spark_reach``), which
+    is computed only when the lift's leaves the last radius open.  A reach
+    exists only for a frame its stage certifies, so the frame is certified
+    when either does.
     """
-    lifted = _lift_margin(w, exponents, tol)
-    decided = 0 if lifted is None else _decided_radii(lifted, lams)
-    spark = _spark_margin(w, exponents, tol) if decided < len(lams) else None
-    if spark is not None:
-        decided += _decided_radii(spark, lams[decided:])
-    return decided, lifted is not None or spark is not None
+    moves = _radius_moves(w.shape[2], int(exponents[0]), lams)
+    lifted = _lift_reach(w, tol)
+    spark = _spark_reach(w, tol) if lifted is None or not moves[-1] < lifted else None
+    reaches = [reach for reach in (lifted, spark) if reach is not None]
+    reach = max(reaches, default=-inf)
+    return sum(move < reach for move in moves), bool(reaches)
 
 
 @lru_cache(maxsize=None)

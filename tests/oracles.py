@@ -34,12 +34,12 @@ algorithm, so agreement between the two is meaningful evidence:
 * ``lift_ratio_reference`` builds the lifted map Q -> (phi_i^T Q phi_i)_i
   column by column from an orthonormal basis of the symmetric matrices,
   where the library writes the lift's rows from products of coordinates.
-* ``lift_radius_reference`` evaluates the sweep's radius-stage inequality
-  in 60-digit arithmetic, from the singular values of the column-by-column
-  lift, where the library computes it in floats with allowances for its
-  own rounding.
+* ``lift_radius_reference`` evaluates the lift's radius inequality atom
+  by atom in 60-digit arithmetic, from the singular values of the
+  column-by-column lift, where the library solves for one reach in floats,
+  with one move for every atom and allowances for its own rounding.
 * ``spark_radius_reference`` checks the d-subsets' radius inequality
-  exactly, as a positive definite test of each minor's Gram matrix by its
+  exactly, atom by atom, as a positive definite test of each minor's Gram matrix by its
   leading minors in rationals, where the library bounds each minor's
   smallest singular value from below through the spark stage's expanded
   minors, in floats with allowances for their rounding.
@@ -371,7 +371,7 @@ def lift_ratio_reference(v: np.ndarray) -> float:
 
 
 def lift_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
-    """Whether the radius stage's inequality holds at ``lam`` for the real frame v, in 60-digit arithmetic.
+    """Whether the lift's per-atom radius inequality holds at ``lam`` for the real frame v, in 60-digit arithmetic.
 
     The frame is scaled to w = 2^-e v, its largest entry in [1/2, 1).  Its
     lift's computed singular values are each within kappa sigma_1 of the
@@ -381,7 +381,9 @@ def lift_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
     most b_i = 2^-e lam (1 + (d + 6) eps) + eps |w_i|, and its lift by
     delta = (sum_i (2 |w_i| b_i + b_i^2)^2)^(1/2).  True when sigma_D -
     delta > 2 sqrt(n d) t (sigma_1 + delta), t = tol + eta (1 + tol): then
-    no trial at lam has a split the scan calls deficient.
+    no trial at lam has a split the scan calls deficient.  The library's
+    reach (``_lift_reach``) bounds every b_i by one move B and delta by 2
+    |w|_F B + sqrt(n) B^2, so every radius it decides passes this test.
     """
     n, d = v.shape
     e = math.frexp(float(np.abs(v).max()))[1]
@@ -485,7 +487,9 @@ def spark_radius_reference(v: np.ndarray, tol: float, lam: float) -> bool:
     deficient.  c is rounded up at 60 digits, and sigma_min(w_R) > c is
     decided exactly: w_R^T w_R - c^2 I is positive definite, which holds
     when its leading principal minors are all positive (Sylvester's
-    criterion).
+    criterion).  The library's reach (``_spark_reach``) bounds B by one
+    move with eps sqrt(d) in place of eps |w_i|, so every radius it decides
+    passes this test.
     """
     n, d = v.shape
     e = math.frexp(float(np.abs(v).max()))[1]

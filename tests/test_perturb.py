@@ -15,12 +15,13 @@ from framelab._linalg import full_column_rank, scaled
 from framelab.retrieval import (
     _BATCH_ENTRIES,
     _EPS,
-    _decided_radii,
     _deficient,
     _first_failures,
-    _lift_margin,
+    _lift_reach,
+    _radius_moves,
+    _radius_stage,
     _spark_least,
-    _spark_margin,
+    _spark_reach,
 )
 from oracles import (
     complement_property_reference,
@@ -256,7 +257,7 @@ def test_break_nr_l2_distance_scales_with_epsilon():
 
 
 def _without_the_radius():
-    """Make the input's margins decide nothing in the sweep, so that every radius builds its trials and the input goes through the driver."""
+    """Make the input's reaches decide nothing in the sweep, so that every radius builds its trials and the input goes through the driver."""
     return patch("framelab.perturb._radius_stage", lambda w, exponents, tol, lams: (0, False))
 
 
@@ -371,13 +372,18 @@ def test_a_lifted_sweep_makes_no_rank_call(monkeypatch):
     assert [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed)] == [0, 0, 0]
 
 
-def _decided_bound(margin) -> float:
-    """The largest radius a margin of the input decides, by bisection on the radius stage; 0 when it decides none."""
-    lo, hi = 0.0, math.ldexp(2.0, margin.exponent)
-    if not _decided_radii(margin, [lo]):
+def _decided_radii(reach: float, w: np.ndarray, exponents: np.ndarray, lams: list[float]) -> int:
+    """How many of the ascending radii, from the first, one reach of the scaled input decides, as the radius stage compares them."""
+    return sum(move < reach for move in _radius_moves(w.shape[2], int(exponents[0]), lams))
+
+
+def _decided_bound(reach: float, w: np.ndarray, exponents: np.ndarray) -> float:
+    """The largest radius a reach of the scaled input decides, by bisection on the radius stage; 0 when it decides none."""
+    lo, hi = 0.0, math.ldexp(2.0, int(exponents[0]))
+    if not _decided_radii(reach, w, exponents, [lo]):
         return lo
     while lo < (mid := (lo + hi) / 2) < hi:
-        lo, hi = (mid, hi) if _decided_radii(margin, [mid]) else (lo, mid)
+        lo, hi = (mid, hi) if _decided_radii(reach, w, exponents, [mid]) else (lo, mid)
     return lo
 
 
@@ -402,11 +408,12 @@ def test_every_trial_of_a_radius_the_lift_decides_holds(d, extra, kind, gap, tol
         v *= 10.0 ** rng.uniform(-3, 3, size=(n, 1))
     if gap is not None:
         tol = lift_ratio_reference(v) * (1 - gap) / (2 * math.sqrt(n * d)) - 8 * n * (d * (d + 1) // 2) * _EPS
-    lifted = _lift_margin(*scaled(v[None]), tol)
+    w, exponents = scaled(v[None])
+    lifted = _lift_reach(w, tol)
     assume(lifted is not None)
-    bound = _decided_bound(lifted)
+    bound = _decided_bound(lifted, w, exponents)
     probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
-    decided = probes[: _decided_radii(lifted, probes)]
+    decided = probes[: _decided_radii(lifted, w, exponents, probes)]
     for lam in decided:
         assert lift_radius_reference(v, tol, lam)
     frame = fl.Frame(fl.make_atomic(np.ones(n)), v)
@@ -437,11 +444,12 @@ def test_every_trial_of_a_radius_the_d_subsets_decide_holds(d, extra, kind, gap,
     if gap is not None:
         least, frob = _spark_least(scaled(v[None])[0], 0.0)
         tol = max(0.0, float(least[0] / frob[0]) * (1 - gap) - 2 * n * d * _EPS)
-    margin = _spark_margin(*scaled(v[None]), tol)
-    assume(margin is not None)
-    bound = _decided_bound(margin)
+    w, exponents = scaled(v[None])
+    reach = _spark_reach(w, tol)
+    assume(reach is not None)
+    bound = _decided_bound(reach, w, exponents)
     probes = [bound * (1 - 1e-6), bound, bound * (1 + 1e-6)]
-    decided = probes[: _decided_radii(margin, probes)]
+    decided = probes[: _decided_radii(reach, w, exponents, probes)]
     for lam in decided:
         assert spark_radius_reference(v, tol, lam)
     frame = fl.Frame(fl.make_atomic(np.ones(n)), v)
@@ -453,17 +461,18 @@ def test_the_d_subsets_decide_mercedes_only_below_its_breaking_radius():
     # Each pair of Mercedes atoms has the determinant bound |det| / |A|_F = sin(2 pi / 3) / sqrt(2), under its
     # sigma_min = sqrt(2)/2, and a move of at most lam per atom moves a pair by at most sqrt(2) lam: the radii up
     # to just under sqrt(3)/4 are decided, and 0.434 is not, below the breaking radius 0.5.
-    margin = _spark_margin(*scaled(fl.gen_mercedes().vectors[None]), 1e-10)
-    assert _decided_radii(margin, [0.01, 0.1, 0.3, 0.43, 0.434, 0.5]) == 4
-    assert 0.43 < _decided_bound(margin) < math.sqrt(3) / 4 < 0.5
+    w, exponents = scaled(fl.gen_mercedes().vectors[None])
+    reach = _spark_reach(w, 1e-10)
+    assert _decided_radii(reach, w, exponents, [0.01, 0.1, 0.3, 0.43, 0.434, 0.5]) == 4
+    assert 0.43 < _decided_bound(reach, w, exponents) < math.sqrt(3) / 4 < 0.5
 
 
 def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(monkeypatch):
-    # gen_random(2, 4, seed=19): its lift's margin decides 1e-4 and 1e-3, and its d-subsets' margin decides 1e-2.
+    # gen_random(2, 4, seed=19): its lift's reach decides 1e-4 and 1e-3, and its d-subsets' reach decides 1e-2.
     frame, lambdas = fl.gen_random(2, 4, seed=19), [1e-4, 1e-3, 1e-2]
     w, exponents = scaled(frame.vectors[None])
-    assert _decided_radii(_lift_margin(w, exponents, 1e-10), lambdas) == 2
-    assert _decided_radii(_spark_margin(w, exponents, 1e-10), lambdas) == 3
+    assert _decided_radii(_lift_reach(w, 1e-10), w, exponents, lambdas) == 2
+    assert _decided_radii(_spark_reach(w, 1e-10), w, exponents, lambdas) == 3
 
     def refuse(*args, **kwargs):
         raise AssertionError("a trial was drawn or certified")
@@ -474,7 +483,7 @@ def test_a_sweep_the_lift_leaves_open_is_decided_by_the_d_subsets_with_no_trial(
 
 
 def test_a_sweep_scales_its_input_once_and_each_block_of_trials_once(monkeypatch):
-    # gen_random(3, 5, seed=1) has n < d(d + 1)/2, so the lift decides no trial, and no margin decides radii 1 and
+    # gen_random(3, 5, seed=1) has n < d(d + 1)/2, so the lift decides no trial, and no reach decides radii 1 and
     # 2: at a batch of 60 entries each block holds two trials, and every frame of every block reaches the driver.
     frame = fl.gen_random(3, 5, seed=1)
     shapes, reached = [], []
@@ -494,18 +503,51 @@ def test_a_sweep_scales_its_input_once_and_each_block_of_trials_once(monkeypatch
     fl.stability_sweep(frame, [1.0, 2.0], trials=5, seed=1)
     assert reached == [4, 4, 2]
     assert shapes == [(1, 5, 3), (4, 5, 3), (4, 5, 3), (2, 5, 3)]
-    # A sweep its margins decide scales its input alone.
+    # A sweep its reaches decide scales its input alone.
     shapes.clear()
     fl.stability_sweep(fl.gen_random(2, 4, seed=1), [1e-4, 1e-3, 1e-2], trials=50, seed=1)
     assert shapes == [(1, 4, 2)]
 
 
 def test_the_lift_decides_mercedes_only_below_its_breaking_radius():
-    # Mercedes breaks at radius 0.5, where each atom comes within 0.5 of one of two lines.  Its margin decides
+    # Mercedes breaks at radius 0.5, where each atom comes within 0.5 of one of two lines.  Its reach decides
     # the radii through 0.2 and stops before 0.3.
-    lifted = _lift_margin(*scaled(fl.gen_mercedes().vectors[None]), 1e-10)
-    assert _decided_radii(lifted, [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]) == 4
-    assert 0.2 < _decided_bound(lifted) < 0.3
+    w, exponents = scaled(fl.gen_mercedes().vectors[None])
+    lifted = _lift_reach(w, 1e-10)
+    assert _decided_radii(lifted, w, exponents, [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]) == 4
+    assert 0.2 < _decided_bound(lifted, w, exponents) < 0.3
+
+
+@pytest.mark.parametrize("k", [-900, -300, 0, 300, 900])
+@pytest.mark.parametrize(
+    "frame, lambdas", [(fl.gen_mercedes(), [0.2, 0.23, 0.43, 0.44]), (fl.gen_random(2, 4, seed=19), [1e-4, 1e-3, 1e-2])]
+)
+def test_the_radius_stage_decides_the_same_radii_of_a_frame_scaled_by_a_power_of_two(frame, lambdas, k):
+    # Mercedes: the lift decides 0.2, the d-subsets 0.23 and 0.43, and 0.44 is open; gen_random(2, 4, seed=19): the
+    # lift decides 1e-4 and 1e-3, and the d-subsets 1e-2.  Scaling the frame and the radii by 2^k changes neither.
+    w, exponents = scaled(np.ldexp(frame.vectors, k)[None])
+    assert _radius_stage(w, exponents, 1e-10, [math.ldexp(lam, k) for lam in lambdas]) == (3, True)
+
+
+def test_the_d_subsets_are_bounded_only_when_the_lift_leaves_a_radius_open(monkeypatch):
+    # gen_random(2, 4, seed=1): its lift's reach decides every radius, so the d-subsets' kernel never runs.
+    lambdas = [1e-4, 1e-3, 1e-2]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the d-subsets were bounded")
+
+    monkeypatch.setattr("framelab.retrieval._spark_least", refuse)
+    assert [p.failures for p in fl.stability_sweep(fl.gen_random(2, 4, seed=1), lambdas, trials=5, seed=1)] == [0] * 3
+    # gen_random(2, 4, seed=19): its lift's reach decides the first two radii, so its d-subsets are bounded once.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return _spark_least(*args, **kwargs)
+
+    monkeypatch.setattr("framelab.retrieval._spark_least", counting)
+    assert [p.failures for p in fl.stability_sweep(fl.gen_random(2, 4, seed=19), lambdas, trials=5, seed=1)] == [0] * 3
+    assert calls == [(1, 4, 2)]
 
 
 @pytest.mark.parametrize(
@@ -610,7 +652,7 @@ def test_stability_sweep_blocks_change_no_trial(monkeypatch, per_block):
 
     def run():
         counts = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed, tol)]
-        # At the default tolerance the d-subsets' margin decides 0.3; without it every radius is built.
+        # At the default tolerance the d-subsets' reach decides 0.3; without it every radius is built.
         with pytest.MonkeyPatch.context() as patch, _without_the_radius():
             return counts, _certified_stacks(patch, frame, lambdas, trials, seed)
 
@@ -649,7 +691,7 @@ def test_stability_sweep_validates_input():
 
 def test_stability_sweep_refuses_an_input_that_fails_before_any_trial_is_drawn(monkeypatch):
     # Even atoms in the x-y plane and odd atoms in the y-z plane: the even/odd split is deficient, so neither
-    # margin certifies the input.  It is refused alone, before the generator is made: scaled so that its trials
+    # reach certifies the input.  It is refused alone, before the generator is made: scaled so that its trials
     # at this radius would overflow, it still gets the phase retrieval message, with no warning.
     v = np.random.default_rng(0).standard_normal((6, 3))
     v[0::2, 2] = 0.0
@@ -722,7 +764,7 @@ def test_stability_sweep_certifies_in_blocks_of_the_batch_size(monkeypatch):
         return [() if rows[0, 0] > frame.vectors[0, 0] else None for rows in stack]
 
     monkeypatch.setattr("framelab.perturb._first_failures", by_rows)
-    # The d-subsets' margin decides 0.01 and certifies the input; without it every radius is built.
+    # The d-subsets' reach decides 0.01 and certifies the input; without it every radius is built.
     monkeypatch.setattr("framelab.perturb._radius_stage", lambda w, exponents, tol, lams: (0, False))
     whole = [p.failures for p in fl.stability_sweep(frame, lambdas, trials, seed=4)]
     # The input frame is its own one-frame stack, ahead of the trials.

@@ -26,14 +26,14 @@ from framelab.retrieval import (
     _intervals,
     _lift,
     _lift_cutoff,
-    _lift_margin,
+    _lift_reach,
     _lift_margins,
     _minors,
     _r_stack,
     _spark_bounds,
     _spark_holds,
     _spark_least,
-    _spark_margin,
+    _spark_reach,
     _table_margin,
     _walk,
 )
@@ -1472,7 +1472,7 @@ def test_the_lift_margin_exists_exactly_when_the_lift_certifies(d, extra, gap, s
     n = max(1, width + extra)
     v = np.random.default_rng(seed).standard_normal((n, d))
     tol = _cutoff_tol(_lift_spectrum(v), n, d, width) * (1 + gap)
-    assert (_lift_margin(*scaled(v[None]), tol) is not None) == _lift_certifies(v[None], tol)[0]
+    assert (_lift_reach(scaled(v[None])[0], tol) is not None) == _lift_certifies(v[None], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, seed", [(1, 1, 0), (1, 3, 1), (2, 4, 2), (2, 7, 3), (3, 9, 4), (3, 12, 5), (4, 16, 6)])
@@ -1701,7 +1701,7 @@ def test_the_spark_margin_exists_exactly_when_the_spark_stage_certifies(kind, fi
     least, frob = _spark_least(scaled(v[None])[0], 0.0)
     eta = n * d * np.finfo(float).eps
     tol = float((least[0] / frob[0] - eta) / (1 + eta)) * (1 + gap) if frob[0] else -1.0
-    assert (_spark_margin(*scaled(v[None]), tol) is not None) == _spark_holds(scaled(v[None])[0], tol)[0]
+    assert (_spark_reach(scaled(v[None])[0], tol) is not None) == _spark_holds(scaled(v[None])[0], tol)[0]
 
 
 @pytest.mark.parametrize("d, n, tol", [(2, 5, -1e-10), (3, 5, float("nan")), (3, 4, 1e-10), (2, 2, 0.0), (6, 12, 1e-10)])
@@ -1710,4 +1710,4 @@ def test_the_spark_margin_is_none_where_the_spark_stage_decides_nothing(d, n, to
     # kernel bounds no minor, so neither the stage nor the margin certifies this generic frame.
     v = fl.gen_random(d, n, seed=n).vectors
     assert _spark_least(scaled(v[None])[0], tol) is None
-    assert _spark_margin(*scaled(v[None]), tol) is None and not _spark_holds(scaled(v[None])[0], tol)[0]
+    assert _spark_reach(scaled(v[None])[0], tol) is None and not _spark_holds(scaled(v[None])[0], tol)[0]

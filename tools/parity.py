@@ -17,8 +17,9 @@ line each, printed once per call: usage errors, help, input files that are
 not UTF-8 or not a JSON object, the sweep paths no workload takes,
 certifications at large tolerances and of a frame the hyperplane table
 refuses, spark-stage certifications at d = 5 and 6, norm retrieval of
-complex frames, and a repeated orthonormal basis scaled by 1e-300, so that
-their exit codes and bytes are compared too.  Its lines start with
+complex frames, a repeated orthonormal basis scaled by 1e-300, and a sweep
+of Mercedes scaled by 2^-700, so that their exit codes and bytes are
+compared too.  Its lines start with
 ``errors -`` and the command line's words, joined by commas in brackets.
 
 Which framelab was imported goes to stderr, so the lines of two checkouts
@@ -32,6 +33,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -48,9 +50,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # last coordinate scaled by 1e-8.  ``certify pr m.json --ti`` parses (``--ti`` abbreviates
 # ``--timings``) but is left out: its report holds wall-clock times.  The
 # three sweeps after r35.json is written have radii past the d-subsets'
-# margin, which decides the first two of m.json's three radii, the first of
+# reach, which decides the first two of m.json's three radii, the first of
 # r35.json's two and none of 1,2, so the rest draw their trials; all exit 0.
-# The next two take the paths of an input that no margin certifies: mm.json,
+# The next two take the paths of an input that no stage certifies: mm.json,
 # Mercedes with itself, has n < d(d + 1)/2 and dependent 4-subsets but does
 # phase retrieval, so it is decided alone, its trials are drawn and it exits
 # 0; dt.json does not do phase retrieval, so it exits 2.  At --tol 0.01 the
@@ -64,10 +66,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # and the complex ones are inconclusive (3).  Then norm retrieval of complex
 # frames, decided by the identity test on their one scaled copy: the
 # harmonic frame of 4 atoms in C^2 holds (0), and c59.json is inconclusive
-# (3).  Last, ``tiny.json`` holds the ONB of R^3 twice, scaled by 1e-300,
+# (3).  Then ``tiny.json`` holds the ONB of R^3 twice, scaled by 1e-300,
 # so that every stage must read the scaled copy: it fails phase retrieval
 # (1), holds norm retrieval by the identity test (0), and its bounds are
-# reported (0).
+# reported (0).  Last, ``deep.json``, Mercedes scaled by 2^-700, is swept at
+# radii 0.2, 0.23, 0.43 and 0.44 scaled alike, so that the radius stage
+# reads the exponent: the lift's reach decides the first, the d-subsets'
+# reach the next two, and the last draws its trials, which hold (0).
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -111,6 +116,8 @@ ERROR_ARGVS = (
     ("certify", "pr", "tiny.json"),
     ("certify", "nr", "tiny.json"),
     ("bounds", "tiny.json"),
+    ("sweep", "deep.json", "--lambdas", ",".join(repr(math.ldexp(lam, -700)) for lam in (0.2, 0.23, 0.43, 0.44)),
+     "--trials", "5"),
 )
 # Two planes of R^3, x-y and y-z, four atoms each; the last coordinate is then scaled by 1e-8.
 FLAT_ATOMS = ((1, 2, 0), (0, 1, 3), (3, -1, 0), (0, -2, 1), (-1, 1, 0), (0, 3, -1), (2, 1, 0), (0, 1, 1))
@@ -185,6 +192,9 @@ def error_lines() -> list[str]:
         (directory / "flat.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
         atoms = [{"weight": 1.0, "vector": list(vector)} for vector in TINY_ATOMS]
         (directory / "tiny.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
+        rows = framelab.gen_mercedes().vectors.tolist()
+        atoms = [{"weight": 1.0, "vector": [math.ldexp(x, -700) for x in row]} for row in rows]
+        (directory / "deep.json").write_text(json.dumps({"field": "real", "dim": 2, "atoms": atoms}))
         return [f"errors - [{','.join(argv)}] {_run(argv, directory)}" for argv in ERROR_ARGVS]
 
 
