@@ -326,7 +326,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timings", action="store_true", help="attach wall-clock stage timings to the report")
     capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="refuse frames with more atoms than this (default %(default)s) before certifying anything; a frame with n >= d(d+1)/2 atoms (real) or n >= d^2 (complex) is then tested on its lifted symmetric or Hermitian map, which can only answer holds, a frame with n >= 2d-1 atoms on its C(n, d) d x d minors when they hold at most 32,768 entries, which can only answer holds too, and otherwise certification decides up to 2^(n-1) subset splits, most of them through the covering pairs of the frame's at most C(n, d-1) hyperplanes")
+    capped.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, help="the most atoms (default %(default)s) of a frame whose subset splits certification reads; at any atom count, a frame with n >= d(d+1)/2 atoms (real) or n >= d^2 (complex) is first tested on its lifted symmetric or Hermitian map, which can only answer holds, certify nr then tries the identity test, and a frame with n >= 2d-1 atoms is tested on its C(n, d) d x d minors when they hold at most 32,768 entries, which can only answer holds too; a frame these leave open with more atoms than the cap is refused (exit 3), and otherwise certification decides up to 2^(n-1) subset splits, most of them through the covering pairs of the frame's at most C(n, d-1) hyperplanes")
 
     parser = argparse.ArgumentParser(prog="framelab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)

@@ -13,7 +13,8 @@ class EnumerationCapExceeded(FramelabError):
     intervals of splits, from the pairs of the frame's at most C(n, d - 1)
     hyperplanes that cover the atoms, or the one interval of every split
     when the frame spans only within the table's margin.  The lifted map,
-    the identity test and the d-subsets can answer ``holds`` first.  The
-    cap bounds the atom count n and is checked before all of them: past it
-    we refuse outright instead of silently sampling.
+    the identity test and the d-subsets read no split and can answer
+    ``holds`` first, at any n.  The cap bounds the atom count of a frame
+    whose splits are read, and is checked just before the first of them:
+    past it we refuse outright instead of silently sampling.
     """

@@ -62,7 +62,6 @@ from .retrieval import (
     _nr_failure,
     _pr_failure,
     _radius_stage,
-    _require_within_cap,
     _Split,
     norm_retrieval_certify,
     phase_retrieval_certify,
@@ -142,8 +141,8 @@ def break_phase_retrieval(
     the head in that of ``e2``, so neither side of (head, tail) spans: the
     certificate witnesses that split, with the equal-magnitude pair that
     ``phase_retrieval_certify`` builds from it, unless the rank test finds
-    a side spanning, when the full certifier decides.  The atom cap is
-    checked either way.
+    a side spanning, when the full certifier decides.  Only that certifier
+    reads further splits, so only it can refuse for the atom cap.
     """
     _require_finite_epsilon(epsilon)
     n, d = frame.n_atoms, frame.dim
@@ -187,7 +186,6 @@ def break_phase_retrieval(
     if epsilon < frame_bounds(frame).lower and not new_bounds.is_frame:
         raise FramelabError("construction error: perturbed family lost the frame property")
     # (head, tail) is the split the construction breaks; every split is walked only when it does not fail.
-    _require_within_cap(perturbed, cap, "complement property certification")
     split = _scan_split(n, head_ids)
     if _deficient(perturbed.vectors, [split], rank_tol)[0]:
         certificate = _pr_failure(perturbed, split[0], rank_tol)
@@ -348,9 +346,11 @@ def stability_sweep(
     on the ball of radius ``lam`` (Voelker, Gosmann & Stewart, 2017), so
     every radius scales one field per trial.
     The input must be a real frame that does phase retrieval, with at
-    least one radius and one trial.  The cap, the field, the radii, the
-    trial count and the seed are checked first, in that order, before
-    anything is certified.
+    least one radius and one trial.  The field, the radii, the trial count
+    and the seed are checked first, in that order, before anything is
+    certified.  The atom cap is checked only by the driver, before it reads
+    the first split of a frame, the input or a trial, that the lift and the
+    spark stage leave open.
 
     The radius stage (``_radius_stage``).  The input is scaled once
     (``scaled``), and every stage reads that copy.  It is certified once,
@@ -382,7 +382,6 @@ def stability_sweep(
     does not depend on where the blocks are cut, nor on how many radii
     the reaches decided.
     """
-    _require_within_cap(frame, cap, "complement property certification")
     if frame.field != "real":
         raise ValueError(_NOT_PR)
     lams = [float(l) for l in lambdas]
@@ -400,7 +399,8 @@ def stability_sweep(
     vs = frame.vectors[None]
     w, exponents = scaled(vs)
     decided, certified = _radius_stage(w, exponents, tol, lams)
-    if not certified and _first_failures(vs, w, tol, _first_subset)[0] is not None:
+    refusal = (cap, "complement property certification")
+    if not certified and _first_failures(vs, w, tol, _first_subset, *refusal)[0] is not None:
         raise ValueError(_NOT_PR)
     failures = np.zeros(len(lams), dtype=int)
     open_lams = lams[decided:]
@@ -418,7 +418,7 @@ def stability_sweep(
             w, _ = scaled(stack)
             failed = ~(_lift_margins(w, tol) > 0)
             if failed.any():
-                found = _first_failures(stack[failed], w[failed], tol, _first_subset)
+                found = _first_failures(stack[failed], w[failed], tol, _first_subset, *refusal)
                 failed[failed] = [subset is not None for subset in found]
             failures[decided:] += failed.reshape(len(open_lams), count).sum(axis=1)
     return [SweepPoint(lam=lam, all_preserved=not f, failures=int(f)) for lam, f in zip(lams, failures)]

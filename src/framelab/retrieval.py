@@ -25,7 +25,7 @@ the spark stage below.  ``stability_sweep`` decides a radius with no trial
 drawn when the radius's move stays under the larger reach
 (``_radius_stage``): Mercedes' lift reaches 0.2247 and its d-subsets
 0.4330, below its breaking radius 0.5.
-The lift can only answer ``holds``, and the atom cap is checked before it.
+The lift can only answer ``holds``, and runs at any atom count.
 Frames it does not certify and frames with n < D go on to the splits,
 save that norm retrieval first tries the identity test.
 
@@ -77,8 +77,10 @@ drops, and never misses one.  Past the prefixes one walk (``_walk``)
 reads the table's covering pairs as intervals of subsets; a frame that
 does not span with the margin, and every frame at tol > 1e-2, where the
 margin would fall below its floor (``_table_margin``), has no table, and
-its walk takes the one interval that holds every split.  The atom count
-is capped.  The reference scan that checks every split, and independent
+its walk takes the one interval that holds every split.  The driver
+refuses a frame of more atoms than the cap before its first split; the
+lift, the identity test and the spark stage read no split and run at any
+n.  The reference scan that checks every split, and independent
 brute-force references, live with the tests.
 
 Each certification scales its frame, or stack, once, where it enters: a
@@ -1012,7 +1014,7 @@ def _identity_holds(w: np.ndarray, rank_tol: float, ortho_tol: float) -> bool:
 
 
 def _first_failures(
-    vs: np.ndarray, w: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any]
+    vs: np.ndarray, w: np.ndarray, tol: float, fails: Callable[[np.ndarray, list[_Split]], Any], cap: int, what: str
 ) -> list[Any]:
     """For each frame of a (k, n, d) stack, the first finding of ``fails`` on its deficient splits, or None.
 
@@ -1023,15 +1025,18 @@ def _first_failures(
     certifiers run it first and pass only the frames it leaves open, with
     their scaled copies.  The driver first runs ``_spark_holds`` on the
     whole scaled stack: a frame it certifies has no deficient split, so it
-    gets None with no split decided and ``fails`` never called.  Each frame
-    still open is then decided alone from its own chunks (``_split_chunks``,
-    whose table reads the scaled frame): the scan's n prefix splits, then
-    the walk past them, so no split of a frame is decided twice, and every
-    frame gets the findings it gets alone.  The scan and ``fails`` read the
-    frame itself, as it was given.
+    gets None with no split decided and ``fails`` never called.  A frame
+    still open past ``cap`` atoms is then refused, naming ``what``: the one
+    check of the cap.  Each frame still open is then decided alone from its
+    own chunks (``_split_chunks``, whose table reads the scaled frame): the
+    scan's n prefix splits, then the walk past them, so no split of a frame
+    is decided twice, and every frame gets the findings it gets alone.  The
+    scan and ``fails`` read the frame itself, as it was given.
     """
     found: list[Any] = [None] * len(vs)
     for i in np.flatnonzero(~_spark_holds(w, tol)).tolist():
+        if (n := vs.shape[1]) > cap:
+            raise EnumerationCapExceeded(f"{what} enumerates 2^(n-1) subsets and refuses for n = {n} > cap = {cap}")
         for chunk in _split_chunks(w[i], tol):
             splits = list(compress(chunk, _deficient(vs[i], chunk, tol)))
             if splits and (finding := fails(vs[i], splits)) is not None:
@@ -1043,13 +1048,6 @@ def _first_failures(
 def _first_subset(v: np.ndarray, splits: list[_Split]) -> tuple[int, ...]:
     """The ``fails`` of the complement property: any deficient split fails it, and its S is the witness."""
     return splits[0][0]
-
-
-def _require_within_cap(frame: Frame, cap: int, what: str) -> None:
-    if frame.n_atoms > cap:
-        raise EnumerationCapExceeded(
-            f"{what} enumerates 2^(n-1) subsets and refuses for n = {frame.n_atoms} > cap = {cap}"
-        )
 
 
 _LIFTED = "complement-lifted-map"
@@ -1067,18 +1065,18 @@ def complement_property(
     decided on its splits, with method ``complement-subset-enumeration``.
     Among those, a frame with n >= 2d - 1 whose d-subsets all span with a
     margin (``_spark_holds``, run by the driver) holds with no split
-    visited, the verdict the splits give it.  The others are read from
-    the scan's n prefix splits, then from the walk (``_split_chunks``), so
-    a frame with n < 2d - 1 is decided before the table is built.  A
-    failing verdict reports the lexicographically smallest violating
-    subset: the first split the shared scan yields.
+    visited, the verdict the splits give it.  The others are refused past
+    ``cap`` atoms, and otherwise read from the scan's n prefix splits, then
+    from the walk (``_split_chunks``), so a frame with n < 2d - 1 is
+    decided before the table is built.  A failing verdict reports the
+    lexicographically smallest violating subset: the first split the
+    shared scan yields.
     """
-    _require_within_cap(frame, cap, "complement property certification")
     vs = frame.vectors[None]
     w, _ = scaled(vs)
     if _lift_margins(w, tol)[0] > 0:
         return Certificate(HOLDS, _LIFTED, frame.field)
-    subset = _first_failures(vs, w, tol, _first_subset)[0]
+    subset = _first_failures(vs, w, tol, _first_subset, cap, "complement property certification")[0]
     verdict = HOLDS if subset is None else FAILS
     return Certificate(verdict, "complement-subset-enumeration", frame.field, witness_subset=subset)
 
@@ -1124,7 +1122,7 @@ def phase_retrieval_certify(
     property fails, with the same witness pair construction, which is
     field-agnostic, and is ``inconclusive`` when that property holds, since
     over C it is only necessary.  ``complement_property`` runs the lift,
-    once per frame, after the atom cap is checked.
+    once per frame, at any atom count.
     """
     cp = complement_property(frame, tol, cap)
     if cp.verdict == FAILS:
@@ -1278,22 +1276,21 @@ def norm_retrieval_certify(
     For every index subset, the annihilator of its rows must be orthogonal
     to the annihilator of the complement's rows.  A split where either side
     spans holds vacuously, so only the splits where neither side spans are
-    tested, in scan order.  The stages run in this order, after the atom
-    cap: the lift (``_lift_margins``), which certifies a frame that does
-    phase retrieval with no split tested; the identity test
-    (``_identity_holds``), which certifies a frame whose rank-one
-    projections span I closely enough, method ``nr-identity-span``; then
-    the driver's spark stage, the scan's n prefix splits and the walk of
-    the hyperplane table, so every other ``holds`` rests on the scan's own
-    rank and overlap decisions.  The first failure is reported as the
-    subset plus the offending unit null directions.
+    tested, in scan order.  The stages run in this order: the lift
+    (``_lift_margins``), which certifies a frame that does phase retrieval
+    with no split tested; the identity test (``_identity_holds``), which
+    certifies a frame whose rank-one projections span I closely enough,
+    method ``nr-identity-span``; then the driver's spark stage, the atom
+    cap, the scan's n prefix splits and the walk of the hyperplane table,
+    so every other ``holds`` rests on the scan's own rank and overlap
+    decisions.  The first failure is reported as the subset plus the
+    offending unit null directions.
 
     A complex frame is decided by the identity test on its Hermitian lift
-    alone: it holds (``nr-identity-span``) when the test passes, and is
-    otherwise ``inconclusive`` (``nr-identity-sufficiency``), since the
-    test is only sufficient.
+    alone, at any atom count: it holds (``nr-identity-span``) when the test
+    passes, and is otherwise ``inconclusive`` (``nr-identity-sufficiency``),
+    since the test is only sufficient.
     """
-    _require_within_cap(frame, cap, "norm retrieval certification")
     real, vs = frame.field == "real", frame.vectors[None]
     w, _ = scaled(vs)
     # The lift first: generic frames pass it, and would fail the identity test at the cost of a second SVD.
@@ -1303,7 +1300,9 @@ def norm_retrieval_certify(
         return Certificate(HOLDS, _IDENTITY, frame.field)
     if not real:
         return Certificate(INCONCLUSIVE, "nr-identity-sufficiency", frame.field)
-    found = _first_failures(vs, w, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol))[0]
+    found = _first_failures(
+        vs, w, rank_tol, lambda v, splits: _nr_failure(v, splits, rank_tol, tol), cap, "norm retrieval certification"
+    )[0]
     return Certificate(verdict=HOLDS, method=_NR_METHOD, field=frame.field) if found is None else found
 
 
@@ -1311,7 +1310,6 @@ def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol
                           cap: int = DEFAULT_ENUM_CAP) -> Certificate:
     """Uncalled brute-force pair check on every deficient split, with no lift, kept only because ``perfbench/tracer.py`` traces it."""
     _require_real(frame, "norm retrieval oracle")
-    _require_within_cap(frame, cap, "norm retrieval oracle")
     d, method = frame.dim, "nr-bruteforce-pairs"
 
     def unequal_pair(v: np.ndarray, splits: list[_Split]) -> Certificate | None:
@@ -1326,7 +1324,7 @@ def norm_retrieval_oracle(frame: Frame, tol: float = DEFAULT_ORTHO_TOL, rank_tol
         return None
 
     vs = frame.vectors[None]
-    found = _first_failures(vs, scaled(vs)[0], rank_tol, unequal_pair)[0]
+    found = _first_failures(vs, scaled(vs)[0], rank_tol, unequal_pair, cap, "norm retrieval oracle")[0]
     return Certificate(verdict=HOLDS, method=method, field=frame.field) if found is None else found
 
 

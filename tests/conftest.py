@@ -96,3 +96,29 @@ def small_factor_pool() -> list[fl.Frame]:
         fl.gen_deficient_plus_tail(2, 1, 2, seed=0),
     ]
     return pool
+
+
+@pytest.fixture(scope="session")
+def past_cap_frames() -> dict[str, fl.Frame]:
+    """Frames of more atoms than the default cap, each certified by a stage that reads no split.
+
+    ``lift``: 60 generic atoms of R^10, which the lift certifies.  ``identity``:
+    the ONB of R^3 nine times, which neither the lift nor the spark stage
+    certifies, and the identity test does for norm retrieval.  ``spark``: 30
+    unit atoms of R^2 within 1e-4 radians, which the lift refuses and the
+    spark stage certifies.  ``hermitian``: 30 generic atoms of C^4, which the
+    Hermitian lift certifies.
+    """
+    angles = np.linspace(0.0, 1e-4, 30)
+    return {
+        "lift": fl.gen_random(10, 60, seed=1),
+        "identity": fl.Frame(fl.make_atomic(np.ones(27)), np.tile(np.eye(3), (9, 1))),
+        "spark": fl.Frame(fl.make_atomic(np.ones(30)), np.stack([np.cos(angles), np.sin(angles)], axis=1)),
+        "hermitian": fl.gen_random(4, 30, seed=1, field="complex"),
+    }
+
+
+@pytest.fixture(scope="session")
+def past_cap_product() -> fl.Frame:
+    """``gen_random(3, 5, 0) x gen_random(3, 5, 1)``: 25 atoms that neither the lift nor the spark stage certifies."""
+    return fl.tensor_product(fl.gen_random(3, 5, seed=0), fl.gen_random(3, 5, seed=1)).product

@@ -661,11 +661,25 @@ def test_bounds_and_alpha_refuse_a_frame_whose_operators_overflow(tmp_path, caps
 
 
 def test_cap_exceeded_exit_code(tmp_path, capsys):
-    big = tmp_path / "big.json"
-    _run(capsys, "gen", "random", "--dim", "2", "--n", "30", "-o", str(big))
-    code, stdout, _ = _run(capsys, "certify", "pr", str(big))
-    assert code == 3
-    assert "error" in json.loads(stdout)
+    # A product of two 5-atom frames: neither the lift nor the spark stage certifies it, so its splits are read.
+    a, b, product = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "p.json"
+    _run(capsys, "gen", "random", "--dim", "3", "--n", "5", "--seed", "0", "-o", str(a))
+    _run(capsys, "gen", "random", "--dim", "3", "--n", "5", "--seed", "1", "-o", str(b))
+    assert _run(capsys, "tensor", str(a), str(b), "-o", str(product))[0] == 0
+    for kind, what in (("pr", "complement property certification"), ("nr", "norm retrieval certification")):
+        code, stdout, _ = _run(capsys, "certify", kind, str(product))
+        assert code == 3
+        assert json.loads(stdout)["error"] == f"{what} enumerates 2^(n-1) subsets and refuses for n = 25 > cap = 24"
+
+
+@pytest.mark.parametrize("name, kind", [("lift", "pr"), ("lift", "nr"), ("identity", "nr"), ("spark", "pr"),
+                                        ("hermitian", "pr")])
+def test_a_frame_past_the_cap_that_a_holds_only_stage_certifies_exits_0(name, kind, past_cap_frames, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    fl.save_frame(path, past_cap_frames[name])
+    code, stdout, _ = _run(capsys, "certify", kind, str(path))
+    assert code == 0
+    assert json.loads(stdout)["certificates"][0]["verdict"] == "holds"
 
 
 def test_env_tolerance_override(tmp_path, capsys, monkeypatch):
@@ -821,7 +835,7 @@ def test_readme_commands_run_in_order(tmp_path, capsys, monkeypatch):
     # Every line of the README's command block, in a fresh directory: each exits 0 with one JSON report.
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
-    assert len(commands) == 16
+    assert len(commands) == 18
     for argv in commands:
         assert argv[0] == "framelab"
         code, stdout, _ = _run(capsys, *argv[1:])

@@ -39,12 +39,17 @@ def test_parity_prints_one_stable_line_per_error_command():
     # refuses, fails (1).  Then four frames of d = 5 and 6 are written and certified by the spark stage: the real
     # ones hold (0) and the complex ones are inconclusive (3).  Then h24.json is written (0) and holds norm
     # retrieval (0), and c59.json is inconclusive for it (3).  Then the repeated ONB scaled by 1e-300 fails phase
-    # retrieval (1), holds norm retrieval (0) and has its bounds reported (0).  Last, Mercedes scaled by 2^-700 is
-    # swept at radii scaled alike, two reaches deciding three of them, and holds (0).
+    # retrieval (1), holds norm retrieval (0) and has its bounds reported (0).  Then Mercedes scaled by 2^-700 is
+    # swept at radii scaled alike, two reaches deciding three of them, and holds (0).  Last, frames past the cap
+    # that a stage reading no split certifies are written and hold (0 each), and a 25-atom product is refused (3).
     tail = ["0", "0", "1", "0", "1"] + ["0", "0", "0", "3"] * 2 + ["0", "0", "3"] + ["1", "0", "0", "0"]
-    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 34) + ["0"] * 7 + ["2"] + tail
+    past_cap = ["0"] * 8 + ["3"]
+    assert codes == ["0", "2", "0", "2", "2", "0"] + ["2"] * (len(first) - 43) + ["0"] * 7 + ["2"] + tail + past_cap
     assert "files=[m.json=" in first[0]
-    assert "files=[r35.json=" in first[-28] and "files=[mm.json=" in first[-24]
-    assert "files=[dt.json=" in first[-22] and "files=[dt3.json=" in first[-19]
-    assert "files=[r59.json=" in first[-15] and "files=[c611.json=" in first[-9]
-    assert "files=[h24.json=" in first[-7]
+    assert "files=[r35.json=" in first[-37] and "files=[mm.json=" in first[-33]
+    assert "files=[dt.json=" in first[-31] and "files=[dt3.json=" in first[-28]
+    assert "files=[r59.json=" in first[-24] and "files=[c611.json=" in first[-18]
+    assert "files=[h24.json=" in first[-16]
+    assert "files=[r1060.json=" in first[-9] and "files=[c430.json=" in first[-4] and "files=[r35s0.json=" in first[-2]
+    # The refused check writes no product.
+    assert first[-1].endswith("files=[]")

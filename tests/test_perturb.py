@@ -107,7 +107,14 @@ def test_break_pr_carries_the_perturbed_certificate(monkeypatch):
     assert result.certificate.witness_subset == cert.witness_subset == (0, 1, 2)
     assert all(np.array_equal(a, b) for a, b in zip(result.certificate.witness_vectors, cert.witness_vectors))
     assert _pr_witness_reverifies(result.perturbed, result.certificate)
-    with pytest.raises(fl.EnumerationCapExceeded):
+    # The broken split fails on its own, so no other split is read and a cap below n = 6 does not enter.
+    capped = fl.break_phase_retrieval(frame, [0, 1, 2], 0.4, cap=5).certificate
+    assert capped.witness_subset == result.certificate.witness_subset
+    assert all(np.array_equal(a, b) for a, b in zip(capped.witness_vectors, result.certificate.witness_vectors))
+    # When it does not fail, the full certifier reads the splits, and refuses past the cap.
+    monkeypatch.setattr("framelab.perturb._deficient", lambda *a, **k: [False])
+    monkeypatch.setattr("framelab.perturb.phase_retrieval_certify", full)
+    with pytest.raises(fl.EnumerationCapExceeded, match=r"refuses for n = 6 > cap = 5"):
         fl.break_phase_retrieval(frame, [0, 1, 2], 0.4, cap=5)
 
 
@@ -716,31 +723,46 @@ def test_stability_sweep_refuses_a_complex_frame_without_alpha(monkeypatch):
 
     monkeypatch.setattr("framelab.retrieval.alpha_certify", no_alpha)
     frame = fl.gen_random(3, 9, seed=0, field="complex")
-    with pytest.raises(ValueError, match="needs a phase retrieval frame"):
-        fl.stability_sweep(frame, [0.01], trials=2)
-    with pytest.raises(fl.EnumerationCapExceeded):
-        fl.stability_sweep(frame, [0.01], trials=2, cap=8)
+    # The field is checked before anything is certified, so a cap below n = 9 does not enter.
+    for cap in (fl.DEFAULT_ENUM_CAP, 8):
+        with pytest.raises(ValueError, match="needs a phase retrieval frame"):
+            fl.stability_sweep(frame, [0.01], trials=2, cap=cap)
 
 
 def test_stability_sweep_checks_radii_and_trials_before_certifying(monkeypatch):
-    # The cap comes first; then the radii and the trial count are refused before any SVD.
+    # The field, the radii and the trial count are refused before any SVD, whatever the cap.
     # So a frame that does not do phase retrieval gets the radii error, not the frame error.
     def no_certification(*args, **kwargs):
         raise AssertionError("a frame was certified")
 
     monkeypatch.setattr("framelab.perturb._first_failures", no_certification)
     for frame in (fl.gen_random(4, 24, seed=0), fl.gen_onb(2)):
-        with pytest.raises(ValueError, match="lambdas must be finite, nonnegative and ascending"):
-            fl.stability_sweep(frame, [0.1, 0.01], trials=3)
-        with pytest.raises(ValueError, match="lambdas must hold at least one radius"):
-            fl.stability_sweep(frame, [], trials=3)
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            fl.stability_sweep(frame, [0.1], trials=0)
-    with pytest.raises(fl.EnumerationCapExceeded):
-        fl.stability_sweep(fl.gen_random(4, 24, seed=0), [0.1, 0.01], trials=3, cap=23)
+        for cap in (fl.DEFAULT_ENUM_CAP, 1):
+            with pytest.raises(ValueError, match="lambdas must be finite, nonnegative and ascending"):
+                fl.stability_sweep(frame, [0.1, 0.01], trials=3, cap=cap)
+            with pytest.raises(ValueError, match="lambdas must hold at least one radius"):
+                fl.stability_sweep(frame, [], trials=3, cap=cap)
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                fl.stability_sweep(frame, [0.1], trials=0, cap=cap)
     monkeypatch.undo()
     with pytest.raises(ValueError, match="needs a phase retrieval frame"):
         fl.stability_sweep(fl.gen_onb(2), [0.1], trials=3)
+    # No stage certifies the ONB, so the driver reads its splits, and refuses it first past the cap.
+    with pytest.raises(fl.EnumerationCapExceeded, match=r"refuses for n = 2 > cap = 1"):
+        fl.stability_sweep(fl.gen_onb(2), [0.1], trials=3, cap=1)
+
+
+@pytest.mark.parametrize("name", ["lift", "spark"])
+def test_a_sweep_past_the_cap_runs_when_no_split_is_read(name, past_cap_frames, monkeypatch):
+    # Each frame is certified by a stage that reads no split, and so is every trial at these radii.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a split was read")
+
+    monkeypatch.setattr("framelab.retrieval._split_chunks", refuse)
+    frame = past_cap_frames[name]
+    assert frame.n_atoms > fl.DEFAULT_ENUM_CAP
+    points = fl.stability_sweep(frame, [1e-12, 1e-10], trials=2, seed=1)
+    assert [(p.all_preserved, p.failures) for p in points] == [(True, 0), (True, 0)]
 
 
 def test_stability_sweep_refuses_zero_trials_and_no_radii():

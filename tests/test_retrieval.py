@@ -123,14 +123,48 @@ def test_complement_property_witness_is_genuine():
         assert np.linalg.matrix_rank(v[co]) < frame.dim
 
 
-def test_complement_property_cap():
+def _refuse_splits(*args, **kwargs):
+    raise AssertionError("a split was read")
+
+
+def test_complement_property_cap(past_cap_product):
+    # The cap bounds only the splits read: the lift certifies this frame past it, with no split read.
     frame = fl.gen_random(2, 26, seed=0)
-    # The lift would certify this frame, but the cap is checked first.
     assert _lift_certifies(frame.vectors[None], 1e-10)[0]
-    with pytest.raises(fl.EnumerationCapExceeded, match=r"refuses for n = 26 > cap = 24"):
-        fl.complement_property(frame)
+    with patch("framelab.retrieval._split_chunks", _refuse_splits):
+        assert fl.complement_property(frame).method == "complement-lifted-map"
+        # A frame that the lift and the spark stage leave open is refused before its first split is read.
+        for certify, what in (
+            (fl.complement_property, "complement property certification"),
+            (fl.phase_retrieval_certify, "complement property certification"),
+            (fl.norm_retrieval_certify, "norm retrieval certification"),
+            (fl.retrieval.norm_retrieval_oracle, "norm retrieval oracle"),
+        ):
+            message = f"{what} enumerates 2^(n-1) subsets and refuses for n = 25 > cap = 24"
+            with pytest.raises(fl.EnumerationCapExceeded) as refused:
+                certify(past_cap_product)
+            assert str(refused.value) == message
     cert = fl.complement_property(fl.gen_random(2, 5, seed=0), cap=30)
     assert cert.verdict in (fl.HOLDS, fl.FAILS)
+
+
+@pytest.mark.parametrize("name, certify, method", [
+    ("lift", fl.phase_retrieval_certify, "pr-complement-equivalence"),
+    ("lift", fl.norm_retrieval_certify, "nr-nullspace-orthogonality"),
+    ("identity", fl.norm_retrieval_certify, "nr-identity-span"),
+    ("spark", fl.phase_retrieval_certify, "pr-complement-equivalence"),
+    ("spark", fl.retrieval.norm_retrieval_oracle, "nr-bruteforce-pairs"),
+    ("hermitian", fl.phase_retrieval_certify, "pr-lifted-hermitian"),
+])
+def test_every_holds_only_stage_certifies_past_the_cap_without_reading_a_split(name, certify, method, past_cap_frames):
+    frame = past_cap_frames[name]
+    assert frame.n_atoms > fl.DEFAULT_ENUM_CAP
+    w = scaled(frame.vectors[None])[0]
+    assert _lift_certifies(frame.vectors[None], 1e-10)[0] == (name in ("lift", "hermitian"))
+    assert _spark_holds(w, 1e-10)[0] == (name == "spark")
+    with patch("framelab.retrieval._split_chunks", _refuse_splits):
+        cert = certify(frame)
+    assert (cert.verdict, cert.method) == (fl.HOLDS, method)
 
 
 def test_pr_real_equivalence_method():
@@ -481,8 +515,10 @@ def test_nr_of_a_complex_frame_holds_on_the_identity_test_or_is_inconclusive():
         cert = fl.norm_retrieval_certify(frame)
         assert (cert.verdict, cert.method, cert.field) == (fl.INCONCLUSIVE, "nr-identity-sufficiency", "complex")
         assert cert.witness_subset is None and cert.witness_vectors is None
-    with pytest.raises(fl.EnumerationCapExceeded):
-        fl.norm_retrieval_certify(fl.gen_harmonic(2, 5, "complex"), cap=4)
+    # No split is read, so the cap does not enter: past it the verdicts are the same.
+    with patch("framelab.retrieval._split_chunks", _refuse_splits):
+        assert fl.norm_retrieval_certify(fl.gen_harmonic(2, 5, "complex"), cap=4).verdict == fl.HOLDS
+        assert fl.norm_retrieval_certify(fl.gen_random(3, 7, seed=0, field="complex"), cap=4).verdict == fl.INCONCLUSIVE
 
 
 def test_pr_implies_nr_on_spot_frames():
@@ -622,11 +658,15 @@ def _without_the_identity():
     return patch("framelab.retrieval._identity_holds", lambda v, rank_tol, ortho_tol: False)
 
 
+# The driver's cap and the name its refusal gives, as ``complement_property`` passes them.
+_REFUSAL = (fl.DEFAULT_ENUM_CAP, "complement property certification")
+
+
 def _deficient_splits(frame, tol=1e-10):
     """Every split of the frame where neither side spans, in the order the driver finds them."""
     splits = []
     vs = frame.vectors[None]
-    _first_failures(vs, scaled(vs)[0], tol, lambda v, chunk: splits.extend(chunk))
+    _first_failures(vs, scaled(vs)[0], tol, lambda v, chunk: splits.extend(chunk), *_REFUSAL)
     return splits
 
 
@@ -638,7 +678,7 @@ def _walked_splits(frame, tol=1e-10):
 
 
 def _complement_holds(stack, tol):
-    return [subset is None for subset in _first_failures(stack, scaled(stack)[0], tol, _first_subset)]
+    return [subset is None for subset in _first_failures(stack, scaled(stack)[0], tol, _first_subset, *_REFUSAL)]
 
 
 def _lift_certifies(vs, tol):
@@ -1289,7 +1329,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
     with _without_the_spark(), patch("framelab.retrieval._deficient", recording), patch(
         "framelab.retrieval._hyperplane_table", wraps=_hyperplane_table
     ) as table, patch("framelab.retrieval._walk", wraps=_walk) as walk:
-        found = _first_failures(stack, scaled(stack)[0], 1e-10, _first_subset)
+        found = _first_failures(stack, scaled(stack)[0], 1e-10, _first_subset, *_REFUSAL)
         assert table.call_count == 2 and walk.call_count == 2
         assert found == [(0, 1, 2, 3, 4, 5), None, (0, 2, 4, 6, 8, 10)]
         assert found == [complement_property_reference(frame) for frame in frames]
@@ -1300,7 +1340,7 @@ def test_each_frame_of_a_stack_takes_its_own_route_to_its_own_verdict():
         for calls in decided.values():
             calls.clear()
         splits = {key: [] for key in decided}
-        _first_failures(stack, scaled(stack)[0], 1e-10, lambda v, chunk: splits[v.tobytes()].extend(chunk))
+        _first_failures(stack, scaled(stack)[0], 1e-10, lambda v, chunk: splits[v.tobytes()].extend(chunk), *_REFUSAL)
     for frame in frames:
         assert splits[frame.vectors.tobytes()] == list(deficient_splits_reference(frame))
     assert decided[flat.tobytes()] == list(complement_pairs(12))

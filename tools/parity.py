@@ -17,9 +17,10 @@ line each, printed once per call: usage errors, help, input files that are
 not UTF-8 or not a JSON object, the sweep paths no workload takes,
 certifications at large tolerances and of a frame the hyperplane table
 refuses, spark-stage certifications at d = 5 and 6, norm retrieval of
-complex frames, a repeated orthonormal basis scaled by 1e-300, and a sweep
-of Mercedes scaled by 2^-700, so that their exit codes and bytes are
-compared too.  Its lines start with
+complex frames, a repeated orthonormal basis scaled by 1e-300, a sweep of
+Mercedes scaled by 2^-700, and frames past the atom cap, one per stage that
+reads no split, with a product that reaches its splits and is refused, so
+that their exit codes and bytes are compared too.  Its lines start with
 ``errors -`` and the command line's words, joined by commas in brackets.
 
 Which framelab was imported goes to stderr, so the lines of two checkouts
@@ -73,6 +74,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # radii 0.2, 0.23, 0.43 and 0.44 scaled alike, so that the radius stage
 # reads the exponent: the lift's reach decides the first, the d-subsets'
 # reach the next two, and the last draws its trials, which hold (0).
+# Last come frames past the default cap of 24 atoms, each certified by a
+# stage that reads no split, so each exits 0: 60 generic atoms of R^10 by
+# the lift, under pr and nr; ``onb27.json``, the ONB of R^3 nine times, by
+# the identity test under nr; ``fan.json``, 30 unit atoms of R^2 within
+# 1e-4 radians, which the lift refuses, by the spark stage; and 30 generic
+# atoms of C^4 by the Hermitian lift.  The product of two 5-atom frames of
+# R^3 has 25 atoms that no such stage certifies, so its check reaches the
+# splits and is refused (3).
 ERROR_ARGVS = (
     ("gen", "mercedes", "-o", "m.json"),
     (),
@@ -118,11 +127,23 @@ ERROR_ARGVS = (
     ("bounds", "tiny.json"),
     ("sweep", "deep.json", "--lambdas", ",".join(repr(math.ldexp(lam, -700)) for lam in (0.2, 0.23, 0.43, 0.44)),
      "--trials", "5"),
+    ("gen", "random", "--dim", "10", "--n", "60", "--seed", "1", "-o", "r1060.json"),
+    ("certify", "pr", "r1060.json"),
+    ("certify", "nr", "r1060.json"),
+    ("certify", "nr", "onb27.json"),
+    ("certify", "pr", "fan.json"),
+    ("gen", "random", "--dim", "4", "--n", "30", "--seed", "1", "--field", "complex", "-o", "c430.json"),
+    ("certify", "pr", "c430.json"),
+    ("gen", "random", "--dim", "3", "--n", "5", "--seed", "0", "-o", "r35s0.json"),
+    ("tensor", "r35s0.json", "r35.json", "-o", "p.json", "--check", "pr"),
 )
 # Two planes of R^3, x-y and y-z, four atoms each; the last coordinate is then scaled by 1e-8.
 FLAT_ATOMS = ((1, 2, 0), (0, 1, 3), (3, -1, 0), (0, -2, 1), (-1, 1, 0), (0, 3, -1), (2, 1, 0), (0, 1, 1))
 # The ONB of R^3 twice, scaled by 1e-300.
 TINY_ATOMS = tuple(tuple(1e-300 * (i == j) for j in range(3)) for i in (0, 1, 2, 0, 1, 2))
+# The ONB of R^3 nine times, and 30 unit atoms of R^2 within 1e-4 radians.
+ONB27_ATOMS = tuple(tuple(float(i == j) for j in range(3)) for i in (0, 1, 2) * 9)
+FAN_ATOMS = tuple((math.cos(1e-4 * k / 29), math.sin(1e-4 * k / 29)) for k in range(30))
 
 
 def _mixes():
@@ -190,8 +211,9 @@ def error_lines() -> list[str]:
         (directory / "list.json").write_text("[1, 2]\n")
         atoms = [{"weight": 1.0, "vector": [float(x), float(y), z * 1e-8]} for x, y, z in FLAT_ATOMS]
         (directory / "flat.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
-        atoms = [{"weight": 1.0, "vector": list(vector)} for vector in TINY_ATOMS]
-        (directory / "tiny.json").write_text(json.dumps({"field": "real", "dim": 3, "atoms": atoms}))
+        for name, dim, rows in (("tiny.json", 3, TINY_ATOMS), ("onb27.json", 3, ONB27_ATOMS), ("fan.json", 2, FAN_ATOMS)):
+            atoms = [{"weight": 1.0, "vector": list(vector)} for vector in rows]
+            (directory / name).write_text(json.dumps({"field": "real", "dim": dim, "atoms": atoms}))
         rows = framelab.gen_mercedes().vectors.tolist()
         atoms = [{"weight": 1.0, "vector": [math.ldexp(x, -700) for x in row]} for row in rows]
         (directory / "deep.json").write_text(json.dumps({"field": "real", "dim": 2, "atoms": atoms}))
